@@ -414,7 +414,9 @@ def main(argv=None):
                "engine": {"name": "mfcat", "version": __version__}},
               args.format, sys.stderr)
         return exc.exit_code
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, AssertionError) as exc:
+        # AssertionError: a self-check of the engine failed (prop28
+        # implication, stabilization certificate, Koszul augmentation)
         _emit({"command": "mfcat " + " ".join(argv), "error": str(exc),
                "engine": {"name": "mfcat", "version": __version__}},
               args.format, sys.stderr)

@@ -8,12 +8,16 @@ exponents >= -B on the inverted variables is x_S^{-B} * R_{a + B*|S|}
 the whole truncated Cech bicomplex is assembled from normal-form
 multiplication matrices.  d^2 = 0 holds exactly because normal forms are
 multiplicative.
+
+The differentials are very sparse (restriction is a monomial shift), so
+they are assembled as sparse rows, one {column: value} dict per target
+row, and only their ranks are computed, by sparse elimination.
 """
 
 import os
-from itertools import combinations
+from itertools import combinations, compress
 
-from .linalg import ExactMatrix, kernel_basis, rank, solve
+from .linalg import ExactMatrix, kernel_basis, solve, sparse_rank
 from .poly import Poly
 from .ring import binom
 
@@ -97,12 +101,25 @@ class CechSpace:
         return self.offsets[self.block_index(s_idx, t_idx)]
 
 
+def _put_block(out, block, ro, co, sign, F):
+    """Write the nonzero entries of a dense block, times sign, into the
+    sparse rows out at offset (ro, co).  The blocks a differential is made
+    of cover disjoint positions, so no entry is written twice."""
+    for r, row in enumerate(block):
+        nonzero = compress(range(len(row)), row)
+        if sign > 0:
+            out[ro + r].update((co + c, row[c]) for c in nonzero)
+        else:
+            out[ro + r].update((co + c, F.neg(row[c])) for c in nonzero)
+
+
 def cech_horizontal(src_space, dst_space):
-    """The Cech differential C^p -> C^{p+1} (same twist list)."""
+    """The Cech differential C^p -> C^{p+1} (same twist list), as sparse
+    rows."""
     ring = src_space.ring
     F = ring.field
     B = src_space.B
-    out = ExactMatrix.zeros(F, dst_space.dim, src_space.dim)
+    out = [{} for _ in range(dst_space.dim)]
     src_index = {S: i for i, S in enumerate(src_space.subsets)}
     for tj, T in enumerate(dst_space.subsets):
         for pos, i in enumerate(T):
@@ -112,23 +129,18 @@ def cech_horizontal(src_space, dst_space):
             xiB = _xs_power(ring, (i,), B)
             for t_idx, a in enumerate(src_space.twists):
                 block = ring.mult_matrix(xiB, a + B * len(S))
-                ro = dst_space.block_offset(tj, t_idx)
-                co = src_space.block_offset(si, t_idx)
-                for r, row in enumerate(block):
-                    orow = out.rows[ro + r]
-                    for c, v in enumerate(row):
-                        if not F.is_zero(v):
-                            orow[co + c] = F.add(orow[co + c],
-                                                 v if sign > 0 else F.neg(v))
+                _put_block(out, block, dst_space.block_offset(tj, t_idx),
+                           src_space.block_offset(si, t_idx), sign, F)
     return out
 
 
 def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
-    """Apply a map of twist sums on each localized piece (same p)."""
+    """Apply a map of twist sums on each localized piece (same p), as
+    sparse rows."""
     ring = src_space.ring
     F = ring.field
     B = src_space.B
-    out = ExactMatrix.zeros(F, dst_space.dim, src_space.dim)
+    out = [{} for _ in range(dst_space.dim)]
     for s_idx, S in enumerate(src_space.subsets):
         shift = B * len(S)
         for c_t, a in enumerate(src_space.twists):
@@ -137,14 +149,8 @@ def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
                 if p.is_zero():
                     continue
                 block = ring.mult_matrix(p, a + shift)
-                ro = dst_space.block_offset(s_idx, r_t)
-                co = src_space.block_offset(s_idx, c_t)
-                for r, row in enumerate(block):
-                    orow = out.rows[ro + r]
-                    for c, v in enumerate(row):
-                        if not F.is_zero(v):
-                            orow[co + c] = F.add(orow[co + c],
-                                                 v if sign > 0 else F.neg(v))
+                _put_block(out, block, dst_space.block_offset(s_idx, r_t),
+                           src_space.block_offset(s_idx, c_t), sign, F)
     return out
 
 
@@ -158,16 +164,14 @@ def cech_cohomology_at(ring, n, p, B):
         if 0 <= pp <= m:
             spaces[pp] = CechSpace(ring, [n], pp, B)
     cur = spaces[p]
+    F = ring.field
+    z = cur.dim
     if p + 1 in spaces:
-        d_out = cech_horizontal(cur, spaces[p + 1])
-        z = kernel_basis(d_out).ncols
-    else:
-        z = cur.dim
+        z -= sparse_rank(F, cech_horizontal(cur, spaces[p + 1]), cur.dim)
+    b = 0
     if p - 1 in spaces:
-        d_in = cech_horizontal(spaces[p - 1], cur)
-        b = rank(d_in)
-    else:
-        b = 0
+        prev = spaces[p - 1]
+        b = sparse_rank(F, cech_horizontal(prev, cur), prev.dim)
     return z - b
 
 
@@ -185,60 +189,49 @@ def cech_cohomology(ring, n, p, setup=None):
     return last, False
 
 
+def _total_space(C, n, B):
+    """Degree n of the truncated total complex of the Cech bicomplex of C:
+    the CechSpace of the term C^{n-p} in Cech degree p, for each p, with
+    the block offsets and the total dimension."""
+    ring = C.ctx.ring
+    spaces = [CechSpace(ring, list(C.term(n - p).twists), p, B)
+              for p in range(ring.nvars)]
+    return spaces, _offsets([sp.dim for sp in spaces]), \
+        sum(sp.dim for sp in spaces)
+
+
+def cech_total_diff(C, q, B):
+    """The differential Tot^q -> Tot^{q+1} of the truncated Cech bicomplex
+    of a twisted periodic complex C, as sparse rows (one {column: value}
+    dict per target row), and its number of columns.  The horizontal Cech
+    maps and the vertical maps of C, signed (-1)^p, fill disjoint blocks."""
+    src, soffs, sdim = _total_space(C, q, B)
+    dst, doffs, ddim = _total_space(C, q + 1, B)
+    out = [{} for _ in range(ddim)]
+    for p, sp in enumerate(src):
+        if not sp.dim:
+            continue
+        blocks = []
+        if p + 1 < len(dst) and dst[p + 1].dim:
+            blocks.append((p + 1, cech_horizontal(sp, dst[p + 1])))
+        if dst[p].dim:
+            blocks.append((p, cech_vertical(sp, dst[p], C.diff(q - p),
+                                            sign=1 if p % 2 == 0 else -1)))
+        for t, blk in blocks:
+            ro, co = doffs[t], soffs[p]
+            for i, row in enumerate(blk):
+                if row:
+                    out[ro + i].update((co + c, v) for c, v in row.items())
+    return out, sdim
+
+
 def cech_hypercohomology_at(C, q, B):
     """dim H^q of the truncated total complex of the Cech bicomplex of a
     twisted periodic complex C."""
-    ring = C.ctx.ring
-    F = ring.field
-    m = ring.nvars - 1
-
-    def total_space(n):
-        cells = []
-        for p in range(0, m + 1):
-            r = n - p
-            term = C.term(r)
-            cells.append((p, r, CechSpace(ring, list(term.twists), p, B)))
-        dims = [c[2].dim for c in cells]
-        offs = []
-        off = 0
-        for d in dims:
-            offs.append(off)
-            off += d
-        return cells, offs, off
-
-    def total_diff(src, dst):
-        (scells, soffs, sdim) = src
-        (dcells, doffs, ddim) = dst
-        out = ExactMatrix.zeros(F, ddim, sdim)
-        dst_pos = {(p, r): k for k, (p, r, _sp) in enumerate(dcells)}
-        for k, (p, r, sp) in enumerate(scells):
-            if sp.dim == 0:
-                continue
-            # horizontal: (p, r) -> (p+1, r)
-            key = (p + 1, r)
-            if key in dst_pos:
-                tsp = dcells[dst_pos[key]][2]
-                if tsp.dim:
-                    blk = cech_horizontal(sp, tsp)
-                    _paste(out, blk, doffs[dst_pos[key]], soffs[k], F)
-            # vertical: (p, r) -> (p, r+1) with sign (-1)^p
-            key = (p, r + 1)
-            if key in dst_pos:
-                tsp = dcells[dst_pos[key]][2]
-                if tsp.dim:
-                    blk = cech_vertical(sp, tsp, C.diff(r),
-                                        sign=1 if p % 2 == 0 else -1)
-                    _paste(out, blk, doffs[dst_pos[key]], soffs[k], F)
-        return out
-
-    sm1 = total_space(q - 1)
-    s0 = total_space(q)
-    sp1 = total_space(q + 1)
-    d_in = total_diff(sm1, s0)
-    d_out = total_diff(s0, sp1)
-    z = kernel_basis(d_out).ncols
-    b = rank(d_in)
-    return z - b
+    F = C.ctx.ring.field
+    d_in, n_in = cech_total_diff(C, q - 1, B)
+    d_out, n = cech_total_diff(C, q, B)
+    return n - sparse_rank(F, d_out, n) - sparse_rank(F, d_in, n_in)
 
 
 def _paste(out, blk, ro, co, F):
@@ -293,19 +286,17 @@ class GlobalSections:
         return self._saturated[n]
 
     def _kernel(self, n):
-        """(B, kernel basis matrix in C^0 coordinates) at a stable bound."""
+        """(B, C^0 space, kernel basis matrix in C^0 coordinates) at a
+        stable bound."""
         if n in self._kernels:
             return self._kernels[n]
+        F = self.ring.field
         chosen = None
         for B in self.setup.schedule():
-            sp0 = CechSpace(self.ring, [n], 0, B)
-            sp1 = CechSpace(self.ring, [n], 1, B)
-            K = kernel_basis(cech_horizontal(sp0, sp1))
-            sp0b = CechSpace(self.ring, [n], 0, B + 1)
-            sp1b = CechSpace(self.ring, [n], 1, B + 1)
-            Kb = kernel_basis(cech_horizontal(sp0b, sp1b))
-            if K.ncols == Kb.ncols:
-                chosen = (B, sp0, K)
+            sp0, d = _h0_diff(self.ring, n, B)
+            if sp0.dim - sparse_rank(F, d, sp0.dim) == \
+                    cech_cohomology_at(self.ring, n, 0, B + 1):
+                chosen = (B, sp0, _kernel_of(F, d, sp0.dim))
                 break
         if chosen is None:
             raise RuntimeError("Cech H^0 did not stabilize for twist %d" % n)
@@ -336,16 +327,15 @@ class GlobalSections:
         if B2 != B:
             # recompute the source kernel at the larger bound (bases embed)
             Bmax = max(B, B2)
-            sp0 = CechSpace(ring, [n], 0, Bmax)
-            sp1 = CechSpace(ring, [n], 1, Bmax)
-            K = kernel_basis(cech_horizontal(sp0, sp1))
-            tp0 = CechSpace(ring, [n + d], 0, Bmax)
-            tp1 = CechSpace(ring, [n + d], 1, Bmax)
-            L = kernel_basis(cech_horizontal(tp0, tp1))
+            sp0, dK = _h0_diff(ring, n, Bmax)
+            K = _kernel_of(F, dK, sp0.dim)
+            tp0, dL = _h0_diff(ring, n + d, Bmax)
+            L = _kernel_of(F, dL, tp0.dim)
         amb = cech_vertical(sp0, tp0, _single_entry_map(ring, p, n, n + d))
         cols = []
         for j in range(K.ncols):
-            img = amb.matvec(K.column(j))
+            v = K.column(j)
+            img = [F.of(sum(a * v[c] for c, a in row.items())) for row in amb]
             x = solve(L, img)
             if x is None:
                 raise RuntimeError("section image left the section space "
@@ -376,6 +366,17 @@ class GlobalSections:
             return [Poly.monomial(self.ring.field, self.ring.nvars, m)
                     for m in self.ring.graded_piece_basis(n)]
         return None
+
+
+def _h0_diff(ring, n, B):
+    """C^0 of O(n) at truncation B and the Cech differential out of it."""
+    sp0 = CechSpace(ring, [n], 0, B)
+    return sp0, cech_horizontal(sp0, CechSpace(ring, [n], 1, B))
+
+
+def _kernel_of(field, rows, ncols):
+    """Kernel basis of a sparse-row matrix (dense elimination)."""
+    return kernel_basis(ExactMatrix.from_sparse_rows(field, rows, ncols))
 
 
 def _offsets(dims):

@@ -4,6 +4,7 @@ Scalars are plain Python values (ints in [0, p) for F_p, Fraction for Q);
 a field object supplies the arithmetic.  Division by zero always raises.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -11,8 +12,13 @@ class PrimeField:
     """F_p with canonical representatives in [0, p)."""
 
     def __init__(self, p):
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
+        if 64 * p * p >= 2 ** 53:
+            # linalg eliminates in float64 panels of 64 columns; above this
+            # bound the accumulated products are no longer exact
+            raise ValueError("modulus %d is too large: exact elimination "
+                             "needs 64*p^2 < 2^53" % p)
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            raise ValueError("modulus must be a prime, got %d" % p)
         self.p = p
 
     def of(self, x):

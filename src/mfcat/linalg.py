@@ -1,9 +1,14 @@
-"""Dense exact linear algebra over a prime field or the rationals.
+"""Exact linear algebra over a prime field or the rationals.
 
-Prime-field matrices are eliminated with vectorized numpy int64 arithmetic
-(entries stay below p^2 < 2^63); rational matrices use Fraction arithmetic.
-All dimensions are exact integers.
+Dense prime-field matrices are eliminated in blocked numpy float64
+arithmetic, exact because every accumulated value stays an integer below
+2^53 (fields.PrimeField enforces 64 * p^2 < 2^53); dense rational matrices
+use Fraction arithmetic.  Sparse matrices, given as one {column: value}
+dict per row, have an exact rank in Python scalars (sparse_rank).  All
+dimensions are exact integers.
 """
+
+import heapq
 
 import numpy as np
 
@@ -51,6 +56,15 @@ class ExactMatrix:
                 raise ValueError("column length mismatch")
             for i, v in enumerate(col):
                 m.rows[i][j] = v
+        return m
+
+    @staticmethod
+    def from_sparse_rows(field, rows, ncols):
+        """Dense matrix of sparse rows (one {column: value} dict per row)."""
+        m = ExactMatrix.zeros(field, len(rows), ncols)
+        for dense, row in zip(m.rows, rows):
+            for c, v in row.items():
+                dense[c] = v
         return m
 
     # -- basic ops --------------------------------------------------------
@@ -275,6 +289,60 @@ def rref(A):
 
 def rank(A):
     return len(rref(A)[1])
+
+
+def sparse_rank(field, rows, ncols):
+    """Rank of the matrix whose row i is the {column: value} dict rows[i]
+    (columns in range(ncols)); the input is not modified.
+
+    Structured Gaussian elimination with Markowitz pivoting (LaMacchia and
+    Odlyzko, CRYPTO 1990): the pivot row is a shortest live row and its
+    pivot column the one met by the fewest live rows, which keeps fill-in
+    low.  Exact in Python scalars over F_p and over Q."""
+    p = field.p if isinstance(field, PrimeField) else None
+    live = {}
+    col_rows = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        row = {c: v % p if p else v for c, v in row.items()}
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            live[i] = row
+            for c in row:
+                col_rows[c].add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapq.heapify(heap)
+    r = 0
+    while heap:
+        n, i = heapq.heappop(heap)
+        row = live.get(i)
+        if row is None or len(row) != n:
+            continue    # stale entry: the row was eliminated or changed
+        del live[i]
+        c = min(row, key=lambda k: len(col_rows[k]))
+        for k in row:
+            col_rows[k].discard(i)
+        inv = field.inv(row.pop(c))
+        piv = [(k, v * inv % p if p else v * inv) for k, v in row.items()]
+        for j in col_rows[c]:
+            other = live[j]
+            f = other.pop(c)
+            for k, v in piv:
+                x = other.get(k, 0) - f * v
+                if p:
+                    x %= p
+                if x:
+                    other[k] = x
+                    col_rows[k].add(j)
+                elif k in other:
+                    del other[k]
+                    col_rows[k].discard(j)
+            if other:
+                heapq.heappush(heap, (len(other), j))
+            else:
+                del live[j]
+        col_rows[c] = set()
+        r += 1
+    return r
 
 
 def kernel_basis(A):

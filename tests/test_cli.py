@@ -62,6 +62,17 @@ class TestVerify:
         assert code == 1
         assert "line" in err["error"]
 
+    @pytest.mark.parametrize("p", [4, 2 ** 31 - 1])
+    def test_bad_modulus_cites_field(self, run, tmp_path, p):
+        # composite, and too large for exact float64 elimination
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({"field": {"type": "prime", "p": p},
+                                    "variables": ["x0", "x1"]}))
+        code, out, err = run("cech", "--ring", str(ring), "--twist", "0",
+                             "--p", "0")
+        assert code == 1
+        assert out is None and "ring.field" in err["error"]
+
 
 class TestHom:
     def test_self_hom(self, run, mf_file):
@@ -114,6 +125,16 @@ class TestContractible:
         code, out, _ = run("prop28", "--source", mf_file)
         assert code == 0
         assert out["result"]["condition1_contractible"] is False
+
+    def test_failed_self_check_exits_one(self, run, mf_file, monkeypatch):
+        import mfcat.homcat as homcat
+        monkeypatch.setattr(homcat, "is_contractible", lambda E: True)
+        monkeypatch.setattr(homcat, "locally_contractible",
+                            lambda E, **kw: "false")
+        code, out, err = run("prop28", "--source", mf_file)
+        assert code == 1
+        assert out is None
+        assert "contractibility implication violated" in err["error"]
 
 
 class TestModuleCommands:

@@ -4,10 +4,13 @@ twisted periodic complexes."""
 import pytest
 
 from mfcat.cohomology import (CechSetup, GlobalSections, cech_cohomology,
-                              cech_hypercohomology, h_projective_space,
-                              truncation_max, vanishing_threshold)
+                              cech_hypercohomology, cech_total_diff,
+                              h_projective_space, truncation_max,
+                              vanishing_threshold)
+from mfcat.linalg import ExactMatrix, rank, sparse_rank
 from mfcat.mf import mapping_complex
 from mfcat.ring import binom
+from mfcat.suite import generate_suite
 
 
 class TestClosedForm:
@@ -69,6 +72,27 @@ class TestHypercohomology:
         C = mapping_complex(E_u, E_v)
         for q in (-2, -1, 0, 1):
             assert C.diff(q + 1).compose(C.diff(q)).is_zero()
+
+    @pytest.mark.parametrize("B", [4, 5])
+    def test_sparse_total_differentials(self, B):
+        # every stable Hom on this corpus is 0, but the ranks of the
+        # oracle's differentials are not: a wrong rank shows here
+        ctx, objs = generate_suite(0, "p2-small")
+        F = ctx.ring.field
+        C = mapping_complex(objs[0], objs[3])
+        d_in, n_in = cech_total_diff(C, -1, B)
+        d_out, n = cech_total_diff(C, 0, B)
+        assert len(d_in) == n
+        for row in d_out:
+            composite = {}
+            for k, a in row.items():
+                for c, b in d_in[k].items():
+                    composite[c] = F.add(composite.get(c, 0), F.mul(a, b))
+            assert not any(composite.values())
+        for d, ncols in ((d_in, n_in), (d_out, n)):
+            r = sparse_rank(F, d, ncols)
+            assert r > 0
+            assert r == rank(ExactMatrix.from_sparse_rows(F, d, ncols))
 
 
 class TestGlobalSections:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mfcat.fields import PrimeField, RationalField
 from mfcat.linalg import (CosetReducer, ExactMatrix, _rref_generic,
                           _rref_prime, in_column_span, kernel_basis, rank,
-                          rref, solve, subquotient_dim)
+                          rref, solve, sparse_rank, subquotient_dim)
 
 F = PrimeField(32003)
 
@@ -55,6 +55,12 @@ class TestRref:
         R, pivots = rref(A)
         assert pivots == [0]
         assert R.rows[0] == [Q.of(1), Q.of(2)]
+        # sparse rank over Q: the second row is 3/2 times the first
+        rows = [{0: Q.of("2/3"), 2: Q.of("-1/5")},
+                {0: Q.of(1), 2: Q.of("-3/10")},
+                {1: Q.of(7)}, {}]
+        assert sparse_rank(Q, rows, 4) == 2
+        assert rank(ExactMatrix.from_sparse_rows(Q, rows, 4)) == 2
 
 
 class TestKernelAndSolve:
@@ -123,15 +129,19 @@ class TestMatmul:
             A.matmul(A)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 25), st.integers(1, 25),
-       st.sampled_from([2, 3, 101, 32003]))
-def test_rref_property(seed, nr, nc, p):
+       st.sampled_from([2, 3, 101, 32003]),
+       st.sampled_from([0.0, 0.05, 0.2, 1.0]))
+def test_rref_property(seed, nr, nc, p, density):
+    # low densities give zero rows and columns, and sparse rows whose
+    # elimination fills in
     field = PrimeField(p)
     rng = random.Random(seed)
-    rows = [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]
-    A = ExactMatrix(field, rows)
+    A = random_matrix(field, nr, nc, rng, density)
     R, pivots = rref(A)
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in A.rows]
+    assert sparse_rank(field, sparse, nc) == len(pivots)
     K = kernel_basis(A)
     assert len(pivots) + K.ncols == nc
     if K.ncols:
