@@ -7,15 +7,15 @@ import sys
 import time
 
 from . import __version__
-from .cohomology import CechSetup, GlobalSections, cech_cohomology, cech_hypercohomology
+from .cohomology import cech_cohomology, cech_hypercohomology
 from .fields import DEFAULT_PRIME, PrimeField
 from .homcat import (class_coords, compose_h, hom_H, hom_naive, is_contractible,
                      locally_contractible, prop28_report, stabilize)
 from .hypersurface import (coker_module, ext_gamma_dims, is_relatively_perfect,
-                           mf_from_module, periodic_resolution, stable_hom_dim)
+                           mf_from_module, stable_hom_dim)
 from .mf import mapping_complex, shift_mf, twist_mf, verify_mf
 from .ring import GradedRing
-from .serialize import (SchemaError, canonical_dumps, context_from_json,
+from .serialize import (SchemaError, context_from_json,
                         mf_from_json, mf_to_json, module_from_json,
                         module_to_json, morphism_to_json, object_hash,
                         ring_from_json)

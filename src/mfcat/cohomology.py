@@ -14,7 +14,6 @@ they are assembled as sparse rows, one {column: value} dict per target
 row, and only their ranks are computed, by sparse elimination.
 """
 
-import os
 from itertools import combinations, compress
 
 from .linalg import ExactMatrix, kernel_basis, solve, sparse_rank
@@ -24,13 +23,6 @@ from .ring import binom
 
 DEFAULT_B_START = 4
 DEFAULT_B_MAX = 64
-
-
-def truncation_max():
-    env = os.environ.get("MFCAT_TRUNCATION_MAX")
-    if env:
-        return int(env)
-    return DEFAULT_B_MAX
 
 
 def h_projective_space(m, n, p):
@@ -57,21 +49,15 @@ def _xs_power(ring, S, B):
 class CechSetup:
     """Cover by the standard opens plus a truncation schedule."""
 
-    def __init__(self, b_start=DEFAULT_B_START, b_max=None):
+    def __init__(self, b_start=DEFAULT_B_START, b_max=DEFAULT_B_MAX):
         self.b_start = b_start
-        self.b_max = b_max if b_max is not None else truncation_max()
+        self.b_max = b_max
 
     def schedule(self):
         b = self.b_start
         while b <= self.b_max:
             yield b
             b *= 2
-
-
-def _mult_block(ring, p, n):
-    """ExactMatrix of multiplication by p on R_n (rows = target basis)."""
-    rows = ring.mult_matrix(p, n)
-    return ExactMatrix(ring.field, rows, ncols=ring.hilbert(n))
 
 
 class CechSpace:
@@ -234,14 +220,6 @@ def cech_hypercohomology_at(C, q, B):
     return n - sparse_rank(F, d_out, n) - sparse_rank(F, d_in, n_in)
 
 
-def _paste(out, blk, ro, co, F):
-    for r, row in enumerate(blk.rows):
-        orow = out.rows[ro + r]
-        for c, v in enumerate(row):
-            if not F.is_zero(v):
-                orow[co + c] = F.add(orow[co + c], v)
-
-
 def cech_hypercohomology(C, q, setup=None):
     """(dimension, stable flag) with the doubling truncation schedule."""
     setup = setup or CechSetup()
@@ -321,7 +299,7 @@ class GlobalSections:
         p = ring.normal_form(p)
         d = max(p.total_degree(), 0)
         if self.saturated(n) and self.saturated(n + d):
-            return _mult_block(ring, p, n)
+            return ExactMatrix(F, ring.mult_matrix(p, n), ring.hilbert(n))
         B, sp0, K = self._kernel(n)
         B2, tp0, L = self._kernel(n + d)
         if B2 != B:
@@ -345,27 +323,12 @@ class GlobalSections:
 
     def sheafmap_matrix(self, f):
         """Gamma of a map of twist sums, as one block matrix."""
-        F = self.ring.field
-        src_dims = [self.dim(a) for a in f.src]
-        dst_dims = [self.dim(b) for b in f.dst]
-        out = ExactMatrix.zeros(F, sum(dst_dims), sum(src_dims))
-        roffs = _offsets(dst_dims)
-        coffs = _offsets(src_dims)
-        for r in range(f.dst.rank):
-            for c in range(f.src.rank):
-                p = f.entries[r][c]
-                if p.is_zero():
-                    continue
-                blk = self.mult(p, f.src[c])
-                _paste(out, blk, roffs[r], coffs[c], F)
-        return out
-
-    def basis_polys(self, n):
-        """Monomial basis of Gamma(O(n)) on the fast path, else None."""
-        if self.saturated(n):
-            return [Poly.monomial(self.ring.field, self.ring.nvars, m)
-                    for m in self.ring.graded_piece_basis(n)]
-        return None
+        def block(r, c):
+            p = f.entries[r][c]
+            return None if p.is_zero() else self.mult(p, f.src[c]).rows
+        return ExactMatrix.from_blocks(self.ring.field,
+                                       [self.dim(b) for b in f.dst],
+                                       [self.dim(a) for a in f.src], block)
 
 
 def _h0_diff(ring, n, B):

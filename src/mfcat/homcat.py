@@ -7,8 +7,8 @@ from .cohomology import GlobalSections, vanishing_threshold
 from .koszul import koszul_truncated, stabilized_mf, tensor_mf, tot_chain_morphism
 from .linalg import CosetReducer, ExactMatrix, kernel_basis, rank, subquotient_dim
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, cone,
-                 mapping_complex, solve_homotopy, strict_from_cycle,
-                 cycle_from_strict)
+                 hom_twists, mapping_complex, solve_homotopy,
+                 strict_from_cycle, cycle_from_strict)
 from .modules import contains_irrelevant_power, fitting_ideal
 from .poly import Poly
 
@@ -106,23 +106,8 @@ def _cycle_basis_classes(E, F, gs, Z, reducer):
 
 def _c0_coords_to_polys(E, F, gs, coords):
     """Convert Gamma(C^0) coordinates (monomial fast path) to entry polys."""
-    ring = E.ctx.ring
-    field = ring.field
-    polys = []
-    pos = 0
-    from .mf import hom_twists
-    twists = list(hom_twists(E.E0, F.E0).twists) + \
-        list(hom_twists(E.E1, F.E1).twists)
-    for a in twists:
-        basis = ring.graded_piece_basis(a)
-        p = ring.zero()
-        for m in basis:
-            c = coords[pos]
-            pos += 1
-            if not field.is_zero(c):
-                p = p + Poly.monomial(field, ring.nvars, m, c)
-        polys.append(p)
-    return polys
+    return E.ctx.ring.polys_from_coords(
+        coords, hom_twists(E.E0, F.E0) + hom_twists(E.E1, F.E1))
 
 
 def class_coords(cls, gs=None, hom_space=None):
@@ -141,22 +126,8 @@ def class_coords(cls, gs=None, hom_space=None):
 def _strict_to_c0_coords(f, gs):
     """Coordinates of the degree-0 cycle of a strict morphism in Gamma(C^0)."""
     E, F = f.src, f.dst
-    ring = E.ctx.ring
-    field = ring.field
-    polys = cycle_from_strict(f)
-    coords = []
-    from .mf import hom_twists
-    twists = list(hom_twists(E.E0, F.E0).twists) + \
-        list(hom_twists(E.E1, F.E1).twists)
-    for p, a in zip(polys, twists):
-        basis = ring.graded_piece_basis(a)
-        index = {m: i for i, m in enumerate(basis)}
-        vec = [field.zero()] * len(basis)
-        p = ring.normal_form(p)
-        for e, c in p.terms.items():
-            vec[index[e]] = c
-        coords.extend(vec)
-    return coords
+    return E.ctx.ring.coords(cycle_from_strict(f), hom_twists(E.E0, F.E0)
+                             + hom_twists(E.E1, F.E1))
 
 
 # -- stabilization -------------------------------------------------------------
@@ -280,15 +251,6 @@ def hom_H(E, F, gs=None, want_basis=True):
 # -- composition ----------------------------------------------------------------
 
 
-def apply_tower(E, tower):
-    """Stabilize E along a tower of Koszul levels (left to right)."""
-    cur = E
-    for j in tower:
-        P, aug = koszul_truncated(E.ctx.ring, j)
-        cur, _eps = stabilized_mf(P, aug, cur)
-    return cur
-
-
 def _tensor_tot_morphism(P, aug, f):
     """The strict morphism Tot(P tensor src) -> Tot(P tensor dst) induced by
     a strict morphism f."""
@@ -323,7 +285,8 @@ def compose_h(beta, alpha):
     for j in beta.tower:
         P, aug = koszul_truncated(rep.ctx.ring, j)
         rep = _tensor_tot_morphism(P, aug, rep)
-    # rep: apply_tower(src-of-alpha-rep, beta.tower) -> apply_tower(F, beta.tower)
+    # rep now maps the stabilization of rep's source along beta.tower to
+    # that of F, which is beta.rep's source
     composed = beta.rep.compose(rep)
     return StabilizedClass(alpha.src, beta.dst,
                            alpha.tower + beta.tower, composed)

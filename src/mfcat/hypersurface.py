@@ -4,10 +4,9 @@ stable Hom dimensions, reconstruction of a factorization from a module
 map, and relative perfection of modules."""
 
 from .linalg import ExactMatrix, rank, solve
-from .mf import MatrixFactorization, SheafMap
+from .mf import MatrixFactorization, _post_compose_matrix, unpack_maps
 from .modules import (ModulePresentation, _minimalize_generators,
                       syzygy_presentation)
-from .poly import Poly
 
 
 def coker_module(E, minimal=True):
@@ -20,28 +19,6 @@ def coker_module(E, minimal=True):
     if minimal:
         pres = pres.minimalize()
     return pres
-
-
-def _piece_matrix(ring, src_twists, dst_twists, entries, t):
-    """Matrix of a homogeneous block map on internal-degree-t pieces."""
-    field = ring.field
-    src_dims = [len(ring.graded_piece_basis(t + a)) for a in src_twists]
-    dst_dims = [len(ring.graded_piece_basis(t + a)) for a in dst_twists]
-    total_src, total_dst = sum(src_dims), sum(dst_dims)
-    rows = [[field.zero()] * total_src for _ in range(total_dst)]
-    coff = 0
-    for c in range(len(src_twists)):
-        roff = 0
-        for r in range(len(dst_twists)):
-            p = ring.normal_form(entries[r][c])
-            if not p.is_zero():
-                block = ring.mult_matrix(p, t + src_twists[c])
-                for i, row in enumerate(block):
-                    for j, v in enumerate(row):
-                        rows[roff + i][coff + j] = v
-            roff += dst_dims[r]
-        coff += src_dims[c]
-    return ExactMatrix(field, rows, total_src)
 
 
 def periodic_resolution(E, lo=-6, hi=0, t_range=None):
@@ -60,10 +37,8 @@ def periodic_resolution(E, lo=-6, hi=0, t_range=None):
         f_in = E.diff_at(q - 1)
         f_out = E.diff_at(q)
         for t in t_range:
-            m_in = _piece_matrix(ry, f_in.src.twists, f_in.dst.twists,
-                                 f_in.entries, t)
-            m_out = _piece_matrix(ry, f_out.src.twists, f_out.dst.twists,
-                                  f_out.entries, t)
+            m_in = ry.piece_matrix(f_in, t)
+            m_out = ry.piece_matrix(f_out, t)
             h = m_out.ncols - rank(m_out) - rank(m_in)
             if h != 0:
                 failures.append({"spot": q, "internal_degree": t, "dim": h})
@@ -78,27 +53,19 @@ def _ext_differential(E, N, q):
     """Matrix of Hom(i^*E^{-q}, N)_0 -> Hom(i^*E^{-q-1}, N)_0 given by
     precomposition with the differential of i^*E."""
     d = E.diff_at(-q - 1)            # component(-q-1) -> component(-q)
-    src_tw = d.dst.twists            # indexes Hom(i^*E^{-q}, N)_0
-    dst_tw = d.src.twists
-    src_pieces = [N.piece(-a) for a in src_tw]
-    dst_pieces = [N.piece(-a) for a in dst_tw]
-    field = N.ring.field
-    total_src = sum(p.dim for p in src_pieces)
-    total_dst = sum(p.dim for p in dst_pieces)
-    rows = [[field.zero()] * total_src for _ in range(total_dst)]
-    coff = 0
-    for c, pc in enumerate(src_pieces):
-        roff = 0
-        for r, pr in enumerate(dst_pieces):
-            p = N.ring.normal_form(d.entries[c][r])
-            if not p.is_zero() and pc.dim and pr.dim:
-                block = pc.mult_map(p, pr)
-                for i in range(pr.dim):
-                    for j in range(pc.dim):
-                        rows[roff + i][coff + j] = block.rows[i][j]
-            roff += pr.dim
-        coff += pc.dim
-    return ExactMatrix(field, rows, total_src)
+    src_pieces = [N.piece(-a) for a in d.dst]   # Hom(i^*E^{-q}, N)_0
+    dst_pieces = [N.piece(-a) for a in d.src]
+
+    def block(r, c):
+        pc, pr = src_pieces[c], dst_pieces[r]
+        p = N.ring.normal_form(d.entries[c][r])
+        if p.is_zero() or not (pc.dim and pr.dim):
+            return None
+        return pc.mult_map(p, pr).rows
+
+    return ExactMatrix.from_blocks(N.ring.field,
+                                   [pr.dim for pr in dst_pieces],
+                                   [pc.dim for pc in src_pieces], block)
 
 
 def ext_gamma_dims(E, N, q_range):
@@ -142,67 +109,28 @@ def mf_from_module(ctx, alpha, injectivity_bound=None):
     Raises if alpha is not injective in the tested degree window or if
     W*id does not factor through alpha."""
     ring = ctx.ring
-    field = ring.field
     d = ctx.d
     E1, E0 = alpha.src, alpha.dst
     if injectivity_bound is None:
         spread = max((abs(a) for a in tuple(E1) + tuple(E0)), default=0)
         injectivity_bound = spread + ring.max_ideal_degree() + d + 3
     for t in range(0, injectivity_bound + 1):
-        m = _piece_matrix(ring, E1.twists, E0.twists, alpha.entries, t)
+        m = ring.piece_matrix(alpha, t)
         if rank(m) < m.ncols:
             raise ValueError(
                 "alpha has a kernel in internal degree %d: it does not "
                 "present a module of projective dimension one" % t)
-
-    alpha_d = alpha.twist(d)
-    # unknowns: monomial coefficients of beta[r][c], deg = E1[r]+d - E0[c]
-    unknowns = []
-    for r in range(E1.rank):
-        for c in range(E0.rank):
-            deg = E1[r] + d - E0[c]
-            if deg < 0:
-                continue
-            for m in ring.graded_piece_basis(deg):
-                unknowns.append((r, c, m))
-    # equation slots: monomial coordinates of each entry (i, j) of the
-    # composite alpha(d) o beta, which must equal W*id
-    slots = []
-    slot_index = {}
-    for i in range(E0.rank):
-        for j in range(E0.rank):
-            deg = E0[i] + d - E0[j]
-            if deg < 0:
-                continue
-            for k, mono in enumerate(ring.graded_piece_basis(deg)):
-                slot_index[(i, j, mono)] = len(slots)
-                slots.append((i, j, mono))
-    cols = []
-    for (r, c, m) in unknowns:
-        vec = [field.zero()] * len(slots)
-        mono_poly = Poly.monomial(field, ring.nvars, m)
-        for i in range(E0.rank):
-            p = ring.normal_form(alpha_d.entries[i][r] * mono_poly)
-            for e, coeff in p.terms.items():
-                vec[slot_index[(i, c, e)]] = coeff
-        cols.append(vec)
-    target = [field.zero()] * len(slots)
-    w = ring.normal_form(ctx.W)
-    for i in range(E0.rank):
-        for e, coeff in w.terms.items():
-            target[slot_index[(i, i, e)]] = coeff
-    A = ExactMatrix.from_columns(field, cols, len(slots))
-    x = solve(A, target)
+    # beta in Hom(E0, E1(d)) with alpha(d) o beta = W*id in Hom(E0, E0(d))
+    post = _post_compose_matrix(ring, alpha.twist(d), E0, E1.twist(d),
+                                E0.twist(d))
+    w_id = [ctx.W if r == c else ring.zero()
+            for r in range(E0.rank) for c in range(E0.rank)]
+    x = solve(ring.piece_matrix(post, 0), ring.coords(w_id, post.dst))
     if x is None:
         raise ValueError("W*id does not factor through alpha: the cokernel "
                          "is not a matrix-factorization module")
-    beta_entries = [[ring.zero() for _ in range(E0.rank)]
-                    for _ in range(E1.rank)]
-    for (r, c, m), coeff in zip(unknowns, x):
-        if not field.is_zero(coeff):
-            beta_entries[r][c] = beta_entries[r][c] + \
-                Poly.monomial(field, ring.nvars, m, coeff)
-    beta = SheafMap(ring, E0, E1.twist(d), beta_entries)
+    [beta] = unpack_maps(ring, ring.polys_from_coords(x, post.src),
+                         (E0, E1.twist(d)))
     return MatrixFactorization(ctx, alpha, beta, check=True)
 
 

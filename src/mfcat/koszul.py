@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
                  zero_mf)
-from .ring import binom, monomials_of_degree
+from .ring import monomials_of_degree
 
 
 class FreeComplex:
@@ -43,12 +43,6 @@ class FreeComplex:
         if p in self.maps:
             return self.maps[p]
         return SheafMap.zero(self.ring, self.term(p), self.term(p + 1))
-
-
-def single_term_complex(ring, ts=None, degree=0):
-    if ts is None:
-        ts = TwistSum([0])
-    return FreeComplex(ring, {degree: ts}, {})
 
 
 def koszul_truncated(ring, j):
@@ -100,9 +94,8 @@ def free_complex_homology_dims(fc, t, q_range, augmentation=None):
     """Homology dimensions of a free complex on the internal-degree-t graded
     pieces.  If `augmentation` is given it is appended as the map out of
     term(0) into O (placed in cohomological degree 1)."""
-    from .linalg import ExactMatrix, rank
+    from .linalg import rank
     ring = fc.ring
-    field = ring.field
 
     def term(q):
         if augmentation is not None and q == 1:
@@ -118,29 +111,10 @@ def free_complex_homology_dims(fc, t, q_range, augmentation=None):
             return SheafMap.zero(ring, term(q), term(q + 1))
         return fc.map_at(q)
 
-    def piece_matrix(f):
-        src_dims = [len(ring.graded_piece_basis(t + a)) for a in f.src]
-        dst_dims = [len(ring.graded_piece_basis(t + a)) for a in f.dst]
-        total_src, total_dst = sum(src_dims), sum(dst_dims)
-        rows = [[field.zero()] * total_src for _ in range(total_dst)]
-        coff = 0
-        for c in range(f.src.rank):
-            roff = 0
-            for r in range(f.dst.rank):
-                p = f.entries[r][c]
-                if not p.is_zero():
-                    block = ring.mult_matrix(p, t + f.src[c])
-                    for i, row in enumerate(block):
-                        for jj, v in enumerate(row):
-                            rows[roff + i][coff + jj] = v
-                roff += dst_dims[r]
-            coff += src_dims[c]
-        return ExactMatrix(field, rows, total_src)
-
     out = {}
     for q in q_range:
-        d_in = piece_matrix(map_at(q - 1))
-        d_out = piece_matrix(map_at(q))
+        d_in = ring.piece_matrix(map_at(q - 1), t)
+        d_out = ring.piece_matrix(map_at(q), t)
         out[q] = d_out.ncols - rank(d_out) - rank(d_in)
     return out
 

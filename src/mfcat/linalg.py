@@ -59,6 +59,26 @@ class ExactMatrix:
         return m
 
     @staticmethod
+    def from_blocks(field, row_dims, col_dims, block):
+        """Assemble a block matrix; block(r, c) gives the dense rows of
+        block (r, c), row_dims[r] x col_dims[c], or None for a zero block
+        (the matrix counterpart of mf.SheafMap.from_blocks)."""
+        m = ExactMatrix.zeros(field, sum(row_dims), sum(col_dims))
+        roff = 0
+        for r, nr in enumerate(row_dims):
+            coff = 0
+            for c, nc in enumerate(col_dims):
+                blk = block(r, c)
+                if blk is not None:
+                    if len(blk) != nr or any(len(row) != nc for row in blk):
+                        raise ValueError("block (%d, %d) has wrong shape" % (r, c))
+                    for dense, row in zip(m.rows[roff:roff + nr], blk):
+                        dense[coff:coff + nc] = row
+                coff += nc
+            roff += nr
+        return m
+
+    @staticmethod
     def from_sparse_rows(field, rows, ncols):
         """Dense matrix of sparse rows (one {column: value} dict per row)."""
         m = ExactMatrix.zeros(field, len(rows), ncols)

@@ -10,8 +10,7 @@ Conventions (fixed throughout the engine):
     [[-e1(d), 0], [g1(d), f0]].
 """
 
-from .linalg import ExactMatrix
-from .poly import Poly
+from .linalg import ExactMatrix, rank, solve
 
 
 class TwistSum:
@@ -234,7 +233,6 @@ class MFContext:
         maxdeg = max([g.total_degree() for g in ring.ideal_gens] + [1])
         if bound is None:
             bound = ring.nvars + maxdeg + self.d + 2
-        from .linalg import rank
         for n in range(0, bound + 1):
             src = ring.graded_piece_basis(n)
             if not src:
@@ -497,17 +495,6 @@ def cone(f):
     return MatrixFactorization(ctx, c1, c0, check=False)
 
 
-def direct_sum_morphism(f, g):
-    E = direct_sum_mf(f.src, g.src)
-    F = direct_sum_mf(f.dst, g.dst)
-    ring = f.ctx.ring
-    g1 = SheafMap.from_blocks(ring, [f.src.E1, g.src.E1], [f.dst.E1, g.dst.E1],
-                              [[f.g1, None], [None, g.g1]])
-    g0 = SheafMap.from_blocks(ring, [f.src.E0, g.src.E0], [f.dst.E0, g.dst.E0],
-                              [[f.g0, None], [None, g.g0]])
-    return StrictMorphism(E, F, g1, g0, check=False)
-
-
 class TwistedPeriodicComplex:
     """Two terms and two differentials generate the whole complex via
     C^{q+2} = C^q(d)."""
@@ -549,11 +536,6 @@ class TwistedPeriodicComplex:
         return "TwistedPeriodicComplex(C^-1=%r, C^0=%r)" % (self.Cm1, self.C0)
 
 
-def tpc_of_mf(E):
-    """The underlying twisted periodic complex of an MF."""
-    return TwistedPeriodicComplex(E.ctx, E.e1, E.e0, check=False)
-
-
 # -- the mapping complex ----------------------------------------------------
 
 
@@ -588,6 +570,25 @@ def _pre_compose_matrix(ring, phi, A, B, C):
     return SheafMap(ring, src, dst, entries, check=False)
 
 
+def _mapping_dm1(E, F):
+    """d^{-1}: C^{-1} -> C^0 of the mapping complex Hom_MF(E, F)."""
+    ring = E.ctx.ring
+    d = E.ctx.d
+    E0, E1, F0, F1 = E.E0, E.E1, F.E0, F.E1
+    F0m = F0.twist(-d)
+    h_e0f0 = hom_twists(E0, F0)
+    h_e1f0m = hom_twists(E1, F0m)
+    b11 = _post_compose_matrix(ring, F.e1, E0, F1, F0)          # (f1)_*
+    b12 = -_pre_compose_matrix(ring, E.e0, E0, E1.twist(d), F0) # -e0^*, note:
+    # psi in Hom(E1, F0(-d)) is used as psi(d): E1(d) -> F0; precompose e0
+    b12 = SheafMap(ring, h_e1f0m, h_e0f0, b12.entries, check=False)
+    b21 = -_pre_compose_matrix(ring, E.e1, E1, E0, F1)          # -e1^*
+    b22 = _post_compose_matrix(ring, F.e0.twist(-d), E1, F0m, F1)  # (f0)_*
+    return SheafMap.from_blocks(ring, [hom_twists(E0, F1), h_e1f0m],
+                                [h_e0f0, hom_twists(E1, F1)],
+                                [[b11, b12], [b21, b22]])
+
+
 def mapping_complex(E, F):
     """The twisted periodic complex Hom_MF(E, F).
 
@@ -602,22 +603,11 @@ def mapping_complex(E, F):
     ring = ctx.ring
     d = ctx.d
     E0, E1, F0, F1 = E.E0, E.E1, F.E0, F.E1
-    F0m = F0.twist(-d)
-
     h_e0f0 = hom_twists(E0, F0)
     h_e1f1 = hom_twists(E1, F1)
     h_e0f1 = hom_twists(E0, F1)
-    h_e1f0m = hom_twists(E1, F0m)
-
-    # d^{-1}: C^{-1} -> C^0
-    b11 = _post_compose_matrix(ring, F.e1, E0, F1, F0)          # (f1)_*
-    b12 = -_pre_compose_matrix(ring, E.e0, E0, E1.twist(d), F0) # -e0^*, note:
-    # psi in Hom(E1, F0(-d)) is used as psi(d): E1(d) -> F0; precompose e0
-    b12 = SheafMap(ring, h_e1f0m, h_e0f0, b12.entries, check=False)
-    b21 = -_pre_compose_matrix(ring, E.e1, E1, E0, F1)          # -e1^*
-    b22 = _post_compose_matrix(ring, F.e0.twist(-d), E1, F0m, F1)  # (f0)_*
-    dm1 = SheafMap.from_blocks(ring, [h_e0f1, h_e1f0m], [h_e0f0, h_e1f1],
-                               [[b11, b12], [b21, b22]])
+    h_e1f0m = hom_twists(E1, F0.twist(-d))
+    dm1 = _mapping_dm1(E, F)
 
     # d^0: C^0 -> C^{-1}(d) = Hom(E0, F1)(d) (+) Hom(E1, F0)
     c11 = _post_compose_matrix(ring, F.e0, E0, F0, F1.twist(d))  # (f0)_*
@@ -634,150 +624,43 @@ def mapping_complex(E, F):
     return TwistedPeriodicComplex(ctx, dm1, d0)
 
 
-def pack_morphism(E, F, g0, g1):
-    """Entries of (g0, g1) flattened in the C^0 block order (row-major)."""
-    out = []
-    for r in range(F.E0.rank):
-        for c in range(E.E0.rank):
-            out.append(g0.entries[r][c])
-    for r in range(F.E1.rank):
-        for c in range(E.E1.rank):
-            out.append(g1.entries[r][c])
-    return out
-
-
-def unpack_c0(E, F, polys):
-    """Split a C^0 entry list back into matrices (gamma0, gamma1)."""
-    ring = E.ctx.ring
-    n0 = F.E0.rank * E.E0.rank
-    it0 = iter(polys[:n0])
-    g0 = [[next(it0) for _ in range(E.E0.rank)] for _ in range(F.E0.rank)]
-    it1 = iter(polys[n0:])
-    g1 = [[next(it1) for _ in range(E.E1.rank)] for _ in range(F.E1.rank)]
-    return (SheafMap(ring, E.E0, F.E0, g0),
-            SheafMap(ring, E.E1, F.E1, g1))
+def unpack_maps(ring, polys, *shapes):
+    """Split a row-major entry list into one SheafMap A -> B per (A, B)."""
+    it = iter(polys)
+    return [SheafMap(ring, A, B, [[next(it) for _ in A] for _ in B])
+            for A, B in shapes]
 
 
 def strict_from_cycle(E, F, polys):
     """A degree-0 cycle (gamma0, gamma1) of the mapping complex corresponds
     to the strict morphism (g0, g1) = (gamma0, -gamma1)."""
-    gamma0, gamma1 = unpack_c0(E, F, polys)
+    gamma0, gamma1 = unpack_maps(E.ctx.ring, polys, (E.E0, F.E0),
+                                 (E.E1, F.E1))
     return StrictMorphism(E, F, -gamma1, gamma0)
 
 
 def cycle_from_strict(f):
-    """Inverse of strict_from_cycle."""
-    return pack_morphism(f.src, f.dst, f.g0, -f.g1)
-
-
-def unpack_cm1(E, F, polys):
-    """Split a C^{-1} entry list into (s: E0 -> F1, t_m: E1 -> F0(-d)).
-
-    The homotopy pair used by solve_homotopy is (s, t) with t = t_m(d):
-    E1(d) -> F0."""
-    ring = E.ctx.ring
-    d = E.ctx.d
-    n0 = F.E1.rank * E.E0.rank
-    s = [[polys[r * E.E0.rank + c] for c in range(E.E0.rank)]
-         for r in range(F.E1.rank)]
-    t = [[polys[n0 + r * E.E1.rank + c] for c in range(E.E1.rank)]
-         for r in range(F.E0.rank)]
-    return (SheafMap(ring, E.E0, F.E1, s),
-            SheafMap(ring, E.E1, F.E0.twist(-d), t))
+    """Inverse of strict_from_cycle: the C^0 entries, row-major."""
+    return [p for g in (f.g0, -f.g1) for row in g.entries for p in row]
 
 
 def solve_homotopy(f):
     """Find (s: E0 -> F1, t: E1(d) -> F0) with
         g1 = s o e1 + f0(-d) o t(-d)   and   g0 = f1 o s + t o e0,
     or return None (definitive: the linear system ranges over all
-    admissible homogeneous entries)."""
+    admissible homogeneous entries).  These say that (s, -t(-d)) in C^{-1}
+    is a preimage under d^{-1} of the cycle of f, on degree-0 pieces."""
     E, F = f.src, f.dst
-    ctx = E.ctx
-    ring = ctx.ring
-    field = ring.field
-    d = ctx.d
-
-    # unknown slots: (tag, r, c, monomial) in deterministic order
-    unknowns = []
-    for r in range(F.E1.rank):
-        for c in range(E.E0.rank):
-            deg = F.E1[r] - E.E0[c]
-            for m in ring.graded_piece_basis(deg):
-                unknowns.append(("s", r, c, m))
-    for r in range(F.E0.rank):
-        for c in range(E.E1.rank):
-            deg = F.E0[r] - (E.E1[c] + d)
-            for m in ring.graded_piece_basis(deg):
-                unknowns.append(("t", r, c, m))
-
-    # equation coordinates: entries of two residual matrices, expanded in
-    # the monomial basis of their graded pieces
-    eq_slots = []
-    for r in range(F.E1.rank):
-        for c in range(E.E1.rank):
-            deg = F.E1[r] - E.E1[c]
-            basis = ring.graded_piece_basis(deg)
-            eq_slots.append(("1", r, c, deg, basis,
-                             {m: i for i, m in enumerate(basis)}))
-    for r in range(F.E0.rank):
-        for c in range(E.E0.rank):
-            deg = F.E0[r] - E.E0[c]
-            basis = ring.graded_piece_basis(deg)
-            eq_slots.append(("0", r, c, deg, basis,
-                             {m: i for i, m in enumerate(basis)}))
-    offsets = []
-    total = 0
-    for slot in eq_slots:
-        offsets.append(total)
-        total += len(slot[4])
-
-    def eval_pair(s_map, t_map):
-        """coords of (s o e1 + f0(-d) o t, f1 o s + t(d) o e0)."""
-        lhs1 = s_map.compose(E.e1) + F.e0.twist(-d).compose(t_map)
-        lhs0 = F.e1.compose(s_map) + t_map.twist(d).compose(E.e0)
-        vec = [field.zero()] * total
-        for slot, off in zip(eq_slots, offsets):
-            which, r, c, deg, basis, index = slot
-            p = (lhs1 if which == "1" else lhs0).entries[r][c]
-            for e, coeff in p.terms.items():
-                vec[off + index[e]] = coeff
-        return vec
-
-    cols = []
-    for tag, r, c, m in unknowns:
-        s_map = SheafMap.zero(ring, E.E0, F.E1)
-        t_map = SheafMap.zero(ring, E.E1, F.E0.twist(-d))
-        mono = Poly.monomial(field, ring.nvars, m)
-        if tag == "s":
-            s_map.entries[r][c] = mono
-        else:
-            t_map.entries[r][c] = mono
-        cols.append(eval_pair(s_map, t_map))
-
-    rhs = [field.zero()] * total
-    for slot, off in zip(eq_slots, offsets):
-        which, r, c, deg, basis, index = slot
-        p = (f.g1 if which == "1" else f.g0).entries[r][c]
-        for e, coeff in p.terms.items():
-            rhs[off + index[e]] = coeff
-
-    from .linalg import solve
-    A = ExactMatrix.from_columns(field, cols, total)
-    x = solve(A, rhs)
+    ring = E.ctx.ring
+    d = E.ctx.d
+    dm1 = _mapping_dm1(E, F)
+    x = solve(ring.piece_matrix(dm1, 0),
+              ring.coords(cycle_from_strict(f), dm1.dst))
     if x is None:
         return None
-    s_map = SheafMap.zero(ring, E.E0, F.E1)
-    t_map = SheafMap.zero(ring, E.E1, F.E0.twist(-d))
-    for (tag, r, c, m), coeff in zip(unknowns, x):
-        if field.is_zero(coeff):
-            continue
-        mono = Poly.monomial(field, ring.nvars, m, coeff)
-        if tag == "s":
-            s_map.entries[r][c] = ring.normal_form(s_map.entries[r][c] + mono)
-        else:
-            t_map.entries[r][c] = ring.normal_form(t_map.entries[r][c] + mono)
-    return (SheafMap(ring, E.E0, F.E1, s_map.entries),
-            SheafMap(ring, E.E1, F.E0.twist(-d), t_map.entries).twist(d))
+    s, t_m = unpack_maps(ring, ring.polys_from_coords(x, dm1.src),
+                         (E.E0, F.E1), (E.E1, F.E0.twist(-d)))
+    return s, (-t_m).twist(d)
 
 
 def is_nullhomotopic(f):

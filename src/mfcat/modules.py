@@ -11,14 +11,10 @@ from itertools import combinations
 
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul)
-from .ring import GradedRing, buchberger, reduce_poly
+from .ring import buchberger, reduce_poly
 
 
 # -- sparse free-module vectors ------------------------------------------
-
-
-def vec_is_zero(v):
-    return not v
 
 
 def vec_add(F, v, w):

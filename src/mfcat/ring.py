@@ -7,6 +7,7 @@ graded pieces are spanned by standard monomials of the right degree.
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from .linalg import ExactMatrix
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul, parse_poly)
 
@@ -147,9 +148,6 @@ class GradedRing:
     def const(self, c):
         return Poly.const(self.field, self.nvars, c)
 
-    def var(self, i):
-        return Poly.variable(self.field, self.nvars, i)
-
     def normal_form(self, f):
         if f.nvars != self.nvars or f.field != self.field:
             raise ValueError("polynomial from a different ring")
@@ -192,6 +190,33 @@ class GradedRing:
                 raise ValueError("polynomial not homogeneous of degree %d" % n)
             coords[index[e]] = c
         return coords
+
+    def coords(self, polys, twists):
+        """The piece coordinates of polys[i] in degree twists[i], joined."""
+        return [c for p, a in zip(polys, twists)
+                for c in self.piece_coords(p, a)]
+
+    def polys_from_coords(self, coords, twists):
+        """Inverse of coords: one polynomial of degree a per twist a."""
+        polys = []
+        pos = 0
+        for a in twists:
+            basis = self.graded_piece_basis(a)
+            polys.append(Poly(self.field, self.nvars,
+                              dict(zip(basis, coords[pos:pos + len(basis)]))))
+            pos += len(basis)
+        return polys
+
+    def piece_matrix(self, f, t):
+        """Matrix of a SheafMap f on the degree-t pieces of this ring:
+        block (r, c) is multiplication by f's entry (r, c), taken to normal
+        form here, from R_{t + f.src[c]} to R_{t + f.dst[r]}."""
+        def block(r, c):
+            p = self.normal_form(f.entries[r][c])
+            return None if p.is_zero() else self.mult_matrix(p, t + f.src[c])
+        return ExactMatrix.from_blocks(
+            self.field, [self.hilbert(t + b) for b in f.dst],
+            [self.hilbert(t + a) for a in f.src], block)
 
     def mult_matrix(self, p, n):
         """Matrix of multiplication by homogeneous p: R_n -> R_{n+deg p}.

@@ -5,11 +5,12 @@ import pytest
 
 from mfcat.cohomology import (CechSetup, GlobalSections, cech_cohomology,
                               cech_hypercohomology, cech_total_diff,
-                              h_projective_space, truncation_max,
+                              h_projective_space,
                               vanishing_threshold)
+from mfcat.fields import DEFAULT_PRIME, PrimeField
 from mfcat.linalg import ExactMatrix, rank, sparse_rank
-from mfcat.mf import mapping_complex
-from mfcat.ring import binom
+from mfcat.mf import MFContext, SheafMap, TwistSum, mapping_complex
+from mfcat.ring import GradedRing, binom
 from mfcat.suite import generate_suite
 
 
@@ -107,6 +108,25 @@ class TestGlobalSections:
         assert gs.saturated(-3)
         assert gs.dim(2) == ctx_a1.ring.hilbert(2)
 
+    def test_two_skew_lines_not_saturated(self):
+        """Two skew lines in P^3: Gamma(O) is 2-dimensional and R_0 is
+        1-dimensional, so degree 0 takes the Cech kernel path of
+        GlobalSections."""
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z", "w"],
+                          ideal_strings=["x*z", "x*w", "y*z", "y*w"])
+        ctx = MFContext(ring, ring.poly("x + z"))
+        assert ctx.w_regular
+        gs = GlobalSections(ctx)
+        assert not gs.saturated(0)
+        assert [gs.dim(n) for n in range(4)] == [2, 4, 6, 8]
+        assert [ring.hilbert(n) for n in range(4)] == [1, 4, 6, 8]
+        f = SheafMap(ring, TwistSum([0, 1]), TwistSum([2]),
+                     [[ring.poly("x^2"), ring.poly("x")]])
+        cech = GlobalSections(ctx)
+        cech.saturated = lambda n: False     # every degree through Cech
+        assert rank(gs.sheafmap_matrix(f)) == 2
+        assert rank(cech.sheafmap_matrix(f)) == 2
+
     def test_mult_commutes(self, ctx_p1):
         gs = GlobalSections(ctx_p1)
         ring = ctx_p1.ring
@@ -117,12 +137,6 @@ class TestGlobalSections:
 
 
 class TestTruncation:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MFCAT_TRUNCATION_MAX", "16")
-        assert truncation_max() == 16
-        monkeypatch.delenv("MFCAT_TRUNCATION_MAX")
-        assert truncation_max() == 64
-
     def test_unstable_reported(self, ring_p1):
         # a schedule capped below stabilization must report stable=False
         setup = CechSetup(b_start=1, b_max=1)

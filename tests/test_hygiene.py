@@ -1,0 +1,36 @@
+"""Source hygiene: every name a module of the package imports is used in
+that module (a stdlib ast check, so no linter is needed)."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mfcat"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by an import anywhere in the module but never read."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_detects_an_unused_import():
+    src = "import os\nfrom .x import a, b\n\ndef f():\n    return a\n"
+    assert unused_imports(src) == [(1, "os"), (2, "b")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

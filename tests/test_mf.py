@@ -9,8 +9,9 @@ from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       direct_sum_mf, is_nullhomotopic, mapping_complex,
                       shift_mf, solve_homotopy, strict_from_cycle,
                       strictness_violation, twist_mf, verify_mf, zero_mf)
+from mfcat.koszul import koszul_truncated, stabilized_mf
 from mfcat.ring import GradedRing
-from mfcat.suite import rank_one_mf
+from mfcat.suite import rank_one_mf, unit_e0_factorization
 
 
 class TestVerify:
@@ -125,15 +126,39 @@ class TestMappingComplex:
         assert f.describe() == i.describe()
 
 
+def assert_homotopy(f):
+    """solve_homotopy(f) returns (s, t) with g1 = s o e1 + f0(-d) o t(-d)
+    and g0 = f1 o s + t o e0."""
+    h = solve_homotopy(f)
+    assert h is not None and is_nullhomotopic(f)
+    s, t = h
+    E, F, d = f.src, f.dst, f.ctx.d
+    assert s.compose(E.e1) + F.e0.twist(-d).compose(t.twist(-d)) == f.g1
+    assert F.e1.compose(s) + t.compose(E.e0) == f.g0
+
+
 class TestHomotopy:
     def test_zero_morphism_nullhomotopic(self, E_u, E_v):
-        assert is_nullhomotopic(StrictMorphism.zero(E_u, E_v))
+        assert_homotopy(StrictMorphism.zero(E_u, E_v))
 
     def test_identity_not_nullhomotopic(self, E_u):
         assert solve_homotopy(StrictMorphism.identity(E_u)) is None
 
+    def test_cone_identity_homotopy(self, E_u):
+        C = cone(StrictMorphism.identity(E_u))
+        assert_homotopy(StrictMorphism.identity(C))
+
     def test_unit_e0_identity_nullhomotopic(self, E_unit_p1):
-        assert is_nullhomotopic(StrictMorphism.identity(E_unit_p1))
+        assert_homotopy(StrictMorphism.identity(E_unit_p1))
+
+    def test_nodal_stabilized_identity_homotopy(self):
+        ring = GradedRing(PrimeField(32003), ["x", "y", "z"],
+                          ideal_strings=["x*y"])
+        ctx = MFContext(ring, ring.poly("z"))
+        P, aug = koszul_truncated(ring, 1)
+        E, _eps = stabilized_mf(P, aug, unit_e0_factorization(ctx))
+        assert E.E0.rank > 1
+        assert_homotopy(StrictMorphism.identity(E))
 
 
 class TestContext:
