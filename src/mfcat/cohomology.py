@@ -321,14 +321,30 @@ class GlobalSections:
             cols.append(x)
         return ExactMatrix.from_columns(F, cols, L.ncols)
 
+    def sheafmap_rows(self, f):
+        """Gamma of a map of twist sums as sparse rows (one {column: value}
+        dict per row) and its number of columns: block (r, c) is
+        multiplication by f's entry (r, c)."""
+        F = self.ring.field
+        row_dims = [self.dim(b) for b in f.dst]
+        col_dims = [self.dim(a) for a in f.src]
+        row_offs = _offsets(row_dims)
+        col_offs = _offsets(col_dims)
+        out = [{} for _ in range(sum(row_dims))]
+        for r, row in enumerate(f.entries):
+            for c, p in enumerate(row):
+                if p.is_zero():
+                    continue
+                blk = self.mult(p, f.src[c])
+                if blk.nrows != row_dims[r] or blk.ncols != col_dims[c]:
+                    raise ValueError("block (%d, %d) has wrong shape" % (r, c))
+                _put_block(out, blk.rows, row_offs[r], col_offs[c], 1, F)
+        return out, sum(col_dims)
+
     def sheafmap_matrix(self, f):
-        """Gamma of a map of twist sums, as one block matrix."""
-        def block(r, c):
-            p = f.entries[r][c]
-            return None if p.is_zero() else self.mult(p, f.src[c]).rows
-        return ExactMatrix.from_blocks(self.ring.field,
-                                       [self.dim(b) for b in f.dst],
-                                       [self.dim(a) for a in f.src], block)
+        """Gamma of a map of twist sums, as one dense block matrix."""
+        rows, ncols = self.sheafmap_rows(f)
+        return ExactMatrix.from_sparse_rows(self.ring.field, rows, ncols)
 
 
 def _h0_diff(ring, n, B):

@@ -3,9 +3,12 @@ Koszul stabilization with self-checking certificates, composition of
 stabilized classes, and the contractibility/weak-equivalence predicates.
 """
 
+from functools import cached_property
+
 from .cohomology import GlobalSections, vanishing_threshold
 from .koszul import koszul_truncated, stabilized_mf, tensor_mf, tot_chain_morphism
-from .linalg import CosetReducer, ExactMatrix, kernel_basis, rank, subquotient_dim
+from .linalg import (CosetReducer, ExactMatrix, kernel_basis, rank,
+                     sparse_matmul, sparse_rank)
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, cone,
                  hom_twists, mapping_complex, solve_homotopy,
                  strict_from_cycle, cycle_from_strict)
@@ -17,8 +20,7 @@ class HomSpace:
     """A computed Hom-set: dimension, canonical basis data, model tag."""
 
     def __init__(self, src, dst, model, dimension, basis, tower,
-                 certificate=None, stabilized_src=None, reducer=None,
-                 cycle_space=None):
+                 certificate=None, stabilized_src=None, gamma=None):
         self.src = src
         self.dst = dst
         self.model = model            # 'naive' | 'hyper'
@@ -27,8 +29,17 @@ class HomSpace:
         self.tower = tower            # tuple of Koszul levels j
         self.certificate = certificate
         self.stabilized_src = stabilized_src if stabilized_src is not None else src
-        self.reducer = reducer        # CosetReducer modulo boundaries
-        self.cycle_space = cycle_space
+        self.gamma = gamma            # GammaComplex, or None for a zero object
+
+    @property
+    def cycle_space(self):
+        """Kernel basis of Gamma(d^0), built on first access."""
+        return None if self.gamma is None else self.gamma.cycle_space
+
+    @property
+    def reducer(self):
+        """CosetReducer modulo the boundaries, built on first access."""
+        return None if self.gamma is None else self.gamma.reducer
 
     def describe(self):
         out = {"model": self.model, "dim": self.dimension,
@@ -56,12 +67,34 @@ class StabilizedClass:
         return StabilizedClass(E, E, (), StrictMorphism.identity(E))
 
 
-def gamma_complex_matrices(E, F, gs):
-    """Gamma applied to the mapping complex: (M_in, M_out) around degree 0."""
-    C = mapping_complex(E, F)
-    m_in = gs.sheafmap_matrix(C.dm1)
-    m_out = gs.sheafmap_matrix(C.d0)
-    return C, m_in, m_out
+class GammaComplex:
+    """Gamma of a mapping complex around degree 0, as sparse rows:
+    m_in = Gamma(d^-1) with n_in columns, m_out = Gamma(d^0) with n columns.
+    The dense cycle basis and boundary reducer, needed only for bases and
+    class coordinates, are built on first access."""
+
+    def __init__(self, C, gs):
+        self.field = gs.ring.field
+        self.m_in, self.n_in = gs.sheafmap_rows(C.dm1)
+        self.m_out, self.n = gs.sheafmap_rows(C.d0)
+
+    def h0_dim(self):
+        """dim ker m_out / im m_in, after checking m_out m_in = 0 (the
+        boundaries lie in the cycles)."""
+        if any(sparse_matmul(self.field, self.m_out, self.m_in)):
+            raise ValueError("boundary space is not contained in the cycle space")
+        return self.n - sparse_rank(self.field, self.m_out, self.n) \
+            - sparse_rank(self.field, self.m_in, self.n_in)
+
+    @cached_property
+    def cycle_space(self):
+        return kernel_basis(ExactMatrix.from_sparse_rows(
+            self.field, self.m_out, self.n))
+
+    @cached_property
+    def reducer(self):
+        return CosetReducer(ExactMatrix.from_sparse_rows(
+            self.field, self.m_in, self.n_in))
 
 
 def hom_naive(E, F, gs=None, want_basis=True):
@@ -70,18 +103,16 @@ def hom_naive(E, F, gs=None, want_basis=True):
         raise ValueError("context mismatch")
     gs = gs or GlobalSections(E.ctx)
     if E.is_zero_object() or F.is_zero_object():
-        return HomSpace(E, F, "naive", 0, [], (), reducer=None)
-    C, m_in, m_out = gamma_complex_matrices(E, F, gs)
-    Z = kernel_basis(m_out)
-    dim = subquotient_dim(Z, m_in)   # also checks boundaries lie in cycles
-    reducer = CosetReducer(m_in)
+        return HomSpace(E, F, "naive", 0, [], ())
+    C = mapping_complex(E, F)
+    gamma = GammaComplex(C, gs)
+    dim = gamma.h0_dim()
     basis = None
-    degrees = list(C.C0.twists)
-    if want_basis and gs.monomial_path(degrees):
-        basis = _cycle_basis_classes(E, F, gs, Z, reducer)
+    if want_basis and gs.monomial_path(list(C.C0.twists)):
+        basis = _cycle_basis_classes(E, F, gs, gamma.cycle_space,
+                                     gamma.reducer) if dim else []
         assert len(basis) == dim
-    return HomSpace(E, F, "naive", dim, basis, (), reducer=reducer,
-                    cycle_space=Z)
+    return HomSpace(E, F, "naive", dim, basis, (), gamma=gamma)
 
 
 def _cycle_basis_classes(E, F, gs, Z, reducer):
@@ -236,7 +267,7 @@ def hom_H(E, F, gs=None, want_basis=True):
     if E.ctx.is_affine:
         hs = hom_naive(E, F, gs, want_basis=want_basis)
         return HomSpace(E, F, "hyper", hs.dimension, hs.basis, (),
-                        reducer=hs.reducer, cycle_space=hs.cycle_space)
+                        gamma=hs.gamma)
     Ep, eps, cert = stabilize(E, F, 0, gs=gs)
     hs = hom_naive(Ep, F, gs, want_basis=want_basis)
     basis = None
@@ -244,8 +275,7 @@ def hom_H(E, F, gs=None, want_basis=True):
         basis = [StabilizedClass(E, F, (cert.j,), cls.rep)
                  for cls in hs.basis]
     return HomSpace(E, F, "hyper", hs.dimension, basis, (cert.j,),
-                    certificate=cert, stabilized_src=Ep, reducer=hs.reducer,
-                    cycle_space=hs.cycle_space)
+                    certificate=cert, stabilized_src=Ep, gamma=hs.gamma)
 
 
 # -- composition ----------------------------------------------------------------

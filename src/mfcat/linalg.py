@@ -4,8 +4,8 @@ Dense prime-field matrices are eliminated in blocked numpy float64
 arithmetic, exact because every accumulated value stays an integer below
 2^53 (fields.PrimeField enforces 64 * p^2 < 2^53); dense rational matrices
 use Fraction arithmetic.  Sparse matrices, given as one {column: value}
-dict per row, have an exact rank in Python scalars (sparse_rank).  All
-dimensions are exact integers.
+dict per row, have an exact rank and product in Python scalars
+(sparse_rank, sparse_matmul).  All dimensions are exact integers.
 """
 
 import heapq
@@ -363,6 +363,23 @@ def sparse_rank(field, rows, ncols):
         col_rows[c] = set()
         r += 1
     return r
+
+
+def sparse_matmul(field, A, B):
+    """The product A B of sparse-row matrices (row i of A is a {k: value}
+    dict whose keys index the rows of B), as sparse rows; exact in Python
+    scalars over F_p and over Q."""
+    p = field.p if isinstance(field, PrimeField) else None
+    out = []
+    for row in A:
+        acc = {}
+        for k, a in row.items():
+            for c, b in B[k].items():
+                acc[c] = acc.get(c, 0) + a * b
+        if p:
+            acc = {c: v % p for c, v in acc.items()}
+        out.append({c: v for c, v in acc.items() if v})
+    return out
 
 
 def kernel_basis(A):

@@ -134,23 +134,27 @@ class SheafMap:
     # -- arithmetic --------------------------------------------------------
 
     def compose(self, other):
-        """self o other (apply `other` first)."""
+        """self o other (apply `other` first), summing products over the
+        nonzero entries only."""
         if other.dst != self.src:
             raise ValueError("composition shape mismatch")
         ring = self.ring
+        z = ring.zero()
+        other_rows = [[(c, b) for c, b in enumerate(row) if not b.is_zero()]
+                      for row in other.entries]
         entries = []
-        for r in range(self.dst.rank):
-            row = []
-            for c in range(other.src.rank):
-                acc = ring.zero()
-                for k in range(self.src.rank):
-                    a = self.entries[r][k]
-                    b = other.entries[k][c]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(ring.normal_form(acc))
-            entries.append(row)
+        for row in self.entries:
+            acc = {}
+            for a, brow in zip(row, other_rows):
+                if a.is_zero():
+                    continue
+                for c, b in brow:
+                    ab = a * b
+                    acc[c] = acc[c] + ab if c in acc else ab
+            out = [z] * other.src.rank
+            for c, p in acc.items():
+                out[c] = ring.normal_form(p)
+            entries.append(out)
         return SheafMap(ring, other.src, self.dst, entries, check=False)
 
     def twist(self, n):

@@ -14,6 +14,8 @@ from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
 
 def reduce_poly(f, basis):
     """Remainder of f under multivariate division by basis (list of Polys)."""
+    if not f.terms:
+        return f
     F = f.field
     leads = [g.leading_term() for g in basis]
     rem = {}

@@ -3,12 +3,19 @@ predicates, and the local-triviality report."""
 
 import pytest
 
-from mfcat.homcat import (StabilizedClass, class_coords, compose_h, hom_H,
-                          hom_naive, is_contractible, locally_contractible,
-                          prop28_report, stabilize, weak_equivalence)
-from mfcat.mf import (StrictMorphism, cone, direct_sum_mf, shift_mf, twist_mf,
-                      zero_mf)
-from mfcat.suite import generate_suite
+from mfcat import homcat, linalg
+from mfcat.cohomology import GlobalSections
+from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
+from mfcat.homcat import (StabilizedClass, _strict_to_c0_coords, class_coords,
+                          compose_h, hom_H, hom_naive, is_contractible,
+                          locally_contractible, prop28_report, stabilize,
+                          weak_equivalence)
+from mfcat.linalg import kernel_basis, subquotient_dim
+from mfcat.mf import (MFContext, SheafMap, StrictMorphism,
+                      TwistedPeriodicComplex, cone, direct_sum_mf,
+                      mapping_complex, shift_mf, twist_mf, zero_mf)
+from mfcat.ring import GradedRing
+from mfcat.suite import generate_suite, rank_one_mf, unit_e0_factorization
 
 
 class TestHomNaive:
@@ -42,6 +49,109 @@ class TestHomNaive:
             f = cls.rep
             # constructing through StrictMorphism re-checks strictness
             StrictMorphism(f.src, f.dst, f.g1, f.g0)
+
+
+def dense_hom_dim(E, F, gs):
+    """Reference count: dense cycles modulo dense boundaries."""
+    C = mapping_complex(E, F)
+    return subquotient_dim(kernel_basis(gs.sheafmap_matrix(C.d0)),
+                           gs.sheafmap_matrix(C.dm1))
+
+
+def nodal_light_pairs():
+    """Rank-1 and rank-2 pairs of unit-grown objects on Proj k[x,y,z]/(xy),
+    W = z, whose stable Homs stabilize at Koszul level 1."""
+    ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                      ideal_strings=["x*y"])
+    ctx = MFContext(ring, ring.poly("z"))
+    base = unit_e0_factorization(ctx)
+    up = twist_mf(base, 1)
+    sbase = shift_mf(base)
+    return ctx, [(base, up), (base, sbase), (sbase, twist_mf(sbase, 1)),
+                 (base, direct_sum_mf(up, sbase))]
+
+
+class TestSparseHomCount:
+    @pytest.mark.parametrize("profile", ["p1-small", "a1-affine"])
+    def test_matches_dense_count_on_corpus(self, profile):
+        ctx, objs = generate_suite(0, profile)
+        gs = GlobalSections(ctx)
+        dims = set()
+        for E in objs:
+            for F in objs:
+                dim = hom_naive(E, F, gs, want_basis=False).dimension
+                assert dim == dense_hom_dim(E, F, gs)
+                dims.add(dim)
+        if profile == "a1-affine":
+            assert {1, 2} <= dims
+
+    def test_matches_dense_count_over_q(self):
+        ring = GradedRing(RationalField(), ["u", "v"])
+        ctx = MFContext(ring, ring.poly("u*v"), mode="affine-graded")
+        E, G = rank_one_mf(ctx, "u", "v", 0), rank_one_mf(ctx, "v", "u", 0)
+        objs = [E, G, direct_sum_mf(E, G), twist_mf(E, 1)]
+        gs = GlobalSections(ctx)
+        dims = [hom_naive(A, B, gs).dimension for A in objs for B in objs]
+        assert dims == [dense_hom_dim(A, B, gs) for A in objs for B in objs]
+        assert max(dims) == 2
+
+    def test_matches_dense_count_on_nodal_pairs(self):
+        ctx, pairs = nodal_light_pairs()
+        gs = GlobalSections(ctx)
+        for E, F in pairs:
+            Ep, _eps, cert = stabilize(E, F, gs=gs)
+            assert cert.j == 1
+            for src in (E, Ep):
+                assert hom_naive(src, F, gs, want_basis=False).dimension \
+                    == dense_hom_dim(src, F, gs)
+
+    def test_boundaries_outside_cycles_raise(self, E_u, monkeypatch):
+        F = twist_mf(E_u, 1)     # Gamma(C^-1) is nonzero in degree 0
+        gs = GlobalSections(E_u.ctx)
+        C = mapping_complex(E_u, F)
+        entries = [list(row) for row in C.d0.entries]
+        r, c = next((r, c) for r, row in enumerate(entries)
+                    for c, p in enumerate(row) if not p.is_zero())
+        entries[r][c] = entries[r][c].scale(2)
+        d0 = SheafMap(C.ctx.ring, C.d0.src, C.d0.dst, entries)
+        bad = TwistedPeriodicComplex(C.ctx, C.dm1, d0, check=False)
+        assert not gs.sheafmap_matrix(bad.d0).matmul(
+            gs.sheafmap_matrix(bad.dm1)).is_zero()
+        monkeypatch.setattr(homcat, "mapping_complex", lambda E, F: bad)
+        with pytest.raises(ValueError, match="boundary space is not contained"):
+            hom_naive(E_u, F, gs)
+
+
+class TestLazyBasisData:
+    def test_zero_hom_runs_no_dense_elimination(self, E_unit_p1, monkeypatch):
+        E = E_unit_p1
+        gs = GlobalSections(E.ctx)
+        calls = []
+        real = linalg.rref
+        monkeypatch.setattr(linalg, "rref",
+                            lambda A: calls.append(A) or real(A))
+        hs = hom_naive(E, E, gs, want_basis=False)
+        assert hs.dimension == 0 and calls == []
+        assert hom_naive(E, E, gs).basis == [] and calls == []
+        C = mapping_complex(E, E)
+        assert hs.cycle_space == kernel_basis(gs.sheafmap_matrix(C.d0))
+        assert hs.cycle_space.ncols >= 1
+
+    def test_class_coords_on_hom_h(self, E_u, E_unit_p1):
+        hs = hom_H(E_u, E_u)
+        cls = hs.basis[0]
+        assert any(class_coords(cls, hom_space=hs))
+        assert class_coords(cls, hom_space=hs) == class_coords(cls)
+        # the identity of a contractible object, as a class out of its
+        # stabilization, is a nonzero cycle that reduces to zero
+        E = E_unit_p1
+        gs = GlobalSections(E.ctx)
+        hs = hom_H(E, E, gs, want_basis=False)
+        assert hs.dimension == 0
+        _Ep, eps, cert = stabilize(E, E, gs=gs)
+        ident = StabilizedClass(E, E, (cert.j,), eps)
+        assert any(_strict_to_c0_coords(eps, gs))
+        assert not any(class_coords(ident, gs, hom_space=hs))
 
 
 class TestStabilization:

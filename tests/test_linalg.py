@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from mfcat.fields import PrimeField, RationalField
 from mfcat.linalg import (CosetReducer, ExactMatrix, _rref_generic,
                           _rref_prime, in_column_span, kernel_basis, rank,
-                          rref, solve, sparse_rank, subquotient_dim)
+                          rref, solve, sparse_matmul, sparse_rank,
+                          subquotient_dim)
 
 F = PrimeField(32003)
 
@@ -61,6 +62,9 @@ class TestRref:
                 {1: Q.of(7)}, {}]
         assert sparse_rank(Q, rows, 4) == 2
         assert rank(ExactMatrix.from_sparse_rows(Q, rows, 4)) == 2
+        # the first two rows annihilate column 0 exactly (1/5 - 1/5)
+        B = [{0: Q.of("3/10")}, {1: Q.of(1)}, {0: Q.of(1)}, {1: Q.of(5)}]
+        assert sparse_matmul(Q, rows, B) == [{}, {}, {1: Q.of(7)}, {}]
 
 
 class TestKernelAndSolve:
@@ -146,6 +150,13 @@ def test_rref_property(seed, nr, nc, p, density):
     assert len(pivots) + K.ncols == nc
     if K.ncols:
         assert A.matmul(K).is_zero()
+    # the sparse product agrees with the dense one, and kills the kernel
+    def to_sparse(M):
+        return [{c: v for c, v in enumerate(row) if v} for row in M.rows]
+    At = A.transpose()
+    assert sparse_matmul(field, sparse, to_sparse(At)) == \
+        to_sparse(A.matmul(At))
+    assert not any(sparse_matmul(field, sparse, to_sparse(K)))
     # pivot columns of the rref are unit vectors
     for i, c in enumerate(pivots):
         col = [R.rows[r][c] for r in range(R.nrows)]

@@ -2,6 +2,8 @@
 the mapping complex, and homotopies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfcat.fields import PrimeField
 from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
@@ -10,7 +12,8 @@ from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       shift_mf, solve_homotopy, strict_from_cycle,
                       strictness_violation, twist_mf, verify_mf, zero_mf)
 from mfcat.koszul import koszul_truncated, stabilized_mf
-from mfcat.ring import GradedRing
+from mfcat.poly import Poly
+from mfcat.ring import GradedRing, monomials_of_degree
 from mfcat.suite import rank_one_mf, unit_e0_factorization
 
 
@@ -124,6 +127,66 @@ class TestMappingComplex:
         polys = cycle_from_strict(i)
         f = strict_from_cycle(E_u, E_u, polys)
         assert f.describe() == i.describe()
+
+
+def dense_compose(g, f):
+    """Reference for g.compose(f): the triple loop over every entry."""
+    ring = g.ring
+    out = []
+    for r in range(g.dst.rank):
+        row = []
+        for c in range(f.src.rank):
+            acc = ring.zero()
+            for k in range(g.src.rank):
+                acc = acc + g.entries[r][k] * f.entries[k][c]
+            row.append(ring.normal_form(acc))
+        out.append(row)
+    return out
+
+
+NODAL = GradedRing(PrimeField(7), ["x", "y", "z"], ideal_strings=["x*y"])
+
+
+@st.composite
+def nodal_sheafmaps(draw, src, dst):
+    """A SheafMap src -> dst over k[x,y,z]/(xy), mostly zero entries (so
+    zero rows and columns occur) with coefficients in F_7."""
+    entries = []
+    for b in dst:
+        row = []
+        for a in src:
+            mons = monomials_of_degree(3, b - a)
+            if not mons or draw(st.integers(0, 2)) == 0:
+                row.append(NODAL.zero())
+                continue
+            coeffs = draw(st.lists(st.integers(0, 6), min_size=len(mons),
+                                   max_size=len(mons)))
+            row.append(Poly(NODAL.field, 3, dict(zip(mons, coeffs))))
+        entries.append(row)
+    return SheafMap(NODAL, src, dst, entries)
+
+
+class TestSparseCompose:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_dense_reference(self, data):
+        twists = st.lists(st.integers(-1, 2), min_size=0, max_size=3)
+        A, B, C = (TwistSum(data.draw(twists)) for _ in range(3))
+        f = data.draw(nodal_sheafmaps(A, B))
+        g = data.draw(nodal_sheafmaps(B, C))
+        h = g.compose(f)
+        assert h.src == A and h.dst == C
+        assert h.entries == dense_compose(g, f)
+
+    def test_cancelling_products(self):
+        # x * y = 0 in the ring, and x*z - x*z cancels before the normal form
+        p = NODAL.poly
+        T0, T1, T2 = TwistSum([0, 0]), TwistSum([1, 1]), TwistSum([2, 2])
+        f = SheafMap(NODAL, T0, T1, [[p("y"), p("z")], [p("0"), p("z")]])
+        g = SheafMap(NODAL, T1, T2, [[p("x"), p("-x")], [p("0"), p("0")]])
+        h = g.compose(f)
+        assert h.is_zero()
+        assert h.entries == dense_compose(g, f)
 
 
 def assert_homotopy(f):
