@@ -13,12 +13,13 @@ from .homcat import (class_coords, compose_h, hom_H, hom_naive, is_contractible,
                      locally_contractible, prop28_report, stabilize)
 from .hypersurface import (coker_module, ext_gamma_dims, is_relatively_perfect,
                            mf_from_module, stable_hom_dim)
-from .mf import mapping_complex, shift_mf, twist_mf, verify_mf
+from .mf import (SheafMap, TwistSum, mapping_complex, shift_mf, twist_mf,
+                 verify_mf)
 from .ring import GradedRing
-from .serialize import (SchemaError, context_from_json,
-                        mf_from_json, mf_to_json, module_from_json,
-                        module_to_json, morphism_to_json, object_hash,
-                        ring_from_json)
+from .serialize import (SchemaError, _int_list, _matrix, _require_keys,
+                        context_from_json, mf_from_json, mf_hash, mf_to_json,
+                        module_from_json, module_to_json, morphism_to_json,
+                        object_hash, ring_from_json)
 from .suite import generate_suite
 
 
@@ -211,11 +212,9 @@ def cmd_from_module(args, inputs):
     obj = _load_json(args.alpha)
     inputs.append(obj)
     try:
-        from .serialize import _int_list, _matrix, _require_keys
         path = "%s:map" % args.alpha
         _require_keys(obj, path, ("context", "E1", "E0", "matrix"))
         ctx = context_from_json(obj["context"], path + ".context")
-        from .mf import SheafMap, TwistSum
         E1 = TwistSum(_int_list(obj["E1"], path + ".E1"))
         E0 = TwistSum(_int_list(obj["E0"], path + ".E0"))
         strs = _matrix(obj["matrix"], path + ".matrix", E0.rank, E1.rank)
@@ -271,7 +270,6 @@ def cmd_rel_perfect(args, inputs):
 
 def cmd_suite(args, inputs):
     ctx, objs = generate_suite(args.seed, args.profile)
-    from .serialize import mf_hash
     return {"profile": args.profile, "seed": args.seed, "count": len(objs),
             "hashes": [mf_hash(E) for E in objs],
             "objects": [mf_to_json(E) for E in objs]}, 0

@@ -17,6 +17,7 @@ row, and only their ranks are computed, by sparse elimination.
 from itertools import combinations, compress
 
 from .linalg import ExactMatrix, kernel_basis, solve, sparse_rank
+from .mf import SheafMap, TwistSum
 from .poly import Poly
 from .ring import binom
 
@@ -161,18 +162,22 @@ def cech_cohomology_at(ring, n, p, B):
     return z - b
 
 
-def cech_cohomology(ring, n, p, setup=None):
-    """(dimension, stable flag): values at consecutive truncations B, B+1
-    must agree; the truncation doubles until they do or the cap is hit."""
-    setup = setup or CechSetup()
+def _stable_value(value_at, setup):
+    """(dimension, stable flag): the values at consecutive truncations B,
+    B+1 must agree; B doubles until they do or the cap is hit."""
     last = None
-    for B in setup.schedule():
-        v1 = cech_cohomology_at(ring, n, p, B)
-        v2 = cech_cohomology_at(ring, n, p, B + 1)
+    for B in (setup or CechSetup()).schedule():
+        v1 = value_at(B)
+        v2 = value_at(B + 1)
         if v1 == v2:
             return v1, True
         last = v2
     return last, False
+
+
+def cech_cohomology(ring, n, p, setup=None):
+    """(dimension, stable flag) of H^p(O(n)) by _stable_value."""
+    return _stable_value(lambda B: cech_cohomology_at(ring, n, p, B), setup)
 
 
 def _total_space(C, n, B):
@@ -221,16 +226,8 @@ def cech_hypercohomology_at(C, q, B):
 
 
 def cech_hypercohomology(C, q, setup=None):
-    """(dimension, stable flag) with the doubling truncation schedule."""
-    setup = setup or CechSetup()
-    last = None
-    for B in setup.schedule():
-        v1 = cech_hypercohomology_at(C, q, B)
-        v2 = cech_hypercohomology_at(C, q, B + 1)
-        if v1 == v2:
-            return v1, True
-        last = v2
-    return last, False
+    """(dimension, stable flag) of H^q(C) by _stable_value."""
+    return _stable_value(lambda B: cech_hypercohomology_at(C, q, B), setup)
 
 
 # -- exact global sections ----------------------------------------------------
@@ -368,7 +365,6 @@ def _offsets(dims):
 
 
 def _single_entry_map(ring, p, a, b):
-    from .mf import SheafMap, TwistSum
     return SheafMap(ring, TwistSum([a]), TwistSum([b]), [[p]])
 
 

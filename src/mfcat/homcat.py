@@ -6,14 +6,17 @@ stabilized classes, and the contractibility/weak-equivalence predicates.
 from functools import cached_property
 
 from .cohomology import GlobalSections, vanishing_threshold
+from .hypersurface import coker_module
 from .koszul import koszul_truncated, stabilized_mf, tensor_mf, tot_chain_morphism
 from .linalg import (CosetReducer, ExactMatrix, kernel_basis, rank,
                      sparse_matmul, sparse_rank)
-from .mf import (MatrixFactorization, SheafMap, StrictMorphism, cone,
-                 hom_twists, mapping_complex, solve_homotopy,
+from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
+                 cone, hom_twists, mapping_complex, solve_homotopy,
                  strict_from_cycle, cycle_from_strict)
-from .modules import contains_irrelevant_power, fitting_ideal
+from .modules import (contains_irrelevant_power, default_saturation_bound,
+                      fitting_ideal)
 from .poly import Poly
+from .ring import buchberger, reduce_poly
 
 
 class HomSpace:
@@ -189,7 +192,6 @@ class StabilizationCertificate:
 
 def _stabilized_component_twists(P, E):
     """Twist inventories (E'_1, E'_0) of Tot(P tensor E) without matrices."""
-    from .mf import TwistSum
     degs = P.degrees()
     t1, t0 = [], []
     for p in degs:
@@ -372,7 +374,6 @@ def _connected_components(E):
 
 
 def _sub_mf(E, idx1, idx0):
-    from .mf import TwistSum
     ring = E.ctx.ring
     E1 = TwistSum([E.E1[i] for i in idx1])
     E0 = TwistSum([E.E0[i] for i in idx0])
@@ -411,7 +412,6 @@ def _sheaf_zero(gens, ring, B):
 
 def _ideal_is_unit(gens, ring):
     """1 in (gens) + I, decided by a Groebner basis."""
-    from .ring import buchberger, reduce_poly
     gens = [ring.normal_form(p) for p in gens]
     gens = [p for p in gens if not p.is_zero()]
     if not gens:
@@ -446,7 +446,6 @@ def locally_contractible(E, saturation_bound=None, fitting_cap=9):
         return "inconclusive"
     if is_contractible(E):
         return "true"
-    from .hypersurface import coker_module
     M = coker_module(E)
     g = M.n_gens
     if g == 0:
@@ -455,7 +454,6 @@ def locally_contractible(E, saturation_bound=None, fitting_cap=9):
         return "inconclusive"
     ry = M.ring
     if saturation_bound is None:
-        from .modules import default_saturation_bound
         cols = [p for col in M.columns for p in col]
         saturation_bound = default_saturation_bound(ry, cols or [ry.one()])
     fitt = {r: fitting_ideal(M, r) for r in range(-1, g + 1)}

@@ -8,8 +8,10 @@ T^n = (+)_p C_p^{n-p} with differential (vertical with sign (-1)^p) +
 
 from itertools import combinations
 
+from .linalg import rank
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
                  zero_mf)
+from .poly import Poly
 from .ring import monomials_of_degree
 
 
@@ -86,7 +88,6 @@ def koszul_truncated(ring, j):
 
 
 def _mono_poly(ring, expv):
-    from .poly import Poly
     return Poly.monomial(ring.field, ring.nvars, expv)
 
 
@@ -94,7 +95,6 @@ def free_complex_homology_dims(fc, t, q_range, augmentation=None):
     """Homology dimensions of a free complex on the internal-degree-t graded
     pieces.  If `augmentation` is given it is appended as the map out of
     term(0) into O (placed in cohomological degree 1)."""
-    from .linalg import rank
     ring = fc.ring
 
     def term(q):

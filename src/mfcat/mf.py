@@ -56,7 +56,11 @@ class TwistSum:
 class SheafMap:
     """A map of twist sums: a matrix of homogeneous ring elements.
 
-    Entry (r, c) must be zero or homogeneous of degree dst[r] - src[c]."""
+    Entry (r, c) must be zero or homogeneous of degree dst[r] - src[c], and
+    every entry is a normal form in the ring.  check=True is the boundary
+    for outside input: it takes each entry to normal form and checks its
+    degree.  check=False is for entries that are normal forms already (the
+    engine's own constructions) and only checks the shape."""
 
     __slots__ = ("ring", "src", "dst", "entries")
 
@@ -64,25 +68,23 @@ class SheafMap:
         self.ring = ring
         self.src = src
         self.dst = dst
-        ents = []
         if len(entries) != dst.rank:
             raise ValueError("matrix has %d rows, expected %d" % (len(entries), dst.rank))
-        for r, row in enumerate(entries):
+        self.entries = [list(row) for row in entries]
+        for r, row in enumerate(self.entries):
             if len(row) != src.rank:
                 raise ValueError("row %d has %d entries, expected %d"
                                  % (r, len(row), src.rank))
-            out_row = []
+            if not check:
+                continue
             for c, p in enumerate(row):
-                p = ring.normal_form(p)
-                if check and not p.is_zero():
-                    want = dst[r] - src[c]
-                    if not p.is_homogeneous() or p.total_degree() != want:
-                        raise ValueError(
-                            "entry (%d, %d) must be homogeneous of degree %d, got %s"
-                            % (r, c, want, ring.to_str(p)))
-                out_row.append(p)
-            ents.append(out_row)
-        self.entries = ents
+                p = row[c] = ring.normal_form(p)
+                want = dst[r] - src[c]
+                if not p.is_zero() and (not p.is_homogeneous()
+                                        or p.total_degree() != want):
+                    raise ValueError(
+                        "entry (%d, %d) must be homogeneous of degree %d, got %s"
+                        % (r, c, want, ring.to_str(p)))
 
     # -- constructors ----------------------------------------------------
 
@@ -103,11 +105,10 @@ class SheafMap:
     @staticmethod
     def scalar(ring, p, src, dst):
         """p * id with a twist shift: dst must be src shifted by deg p."""
-        m = SheafMap.zero(ring, src, dst)
-        p = ring.normal_form(p)
-        for i in range(src.rank):
-            m.entries[i][i] = p
-        return SheafMap(ring, src, dst, m.entries)
+        z = ring.zero()
+        return SheafMap(ring, src, dst,
+                        [[p if r == c else z for c in range(src.rank)]
+                         for r in range(dst.rank)])
 
     @staticmethod
     def from_blocks(ring, srcs, dsts, blocks):
@@ -165,8 +166,7 @@ class SheafMap:
         if other.src != self.src or other.dst != self.dst:
             raise ValueError("addition shape mismatch")
         return SheafMap(self.ring, self.src, self.dst,
-                        [[self.ring.normal_form(a + b)
-                          for a, b in zip(r1, r2)]
+                        [[a + b for a, b in zip(r1, r2)]
                          for r1, r2 in zip(self.entries, other.entries)],
                         check=False)
 
@@ -336,24 +336,15 @@ def verify_mf(E):
     ctx = E.ctx
     ring = ctx.ring
     violations = []
-    c1 = E.e0.compose(E.e1)            # E1 -> E1(d)
-    w_id_1 = SheafMap.scalar(ring, ctx.W, E.E1, E.E1.twist(ctx.d))
-    diff = c1 - w_id_1
-    for r in range(diff.dst.rank):
-        for c in range(diff.src.rank):
-            if not diff.entries[r][c].is_zero():
-                violations.append(
-                    "e0*e1 != W*id at entry (%d, %d): %s"
-                    % (r, c, ring.to_str(c1.entries[r][c])))
-    c0 = E.e1.twist(ctx.d).compose(E.e0)  # E0 -> E0(d)
-    w_id_0 = SheafMap.scalar(ring, ctx.W, E.E0, E.E0.twist(ctx.d))
-    diff = c0 - w_id_0
-    for r in range(diff.dst.rank):
-        for c in range(diff.src.rank):
-            if not diff.entries[r][c].is_zero():
-                violations.append(
-                    "e1(d)*e0 != W*id at entry (%d, %d): %s"
-                    % (r, c, ring.to_str(c0.entries[r][c])))
+    laws = (("e0*e1", E.e0.compose(E.e1)),                 # E1 -> E1(d)
+            ("e1(d)*e0", E.e1.twist(ctx.d).compose(E.e0)))  # E0 -> E0(d)
+    for name, comp in laws:
+        # entries and W are normal forms: equal in R iff equal as polynomials
+        for r, row in enumerate(comp.entries):
+            for c, p in enumerate(row):
+                if not (p == ctx.W if r == c else p.is_zero()):
+                    violations.append("%s != W*id at entry (%d, %d): %s"
+                                      % (name, r, c, ring.to_str(p)))
     return {"ok": not violations, "violations": violations}
 
 

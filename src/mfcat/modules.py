@@ -9,6 +9,8 @@ which is how syzygies are extracted (tag-column elimination).
 
 from itertools import combinations
 
+from .linalg import CosetReducer, ExactMatrix
+from .mf import SheafMap, TwistSum
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul)
 from .ring import buchberger, reduce_poly
@@ -246,87 +248,43 @@ class ModulePresentation:
 class ModulePiece:
     """The degree-t piece of a presented module, as explicit linear algebra.
 
-    Ambient space = direct sum of R_{t + a_r} monomial bases over the
-    generators; the relation image is divided out through a coset reducer,
-    so elements get canonical quotient coordinates.
+    Ambient space = direct sum of the degree-(t + a_r) pieces of R over the
+    generators; the relation image, the degree-t piece matrix of the
+    relation matrix, is divided out through a coset reducer, so elements
+    get canonical quotient coordinates.
     """
 
     def __init__(self, pres, t):
-        from .linalg import CosetReducer, ExactMatrix
         self.pres = pres
         self.t = t
         ring = pres.ring
-        F = ring.field
-        self.bases = [ring.graded_piece_basis(t + a) for a in pres.gen_twists]
-        self.offsets = []
-        off = 0
-        for b in self.bases:
-            self.offsets.append(off)
-            off += len(b)
-        self.ambient_dim = off
-        img_cols = []
-        for c, col in enumerate(pres.columns):
-            tw = pres.rel_twists[c]
-            if tw is None:
-                continue
-            for u in ring.graded_piece_basis(t + tw):
-                vec = [F.zero()] * self.ambient_dim
-                for r, p in enumerate(col):
-                    if p.is_zero():
-                        continue
-                    prod = ring.normal_form(p.mul_monomial(u))
-                    base = self.bases[r]
-                    index = {m: i for i, m in enumerate(base)}
-                    for e, cc in prod.terms.items():
-                        vec[self.offsets[r] + index[e]] = cc
-                img_cols.append(vec)
-        B = ExactMatrix.from_columns(F, img_cols, self.ambient_dim)
-        self.reducer = CosetReducer(B)
+        # zero relation columns (twist None) add nothing to the span
+        cols = [c for c, tw in enumerate(pres.rel_twists) if tw is not None]
+        rel = SheafMap(ring, TwistSum(pres.rel_twists[c] for c in cols),
+                       TwistSum(pres.gen_twists),
+                       [[pres.columns[c][r] for c in cols]
+                        for r in range(pres.n_gens)], check=False)
+        self.reducer = CosetReducer(ring.piece_matrix(rel, t))
         pivot_set = set(self.reducer.pivots)
-        self.free_indices = [i for i in range(self.ambient_dim)
+        self.free_indices = [i for i in range(self.reducer.ambient)
                              if i not in pivot_set]
         self.dim = len(self.free_indices)
-
-    def ambient_coords(self, polys):
-        """Coordinates of (p_1, ..., p_g) in the ambient direct sum."""
-        ring = self.pres.ring
-        F = ring.field
-        vec = [F.zero()] * self.ambient_dim
-        for r, p in enumerate(polys):
-            p = ring.normal_form(p)
-            if p.is_zero():
-                continue
-            base = self.bases[r]
-            index = {m: i for i, m in enumerate(base)}
-            for e, c in p.terms.items():
-                if sum(e) != self.t + self.pres.gen_twists[r]:
-                    raise ValueError("element not homogeneous of piece degree")
-                vec[self.offsets[r] + index[e]] = c
-        return vec
 
     def quotient_coords(self, ambient_vec):
         red = self.reducer.reduce(ambient_vec)
         return [red[i] for i in self.free_indices]
 
-    def coords(self, polys):
-        return self.quotient_coords(self.ambient_coords(polys))
-
     def mult_map(self, p, target_piece):
         """Matrix of multiplication by homogeneous p into target_piece,
-        in quotient coordinates (target rows x self columns)."""
-        from .linalg import ExactMatrix
+        in quotient coordinates (target rows x self columns).  p must have
+        degree target_piece.t - self.t (ValueError otherwise)."""
         ring = self.pres.ring
-        F = ring.field
-        p = ring.normal_form(p)
-        cols = []
-        for i in self.free_indices:
-            # ambient basis vector i corresponds to (generator r, monomial m)
-            r = max(k for k, off in enumerate(self.offsets) if off <= i)
-            m = self.bases[r][i - self.offsets[r]]
-            polys = [ring.zero()] * self.pres.n_gens
-            polys[r] = p.mul_monomial(m)
-            cols.append(target_piece.coords(polys))
-        return ExactMatrix.from_columns(F, cols, target_piece.dim)
+        gens = TwistSum(self.pres.gen_twists)
+        m = ring.piece_matrix(SheafMap.scalar(
+            ring, p, gens, gens.twist(target_piece.t - self.t)), self.t)
+        return ExactMatrix.from_columns(
+            ring.field, [target_piece.quotient_coords(m.column(i))
+                         for i in self.free_indices], target_piece.dim)
 
 
 # -- syzygies ---------------------------------------------------------------

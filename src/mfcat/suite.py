@@ -8,6 +8,7 @@ from .fields import DEFAULT_PRIME, PrimeField
 from .mf import (MFContext, MatrixFactorization, SheafMap, StrictMorphism,
                  TwistSum, cone, direct_sum_mf, shift_mf, twist_mf)
 from .ring import GradedRing
+from .serialize import mf_hash
 
 PROFILES = ("a1-affine", "p1-small", "p2-small")
 
@@ -119,6 +120,5 @@ def generate_suite(seed, profile):
 
 
 def suite_hashes(seed, profile):
-    from .serialize import mf_hash
     _ctx, objs = generate_suite(seed, profile)
     return [mf_hash(E) for E in objs]

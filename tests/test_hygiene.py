@@ -1,5 +1,7 @@
 """Source hygiene: every name a module of the package imports is used in
-that module (a stdlib ast check, so no linter is needed)."""
+that module, and every import sits at module level (the package's import
+graph has no cycles to break); stdlib ast checks, so no linter is
+needed."""
 
 import ast
 import pathlib
@@ -26,6 +28,16 @@ def unused_imports(source):
                   if name not in used)
 
 
+def function_local_imports(source):
+    """(line, function name) of every import inside a function body."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.extend((node.lineno, func.name) for node in ast.walk(func)
+                       if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(set(out))
+
+
 def test_detects_an_unused_import():
     src = "import os\nfrom .x import a, b\n\ndef f():\n    return a\n"
     assert unused_imports(src) == [(1, "os"), (2, "b")]
@@ -34,3 +46,15 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_function_local_import():
+    src = ("import os\n\ndef f():\n    from .x import a\n    return a\n\n"
+           "class C:\n    def m(self):\n        if os:\n"
+           "            import sys\n")
+    assert function_local_imports(src) == [(4, "f"), (10, "m")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert function_local_imports(path.read_text(encoding="utf-8")) == []

@@ -1,11 +1,13 @@
 """Matrix factorizations: verification, constructions, strict morphisms,
 the mapping complex, and homotopies."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfcat.fields import PrimeField
+from mfcat.fields import DEFAULT_PRIME, PrimeField
 from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       StrictMorphism, TwistSum, cone, cycle_from_strict,
                       direct_sum_mf, is_nullhomotopic, mapping_complex,
@@ -14,7 +16,7 @@ from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
 from mfcat.koszul import koszul_truncated, stabilized_mf
 from mfcat.poly import Poly
 from mfcat.ring import GradedRing, monomials_of_degree
-from mfcat.suite import rank_one_mf, unit_e0_factorization
+from mfcat.suite import _grow, rank_one_mf, unit_e0_factorization
 
 
 class TestVerify:
@@ -187,6 +189,81 @@ class TestSparseCompose:
         h = g.compose(f)
         assert h.is_zero()
         assert h.entries == dense_compose(g, f)
+
+
+def assert_reduced(m):
+    """Every entry of the SheafMap m is its own normal form."""
+    for row in m.entries:
+        for p in row:
+            assert m.ring.normal_form(p) == p, m.ring.to_str(p)
+
+
+class TestNormalFormInvariant:
+    """SheafMap entries are normal forms by construction.  Checked on a
+    quotient ring, where normal_form is not the identity: Proj
+    k[x,y,z]/(xy) with W = z, and a corpus grown from the unit object the
+    way the p2-small profile is."""
+
+    @pytest.fixture(scope="class")
+    def nodal(self):
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                          ideal_strings=["x*y"])
+        ctx = MFContext(ring, ring.poly("z"))
+        corpus = _grow(random.Random(0), ctx, [unit_e0_factorization(ctx)], 4)
+        P, aug = koszul_truncated(ring, 1)
+        Es, eps = stabilized_mf(P, aug, corpus[0])
+        return ring, corpus, Es, eps
+
+    def test_engine_maps_are_reduced(self, nodal):
+        ring, corpus, Es, eps = nodal
+        objs = corpus + [Es]
+        maps = [Es.e1, Es.e0, eps.g1, eps.g0]
+        for E in objs:
+            maps += [shift_mf(E).e1, shift_mf(E).e0]
+            for F in objs:
+                C = mapping_complex(E, F)
+                cn = cone(StrictMorphism.zero(E, F))
+                ds = direct_sum_mf(E, F)
+                maps += [C.dm1, C.d0, cn.e1, cn.e0, ds.e1, ds.e0]
+        # x * (the y entries of the Koszul part) lies in the ideal
+        x = SheafMap.scalar(ring, ring.poly("x"), Es.E0, Es.E0.twist(1))
+        xe1 = x.compose(Es.e1)
+        assert not xe1.is_zero()
+        maps += [xe1, Es.e1 + Es.e1, Es.e1 - Es.e1, -Es.e0, Es.e0.scale(3),
+                 Es.e0.compose(Es.e1), eps.g0.compose(Es.e1)]
+        for m in maps:
+            assert_reduced(m)
+
+    def test_compose_reduces_products(self, nodal):
+        ring = nodal[0]
+        T = TwistSum([0, 1])
+        x = SheafMap.scalar(ring, ring.poly("x"), T, T.twist(1))
+        y = SheafMap.scalar(ring, ring.poly("y"), T.twist(-1), T)
+        xy = x.compose(y)
+        assert xy.is_zero() and xy == SheafMap.zero(ring, T.twist(-1),
+                                                     T.twist(1))
+
+    def test_checked_construction_reduces_and_checks_degrees(self, nodal):
+        ring = nodal[0]
+        x, y = ring.poly("x"), ring.poly("y")
+        m = SheafMap(ring, TwistSum([0]), TwistSum([2]), [[x * y]])
+        assert m.is_zero()
+        with pytest.raises(ValueError, match="homogeneous of degree 2"):
+            SheafMap(ring, TwistSum([0]), TwistSum([2]), [[x]])
+
+    def test_unchecked_construction_skips_normal_forms(self, nodal,
+                                                       monkeypatch):
+        ring, _corpus, Es, _eps = nodal
+        calls = []
+        nf = ring.normal_form
+        monkeypatch.setattr(ring, "normal_form",
+                            lambda p: calls.append(p) or nf(p))
+        maps = [SheafMap(ring, Es.E1, Es.E0, Es.e1.entries, check=False),
+                Es.e1.twist(1), -Es.e1,
+                SheafMap.from_blocks(ring, [Es.E1], [Es.E0], [[Es.e1]])]
+        assert calls == [] and all(m.entries for m in maps)
+        SheafMap(ring, Es.E1, Es.E0, Es.e1.entries)
+        assert len(calls) == Es.E1.rank * Es.E0.rank
 
 
 def assert_homotopy(f):

@@ -3,10 +3,15 @@ ideals."""
 
 import pytest
 
+from mfcat.fields import DEFAULT_PRIME, PrimeField
 from mfcat.modules import (ModulePresentation, contains_irrelevant_power,
                            default_saturation_bound, fitting_ideal,
                            ideals_equal, syzygies, syzygy_presentation)
 from mfcat.ring import GradedRing, binom
+
+
+NODAL = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                   ideal_strings=["x*y"])
 
 
 def mk_pres(ring, twists, cols_strs):
@@ -32,14 +37,32 @@ class TestPieces:
         assert [N.piece_dim(t) for t in range(5)] == [0, 0, 1, 1, 1]
 
     def test_mult_map_squares(self, ring_p1):
-        # multiplication by x1 then x1 equals multiplication by x1^2
-        M = mk_pres(ring_p1, [0], [["x0"]])
-        p0, p1, p2 = M.piece(0), M.piece(1), M.piece(2)
-        x1 = ring_p1.poly("x1")
-        A = p0.mult_map(x1, p1)
-        B = p1.mult_map(x1, p2)
-        C = p0.mult_map(ring_p1.poly("x1^2"), p2)
-        assert B.matmul(A).rows == C.rows
+        # multiplication by p then p equals multiplication by p^2; on
+        # k[x,y,z]/(xy) the piece bases are standard monomials and
+        # (x + y)^2 reduces to x^2 + y^2 (the zero column adds nothing)
+        cases = [(ring_p1, [0], [["x0"]], "x1", "x1^2"),
+                 (NODAL, [0, 0], [["x", "y"], ["0", "0"]], "x + y",
+                  "x^2 + 2*x*y + y^2")]
+        for ring, twists, cols, p, psq in cases:
+            M = mk_pres(ring, twists, cols)
+            m0, m1, m2 = M.piece(0), M.piece(1), M.piece(2)
+            A = m0.mult_map(ring.poly(p), m1)
+            B = m1.mult_map(ring.poly(p), m2)
+            C = m0.mult_map(ring.poly(psq), m2)
+            assert B.matmul(A).rows == C.rows
+        assert (m0.dim, m1.dim, m2.dim) == (2, 5, 7)
+
+    def test_mult_map_wrong_degree_raises(self):
+        M = mk_pres(NODAL, [0, 0], [["x", "y"]])
+        with pytest.raises(ValueError):
+            M.piece(0).mult_map(NODAL.poly("z"), M.piece(2))
+
+    def test_mult_map_by_zero(self):
+        M = mk_pres(NODAL, [0, 0], [["x", "y"]])
+        src, dst = M.piece(1), M.piece(2)
+        Z = src.mult_map(NODAL.zero(), dst)
+        assert (Z.nrows, Z.ncols) == (dst.dim, src.dim) == (7, 5)
+        assert Z.is_zero()
 
 
 class TestSyzygies:
