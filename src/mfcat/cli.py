@@ -238,6 +238,9 @@ def cmd_ext_table(args, inputs):
     inputs.append(no)
     if N.ring != E.ctx.y_ring():
         raise CliError("module must live over the hypersurface ring R/(W)")
+    if args.q_lo > args.q_hi:
+        raise CliError("--q-lo (%d) must not exceed --q-hi (%d)"
+                       % (args.q_lo, args.q_hi))
     table = ext_gamma_dims(E, N, range(args.q_lo, args.q_hi + 1))
     return {"table": {str(q): table[q] for q in sorted(table)}}, 0
 

@@ -14,9 +14,10 @@ they are assembled as sparse rows, one {column: value} dict per target
 row, and only their ranks are computed, by sparse elimination.
 """
 
-from itertools import combinations, compress
+from itertools import combinations
 
-from .linalg import ExactMatrix, kernel_basis, solve, sparse_rank
+from .linalg import (ExactMatrix, homology_dim, kernel_basis, solve,
+                     sparse_blocks)
 from .mf import SheafMap, TwistSum
 from .poly import Poly
 from .ring import binom
@@ -70,75 +71,62 @@ class CechSpace:
         self.p = p
         self.B = B
         self.subsets = _subsets(ring.nvars, p)
-        self.block_dims = []
-        self.offsets = []
-        off = 0
-        for S in self.subsets:
-            for a in self.twists:
-                self.offsets.append(off)
-                dim = ring.hilbert(a + B * len(S))
-                self.block_dims.append(dim)
-                off += dim
-        self.dim = off
-
-    def block_index(self, s_idx, t_idx):
-        return s_idx * len(self.twists) + t_idx
-
-    def block_offset(self, s_idx, t_idx):
-        return self.offsets[self.block_index(s_idx, t_idx)]
+        # block s * len(twists) + t: twist t on the open of subset s
+        self.block_dims = [ring.hilbert(a + B * len(S))
+                           for S in self.subsets for a in self.twists]
+        self.dim = sum(self.block_dims)
 
 
-def _put_block(out, block, ro, co, sign, F):
-    """Write the nonzero entries of a dense block, times sign, into the
-    sparse rows out at offset (ro, co).  The blocks a differential is made
-    of cover disjoint positions, so no entry is written twice."""
-    for r, row in enumerate(block):
-        nonzero = compress(range(len(row)), row)
-        if sign > 0:
-            out[ro + r].update((co + c, row[c]) for c in nonzero)
-        else:
-            out[ro + r].update((co + c, F.neg(row[c])) for c in nonzero)
+def _signed(field, rows, sign):
+    """Sparse rows times sign (+1 or -1), as new rows when negated."""
+    if sign > 0:
+        return rows
+    return [{c: field.neg(v) for c, v in row.items()} for row in rows]
 
 
 def cech_horizontal(src_space, dst_space):
-    """The Cech differential C^p -> C^{p+1} (same twist list), as sparse
-    rows."""
+    """The Cech differential C^p -> C^{p+1} (same twist list), as
+    (sparse rows, ncols): on each twist summand, the face S of T = S + {i}
+    maps by x_i^B, signed (-1)^(position of i in T)."""
     ring = src_space.ring
-    F = ring.field
     B = src_space.B
-    out = [{} for _ in range(dst_space.dim)]
-    src_index = {S: i for i, S in enumerate(src_space.subsets)}
-    for tj, T in enumerate(dst_space.subsets):
+    nt = len(src_space.twists)
+    src_index = {S: k for k, S in enumerate(src_space.subsets)}
+    faces = {}
+    for tk, T in enumerate(dst_space.subsets):
         for pos, i in enumerate(T):
-            S = T[:pos] + T[pos + 1:]
-            si = src_index[S]
-            sign = 1 if pos % 2 == 0 else -1
-            xiB = _xs_power(ring, (i,), B)
-            for t_idx, a in enumerate(src_space.twists):
-                block = ring.mult_matrix(xiB, a + B * len(S))
-                _put_block(out, block, dst_space.block_offset(tj, t_idx),
-                           src_space.block_offset(si, t_idx), sign, F)
-    return out
+            faces[tk, src_index[T[:pos] + T[pos + 1:]]] = (pos, i)
+
+    def block(r, c):
+        (tk, tr), (sk, tc) = divmod(r, nt), divmod(c, nt)
+        face = faces.get((tk, sk)) if tr == tc else None
+        if face is None:
+            return None
+        pos, i = face
+        a = src_space.twists[tc] + B * (src_space.p + 1)
+        return _signed(ring.field,
+                       ring.mult_matrix(_xs_power(ring, (i,), B), a),
+                       -1 if pos % 2 else 1)
+
+    return sparse_blocks(dst_space.block_dims, src_space.block_dims, block)
 
 
 def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
     """Apply a map of twist sums on each localized piece (same p), as
-    sparse rows."""
+    (sparse rows, ncols)."""
     ring = src_space.ring
-    F = ring.field
-    B = src_space.B
-    out = [{} for _ in range(dst_space.dim)]
-    for s_idx, S in enumerate(src_space.subsets):
-        shift = B * len(S)
-        for c_t, a in enumerate(src_space.twists):
-            for r_t, b in enumerate(dst_space.twists):
-                p = sheaf_map.entries[r_t][c_t]
-                if p.is_zero():
-                    continue
-                block = ring.mult_matrix(p, a + shift)
-                _put_block(out, block, dst_space.block_offset(s_idx, r_t),
-                           src_space.block_offset(s_idx, c_t), sign, F)
-    return out
+    shift = src_space.B * (src_space.p + 1)
+    ns, nd = len(src_space.twists), len(dst_space.twists)
+
+    def block(r, c):
+        (sr, tr), (sc, tc) = divmod(r, nd), divmod(c, ns)
+        p = sheaf_map.entries[tr][tc]
+        if sr != sc or p.is_zero():
+            return None
+        return _signed(ring.field,
+                       ring.mult_matrix(p, src_space.twists[tc] + shift), sign)
+
+    return sparse_blocks(dst_space.block_dims, src_space.block_dims, block)
 
 
 def cech_cohomology_at(ring, n, p, B):
@@ -146,20 +134,12 @@ def cech_cohomology_at(ring, n, p, B):
     m = ring.nvars - 1
     if p < 0 or p > m:
         return 0
-    spaces = {}
-    for pp in (p - 1, p, p + 1):
-        if 0 <= pp <= m:
-            spaces[pp] = CechSpace(ring, [n], pp, B)
-    cur = spaces[p]
-    F = ring.field
-    z = cur.dim
-    if p + 1 in spaces:
-        z -= sparse_rank(F, cech_horizontal(cur, spaces[p + 1]), cur.dim)
-    b = 0
-    if p - 1 in spaces:
-        prev = spaces[p - 1]
-        b = sparse_rank(F, cech_horizontal(prev, cur), prev.dim)
-    return z - b
+    cur = CechSpace(ring, [n], p, B)
+    d_out = ([], cur.dim) if p == m else \
+        cech_horizontal(cur, CechSpace(ring, [n], p + 1, B))
+    d_in = ([], 0) if p == 0 else \
+        cech_horizontal(CechSpace(ring, [n], p - 1, B), cur)
+    return homology_dim(ring.field, d_out, d_in)
 
 
 def _stable_value(value_at, setup):
@@ -182,47 +162,38 @@ def cech_cohomology(ring, n, p, setup=None):
 
 def _total_space(C, n, B):
     """Degree n of the truncated total complex of the Cech bicomplex of C:
-    the CechSpace of the term C^{n-p} in Cech degree p, for each p, with
-    the block offsets and the total dimension."""
+    the CechSpace of the term C^{n-p} in Cech degree p, for each p."""
     ring = C.ctx.ring
-    spaces = [CechSpace(ring, list(C.term(n - p).twists), p, B)
-              for p in range(ring.nvars)]
-    return spaces, _offsets([sp.dim for sp in spaces]), \
-        sum(sp.dim for sp in spaces)
+    return [CechSpace(ring, list(C.term(n - p).twists), p, B)
+            for p in range(ring.nvars)]
 
 
 def cech_total_diff(C, q, B):
     """The differential Tot^q -> Tot^{q+1} of the truncated Cech bicomplex
-    of a twisted periodic complex C, as sparse rows (one {column: value}
-    dict per target row), and its number of columns.  The horizontal Cech
-    maps and the vertical maps of C, signed (-1)^p, fill disjoint blocks."""
-    src, soffs, sdim = _total_space(C, q, B)
-    dst, doffs, ddim = _total_space(C, q + 1, B)
-    out = [{} for _ in range(ddim)]
-    for p, sp in enumerate(src):
-        if not sp.dim:
-            continue
-        blocks = []
-        if p + 1 < len(dst) and dst[p + 1].dim:
-            blocks.append((p + 1, cech_horizontal(sp, dst[p + 1])))
-        if dst[p].dim:
-            blocks.append((p, cech_vertical(sp, dst[p], C.diff(q - p),
-                                            sign=1 if p % 2 == 0 else -1)))
-        for t, blk in blocks:
-            ro, co = doffs[t], soffs[p]
-            for i, row in enumerate(blk):
-                if row:
-                    out[ro + i].update((co + c, v) for c, v in row.items())
-    return out, sdim
+    of a twisted periodic complex C, as (sparse rows, ncols).  The
+    horizontal Cech maps and the vertical maps of C, signed (-1)^p, fill
+    disjoint blocks."""
+    src, dst = _total_space(C, q, B), _total_space(C, q + 1, B)
+
+    def block(t, p):
+        if not (src[p].dim and dst[t].dim):
+            return None
+        if t == p + 1:
+            return cech_horizontal(src[p], dst[t])[0]
+        if t == p:
+            return cech_vertical(src[p], dst[t], C.diff(q - p),
+                                 sign=1 if p % 2 == 0 else -1)[0]
+        return None
+
+    return sparse_blocks([sp.dim for sp in dst], [sp.dim for sp in src],
+                         block)
 
 
 def cech_hypercohomology_at(C, q, B):
     """dim H^q of the truncated total complex of the Cech bicomplex of a
     twisted periodic complex C."""
-    F = C.ctx.ring.field
-    d_in, n_in = cech_total_diff(C, q - 1, B)
-    d_out, n = cech_total_diff(C, q, B)
-    return n - sparse_rank(F, d_out, n) - sparse_rank(F, d_in, n_in)
+    return homology_dim(C.ctx.ring.field, cech_total_diff(C, q, B),
+                        cech_total_diff(C, q - 1, B))
 
 
 def cech_hypercohomology(C, q, setup=None):
@@ -269,9 +240,9 @@ class GlobalSections:
         chosen = None
         for B in self.setup.schedule():
             sp0, d = _h0_diff(self.ring, n, B)
-            if sp0.dim - sparse_rank(F, d, sp0.dim) == \
+            if homology_dim(F, d, ([], 0)) == \
                     cech_cohomology_at(self.ring, n, 0, B + 1):
-                chosen = (B, sp0, _kernel_of(F, d, sp0.dim))
+                chosen = (B, sp0, _kernel_of(F, d))
                 break
         if chosen is None:
             raise RuntimeError("Cech H^0 did not stabilize for twist %d" % n)
@@ -290,24 +261,26 @@ class GlobalSections:
     # matrices
 
     def mult(self, p, n):
-        """Gamma(O(n)) -> Gamma(O(n + deg p)), multiplication by p."""
+        """Gamma(O(n)) -> Gamma(O(n + deg p)), multiplication by p, as
+        sparse rows (columns in range(self.dim(n))); on saturated degrees
+        it is the cached GradedRing.mult_matrix, not to be modified."""
         ring = self.ring
         F = ring.field
         p = ring.normal_form(p)
         d = max(p.total_degree(), 0)
         if self.saturated(n) and self.saturated(n + d):
-            return ExactMatrix(F, ring.mult_matrix(p, n), ring.hilbert(n))
+            return ring.mult_matrix(p, n)
         B, sp0, K = self._kernel(n)
         B2, tp0, L = self._kernel(n + d)
         if B2 != B:
             # recompute the source kernel at the larger bound (bases embed)
             Bmax = max(B, B2)
             sp0, dK = _h0_diff(ring, n, Bmax)
-            K = _kernel_of(F, dK, sp0.dim)
+            K = _kernel_of(F, dK)
             tp0, dL = _h0_diff(ring, n + d, Bmax)
-            L = _kernel_of(F, dL, tp0.dim)
-        amb = cech_vertical(sp0, tp0, _single_entry_map(ring, p, n, n + d))
-        cols = []
+            L = _kernel_of(F, dL)
+        amb, _ = cech_vertical(sp0, tp0, _single_entry_map(ring, p, n, n + d))
+        out = [{} for _ in range(L.ncols)]
         for j in range(K.ncols):
             v = K.column(j)
             img = [F.of(sum(a * v[c] for c, a in row.items())) for row in amb]
@@ -315,28 +288,19 @@ class GlobalSections:
             if x is None:
                 raise RuntimeError("section image left the section space "
                                    "(truncation too small)")
-            cols.append(x)
-        return ExactMatrix.from_columns(F, cols, L.ncols)
+            for row, v in zip(out, x):
+                if not F.is_zero(v):
+                    row[j] = v
+        return out
 
     def sheafmap_rows(self, f):
-        """Gamma of a map of twist sums as sparse rows (one {column: value}
-        dict per row) and its number of columns: block (r, c) is
-        multiplication by f's entry (r, c)."""
-        F = self.ring.field
-        row_dims = [self.dim(b) for b in f.dst]
-        col_dims = [self.dim(a) for a in f.src]
-        row_offs = _offsets(row_dims)
-        col_offs = _offsets(col_dims)
-        out = [{} for _ in range(sum(row_dims))]
-        for r, row in enumerate(f.entries):
-            for c, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                blk = self.mult(p, f.src[c])
-                if blk.nrows != row_dims[r] or blk.ncols != col_dims[c]:
-                    raise ValueError("block (%d, %d) has wrong shape" % (r, c))
-                _put_block(out, blk.rows, row_offs[r], col_offs[c], 1, F)
-        return out, sum(col_dims)
+        """Gamma of a map of twist sums as (sparse rows, ncols): block
+        (r, c) is multiplication by f's entry (r, c)."""
+        def block(r, c):
+            p = f.entries[r][c]
+            return None if p.is_zero() else self.mult(p, f.src[c])
+        return sparse_blocks([self.dim(b) for b in f.dst],
+                             [self.dim(a) for a in f.src], block)
 
     def sheafmap_matrix(self, f):
         """Gamma of a map of twist sums, as one dense block matrix."""
@@ -350,18 +314,9 @@ def _h0_diff(ring, n, B):
     return sp0, cech_horizontal(sp0, CechSpace(ring, [n], 1, B))
 
 
-def _kernel_of(field, rows, ncols):
-    """Kernel basis of a sparse-row matrix (dense elimination)."""
-    return kernel_basis(ExactMatrix.from_sparse_rows(field, rows, ncols))
-
-
-def _offsets(dims):
-    offs = []
-    off = 0
-    for d in dims:
-        offs.append(off)
-        off += d
-    return offs
+def _kernel_of(field, d):
+    """Kernel basis of a (sparse rows, ncols) matrix (dense elimination)."""
+    return kernel_basis(ExactMatrix.from_sparse_rows(field, *d))
 
 
 def _single_entry_map(ring, p, a, b):

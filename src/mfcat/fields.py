@@ -13,8 +13,8 @@ class PrimeField:
 
     def __init__(self, p):
         if 64 * p * p >= 2 ** 53:
-            # linalg eliminates in float64 panels of 64 columns; above this
-            # bound the accumulated products are no longer exact
+            # kept as part of the input contract, so the accepted moduli
+            # stay the same; linalg itself is exact in Python ints for any p
             raise ValueError("modulus %d is too large: exact elimination "
                              "needs 64*p^2 < 2^53" % p)
         if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):

@@ -8,7 +8,7 @@ from functools import cached_property
 from .cohomology import GlobalSections, vanishing_threshold
 from .hypersurface import coker_module
 from .koszul import koszul_truncated, stabilized_mf, tensor_mf, tot_chain_morphism
-from .linalg import (CosetReducer, ExactMatrix, kernel_basis, rank,
+from .linalg import (CosetReducer, ExactMatrix, homology_dim, kernel_basis,
                      sparse_matmul, sparse_rank)
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
                  cone, hom_twists, mapping_complex, solve_homotopy,
@@ -86,8 +86,8 @@ class GammaComplex:
         boundaries lie in the cycles)."""
         if any(sparse_matmul(self.field, self.m_out, self.m_in)):
             raise ValueError("boundary space is not contained in the cycle space")
-        return self.n - sparse_rank(self.field, self.m_out, self.n) \
-            - sparse_rank(self.field, self.m_in, self.n_in)
+        return homology_dim(self.field, (self.m_out, self.n),
+                            (self.m_in, self.n_in))
 
     @cached_property
     def cycle_space(self):
@@ -122,16 +122,15 @@ def _cycle_basis_classes(E, F, gs, Z, reducer):
     """Coset representatives of ker/im as verified strict morphisms."""
     field = E.ctx.ring.field
     picked = []
-    picked_matrix = None
     classes = []
     for j in range(Z.ncols):
         v = reducer.reduce(Z.column(j))
         if all(field.is_zero(a) for a in v):
             continue
-        cand = picked + [v]
-        M = ExactMatrix.from_columns(field, cand, Z.nrows)
-        if rank(M) == len(cand):
-            picked.append(v)
+        cand = picked + [{i: a for i, a in enumerate(v)
+                          if not field.is_zero(a)}]
+        if sparse_rank(field, cand, Z.nrows) == len(cand):
+            picked = cand
             polys = _c0_coords_to_polys(E, F, gs, v)
             f = strict_from_cycle(E, F, polys)
             classes.append(StabilizedClass(E, F, (), f))

@@ -3,7 +3,8 @@ cokernel presentations, unrolled periodic resolutions, graded Ext tables,
 stable Hom dimensions, reconstruction of a factorization from a module
 map, and relative perfection of modules."""
 
-from .linalg import ExactMatrix, rank, solve
+from .linalg import (ExactMatrix, homology_dim, solve, sparse_blocks,
+                     sparse_rank)
 from .mf import MatrixFactorization, _post_compose_matrix, unpack_maps
 from .modules import (ModulePresentation, _minimalize_generators,
                       syzygy_presentation)
@@ -37,9 +38,8 @@ def periodic_resolution(E, lo=-6, hi=0, t_range=None):
         f_in = E.diff_at(q - 1)
         f_out = E.diff_at(q)
         for t in t_range:
-            m_in = ry.piece_matrix(f_in, t)
-            m_out = ry.piece_matrix(f_out, t)
-            h = m_out.ncols - rank(m_out) - rank(m_in)
+            h = homology_dim(ry.field, ry.piece_matrix(f_out, t),
+                             ry.piece_matrix(f_in, t))
             if h != 0:
                 failures.append({"spot": q, "internal_degree": t, "dim": h})
     return {"window": [lo, hi], "terms": terms,
@@ -51,7 +51,8 @@ def periodic_resolution(E, lo=-6, hi=0, t_range=None):
 
 def _ext_differential(E, N, q):
     """Matrix of Hom(i^*E^{-q}, N)_0 -> Hom(i^*E^{-q-1}, N)_0 given by
-    precomposition with the differential of i^*E."""
+    precomposition with the differential of i^*E, as (sparse rows,
+    ncols)."""
     d = E.diff_at(-q - 1)            # component(-q-1) -> component(-q)
     src_pieces = [N.piece(-a) for a in d.dst]   # Hom(i^*E^{-q}, N)_0
     dst_pieces = [N.piece(-a) for a in d.src]
@@ -61,11 +62,10 @@ def _ext_differential(E, N, q):
         p = N.ring.normal_form(d.entries[c][r])
         if p.is_zero() or not (pc.dim and pr.dim):
             return None
-        return pc.mult_map(p, pr).rows
+        return pc.mult_map(p, pr)
 
-    return ExactMatrix.from_blocks(N.ring.field,
-                                   [pr.dim for pr in dst_pieces],
-                                   [pc.dim for pc in src_pieces], block)
+    return sparse_blocks([pr.dim for pr in dst_pieces],
+                         [pc.dim for pc in src_pieces], block)
 
 
 def ext_gamma_dims(E, N, q_range):
@@ -74,11 +74,10 @@ def ext_gamma_dims(E, N, q_range):
     if N.ring != E.ctx.y_ring():
         raise ValueError("N must be a module over the hypersurface ring")
     qs = sorted(q_range)
+    if not qs:
+        raise ValueError("empty range of Ext degrees q")
     mats = {q: _ext_differential(E, N, q) for q in range(qs[0] - 1, qs[-1] + 1)}
-    out = {}
-    for q in qs:
-        out[q] = mats[q].ncols - rank(mats[q]) - rank(mats[q - 1])
-    return out
+    return {q: homology_dim(N.ring.field, mats[q], mats[q - 1]) for q in qs}
 
 
 def stable_hom_dim(E, N, extra_steps=8):
@@ -115,8 +114,8 @@ def mf_from_module(ctx, alpha, injectivity_bound=None):
         spread = max((abs(a) for a in tuple(E1) + tuple(E0)), default=0)
         injectivity_bound = spread + ring.max_ideal_degree() + d + 3
     for t in range(0, injectivity_bound + 1):
-        m = ring.piece_matrix(alpha, t)
-        if rank(m) < m.ncols:
+        rows, ncols = ring.piece_matrix(alpha, t)
+        if sparse_rank(ring.field, rows, ncols) < ncols:
             raise ValueError(
                 "alpha has a kernel in internal degree %d: it does not "
                 "present a module of projective dimension one" % t)
@@ -125,7 +124,9 @@ def mf_from_module(ctx, alpha, injectivity_bound=None):
                                 E0.twist(d))
     w_id = [ctx.W if r == c else ring.zero()
             for r in range(E0.rank) for c in range(E0.rank)]
-    x = solve(ring.piece_matrix(post, 0), ring.coords(w_id, post.dst))
+    x = solve(ExactMatrix.from_sparse_rows(ring.field,
+                                           *ring.piece_matrix(post, 0)),
+              ring.coords(w_id, post.dst))
     if x is None:
         raise ValueError("W*id does not factor through alpha: the cokernel "
                          "is not a matrix-factorization module")

@@ -8,7 +8,7 @@ T^n = (+)_p C_p^{n-p} with differential (vertical with sign (-1)^p) +
 
 from itertools import combinations
 
-from .linalg import rank
+from .linalg import homology_dim
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
                  zero_mf)
 from .poly import Poly
@@ -111,12 +111,9 @@ def free_complex_homology_dims(fc, t, q_range, augmentation=None):
             return SheafMap.zero(ring, term(q), term(q + 1))
         return fc.map_at(q)
 
-    out = {}
-    for q in q_range:
-        d_in = ring.piece_matrix(map_at(q - 1), t)
-        d_out = ring.piece_matrix(map_at(q), t)
-        out[q] = d_out.ncols - rank(d_out) - rank(d_in)
-    return out
+    return {q: homology_dim(ring.field, ring.piece_matrix(map_at(q), t),
+                            ring.piece_matrix(map_at(q - 1), t))
+            for q in q_range}
 
 
 def koszul_exactness_report(ring, j, t_range=None):

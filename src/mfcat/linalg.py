@@ -1,16 +1,15 @@
 """Exact linear algebra over a prime field or the rationals.
 
-Dense prime-field matrices are eliminated in blocked numpy float64
-arithmetic, exact because every accumulated value stays an integer below
-2^53 (fields.PrimeField enforces 64 * p^2 < 2^53); dense rational matrices
-use Fraction arithmetic.  Sparse matrices, given as one {column: value}
-dict per row, have an exact rank and product in Python scalars
-(sparse_rank, sparse_matmul).  All dimensions are exact integers.
+Matrices are built as sparse rows, one {column: value} dict per row, and
+a matrix travels with its number of columns as (rows, ncols); sparse_blocks
+assembles one from blocks.  Counts (sparse_rank, homology_dim) and
+products (sparse_matmul) are exact in Python scalars and never densify.
+Bases (kernel_basis, solve, CosetReducer) come from Gauss-Jordan
+elimination (rref) of a dense ExactMatrix, in the field's own arithmetic
+over F_p and over Q alike.
 """
 
 import heapq
-
-import numpy as np
 
 from .fields import PrimeField
 
@@ -59,26 +58,6 @@ class ExactMatrix:
         return m
 
     @staticmethod
-    def from_blocks(field, row_dims, col_dims, block):
-        """Assemble a block matrix; block(r, c) gives the dense rows of
-        block (r, c), row_dims[r] x col_dims[c], or None for a zero block
-        (the matrix counterpart of mf.SheafMap.from_blocks)."""
-        m = ExactMatrix.zeros(field, sum(row_dims), sum(col_dims))
-        roff = 0
-        for r, nr in enumerate(row_dims):
-            coff = 0
-            for c, nc in enumerate(col_dims):
-                blk = block(r, c)
-                if blk is not None:
-                    if len(blk) != nr or any(len(row) != nc for row in blk):
-                        raise ValueError("block (%d, %d) has wrong shape" % (r, c))
-                    for dense, row in zip(m.rows[roff:roff + nr], blk):
-                        dense[coff:coff + nc] = row
-                coff += nc
-            roff += nr
-        return m
-
-    @staticmethod
     def from_sparse_rows(field, rows, ncols):
         """Dense matrix of sparse rows (one {column: value} dict per row)."""
         m = ExactMatrix.zeros(field, len(rows), ncols)
@@ -122,18 +101,6 @@ class ExactMatrix:
         F = self.field
         if other.nrows != self.ncols:
             raise ValueError("matmul shape mismatch")
-        if isinstance(F, PrimeField):
-            if self.nrows == 0 or other.ncols == 0:
-                return ExactMatrix.zeros(F, self.nrows, other.ncols)
-            A = np.array(self.rows, dtype=np.float64)
-            B = np.array(other.rows, dtype=np.float64)
-            # block the inner product so accumulated sums stay exact in
-            # float64 (each product < p^2, sums must stay below 2^53)
-            step = max(1, (1 << 53) // (F.p * F.p))
-            acc = np.zeros((self.nrows, other.ncols), dtype=np.float64)
-            for k in range(0, self.ncols, step):
-                acc = (acc + A[:, k:k + step] @ B[k:k + step, :]) % F.p
-            return ExactMatrix(F, acc.astype(np.int64).tolist(), other.ncols)
         out = ExactMatrix.zeros(F, self.nrows, other.ncols)
         for i in range(self.nrows):
             for j in range(other.ncols):
@@ -156,155 +123,63 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d)" % (self.nrows, self.ncols)
 
 
+# -- sparse assembly ---------------------------------------------------
+
+
+def sparse_blocks(row_dims, col_dims, block):
+    """Assemble a block matrix as (sparse rows, ncols): block(r, c) gives
+    the sparse rows of block (r, c), row_dims[r] of them with columns in
+    range(col_dims[c]), or None for a zero block.  The blocks are read,
+    never modified, so they may be cached."""
+    col_offs = []
+    ncols = 0
+    for nc in col_dims:
+        col_offs.append(ncols)
+        ncols += nc
+    out = []
+    for r, nr in enumerate(row_dims):
+        rows = [{} for _ in range(nr)]
+        for c, nc in enumerate(col_dims):
+            blk = block(r, c)
+            if blk is None:
+                continue
+            if len(blk) != nr or any(row and max(row) >= nc for row in blk):
+                raise ValueError("block (%d, %d) has wrong shape" % (r, c))
+            co = col_offs[c]
+            for dst, row in zip(rows, blk):
+                dst.update({co + k: v for k, v in row.items()})
+        out.extend(rows)
+    return out, ncols
+
+
 # -- elimination --------------------------------------------------------
 
 
-_PANEL = 64  # 64 * p^2 < 2^53 keeps blocked float64 updates exact
-
-
-def _rref_prime(field, rows, ncols):
-    """Blocked Gauss-Jordan over F_p in float64 (all values stay integral:
-    products are < p^2 and the accumulated delayed updates stay below 2^53)."""
-    p = field.p
-    if not rows:
-        return [], []
-    A = np.array(rows, dtype=np.float64) % p
-    nrows = A.shape[0]
-    # Reductions mod p are delayed across panels: an entry accumulates at
-    # most one product < p^2 per pivot (forward) plus one per pivot
-    # (backward) before it is next canonicalized.  Fall back to per-panel
-    # reductions when that delayed total could reach 2^53.
-    delay = (nrows + ncols + _PANEL) * p * p < 2 ** 53
+def rref(A):
+    """Reduced row echelon form by Gauss-Jordan elimination; returns
+    (R, pivot column list)."""
+    F = A.field
+    R = [list(r) for r in A.rows]
+    nrows = len(R)
     pivots = []
     r = 0
-    c = 0
-    # forward pass: row echelon with panel factorization + matmul updates
-    while r < nrows and c < ncols:
-        cb = min(c + _PANEL, ncols)
-        panel_pivots = []       # columns, pivot i lives in row r + i
-        for col in range(c, cb):
-            k = len(panel_pivots)
-            if r + k >= nrows:
-                break
-            # the strip below carries delayed (un-reduced but exact) values;
-            # canonicalize this column before pivot search and elimination
-            A[r + k:, col] %= p
-            sub = A[r + k:, col]
-            nz = np.nonzero(sub)[0]
-            if nz.size == 0:
-                continue
-            i = r + k + int(nz[0])
-            if i != r + k:
-                A[[r + k, i]] = A[[i, r + k]]
-            # scale only from the pivot column on: earlier panel columns of
-            # this row hold multiplier storage that must stay untouched
-            A[r + k, col:cb] %= p
-            inv = pow(int(A[r + k, col]), p - 2, p)
-            A[r + k, col:cb] = (A[r + k, col:cb] * inv) % p
-            below = A[r + k + 1:, col].copy()
-            if below.size:
-                # eliminate below within the panel only, with the reduction
-                # mod p delayed to the end of the panel (values stay exact:
-                # at most PANEL products of size < p^2 accumulate, < 2^53);
-                # the multipliers are remembered in the pivot column itself
-                A[r + k + 1:, col + 1:cb] -= np.outer(below,
-                                                      A[r + k, col + 1:cb])
-                A[r + k + 1:, col] = below
-            # the pivot slot remembers the scale factor for the trailing part
-            A[r + k, col] = inv
-            panel_pivots.append(col)
-        A[r:, c:cb] %= p
-        k = len(panel_pivots)
-        if k and cb < ncols:
-            # forward-substitute the trailing parts of the panel's pivot
-            # rows (they were only updated inside the panel so far); each
-            # row is canonicalized right before it is scaled and used, so
-            # the elimination updates below it can stay delayed
-            for i in range(k):
-                A[r + i, cb:] %= p
-                inv = A[r + i, panel_pivots[i]]
-                A[r + i, cb:] = (A[r + i, cb:] * inv) % p
-                if i + 1 < k:
-                    factors = A[r + i + 1:r + k, panel_pivots[i]]
-                    A[r + i + 1:r + k, cb:] -= np.outer(factors,
-                                                        A[r + i, cb:])
-                    if not delay:
-                        A[r + i + 1:r + k, cb:] %= p
-            # one blocked update for all rows below the panel
-            if r + k < nrows:
-                L = A[r + k:, panel_pivots]
-                A[r + k:, cb:] -= L @ A[r:r + k, cb:]
-                if not delay:
-                    A[r + k:, cb:] %= p
-        # clear the multiplier storage
-        for i, col in enumerate(panel_pivots):
-            A[r + i, col] = 1.0
-            A[r + i + 1:, col] = 0.0
-        pivots.extend(panel_pivots)
-        r += k
-        c = cb
-    if r < nrows:
-        A[r:, :] %= p  # non-pivot rows: delayed values that are all == 0 mod p
-    # backward pass: clear above the pivots, in panels, bottom up
-    npiv = len(pivots)
-    i1 = npiv
-    while i1 > 0:
-        i0 = max(0, i1 - _PANEL)
-        # reduce the panel's own pivot rows against each other (bottom up),
-        # with the reduction mod p delayed to the end of the panel
-        for i in range(i1 - 1, i0, -1):
-            col = pivots[i]
-            A[i, :] %= p    # row i may carry delayed updates; canonicalize
-            factors = A[i0:i, col] % p
-            if np.any(factors):
-                A[i0:i, :] -= np.outer(factors, A[i, :])
-                A[i0:i, col] = 0.0
-        A[i0:i1, :] %= p
-        if i0 > 0:
-            # rows above may carry delayed updates from lower panels
-            F = A[:i0, [pivots[i] for i in range(i0, i1)]] % p
-            if np.any(F):
-                A[:i0, :] -= F @ A[i0:i1, :]
-                if not delay:
-                    A[:i0, :] %= p
-        i1 = i0
-    return A.astype(np.int64).tolist(), pivots
-
-
-def _rref_generic(field, rows, ncols):
-    A = [list(r) for r in rows]
-    nrows = len(A)
-    pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(A.ncols):
         if r >= nrows:
             break
-        pivot_row = None
-        for i in range(r, nrows):
-            if not field.is_zero(A[i][c]):
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows)
+                          if not F.is_zero(R[i][c])), None)
         if pivot_row is None:
             continue
-        A[r], A[pivot_row] = A[pivot_row], A[r]
-        inv = field.inv(A[r][c])
-        A[r] = [field.mul(v, inv) for v in A[r]]
+        R[r], R[pivot_row] = R[pivot_row], R[r]
+        inv = F.inv(R[r][c])
+        R[r] = [F.mul(v, inv) for v in R[r]]
         for i in range(nrows):
-            if i != r and not field.is_zero(A[i][c]):
-                f = A[i][c]
-                A[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(A[i], A[r])]
+            if i != r and not F.is_zero(R[i][c]):
+                f = R[i][c]
+                R[i] = [F.sub(v, F.mul(f, w)) for v, w in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
-    return A, pivots
-
-
-def rref(A):
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    if isinstance(A.field, PrimeField):
-        rows, pivots = _rref_prime(A.field, A.rows, A.ncols)
-    else:
-        rows, pivots = _rref_generic(A.field, A.rows, A.ncols)
-    return ExactMatrix(A.field, rows, A.ncols), pivots
+    return ExactMatrix(F, R, A.ncols), pivots
 
 
 def rank(A):
@@ -365,6 +240,18 @@ def sparse_rank(field, rows, ncols):
     return r
 
 
+def homology_dim(field, d_out, d_in):
+    """dim ker d_out / im d_in at a spot of a complex, for differentials
+    given as (sparse rows, ncols): d_out leaves the spot, d_in enters it.
+    Assumes d_out d_in = 0; a missing map is ([], ncols) leaving the spot
+    or ([], 0) entering it."""
+    (rows_out, n), (rows_in, n_in) = d_out, d_in
+    if n_in and len(rows_in) != n:
+        raise ValueError("d_in does not map into the source of d_out")
+    return n - sparse_rank(field, rows_out, n) \
+        - sparse_rank(field, rows_in, n_in)
+
+
 def sparse_matmul(field, A, B):
     """The product A B of sparse-row matrices (row i of A is a {k: value}
     dict whose keys index the rows of B), as sparse rows; exact in Python
@@ -413,19 +300,15 @@ def solve(A, b):
     return x
 
 
-def in_column_span(A, b):
-    return solve(A, b) is not None
-
-
 def subquotient_dim(Z, B):
-    """dim(span Z / span B); requires every column of B to lie in span Z."""
+    """dim(span Z / span B); requires every column of B to lie in span Z.
+    A dense reference for homology_dim: the engine counts sparsely."""
     if Z.nrows != B.nrows:
         raise ValueError("subquotient ambient dimension mismatch")
-    rz = rank(Z)
-    if B.ncols:
-        if rank(Z.hstack(B)) != rz:
-            raise ValueError("boundary space is not contained in the cycle space")
-    return rz - rank(B)
+    rz, rb = rank(Z), rank(B)
+    if B.ncols and rank(Z.hstack(B)) != rz:
+        raise ValueError("boundary space is not contained in the cycle space")
+    return rz - rb
 
 
 class CosetReducer:

@@ -10,7 +10,7 @@ Conventions (fixed throughout the engine):
     [[-e1(d), 0], [g1(d), f0]].
 """
 
-from .linalg import ExactMatrix, rank, solve
+from .linalg import ExactMatrix, solve, sparse_rank
 
 
 class TwistSum:
@@ -241,9 +241,8 @@ class MFContext:
             src = ring.graded_piece_basis(n)
             if not src:
                 continue
-            m = ExactMatrix(ring.field, ring.mult_matrix(self.W, n),
-                            ncols=len(src))
-            if rank(m) < m.ncols:
+            if sparse_rank(ring.field, ring.mult_matrix(self.W, n),
+                           len(src)) < len(src):
                 return False
         return True
 
@@ -649,7 +648,8 @@ def solve_homotopy(f):
     ring = E.ctx.ring
     d = E.ctx.d
     dm1 = _mapping_dm1(E, F)
-    x = solve(ring.piece_matrix(dm1, 0),
+    x = solve(ExactMatrix.from_sparse_rows(ring.field,
+                                           *ring.piece_matrix(dm1, 0)),
               ring.coords(cycle_from_strict(f), dm1.dst))
     if x is None:
         return None

@@ -264,7 +264,8 @@ class ModulePiece:
                        TwistSum(pres.gen_twists),
                        [[pres.columns[c][r] for c in cols]
                         for r in range(pres.n_gens)], check=False)
-        self.reducer = CosetReducer(ring.piece_matrix(rel, t))
+        self.reducer = CosetReducer(ExactMatrix.from_sparse_rows(
+            ring.field, *ring.piece_matrix(rel, t)))
         pivot_set = set(self.reducer.pivots)
         self.free_indices = [i for i in range(self.reducer.ambient)
                              if i not in pivot_set]
@@ -276,15 +277,21 @@ class ModulePiece:
 
     def mult_map(self, p, target_piece):
         """Matrix of multiplication by homogeneous p into target_piece,
-        in quotient coordinates (target rows x self columns).  p must have
-        degree target_piece.t - self.t (ValueError otherwise)."""
+        in quotient coordinates, as sparse rows: target_piece.dim rows,
+        columns in range(self.dim).  p must have degree
+        target_piece.t - self.t (ValueError otherwise)."""
         ring = self.pres.ring
+        F = ring.field
         gens = TwistSum(self.pres.gen_twists)
-        m = ring.piece_matrix(SheafMap.scalar(
+        m, _ = ring.piece_matrix(SheafMap.scalar(
             ring, p, gens, gens.twist(target_piece.t - self.t)), self.t)
-        return ExactMatrix.from_columns(
-            ring.field, [target_piece.quotient_coords(m.column(i))
-                         for i in self.free_indices], target_piece.dim)
+        out = [{} for _ in range(target_piece.dim)]
+        for j, i in enumerate(self.free_indices):
+            col = [row.get(i, F.zero()) for row in m]
+            for row, v in zip(out, target_piece.quotient_coords(col)):
+                if not F.is_zero(v):
+                    row[j] = v
+        return out
 
 
 # -- syzygies ---------------------------------------------------------------

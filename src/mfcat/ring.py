@@ -7,7 +7,7 @@ graded pieces are spanned by standard monomials of the right degree.
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .linalg import ExactMatrix
+from .linalg import sparse_blocks
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul, parse_poly)
 
@@ -210,21 +210,23 @@ class GradedRing:
         return polys
 
     def piece_matrix(self, f, t):
-        """Matrix of a SheafMap f on the degree-t pieces of this ring:
-        block (r, c) is multiplication by f's entry (r, c), taken to normal
-        form here, from R_{t + f.src[c]} to R_{t + f.dst[r]}."""
+        """Matrix of a SheafMap f on the degree-t pieces of this ring, as
+        (sparse rows, ncols): block (r, c) is multiplication by f's entry
+        (r, c), taken to normal form here, from R_{t + f.src[c]} to
+        R_{t + f.dst[r]}."""
         def block(r, c):
             p = self.normal_form(f.entries[r][c])
             return None if p.is_zero() else self.mult_matrix(p, t + f.src[c])
-        return ExactMatrix.from_blocks(
-            self.field, [self.hilbert(t + b) for b in f.dst],
-            [self.hilbert(t + a) for a in f.src], block)
+        return sparse_blocks([self.hilbert(t + b) for b in f.dst],
+                             [self.hilbert(t + a) for a in f.src], block)
 
     def mult_matrix(self, p, n):
         """Matrix of multiplication by homogeneous p: R_n -> R_{n+deg p}.
 
         Columns are indexed by the degree-n standard basis, rows by the
-        target basis.  Returns a list of rows of field scalars.
+        target basis.  Returns sparse rows, one {column: value} dict per
+        target basis element; the result is cached, so callers must not
+        modify it.
         """
         p = self.normal_form(p)
         key = (p.key(), n)
@@ -232,16 +234,13 @@ class GradedRing:
             return self._mult_cache[key]
         src = self.graded_piece_basis(n)
         if p.is_zero():
-            d = 0
             dst = []
         else:
             if not p.is_homogeneous():
                 raise ValueError("multiplication by a non-homogeneous element")
-            d = p.total_degree()
-            dst = self.graded_piece_basis(n + d)
+            dst = self.graded_piece_basis(n + p.total_degree())
         index = {m: i for i, m in enumerate(dst)}
-        F = self.field
-        rows = [[F.zero()] * len(src) for _ in dst]
+        rows = [{} for _ in dst]
         for j, m in enumerate(src):
             prod = self.normal_form(p.mul_monomial(m))
             for e, c in prod.terms.items():

@@ -1,10 +1,15 @@
 """Command-line interface: reports, exit codes, determinism, error paths."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mfcat
 from mfcat.cli import main
+from mfcat.hypersurface import coker_module
 from mfcat.serialize import mf_to_json, module_to_json
 
 
@@ -64,7 +69,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("p", [4, 2 ** 31 - 1])
     def test_bad_modulus_cites_field(self, run, tmp_path, p):
-        # composite, and too large for exact float64 elimination
+        # composite, and above the 64*p^2 < 2^53 bound of the input contract
         ring = tmp_path / "ring.json"
         ring.write_text(json.dumps({"field": {"type": "prime", "p": p},
                                     "variables": ["x0", "x1"]}))
@@ -144,13 +149,29 @@ class TestModuleCommands:
         assert out["result"]["module"]["twists"] == [-1]
 
     def test_stable_hom(self, run, tmp_path, mf_file, E_u):
-        from mfcat.hypersurface import coker_module
         mod = tmp_path / "mod.json"
         mod.write_text(json.dumps(module_to_json(coker_module(E_u))))
         code, out, _ = run("stable-hom", "--source", mf_file,
                            "--module", str(mod))
         assert code == 0
         assert out["result"]["dim"] == 1 and out["result"]["stable"] is True
+
+    def test_ext_table_empty_range(self, tmp_path, mf_file, E_u):
+        # a fresh interpreter, so an uncaught exception would show as a
+        # traceback on stderr instead of failing inside this process
+        mod = tmp_path / "mod.json"
+        mod.write_text(json.dumps(module_to_json(coker_module(E_u))))
+        src = os.path.dirname(os.path.dirname(mfcat.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfcat.cli", "ext-table", "--source",
+             mf_file, "--module", str(mod), "--q-lo", "3", "--q-hi", "1"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert "--q-lo" in err and "--q-hi" in err
 
     def test_rel_perfect_periodic_exit(self, run, tmp_path):
         ctx = {"ring": {"field": {"type": "prime", "p": 32003},

@@ -1,10 +1,13 @@
 """Source hygiene: every name a module of the package imports is used in
-that module, and every import sits at module level (the package's import
-graph has no cycles to break); stdlib ast checks, so no linter is
-needed."""
+that module, every import sits at module level (the package's import
+graph has no cycles to break), and the package loads no numpy; stdlib
+checks, so no linter is needed."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -58,3 +61,13 @@ def test_detects_a_function_local_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert function_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_numpy_out():
+    """The package computes in Python scalars only: importing the CLI,
+    which imports every engine module, loads no numpy."""
+    code = "import sys, mfcat.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.stdout.strip() == "False"

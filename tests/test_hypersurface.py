@@ -51,6 +51,10 @@ class TestExtTable:
         for q in range(0, 1):
             assert t1[q + 2] == t2[q]
 
+    def test_empty_range_rejected(self, E_u):
+        with pytest.raises(ValueError, match="empty range"):
+            ext_gamma_dims(E_u, coker_module(E_u), range(3, 2))
+
     def test_wrong_ring_rejected(self, E_u, ctx_a1):
         M = ModulePresentation(ctx_a1.ring, [0], [])
         with pytest.raises(ValueError):

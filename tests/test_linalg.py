@@ -1,16 +1,16 @@
 """Exact linear algebra over prime fields and the rationals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcat.fields import PrimeField, RationalField
-from mfcat.linalg import (CosetReducer, ExactMatrix, _rref_generic,
-                          _rref_prime, in_column_span, kernel_basis, rank,
-                          rref, solve, sparse_matmul, sparse_rank,
-                          subquotient_dim)
+from mfcat.linalg import (CosetReducer, ExactMatrix, homology_dim,
+                          kernel_basis, rank, rref, solve, sparse_blocks,
+                          sparse_matmul, sparse_rank, subquotient_dim)
 
 F = PrimeField(32003)
 
@@ -27,28 +27,6 @@ class TestRref:
         R, pivots = rref(A)
         assert pivots == [0, 1, 2, 3]
         assert R.rows == A.rows
-
-    def test_prime_matches_generic(self):
-        rng = random.Random(11)
-        for p in (2, 5, 32003):
-            field = PrimeField(p)
-            for _ in range(25):
-                nr, nc = rng.randint(1, 40), rng.randint(1, 40)
-                rows = [[rng.randrange(p) for _ in range(nc)]
-                        for _ in range(nr)]
-                R1, p1 = _rref_prime(field, rows, nc)
-                R2, p2 = _rref_generic(field, rows, nc)
-                assert p1 == p2
-                assert [[x % p for x in r] for r in R1] == R2
-
-    def test_panel_boundary_shapes(self):
-        rng = random.Random(3)
-        for nr, nc in [(64, 65), (65, 64), (128, 128), (63, 130), (130, 63)]:
-            rows = [[rng.randrange(F.p) for _ in range(nc)]
-                    for _ in range(nr)]
-            R1, p1 = _rref_prime(F, rows, nc)
-            R2, p2 = _rref_generic(F, rows, nc)
-            assert (p1, R1) == (p2, R2)
 
     def test_rational_rref(self):
         Q = RationalField()
@@ -91,12 +69,6 @@ class TestKernelAndSolve:
         A = ExactMatrix(F, [[1, 0], [0, 0]])
         assert solve(A, [F.of(0), F.of(1)]) is None
 
-    def test_in_column_span(self):
-        A = ExactMatrix(F, [[1, 2], [3, 4]])
-        assert in_column_span(A, [F.of(1), F.of(3)])
-        B = ExactMatrix(F, [[1], [2]])
-        assert not in_column_span(B, [F.of(1), F.of(3)])
-
 
 class TestSubquotient:
     def test_dim(self):
@@ -131,6 +103,77 @@ class TestMatmul:
         A = ExactMatrix(F, [[1, 2]])
         with pytest.raises(ValueError):
             A.matmul(A)
+
+
+class TestSparseBlocks:
+    def test_none_block_is_zero(self):
+        blocks = {(0, 1): [{0: 5}, {1: 3}], (1, 0): [{0: 7}]}
+        rows, ncols = sparse_blocks([2, 1], [1, 2],
+                                    lambda r, c: blocks.get((r, c)))
+        assert (rows, ncols) == ([{1: 5}, {2: 3}, {0: 7}], 3)
+        assert sparse_blocks([2, 0], [3], lambda r, c: None) == \
+            ([{}, {}], 3)
+
+    @pytest.mark.parametrize("blk", [
+        [{0: 1}, {}, {}],       # one row too many
+        [{0: 1}],               # one row too few
+        [{0: 1}, {2: 1}],       # a column past the block's width
+    ])
+    def test_wrong_shape_raises(self, blk):
+        with pytest.raises(ValueError, match="block \\(1, 0\\)"):
+            sparse_blocks([1, 2], [2, 1],
+                          lambda r, c: blk if (r, c) == (1, 0) else None)
+
+
+def _scalar(field, rng, density):
+    if rng.random() >= density:
+        return field.zero()
+    if isinstance(field, RationalField):
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.randrange(field.p)
+
+
+def _dense(field, nr, nc, rng, density=1.0):
+    return ExactMatrix(field, [[_scalar(field, rng, density)
+                                for _ in range(nc)] for _ in range(nr)], nc)
+
+
+def _to_sparse(field, M):
+    return [{c: v for c, v in enumerate(row) if not field.is_zero(v)}
+            for row in M.rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["2", "32003", "Q"]),
+       st.sampled_from([0.3, 1.0]))
+def test_homology_dim_matches_dense(seed, field_name, density):
+    """homology_dim equals dim ker d_out / im d_in computed densely, on a
+    random complex C^{-1} -> C^0 -> C^1 with d_out d_in = 0: d_in has
+    rank at most r, and the rows of d_out are random combinations of
+    vectors annihilating its image."""
+    field = RationalField() if field_name == "Q" else \
+        PrimeField(int(field_name))
+    rng = random.Random(seed)
+    n, n_in, n_out = rng.randint(1, 10), rng.randint(0, 8), rng.randint(0, 8)
+    r = rng.randint(0, min(n, n_in))
+    d_in = _dense(field, n, r, rng, density).matmul(
+        _dense(field, r, n_in, rng, density))
+    K = kernel_basis(d_in.transpose())       # y with y^T d_in = 0
+    d_out = _dense(field, n_out, K.ncols, rng, density).matmul(K.transpose())
+    assert not any(sparse_matmul(field, _to_sparse(field, d_out),
+                                 _to_sparse(field, d_in)))
+    want = subquotient_dim(kernel_basis(d_out), d_in)
+    got = homology_dim(field, (_to_sparse(field, d_out), n),
+                       (_to_sparse(field, d_in), n_in))
+    assert got == want
+
+
+def test_homology_dim_missing_maps():
+    d = [{0: 1, 1: 1}]                  # C^0 = F^2 -> C^1 = F, rank 1
+    assert homology_dim(F, (d, 2), ([], 0)) == 1
+    assert homology_dim(F, ([], 1), (d, 2)) == 0
+    with pytest.raises(ValueError):
+        homology_dim(F, (d, 2), (d, 2))  # d_in has 1 row, not 2
 
 
 @settings(max_examples=60, deadline=None)

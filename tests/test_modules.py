@@ -4,6 +4,7 @@ ideals."""
 import pytest
 
 from mfcat.fields import DEFAULT_PRIME, PrimeField
+from mfcat.linalg import sparse_matmul
 from mfcat.modules import (ModulePresentation, contains_irrelevant_power,
                            default_saturation_bound, fitting_ideal,
                            ideals_equal, syzygies, syzygy_presentation)
@@ -49,7 +50,9 @@ class TestPieces:
             A = m0.mult_map(ring.poly(p), m1)
             B = m1.mult_map(ring.poly(p), m2)
             C = m0.mult_map(ring.poly(psq), m2)
-            assert B.matmul(A).rows == C.rows
+            assert (len(A), len(B), len(C)) == (m1.dim, m2.dim, m2.dim)
+            assert any(C)
+            assert sparse_matmul(ring.field, B, A) == C
         assert (m0.dim, m1.dim, m2.dim) == (2, 5, 7)
 
     def test_mult_map_wrong_degree_raises(self):
@@ -61,8 +64,8 @@ class TestPieces:
         M = mk_pres(NODAL, [0, 0], [["x", "y"]])
         src, dst = M.piece(1), M.piece(2)
         Z = src.mult_map(NODAL.zero(), dst)
-        assert (Z.nrows, Z.ncols) == (dst.dim, src.dim) == (7, 5)
-        assert Z.is_zero()
+        assert (len(Z), src.dim) == (dst.dim, 5) == (7, 5)
+        assert not any(Z)
 
 
 class TestSyzygies:

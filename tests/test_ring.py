@@ -77,10 +77,13 @@ class TestGradedPieces:
         p = ring.poly("x + y")
         rows = ring.mult_matrix(p, 2)
         src = ring.graded_piece_basis(2)
+        assert len(rows) == ring.hilbert(3)
+        assert all(0 <= c < len(src) and v for row in rows for c, v in
+                   row.items())
         for j, m in enumerate(src):
             prod = ring.normal_form(p.mul_monomial(m))
             col = ring.piece_coords(prod, 3)
-            assert [rows[i][j] for i in range(len(rows))] == col
+            assert [row.get(j, 0) for row in rows] == col
 
 
 class TestHypothesisNF:
