@@ -7,7 +7,7 @@ import sys
 import time
 
 from . import __version__
-from .cohomology import cech_cohomology, cech_hypercohomology
+from .cohomology import GlobalSections, cech_cohomology, cech_hypercohomology
 from .fields import DEFAULT_PRIME, PrimeField
 from .homcat import (class_coords, compose_h, hom_H, hom_naive, is_contractible,
                      locally_contractible, prop28_report, stabilize)
@@ -120,8 +120,9 @@ def cmd_compose(args, inputs):
     F, mo = _load_mf(args.middle, ctx=E.ctx)
     G, to = _load_mf(args.target, ctx=E.ctx)
     inputs.extend([so, mo, to])
-    hom_ef = hom_H(E, F)
-    hom_fg = hom_H(F, G)
+    gs = GlobalSections(E.ctx)
+    hom_ef = hom_H(E, F, gs)
+    hom_fg = hom_H(F, G, gs)
     if hom_ef.basis is None or hom_fg.basis is None:
         raise CliError("basis extraction unavailable for these Hom-sets")
     if not (0 <= args.alpha < len(hom_ef.basis)):
@@ -131,7 +132,7 @@ def cmd_compose(args, inputs):
     alpha = hom_ef.basis[args.alpha]
     beta = hom_fg.basis[args.beta]
     comp = compose_h(beta, alpha)
-    coords = class_coords(comp)
+    coords = class_coords(comp, gs)
     field = E.ctx.ring.field
     return {"dim_source_middle": hom_ef.dimension,
             "dim_middle_target": hom_fg.dimension,

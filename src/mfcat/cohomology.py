@@ -14,6 +14,7 @@ they are assembled as sparse rows, one {column: value} dict per target
 row, and only their ranks are computed, by sparse elimination.
 """
 
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import (ExactMatrix, homology_dim, kernel_basis, solve,
@@ -253,6 +254,11 @@ class GlobalSections:
         if self.saturated(n):
             return self.ring.hilbert(n)
         return self._kernel(n)[2].ncols
+
+    @cached_property
+    def threshold(self):
+        """vanishing_threshold(ctx) as (n0, tag), scanned once per context."""
+        return vanishing_threshold(self.ctx)
 
     def monomial_path(self, degrees):
         """True if every degree in the list passes the saturation check."""

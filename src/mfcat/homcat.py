@@ -5,7 +5,7 @@ stabilized classes, and the contractibility/weak-equivalence predicates.
 
 from functools import cached_property
 
-from .cohomology import GlobalSections, vanishing_threshold
+from .cohomology import GlobalSections
 from .hypersurface import coker_module
 from .koszul import koszul_truncated, stabilized_mf, tensor_mf, tot_chain_morphism
 from .linalg import (CosetReducer, ExactMatrix, homology_dim, kernel_basis,
@@ -215,6 +215,7 @@ def _mapping_row_twists(E1p, E0p, F, d, q):
 def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
     """Replace E by Tot(P(j) tensor E) with the least j whose mapping-complex
     twist inventory clears the vanishing threshold in all rows q >= M-m-1.
+    The threshold is `threshold` as (n0, tag) if given, else gs.threshold.
 
     Returns (E', epsilon: E' -> E, certificate)."""
     ctx = E.ctx
@@ -224,10 +225,7 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
     if E.is_zero_object():
         cert = StabilizationCertificate(0, 0, 0, "trivial", {}, 0, M)
         return E, StrictMorphism.identity(E), cert
-    if threshold is None:
-        n0, tag = vanishing_threshold(ctx)
-    else:
-        n0, tag = threshold
+    n0, tag = threshold or (gs or GlobalSections(ctx)).threshold
     m = ring.nvars - 1
     d = ctx.d
     q_min = M - m - 1

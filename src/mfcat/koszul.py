@@ -12,7 +12,6 @@ from .linalg import homology_dim
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
                  zero_mf)
 from .poly import Poly
-from .ring import monomials_of_degree
 
 
 class FreeComplex:
@@ -51,18 +50,19 @@ def koszul_truncated(ring, j):
     """The truncated Koszul complex P(j) on Proj(ring) together with its
     augmentation to O.
 
-    Built from the k = C(m+j, j) degree-j monomials w of the ambient
-    polynomial ring: the term in cohomological degree -n+1 is O(-nj)^C(k,n)
-    with basis the n-subsets of the monomials, the differentials contract
-    against the monomial row, and the augmentation is that row itself.
+    Built on the k = m+1 pure powers w_i = x_i^j, which have no common zero
+    on Proj(ring), so the augmented complex is exact as a complex of
+    sheaves: the term in cohomological degree -n+1 is O(-nj)^C(k,n) with
+    basis the n-subsets of the powers, the differentials contract against
+    the row (w_0, ..., w_m), and the augmentation is that row itself.
 
     Returns (complex, augmentation map: term(0) -> O).
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    monos = monomials_of_degree(ring.nvars, j)
-    k = len(monos)
-    w = [ring.normal_form(_mono_poly(ring, m)) for m in monos]
+    k = ring.nvars
+    powers = [[j if a == i else 0 for a in range(k)] for i in range(k)]
+    w = [ring.normal_form(Poly.monomial(ring.field, k, e)) for e in powers]
     subset_bases = {n: list(combinations(range(k), n)) for n in range(1, k + 1)}
     terms = {}
     for n in range(1, k + 1):
@@ -85,10 +85,6 @@ def koszul_truncated(ring, j):
     if k >= 2 and not aug.compose(complex_.map_at(-1)).is_zero():
         raise AssertionError("augmentation does not annihilate the image")
     return complex_, aug
-
-
-def _mono_poly(ring, expv):
-    return Poly.monomial(ring.field, ring.nvars, expv)
 
 
 def free_complex_homology_dims(fc, t, q_range, augmentation=None):
@@ -120,10 +116,12 @@ def koszul_exactness_report(ring, j, t_range=None):
     """Graded-piece exactness of the augmented truncated Koszul complex.
 
     Sheaf-level exactness only forces graded-piece exactness in high
-    internal degrees (low-degree syzygies of the degree-j monomials are not
-    generated by the Koszul ones), so the default window starts at
-    t = k*j - 1.  Returns {t: {spot: homology dim}}; all-zero means the
-    check passed."""
+    internal degrees.  On a polynomial ring the pure powers are a regular
+    sequence, so the only homology is R/(x_0^j, ..., x_m^j) at O, which
+    vanishes for t > (m+1)(j-1); the default window starts at t = k*j - 1,
+    inside that range.  The window is proven only for polynomial rings (on
+    k[x,y,z]/(xy) its first degree has homology for j = 1, 2, 3).  Returns
+    {t: {spot: homology dim}}; all-zero means the check passed."""
     P, aug = koszul_truncated(ring, j)
     k = P.term(0).rank
     if t_range is None:

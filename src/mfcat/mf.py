@@ -573,10 +573,10 @@ def _mapping_dm1(E, F):
     h_e0f0 = hom_twists(E0, F0)
     h_e1f0m = hom_twists(E1, F0m)
     b11 = _post_compose_matrix(ring, F.e1, E0, F1, F0)          # (f1)_*
-    b12 = -_pre_compose_matrix(ring, E.e0, E0, E1.twist(d), F0) # -e0^*, note:
+    b12 = _pre_compose_matrix(ring, -E.e0, E0, E1.twist(d), F0) # -e0^*, note:
     # psi in Hom(E1, F0(-d)) is used as psi(d): E1(d) -> F0; precompose e0
     b12 = SheafMap(ring, h_e1f0m, h_e0f0, b12.entries, check=False)
-    b21 = -_pre_compose_matrix(ring, E.e1, E1, E0, F1)          # -e1^*
+    b21 = _pre_compose_matrix(ring, -E.e1, E1, E0, F1)          # -e1^*
     b22 = _post_compose_matrix(ring, F.e0.twist(-d), E1, F0m, F1)  # (f0)_*
     return SheafMap.from_blocks(ring, [hom_twists(E0, F1), h_e1f0m],
                                 [h_e0f0, hom_twists(E1, F1)],

@@ -1,10 +1,12 @@
 """Hom-sets in the naive and stabilized homotopy categories, contractibility
 predicates, and the local-triviality report."""
 
+import time
+
 import pytest
 
-from mfcat import homcat, linalg
-from mfcat.cohomology import GlobalSections
+from mfcat import cohomology, homcat, linalg
+from mfcat.cohomology import GlobalSections, cech_hypercohomology
 from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
 from mfcat.homcat import (StabilizedClass, _strict_to_c0_coords, class_coords,
                           compose_h, hom_H, hom_naive, is_contractible,
@@ -180,6 +182,67 @@ class TestStabilization:
         stable = hom_H(E_unit_p1, E_unit_p1)
         assert naive.cycle_space.ncols >= 1
         assert stable.dimension == 0
+
+
+class TestNodalStabilization:
+    """Koszul stabilization on the pure powers over Proj k[x,y,z]/(xy),
+    W = z, where the vanishing threshold comes from a Cech scan."""
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_heavy_endomorphisms_at_level_2(self, shift):
+        ctx, _pairs = nodal_light_pairs()
+        U = unit_e0_factorization(ctx)
+        E = shift_mf(U) if shift else U
+        hs = hom_H(E, E)
+        assert hs.certificate.j == 2 and hs.certificate.k == 3
+        assert hs.stabilized_src.E0.rank == 7
+        dim, stable = cech_hypercohomology(mapping_complex(E, E), 0)
+        assert stable and hs.dimension == dim == 0
+
+    def test_level_3_pair_matches_cech(self):
+        ctx, _pairs = nodal_light_pairs()
+        U = unit_e0_factorization(ctx)
+        E = twist_mf(U, 1)
+        start = time.process_time()
+        hs = hom_H(E, U)
+        elapsed = time.process_time() - start
+        cert = hs.certificate
+        assert (cert.j, cert.k) == (3, 3)
+        assert hs.stabilized_src.E0.rank == hs.stabilized_src.E1.rank == 7
+        dim, stable = cech_hypercohomology(mapping_complex(E, U), 0)
+        assert stable and hs.dimension == dim
+        assert elapsed < 1.0
+
+    def test_shared_sections_scan_threshold_once(self, monkeypatch):
+        ctx, pairs = nodal_light_pairs()
+        calls = []
+        real = cohomology.vanishing_threshold
+        monkeypatch.setattr(cohomology, "vanishing_threshold",
+                            lambda c: calls.append(c) or real(c))
+        gs = GlobalSections(ctx)
+        dims = [hom_H(E, F, gs).dimension for E, F in pairs[:3]]
+        assert calls == [ctx]
+        assert dims == [0, 0, 0]
+
+    def test_shared_sections_give_same_certificate(self):
+        ctx, pairs = nodal_light_pairs()
+        gs = GlobalSections(ctx)
+        for E, F in pairs:
+            shared = stabilize(E, F, gs=gs)[2].describe()
+            assert shared == stabilize(E, F)[2].describe()
+            assert shared["threshold_tag"] == "scanned"
+
+    def test_explicit_threshold_bypasses_cache(self, monkeypatch):
+        ctx, pairs = nodal_light_pairs()
+        gs = GlobalSections(ctx)
+        n0, tag = gs.threshold
+        monkeypatch.setattr(cohomology, "vanishing_threshold",
+                            lambda c: pytest.fail("threshold rescanned"))
+        E, F = pairs[0]
+        cert = stabilize(E, F, threshold=(n0 + 1, "override"),
+                         gs=GlobalSections(ctx))[2]
+        assert (cert.threshold, cert.threshold_tag) == (n0 + 1, "override")
+        assert stabilize(E, F, gs=gs)[2].threshold == n0
 
 
 class TestComposition:

@@ -25,12 +25,22 @@ class TestKoszulComplex:
         assert [P.term(-n + 1).rank for n in (1, 2, 3)] == [3, 3, 1]
 
     def test_j2_sizes(self, ring_p1):
-        # 3 degree-2 monomials on P^1
+        # the k = m+1 = 2 pure powers x0^2, x1^2 on P^1
         P, _aug = koszul_truncated(ring_p1, 2)
-        k = binom(3, 1)
-        assert P.term(0).rank == k
-        assert P.term(-1).rank == binom(k, 2)
-        assert P.term(-2).rank == binom(k, 3)
+        k = 2
+        assert P.degrees() == [-1, 0]
+        assert P.term(0) == TwistSum([-2] * k)
+        assert P.term(-1) == TwistSum([-4] * binom(k, 2))
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_pure_power_sizes_p2(self, ring_p2, j):
+        P, aug = koszul_truncated(ring_p2, j)
+        k = 3
+        assert P.degrees() == [-2, -1, 0]
+        for n in range(1, k + 1):
+            assert P.term(-n + 1) == TwistSum([-n * j] * binom(k, n))
+        assert [str(p) for p in aug.entries[0]] == \
+            [str(ring_p2.poly("x%d^%d" % (i, j))) for i in range(k)]
 
     def test_d_squared_zero_checked(self, ring_p2):
         P, _ = koszul_truncated(ring_p2, 1)
@@ -47,6 +57,16 @@ class TestKoszulComplex:
         report = koszul_exactness_report(ring_p1, 2)
         for t, spots in report.items():
             assert all(v == 0 for v in spots.values()), (t, spots)
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_exactness_pure_powers_p2(self, ring_p2, j):
+        # R/(x0^j, x1^j, x2^j) lives in degrees <= 3(j-1), below the window
+        report = koszul_exactness_report(ring_p2, j)
+        assert min(report) == 3 * j - 1
+        for t, spots in report.items():
+            assert all(v == 0 for v in spots.values()), (t, spots)
+        below = koszul_exactness_report(ring_p2, j, [3 * (j - 1)])
+        assert below[3 * (j - 1)][1] == 1
 
     def test_invalid_truncation(self, ring_p1):
         with pytest.raises(ValueError):
