@@ -92,24 +92,21 @@ def cech_horizontal(src_space, dst_space):
     ring = src_space.ring
     B = src_space.B
     nt = len(src_space.twists)
+    shift = B * (src_space.p + 1)
     src_index = {S: k for k, S in enumerate(src_space.subsets)}
-    faces = {}
-    for tk, T in enumerate(dst_space.subsets):
-        for pos, i in enumerate(T):
-            faces[tk, src_index[T[:pos] + T[pos + 1:]]] = (pos, i)
 
-    def block(r, c):
-        (tk, tr), (sk, tc) = divmod(r, nt), divmod(c, nt)
-        face = faces.get((tk, sk)) if tr == tc else None
-        if face is None:
-            return None
-        pos, i = face
-        a = src_space.twists[tc] + B * (src_space.p + 1)
-        return _signed(ring.field,
-                       ring.mult_matrix(_xs_power(ring, (i,), B), a),
-                       -1 if pos % 2 else 1)
+    def blocks():
+        for tk, T in enumerate(dst_space.subsets):
+            faces = sorted((src_index[T[:pos] + T[pos + 1:]], pos, i)
+                           for pos, i in enumerate(T))
+            for t, a in enumerate(src_space.twists):
+                for sk, pos, i in faces:
+                    yield tk * nt + t, sk * nt + t, _signed(
+                        ring.field,
+                        ring.mult_matrix(_xs_power(ring, (i,), B), a + shift),
+                        -1 if pos % 2 else 1)
 
-    return sparse_blocks(dst_space.block_dims, src_space.block_dims, block)
+    return sparse_blocks(dst_space.block_dims, src_space.block_dims, blocks())
 
 
 def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
@@ -118,16 +115,12 @@ def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
     ring = src_space.ring
     shift = src_space.B * (src_space.p + 1)
     ns, nd = len(src_space.twists), len(dst_space.twists)
-
-    def block(r, c):
-        (sr, tr), (sc, tc) = divmod(r, nd), divmod(c, ns)
-        p = sheaf_map.entries[tr][tc]
-        if sr != sc or p.is_zero():
-            return None
-        return _signed(ring.field,
-                       ring.mult_matrix(p, src_space.twists[tc] + shift), sign)
-
-    return sparse_blocks(dst_space.block_dims, src_space.block_dims, block)
+    blocks = ((s * nd + tr, s * ns + tc, _signed(
+        ring.field, ring.mult_matrix(p, src_space.twists[tc] + shift), sign))
+        for s in range(len(src_space.subsets))
+        for tr, row in enumerate(sheaf_map.entries)
+        for tc, p in enumerate(row) if not p.is_zero())
+    return sparse_blocks(dst_space.block_dims, src_space.block_dims, blocks)
 
 
 def cech_cohomology_at(ring, n, p, B):
@@ -176,18 +169,16 @@ def cech_total_diff(C, q, B):
     disjoint blocks."""
     src, dst = _total_space(C, q, B), _total_space(C, q + 1, B)
 
-    def block(t, p):
-        if not (src[p].dim and dst[t].dim):
-            return None
-        if t == p + 1:
-            return cech_horizontal(src[p], dst[t])[0]
-        if t == p:
-            return cech_vertical(src[p], dst[t], C.diff(q - p),
-                                 sign=1 if p % 2 == 0 else -1)[0]
-        return None
+    def blocks():
+        for t, sp in enumerate(dst):
+            if t and src[t - 1].dim and sp.dim:
+                yield t, t - 1, cech_horizontal(src[t - 1], sp)[0]
+            if src[t].dim and sp.dim:
+                yield t, t, cech_vertical(src[t], sp, C.diff(q - t),
+                                          sign=1 if t % 2 == 0 else -1)[0]
 
     return sparse_blocks([sp.dim for sp in dst], [sp.dim for sp in src],
-                         block)
+                         blocks())
 
 
 def cech_hypercohomology_at(C, q, B):
@@ -209,10 +200,13 @@ class GlobalSections:
     """Exact Gamma(X, O(n)) spaces with multiplication maps.
 
     Affine-graded mode: Gamma(O(n)) = R_n on the monomial basis.
-    Projective mode: a per-degree saturation check (stable Cech H^0 dim
-    equals dim R_n) enables the same fast path; degrees that fail it fall
-    back to the Cech kernel representation (exact dimensions, but sections
-    are not polynomials and no strict-morphism basis is extracted there).
+    Projective space P^m, m >= 1: Gamma(O(n)) = R_n for every n by theorem
+    (Hartshorne III.5.1), so no degree is scanned.  Other projective rings
+    (quotients, and the point P^0, where Gamma(O(n)) = k for n < 0): a
+    per-degree saturation check (stable Cech H^0 dim equals dim R_n)
+    enables the same fast path; degrees that fail it fall back to the Cech
+    kernel representation (exact dimensions, but sections are not
+    polynomials and no strict-morphism basis is extracted there).
     """
 
     def __init__(self, ctx, setup=None):
@@ -225,7 +219,8 @@ class GlobalSections:
     # degree classification
 
     def saturated(self, n):
-        if self.ctx.is_affine:
+        if self.ctx.is_affine or (self.ring.is_polynomial_ring()
+                                  and self.ring.nvars >= 2):
             return True
         if n not in self._saturated:
             dim, stable = cech_cohomology(self.ring, n, 0, self.setup)
@@ -301,12 +296,13 @@ class GlobalSections:
 
     def sheafmap_rows(self, f):
         """Gamma of a map of twist sums as (sparse rows, ncols): block
-        (r, c) is multiplication by f's entry (r, c)."""
-        def block(r, c):
-            p = f.entries[r][c]
-            return None if p.is_zero() else self.mult(p, f.src[c])
+        (r, c) is multiplication by f's entry (r, c); only the nonzero
+        entries are visited."""
+        blocks = ((r, c, self.mult(p, f.src[c]))
+                  for r, row in enumerate(f.entries)
+                  for c, p in enumerate(row) if not p.is_zero())
         return sparse_blocks([self.dim(b) for b in f.dst],
-                             [self.dim(a) for a in f.src], block)
+                             [self.dim(a) for a in f.src], blocks)
 
     def sheafmap_matrix(self, f):
         """Gamma of a map of twist sums, as one dense block matrix."""

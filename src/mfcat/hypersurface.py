@@ -57,15 +57,15 @@ def _ext_differential(E, N, q):
     src_pieces = [N.piece(-a) for a in d.dst]   # Hom(i^*E^{-q}, N)_0
     dst_pieces = [N.piece(-a) for a in d.src]
 
-    def block(r, c):
-        pc, pr = src_pieces[c], dst_pieces[r]
-        p = N.ring.normal_form(d.entries[c][r])
-        if p.is_zero() or not (pc.dim and pr.dim):
-            return None
-        return pc.mult_map(p, pr)
+    def blocks():
+        for r, pr in enumerate(dst_pieces):
+            for c, pc in enumerate(src_pieces):
+                p = N.ring.normal_form(d.entries[c][r])
+                if pr.dim and pc.dim and not p.is_zero():
+                    yield r, c, pc.mult_map(p, pr)
 
     return sparse_blocks([pr.dim for pr in dst_pieces],
-                         [pc.dim for pc in src_pieces], block)
+                         [pc.dim for pc in src_pieces], blocks())
 
 
 def ext_gamma_dims(E, N, q_range):

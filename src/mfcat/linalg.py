@@ -2,14 +2,15 @@
 
 Matrices are built as sparse rows, one {column: value} dict per row, and
 a matrix travels with its number of columns as (rows, ncols); sparse_blocks
-assembles one from blocks.  Counts (sparse_rank, homology_dim) and
-products (sparse_matmul) are exact in Python scalars and never densify.
-Bases (kernel_basis, solve, CosetReducer) come from Gauss-Jordan
-elimination (rref) of a dense ExactMatrix, in the field's own arithmetic
-over F_p and over Q alike.
+assembles one from its nonzero blocks only.  Counts (sparse_rank,
+homology_dim) and products (sparse_matmul) are exact in Python scalars and
+never densify.  Bases (kernel_basis, solve, CosetReducer) come from
+Gauss-Jordan elimination (rref) of a dense ExactMatrix, in the field's own
+arithmetic over F_p and over Q alike.
 """
 
 import heapq
+from itertools import accumulate
 
 from .fields import PrimeField
 
@@ -126,30 +127,27 @@ class ExactMatrix:
 # -- sparse assembly ---------------------------------------------------
 
 
-def sparse_blocks(row_dims, col_dims, block):
-    """Assemble a block matrix as (sparse rows, ncols): block(r, c) gives
-    the sparse rows of block (r, c), row_dims[r] of them with columns in
-    range(col_dims[c]), or None for a zero block.  The blocks are read,
-    never modified, so they may be cached."""
-    col_offs = []
-    ncols = 0
-    for nc in col_dims:
-        col_offs.append(ncols)
-        ncols += nc
-    out = []
-    for r, nr in enumerate(row_dims):
-        rows = [{} for _ in range(nr)]
-        for c, nc in enumerate(col_dims):
-            blk = block(r, c)
-            if blk is None:
-                continue
-            if len(blk) != nr or any(row and max(row) >= nc for row in blk):
-                raise ValueError("block (%d, %d) has wrong shape" % (r, c))
-            co = col_offs[c]
-            for dst, row in zip(rows, blk):
-                dst.update({co + k: v for k, v in row.items()})
-        out.extend(rows)
-    return out, ncols
+def sparse_blocks(row_dims, col_dims, blocks):
+    """Assemble a block matrix as (sparse rows, ncols) from an iterable of
+    (r, c, rows) triples, one per nonzero block: rows are the sparse rows
+    of block (r, c), row_dims[r] of them with columns in
+    range(col_dims[c]).  Omitted blocks are zero.  Each row dict gets its
+    keys in the order the blocks come, so callers yield the blocks of a
+    block row in increasing c.  The blocks are read, never modified, so
+    they may be cached."""
+    col_offs = [0, *accumulate(col_dims)]
+    row_offs = [0, *accumulate(row_dims)]
+    out = [{} for _ in range(row_offs[-1])]
+    for r, c, blk in blocks:
+        nc = col_dims[c]
+        if len(blk) != row_dims[r] or any(row and max(row) >= nc
+                                          for row in blk):
+            raise ValueError("block (%d, %d) has wrong shape" % (r, c))
+        co = col_offs[c]
+        for i, row in enumerate(blk, row_offs[r]):
+            if row:
+                out[i].update({co + k: v for k, v in row.items()})
+    return out, col_offs[-1]
 
 
 # -- elimination --------------------------------------------------------

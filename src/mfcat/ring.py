@@ -213,12 +213,13 @@ class GradedRing:
         """Matrix of a SheafMap f on the degree-t pieces of this ring, as
         (sparse rows, ncols): block (r, c) is multiplication by f's entry
         (r, c), taken to normal form here, from R_{t + f.src[c]} to
-        R_{t + f.dst[r]}."""
-        def block(r, c):
-            p = self.normal_form(f.entries[r][c])
-            return None if p.is_zero() else self.mult_matrix(p, t + f.src[c])
+        R_{t + f.dst[r]}; only the nonzero entries are visited."""
+        blocks = ((r, c, self.mult_matrix(p, t + f.src[c]))
+                  for r, row in enumerate(f.entries)
+                  for c, p in enumerate(map(self.normal_form, row))
+                  if not p.is_zero())
         return sparse_blocks([self.hilbert(t + b) for b in f.dst],
-                             [self.hilbert(t + a) for a in f.src], block)
+                             [self.hilbert(t + a) for a in f.src], blocks)
 
     def mult_matrix(self, p, n):
         """Matrix of multiplication by homogeneous p: R_n -> R_{n+deg p}.

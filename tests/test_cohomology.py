@@ -3,11 +3,13 @@ twisted periodic complexes."""
 
 import pytest
 
+from mfcat import cohomology
 from mfcat.cohomology import (CechSetup, GlobalSections, cech_cohomology,
                               cech_hypercohomology, cech_total_diff,
                               h_projective_space,
                               vanishing_threshold)
 from mfcat.fields import DEFAULT_PRIME, PrimeField
+from mfcat.homcat import hom_H
 from mfcat.linalg import ExactMatrix, rank, sparse_matmul, sparse_rank
 from mfcat.mf import MFContext, SheafMap, TwistSum, mapping_complex
 from mfcat.ring import GradedRing, binom
@@ -126,6 +128,42 @@ class TestGlobalSections:
         cech.saturated = lambda n: False     # every degree through Cech
         assert rank(gs.sheafmap_matrix(f)) == 2
         assert rank(cech.sheafmap_matrix(f)) == 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_projective_space_saturated_by_theorem(self, m):
+        """Gamma(P^m, O(n)) = R_n for every n when m >= 1 (Hartshorne
+        III.5.1): GlobalSections answers without a scan, and the Cech
+        scan it skips agrees."""
+        ring = GradedRing(PrimeField(DEFAULT_PRIME),
+                          ["x%d" % i for i in range(m + 1)])
+        gs = GlobalSections(MFContext(ring, ring.poly("x0")))
+        for n in range(-6, 7):
+            assert gs.saturated(n)
+            assert cech_cohomology(ring, n, 0) == (ring.hilbert(n), True)
+
+    def test_point_unsaturated_in_negative_degrees(self):
+        """P^0 is a point: Gamma(O(n)) = k for every n, but R_n = 0 for
+        n < 0, so the scan stays and finds those degrees unsaturated."""
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x"])
+        gs = GlobalSections(MFContext(ring, ring.poly("x")))
+        for n in range(-4, 0):
+            assert not gs.saturated(n)
+            assert gs.dim(n) == 1
+        assert all(gs.saturated(n) for n in range(0, 4))
+
+    def test_scan_only_off_projective_space(self, monkeypatch):
+        calls = []
+        real = cohomology.cech_cohomology
+        monkeypatch.setattr(cohomology, "cech_cohomology",
+                            lambda *a: calls.append(a) or real(*a))
+        ctx, objs = generate_suite(0, "p2-small")
+        gs = GlobalSections(ctx)
+        assert hom_H(objs[1], objs[3], gs).dimension == 0
+        assert calls == []
+        conic = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                           ideal_strings=["x*z - y^2"])
+        assert GlobalSections(MFContext(conic, conic.poly("x"))).saturated(0)
+        assert len(calls) == 1
 
     def test_mult_commutes(self, ctx_p1):
         gs = GlobalSections(ctx_p1)

@@ -116,7 +116,7 @@ class TestSparseHomCount:
                     for c, p in enumerate(row) if not p.is_zero())
         entries[r][c] = entries[r][c].scale(2)
         d0 = SheafMap(C.ctx.ring, C.d0.src, C.d0.dst, entries)
-        bad = TwistedPeriodicComplex(C.ctx, C.dm1, d0, check=False)
+        bad = TwistedPeriodicComplex(C.ctx, C.dm1, d0)
         assert not gs.sheafmap_matrix(bad.d0).matmul(
             gs.sheafmap_matrix(bad.dm1)).is_zero()
         monkeypatch.setattr(homcat, "mapping_complex", lambda E, F: bad)

@@ -107,12 +107,12 @@ class TestMatmul:
 
 class TestSparseBlocks:
     def test_none_block_is_zero(self):
-        blocks = {(0, 1): [{0: 5}, {1: 3}], (1, 0): [{0: 7}]}
+        # blocks (0, 0) and (1, 1) are omitted, hence zero
         rows, ncols = sparse_blocks([2, 1], [1, 2],
-                                    lambda r, c: blocks.get((r, c)))
+                                    [(0, 1, [{0: 5}, {1: 3}]),
+                                     (1, 0, [{0: 7}])])
         assert (rows, ncols) == ([{1: 5}, {2: 3}, {0: 7}], 3)
-        assert sparse_blocks([2, 0], [3], lambda r, c: None) == \
-            ([{}, {}], 3)
+        assert sparse_blocks([2, 0], [3], []) == ([{}, {}], 3)
 
     @pytest.mark.parametrize("blk", [
         [{0: 1}, {}, {}],       # one row too many
@@ -121,8 +121,7 @@ class TestSparseBlocks:
     ])
     def test_wrong_shape_raises(self, blk):
         with pytest.raises(ValueError, match="block \\(1, 0\\)"):
-            sparse_blocks([1, 2], [2, 1],
-                          lambda r, c: blk if (r, c) == (1, 0) else None)
+            sparse_blocks([1, 2], [2, 1], [(1, 0, blk)])
 
 
 def _scalar(field, rng, density):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfcat.cohomology import GlobalSections
 from mfcat.fields import DEFAULT_PRIME, PrimeField
+from mfcat.homcat import stabilize
 from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       StrictMorphism, TwistSum, cone, cycle_from_strict,
                       direct_sum_mf, is_nullhomotopic, mapping_complex,
@@ -16,7 +18,8 @@ from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
 from mfcat.koszul import koszul_truncated, stabilized_mf
 from mfcat.poly import Poly
 from mfcat.ring import GradedRing, monomials_of_degree
-from mfcat.suite import _grow, rank_one_mf, unit_e0_factorization
+from mfcat.suite import (_grow, generate_suite, rank_one_mf,
+                         unit_e0_factorization)
 
 
 class TestVerify:
@@ -109,12 +112,16 @@ class TestStrictMorphisms:
         assert is_nullhomotopic(idC)
 
 
+def assert_complex(C):
+    """d^2 = 0 in the twisted periodic sense: both squares of C
+    vanish as SheafMaps."""
+    assert C.d0.compose(C.dm1).is_zero()
+    assert C.dm1.twist(C.ctx.d).compose(C.d0).is_zero()
+
+
 class TestMappingComplex:
     def test_squares_to_w_twist(self, E_u, E_v):
-        C = mapping_complex(E_u, E_v)
-        # d^2 = 0 in the twisted periodic sense
-        assert C.diff(0).compose(C.diff(-1)).is_zero()
-        assert C.diff(-1).twist(C.ctx.d).compose(C.diff(0)).is_zero()
+        assert_complex(mapping_complex(E_u, E_v))
 
     def test_gamma_differential_composes_to_zero(self, E_u, E_v, ctx_a1):
         from mfcat.cohomology import GlobalSections
@@ -129,6 +136,45 @@ class TestMappingComplex:
         polys = cycle_from_strict(i)
         f = strict_from_cycle(E_u, E_u, polys)
         assert f.describe() == i.describe()
+
+
+class TestMappingComplexGuard:
+    """mapping_complex guards d^2 = 0 by the MF laws of its inputs, not by
+    composing its differentials: d^2 psi = f^2 psi - psi e^2 = W psi - psi W.
+    These tests compose the differentials anyway, so a sign slip in the
+    blocks of d^0 or d^-1 shows."""
+
+    @pytest.mark.parametrize("profile", ["p1-small", "p2-small"])
+    def test_corpus_pairs_and_stabilized_sources(self, profile):
+        ctx, objs = generate_suite(0, profile)
+        gs = GlobalSections(ctx)
+        for E in objs:
+            for F in objs:
+                Ep, _eps, _cert = stabilize(E, F, gs=gs)
+                assert Ep.E0.rank > E.E0.rank
+                for src in (E, Ep):
+                    assert_complex(mapping_complex(src, F))
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_nodal_level_2_pair(self, shift):
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                          ideal_strings=["x*y"])
+        U = unit_e0_factorization(MFContext(ring, ring.poly("z")))
+        E = shift_mf(U) if shift else U
+        Ep, _eps, cert = stabilize(E, E)
+        assert cert.j == 2 and Ep.E0.rank == 7
+        for src in (E, Ep):
+            assert_complex(mapping_complex(src, E))
+
+    @pytest.mark.parametrize("bad_side", ["source", "target"])
+    def test_altered_e0_raises(self, E_u, E_v, bad_side):
+        entries = [list(row) for row in E_u.e0.entries]
+        entries[0][0] = entries[0][0].scale(2)
+        e0 = SheafMap(E_u.ring, E_u.e0.src, E_u.e0.dst, entries)
+        bad = MatrixFactorization(E_u.ctx, E_u.e1, e0, check=False)
+        pair = (bad, E_v) if bad_side == "source" else (E_v, bad)
+        with pytest.raises(ValueError, match="not a matrix factorization"):
+            mapping_complex(*pair)
 
 
 def dense_compose(g, f):
