@@ -118,8 +118,8 @@ def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
     blocks = ((s * nd + tr, s * ns + tc, _signed(
         ring.field, ring.mult_matrix(p, src_space.twists[tc] + shift), sign))
         for s in range(len(src_space.subsets))
-        for tr, row in enumerate(sheaf_map.entries)
-        for tc, p in enumerate(row) if not p.is_zero())
+        for tr, row in enumerate(sheaf_map.rows)
+        for tc, p in row.items())
     return sparse_blocks(dst_space.block_dims, src_space.block_dims, blocks)
 
 
@@ -299,8 +299,7 @@ class GlobalSections:
         (r, c) is multiplication by f's entry (r, c); only the nonzero
         entries are visited."""
         blocks = ((r, c, self.mult(p, f.src[c]))
-                  for r, row in enumerate(f.entries)
-                  for c, p in enumerate(row) if not p.is_zero())
+                  for r, row in enumerate(f.rows) for c, p in row.items())
         return sparse_blocks([self.dim(b) for b in f.dst],
                              [self.dim(a) for a in f.src], blocks)
 

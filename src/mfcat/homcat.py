@@ -288,16 +288,10 @@ def _tensor_tot_morphism(P, aug, f):
     chain = {}
     for p in DP.degrees():
         base = P.term(p)
-        blocks1 = [[f.g1.twist(a) if i == jj else None
-                    for jj in range(base.rank)] for i, a in enumerate(base)]
-        blocks0 = [[f.g0.twist(a) if i == jj else None
-                    for jj in range(base.rank)] for i, a in enumerate(base)]
-        g1 = SheafMap.from_blocks(f.ctx.ring,
-                                  [f.src.E1.twist(a) for a in base],
-                                  [f.dst.E1.twist(a) for a in base], blocks1)
-        g0 = SheafMap.from_blocks(f.ctx.ring,
-                                  [f.src.E0.twist(a) for a in base],
-                                  [f.dst.E0.twist(a) for a in base], blocks0)
+        g1 = SheafMap.block_diagonal(f.ctx.ring,
+                                     [f.g1.twist(a) for a in base])
+        g0 = SheafMap.block_diagonal(f.ctx.ring,
+                                     [f.g0.twist(a) for a in base])
         chain[p] = StrictMorphism(DP.term(p), DQ.term(p), g1, g0, check=False)
     return tot_chain_morphism(DP, DQ, chain)
 
@@ -349,14 +343,12 @@ def _connected_components(E):
         if ra != rb:
             parent[ra] = rb
 
-    for r in range(n0):
-        for c in range(n1):
-            if not E.e1.entries[r][c].is_zero():
-                union(n1 + r, c)
-    for r in range(n1):
-        for c in range(n0):
-            if not E.e0.entries[r][c].is_zero():
-                union(r, n1 + c)
+    for r, row in enumerate(E.e1.rows):
+        for c in row:
+            union(n1 + r, c)
+    for r, row in enumerate(E.e0.rows):
+        for c in row:
+            union(r, n1 + c)
     groups = {}
     for idx in range(n1 + n0):
         groups.setdefault(find(idx), []).append(idx)
@@ -374,12 +366,14 @@ def _sub_mf(E, idx1, idx0):
     ring = E.ctx.ring
     E1 = TwistSum([E.E1[i] for i in idx1])
     E0 = TwistSum([E.E0[i] for i in idx0])
-    e1 = SheafMap(ring, E1, E0,
-                  [[E.e1.entries[r][c] for c in idx1] for r in idx0],
-                  check=False)
-    e0 = SheafMap(ring, E0, E1.twist(E.ctx.d),
-                  [[E.e0.entries[r][c] for c in idx0] for r in idx1],
-                  check=False)
+    pos1 = {c: k for k, c in enumerate(idx1)}
+    pos0 = {c: k for k, c in enumerate(idx0)}
+    e1 = SheafMap.from_rows(ring, E1, E0,
+                            [{pos1[c]: p for c, p in E.e1.rows[r].items()}
+                             for r in idx0])
+    e0 = SheafMap.from_rows(ring, E0, E1.twist(E.ctx.d),
+                            [{pos0[c]: p for c, p in E.e0.rows[r].items()}
+                             for r in idx1])
     return MatrixFactorization(E.ctx, e1, e0, check=False)
 
 

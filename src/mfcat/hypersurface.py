@@ -14,8 +14,8 @@ def coker_module(E, minimal=True):
     """coker(e1) as a graded module over R_Y = R/(W): generators are the
     twists of E0, relations the columns of e1."""
     ry = E.ctx.y_ring()
-    cols = [[E.e1.entries[r][c] for r in range(E.E0.rank)]
-            for c in range(E.E1.rank)]
+    e1 = E.e1.entries
+    cols = [[e1[r][c] for r in range(E.E0.rank)] for c in range(E.E1.rank)]
     pres = ModulePresentation(ry, list(E.E0.twists), cols)
     if minimal:
         pres = pres.minimalize()
@@ -58,10 +58,13 @@ def _ext_differential(E, N, q):
     dst_pieces = [N.piece(-a) for a in d.src]
 
     def blocks():
-        for r, pr in enumerate(dst_pieces):
-            for c, pc in enumerate(src_pieces):
-                p = N.ring.normal_form(d.entries[c][r])
-                if pr.dim and pc.dim and not p.is_zero():
+        # entry (c, r) of d is block (r, c); row by row of d, each block
+        # row still gets its blocks in increasing c
+        for c, row in enumerate(d.rows):
+            pc = src_pieces[c]
+            for r, p in row.items():
+                p, pr = N.ring.normal_form(p), dst_pieces[r]
+                if pr.dim and pc.dim and not p.is_zero():   # may vanish in R_Y
                     yield r, c, pc.mult_map(p, pr)
 
     return sparse_blocks([pr.dim for pr in dst_pieces],
@@ -120,8 +123,7 @@ def mf_from_module(ctx, alpha, injectivity_bound=None):
                 "alpha has a kernel in internal degree %d: it does not "
                 "present a module of projective dimension one" % t)
     # beta in Hom(E0, E1(d)) with alpha(d) o beta = W*id in Hom(E0, E0(d))
-    post = _post_compose_matrix(ring, alpha.twist(d), E0, E1.twist(d),
-                                E0.twist(d))
+    post = _post_compose_matrix(alpha.twist(d), E0)
     w_id = [ctx.W if r == c else ring.zero()
             for r in range(E0.rank) for c in range(E0.rank)]
     x = solve(ExactMatrix.from_sparse_rows(ring.field,

@@ -72,14 +72,15 @@ def koszul_truncated(ring, j):
         src = subset_bases[n]
         dst = subset_bases[n - 1]
         dst_index = {S: i for i, S in enumerate(dst)}
-        z = ring.zero()
-        entries = [[z] * len(src) for _ in range(len(dst))]
+        rows = [{} for _ in dst]
         for cidx, S in enumerate(src):
             for t, i in enumerate(S):
                 rest = S[:t] + S[t + 1:]
                 coeff = w[i] if t % 2 == 0 else -w[i]
-                entries[dst_index[rest]][cidx] = coeff
-        maps[-n + 1] = SheafMap(ring, terms[-n + 1], terms[-n + 2], entries)
+                if not coeff.is_zero():     # x_i^j may lie in the ideal
+                    rows[dst_index[rest]][cidx] = coeff
+        maps[-n + 1] = SheafMap.from_rows(ring, terms[-n + 1],
+                                          terms[-n + 2], rows)
     complex_ = FreeComplex(ring, terms, maps)
     aug = SheafMap(ring, terms[0], TwistSum([0]), [list(w)])
     if k >= 2 and not aug.compose(complex_.map_at(-1)).is_zero():
@@ -137,19 +138,10 @@ def koszul_exactness_report(ring, j, t_range=None):
 def free_tensor_mf(ts, E):
     """(+) O(a) tensor E: components get the twists, matrices are block
     diagonal copies."""
-    ctx = E.ctx
-    ring = ctx.ring
-    if ts.rank == 0:
-        return zero_mf(ctx)
-    e1_blocks = [[E.e1.twist(a) if i == jj else None
-                  for jj in range(ts.rank)] for i, a in enumerate(ts.twists)]
-    e0_blocks = [[E.e0.twist(a) if i == jj else None
-                  for jj in range(ts.rank)] for i, a in enumerate(ts.twists)]
-    e1 = SheafMap.from_blocks(ring, [E.E1.twist(a) for a in ts],
-                              [E.E0.twist(a) for a in ts], e1_blocks)
-    e0 = SheafMap.from_blocks(ring, [E.E0.twist(a) for a in ts],
-                              [E.E1.twist(a + ctx.d) for a in ts], e0_blocks)
-    return MatrixFactorization(ctx, e1, e0, check=False)
+    ring = E.ctx.ring
+    e1 = SheafMap.block_diagonal(ring, [E.e1.twist(a) for a in ts])
+    e0 = SheafMap.block_diagonal(ring, [E.e0.twist(a) for a in ts])
+    return MatrixFactorization(E.ctx, e1, e0, check=False)
 
 
 def _free_map_tensor(f, E, component):
@@ -159,16 +151,10 @@ def _free_map_tensor(f, E, component):
     comp = E.E0 if component == 0 else E.E1
     srcs = [comp.twist(a) for a in f.src]
     dsts = [comp.twist(b) for b in f.dst]
-    blocks = []
-    for r in range(f.dst.rank):
-        row = []
-        for c in range(f.src.rank):
-            p = f.entries[r][c]
-            if p.is_zero():
-                row.append(None)
-            else:
-                row.append(SheafMap.scalar(ring, p, srcs[c], dsts[r]))
-        blocks.append(row)
+    blocks = [[None] * f.src.rank for _ in f.dst]
+    for r, row in enumerate(f.rows):
+        for c, p in row.items():
+            blocks[r][c] = SheafMap.scalar(ring, p, srcs[c], dsts[r])
     return SheafMap.from_blocks(ring, srcs, dsts, blocks)
 
 

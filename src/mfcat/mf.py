@@ -7,10 +7,16 @@ Conventions (fixed throughout the engine):
     it is stored as two terms and two differentials;
   * shift:  E[1] = (E0 --(-e0)--> E1(d) --(-e1(d))--> E0(d));
   * cone(f) uses the block matrices [[-e0, 0], [g0, f1]] and
-    [[-e1(d), 0], [g1(d), f0]].
+    [[-e1(d), 0], [g1(d), f0]];
+  * the mapping complex Hom_MF(E, F) has d^0(E, F) = -d^{-1}(E, F[1]),
+    block for block and with the same source and target twist lists:
+    C^{-1}(E, F[1]) is C^0(E, F) and C^0(E, F[1]) is C^{-1}(E, F)(d).
+    Since -d^{-1}(E, F[1]) = d^{-1}(-E, -F[1]) with -E = (-e1, -e0) and
+    -F[1] = (f0, f1(d)), d^0 is built by the same function as d^{-1},
+    the signs going on the small maps.
 """
 
-from .linalg import ExactMatrix, solve, sparse_rank
+from .linalg import ExactMatrix, solve, sparse_blocks, sparse_rank
 
 
 class TwistSum:
@@ -22,7 +28,7 @@ class TwistSum:
     __slots__ = ("twists",)
 
     def __init__(self, twists=()):
-        self.twists = tuple(int(t) for t in twists)
+        self.twists = tuple(twists)
 
     @property
     def rank(self):
@@ -56,81 +62,111 @@ class TwistSum:
 class SheafMap:
     """A map of twist sums: a matrix of homogeneous ring elements.
 
-    Entry (r, c) must be zero or homogeneous of degree dst[r] - src[c], and
-    every entry is a normal form in the ring.  check=True is the boundary
-    for outside input: it takes each entry to normal form and checks its
-    degree.  check=False is for entries that are normal forms already (the
-    engine's own constructions) and only checks the shape."""
+    Entry (r, c) is zero or homogeneous of degree dst[r] - src[c], and is a
+    normal form in the ring.  The matrix is stored as rows, one
+    {column: entry} dict per target row holding only the nonzero entries,
+    with keys in increasing column order (the layout of linalg's sparse
+    rows).  Rows are never modified after construction, so maps share
+    them.  SheafMap(ring, src, dst, entries) is the boundary for outside
+    input, a dense list of lists: it takes each entry to normal form and
+    checks its degree.  The engine's own constructions, whose entries are
+    normal forms already, go through from_rows, which checks the shape."""
 
-    __slots__ = ("ring", "src", "dst", "entries")
+    __slots__ = ("ring", "src", "dst", "rows")
 
-    def __init__(self, ring, src, dst, entries, check=True):
-        self.ring = ring
-        self.src = src
-        self.dst = dst
+    def __init__(self, ring, src, dst, entries):
         if len(entries) != dst.rank:
             raise ValueError("matrix has %d rows, expected %d" % (len(entries), dst.rank))
-        self.entries = [list(row) for row in entries]
-        for r, row in enumerate(self.entries):
+        rows = []
+        for r, row in enumerate(entries):
             if len(row) != src.rank:
                 raise ValueError("row %d has %d entries, expected %d"
                                  % (r, len(row), src.rank))
-            if not check:
-                continue
+            out = {}
             for c, p in enumerate(row):
-                p = row[c] = ring.normal_form(p)
+                p = ring.normal_form(p)
+                if p.is_zero():
+                    continue
                 want = dst[r] - src[c]
-                if not p.is_zero() and (not p.is_homogeneous()
-                                        or p.total_degree() != want):
+                if not p.is_homogeneous() or p.total_degree() != want:
                     raise ValueError(
                         "entry (%d, %d) must be homogeneous of degree %d, got %s"
                         % (r, c, want, ring.to_str(p)))
+                out[c] = p
+            rows.append(out)
+        self.ring = ring
+        self.src = src
+        self.dst = dst
+        self.rows = rows
+
+    @classmethod
+    def from_rows(cls, ring, src, dst, rows):
+        """The map with the given rows (nonzero normal forms, increasing
+        keys); ValueError on a wrong row count or a column out of range."""
+        if len(rows) != dst.rank:
+            raise ValueError("matrix has %d rows, expected %d" % (len(rows), dst.rank))
+        n = src.rank
+        if any(row and max(row) >= n for row in rows):
+            raise ValueError("column out of range: source rank is %d" % n)
+        m = cls.__new__(cls)
+        m.ring = ring
+        m.src = src
+        m.dst = dst
+        m.rows = rows
+        return m
+
+    @property
+    def entries(self):
+        """Dense view, a fresh list of lists (for output, module code and
+        tests)."""
+        z = self.ring.zero()
+        return [[row.get(c, z) for c in range(self.src.rank)]
+                for row in self.rows]
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(ring, src, dst):
-        z = ring.zero()
-        return SheafMap(ring, src, dst,
-                        [[z] * src.rank for _ in range(dst.rank)], check=False)
+        return SheafMap.from_rows(ring, src, dst, [{} for _ in dst])
 
     @staticmethod
     def identity(ring, ts):
-        m = SheafMap.zero(ring, ts, ts)
         one = ring.one()
-        for i in range(ts.rank):
-            m.entries[i][i] = one
-        return m
+        return SheafMap.from_rows(ring, ts, ts, [{i: one} for i in range(ts.rank)])
 
     @staticmethod
     def scalar(ring, p, src, dst):
         """p * id with a twist shift: dst must be src shifted by deg p."""
-        z = ring.zero()
-        return SheafMap(ring, src, dst,
-                        [[p if r == c else z for c in range(src.rank)]
-                         for r in range(dst.rank)])
+        p = ring.normal_form(p)
+        if p.is_zero():
+            return SheafMap.zero(ring, src, dst)
+        if not p.is_homogeneous() or dst != src.twist(p.total_degree()):
+            raise ValueError("%s * id does not map %r to %r"
+                             % (ring.to_str(p), src, dst))
+        return SheafMap.from_rows(ring, src, dst, [{r: p} for r in range(src.rank)])
 
     @staticmethod
     def from_blocks(ring, srcs, dsts, blocks):
         """Assemble a block matrix; blocks[i][j]: srcs[j] -> dsts[i] or None."""
-        src = TwistSum(sum((list(s.twists) for s in srcs), []))
-        dst = TwistSum(sum((list(d.twists) for d in dsts), []))
-        z = ring.zero()
-        entries = [[z] * src.rank for _ in range(dst.rank)]
-        roff = 0
         for i, dts in enumerate(dsts):
-            coff = 0
             for j, sts in enumerate(srcs):
                 blk = blocks[i][j]
-                if blk is not None:
-                    if blk.src != sts or blk.dst != dts:
-                        raise ValueError("block (%d, %d) has wrong shape" % (i, j))
-                    for r in range(dts.rank):
-                        for c in range(sts.rank):
-                            entries[roff + r][coff + c] = blk.entries[r][c]
-                coff += sts.rank
-            roff += dts.rank
-        return SheafMap(ring, src, dst, entries, check=False)
+                if blk is not None and (blk.src != sts or blk.dst != dts):
+                    raise ValueError("block (%d, %d) has wrong shape" % (i, j))
+        rows, _ = sparse_blocks([d.rank for d in dsts], [s.rank for s in srcs],
+                                ((i, j, blk.rows)
+                                 for i, brow in enumerate(blocks)
+                                 for j, blk in enumerate(brow) if blk is not None))
+        return SheafMap.from_rows(ring, TwistSum(t for s in srcs for t in s),
+                                  TwistSum(t for d in dsts for t in d), rows)
+
+    @staticmethod
+    def block_diagonal(ring, maps):
+        """The direct sum of maps, as a block diagonal matrix."""
+        return SheafMap.from_blocks(
+            ring, [m.src for m in maps], [m.dst for m in maps],
+            [[m if i == j else None for j in range(len(maps))]
+             for i, m in enumerate(maps)])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -139,60 +175,64 @@ class SheafMap:
         nonzero entries only."""
         if other.dst != self.src:
             raise ValueError("composition shape mismatch")
-        ring = self.ring
-        z = ring.zero()
-        other_rows = [[(c, b) for c, b in enumerate(row) if not b.is_zero()]
-                      for row in other.entries]
-        entries = []
-        for row in self.entries:
+        nf = self.ring.normal_form
+        rows = []
+        for row in self.rows:
             acc = {}
-            for a, brow in zip(row, other_rows):
-                if a.is_zero():
-                    continue
-                for c, b in brow:
+            for k, a in row.items():
+                for c, b in other.rows[k].items():
                     ab = a * b
                     acc[c] = acc[c] + ab if c in acc else ab
-            out = [z] * other.src.rank
-            for c, p in acc.items():
-                out[c] = ring.normal_form(p)
-            entries.append(out)
-        return SheafMap(ring, other.src, self.dst, entries, check=False)
+            out = {}
+            for c in sorted(acc):
+                p = nf(acc[c])
+                if not p.is_zero():
+                    out[c] = p
+            rows.append(out)
+        return SheafMap.from_rows(self.ring, other.src, self.dst, rows)
 
     def twist(self, n):
-        return SheafMap(self.ring, self.src.twist(n), self.dst.twist(n),
-                        self.entries, check=False)
+        return SheafMap.from_rows(self.ring, self.src.twist(n),
+                                  self.dst.twist(n), self.rows)
 
     def __add__(self, other):
         if other.src != self.src or other.dst != self.dst:
             raise ValueError("addition shape mismatch")
-        return SheafMap(self.ring, self.src, self.dst,
-                        [[a + b for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(self.entries, other.entries)],
-                        check=False)
+        rows = []
+        for r1, r2 in zip(self.rows, other.rows):
+            acc = dict(r1)
+            for c, b in r2.items():
+                acc[c] = acc[c] + b if c in acc else b
+            rows.append({c: acc[c] for c in sorted(acc) if not acc[c].is_zero()})
+        return SheafMap.from_rows(self.ring, self.src, self.dst, rows)
 
     def __neg__(self):
-        return SheafMap(self.ring, self.src, self.dst,
-                        [[-p for p in row] for row in self.entries], check=False)
+        return SheafMap.from_rows(self.ring, self.src, self.dst,
+                                  [{c: -p for c, p in row.items()}
+                                   for row in self.rows])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return SheafMap(self.ring, self.src, self.dst,
-                        [[p.scale(c) for p in row] for row in self.entries],
-                        check=False)
+        field = self.ring.field
+        if field.is_zero(field.of(c)):
+            return SheafMap.zero(self.ring, self.src, self.dst)
+        return SheafMap.from_rows(self.ring, self.src, self.dst,
+                                  [{k: p.scale(c) for k, p in row.items()}
+                                   for row in self.rows])
 
     def is_zero(self):
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not any(self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, SheafMap) and self.src == other.src
-                and self.dst == other.dst
-                and all(a == b for r1, r2 in zip(self.entries, other.entries)
-                        for a, b in zip(r1, r2)))
+                and self.dst == other.dst and self.rows == other.rows)
 
     def to_strs(self):
-        return [[self.ring.to_str(p) for p in row] for row in self.entries]
+        to_str = self.ring.to_str     # a zero entry prints as "0"
+        return [[to_str(row[c]) if c in row else "0"
+                 for c in range(self.src.rank)] for row in self.rows]
 
     def __repr__(self):
         return "SheafMap(%r -> %r, %r)" % (self.src, self.dst, self.to_strs())
@@ -331,16 +371,18 @@ def verify_mf(E):
     """Check the two W * id composition laws; report the first violation."""
     ctx = E.ctx
     ring = ctx.ring
+    z = ring.zero()
     violations = []
     laws = (("e0*e1", E.e0.compose(E.e1)),                 # E1 -> E1(d)
             ("e1(d)*e0", E.e1.twist(ctx.d).compose(E.e0)))  # E0 -> E0(d)
     for name, comp in laws:
         # entries and W are normal forms: equal in R iff equal as polynomials
-        for r, row in enumerate(comp.entries):
-            for c, p in enumerate(row):
-                if not (p == ctx.W if r == c else p.is_zero()):
-                    violations.append("%s != W*id at entry (%d, %d): %s"
-                                      % (name, r, c, ring.to_str(p)))
+        for r, row in enumerate(comp.rows):
+            want = {} if ctx.W.is_zero() else {r: ctx.W}
+            violations.extend("%s != W*id at entry (%d, %d): %s"
+                              % (name, r, c, ring.to_str(row.get(c, z)))
+                              for c in sorted(row.keys() | want.keys())
+                              if row.get(c) != want.get(c))
     return {"ok": not violations, "violations": violations}
 
 
@@ -372,12 +414,10 @@ def direct_sum_mf(E, F):
     if E.ctx != F.ctx:
         raise ValueError("context mismatch")
     ring = E.ctx.ring
-    e1 = SheafMap.from_blocks(ring, [E.E1, F.E1], [E.E0, F.E0],
-                              [[E.e1, None], [None, F.e1]])
-    e0 = SheafMap.from_blocks(ring, [E.E0, F.E0],
-                              [E.E1.twist(E.ctx.d), F.E1.twist(E.ctx.d)],
-                              [[E.e0, None], [None, F.e0]])
-    return MatrixFactorization(E.ctx, e1, e0, check=False)
+    return MatrixFactorization(E.ctx,
+                               SheafMap.block_diagonal(ring, [E.e1, F.e1]),
+                               SheafMap.block_diagonal(ring, [E.e0, F.e0]),
+                               check=False)
 
 
 class StrictMorphism:
@@ -467,11 +507,10 @@ class StrictMorphism:
 def strictness_violation(f):
     """None if both squares commute, else a message."""
     d = f.ctx.d
-    sq1 = f.g0.compose(f.src.e1) - f.dst.e1.compose(f.g1)
-    if not sq1.is_zero():
+    # entries are normal forms: the squares commute iff the maps are equal
+    if f.g0.compose(f.src.e1) != f.dst.e1.compose(f.g1):
         return "first square does not commute (g0*e1 != f1*g1)"
-    sq0 = f.g1.twist(d).compose(f.src.e0) - f.dst.e0.compose(f.g0)
-    if not sq0.is_zero():
+    if f.g1.twist(d).compose(f.src.e0) != f.dst.e0.compose(f.g0):
         return "second square does not commute (g1(d)*e0 != f0*g0)"
     return None
 
@@ -538,49 +577,38 @@ def hom_twists(A, B):
     return TwistSum(B[r] - A[c] for r in range(B.rank) for c in range(A.rank))
 
 
-def _post_compose_matrix(ring, phi, A, B, C):
+def _post_compose_matrix(phi, A):
     """Matrix of Hom(A, B) -> Hom(A, C), psi |-> phi o psi, for phi: B -> C."""
-    src = hom_twists(A, B)
-    dst = hom_twists(A, C)
-    z = ring.zero()
-    entries = [[z] * src.rank for _ in range(dst.rank)]
-    for r in range(C.rank):
-        for c in range(A.rank):
-            for s in range(B.rank):
-                entries[r * A.rank + c][s * A.rank + c] = phi.entries[r][s]
-    return SheafMap(ring, src, dst, entries, check=False)
+    nA = A.rank
+    rows = [{s * nA + c: p for s, p in prow.items()}
+            for prow in phi.rows for c in range(nA)]
+    return SheafMap.from_rows(phi.ring, hom_twists(A, phi.src),
+                              hom_twists(A, phi.dst), rows)
 
 
-def _pre_compose_matrix(ring, phi, A, B, C):
+def _pre_compose_matrix(phi, C):
     """Matrix of Hom(B, C) -> Hom(A, C), psi |-> psi o phi, for phi: A -> B."""
-    src = hom_twists(B, C)
-    dst = hom_twists(A, C)
-    z = ring.zero()
-    entries = [[z] * src.rank for _ in range(dst.rank)]
-    for r in range(C.rank):
-        for c in range(A.rank):
-            for s in range(B.rank):
-                entries[r * A.rank + c][r * B.rank + s] = phi.entries[s][c]
-    return SheafMap(ring, src, dst, entries, check=False)
+    nB = phi.dst.rank
+    cols = [{} for _ in phi.src]
+    for s, prow in enumerate(phi.rows):
+        for c, p in prow.items():
+            cols[c][s] = p
+    rows = [{r * nB + s: p for s, p in col.items()}
+            for r in range(C.rank) for col in cols]
+    return SheafMap.from_rows(phi.ring, hom_twists(phi.dst, C),
+                              hom_twists(phi.src, C), rows)
 
 
 def _mapping_dm1(E, F):
-    """d^{-1}: C^{-1} -> C^0 of the mapping complex Hom_MF(E, F)."""
-    ring = E.ctx.ring
-    d = E.ctx.d
-    E0, E1, F0, F1 = E.E0, E.E1, F.E0, F.E1
-    F0m = F0.twist(-d)
-    h_e0f0 = hom_twists(E0, F0)
-    h_e1f0m = hom_twists(E1, F0m)
-    b11 = _post_compose_matrix(ring, F.e1, E0, F1, F0)          # (f1)_*
-    b12 = _pre_compose_matrix(ring, -E.e0, E0, E1.twist(d), F0) # -e0^*, note:
-    # psi in Hom(E1, F0(-d)) is used as psi(d): E1(d) -> F0; precompose e0
-    b12 = SheafMap(ring, h_e1f0m, h_e0f0, b12.entries, check=False)
-    b21 = _pre_compose_matrix(ring, -E.e1, E1, E0, F1)          # -e1^*
-    b22 = _post_compose_matrix(ring, F.e0.twist(-d), E1, F0m, F1)  # (f0)_*
-    return SheafMap.from_blocks(ring, [hom_twists(E0, F1), h_e1f0m],
-                                [h_e0f0, hom_twists(E1, F1)],
-                                [[b11, b12], [b21, b22]])
+    """d^{-1}: C^{-1} -> C^0 of the mapping complex Hom_MF(E, F).  A psi in
+    Hom(E1, F0(-d)) acts as psi(d): E1(d) -> F0, so -e0^* precomposes
+    e0: E0 -> E1(d)."""
+    b11 = _post_compose_matrix(F.e1, E.E0)                   # (f1)_*
+    b12 = _pre_compose_matrix(-E.e0, F.E0)                   # -e0^*
+    b21 = _pre_compose_matrix(-E.e1, F.E1)                   # -e1^*
+    b22 = _post_compose_matrix(F.e0.twist(-E.ctx.d), E.E1)   # (f0)_*
+    return SheafMap.from_blocks(E.ctx.ring, [b11.src, b12.src],
+                                [b11.dst, b21.dst], [[b11, b12], [b21, b22]])
 
 
 def mapping_complex(E, F):
@@ -589,7 +617,7 @@ def mapping_complex(E, F):
     C^0   = Hom(E0, F0) (+) Hom(E1, F1)
     C^-1  = Hom(E0, F1) (+) Hom(E1, F0(-d))
     d^-1  = [[(f1)_*, -e0^*], [-e1^*, (f0)_*]]
-    d^0   = [[(f0)_*,  e0^*], [ e1^*, (f1)_*]]
+    d^0   = [[(f0)_*,  e0^*], [ e1^*, (f1)_*]] = d^{-1}(-E, -F[1])
     """
     if E.ctx != F.ctx:
         raise ValueError("context mismatch")
@@ -598,28 +626,11 @@ def mapping_complex(E, F):
     require_mf(E)
     require_mf(F)
     ctx = E.ctx
-    ring = ctx.ring
-    d = ctx.d
-    E0, E1, F0, F1 = E.E0, E.E1, F.E0, F.E1
-    h_e0f0 = hom_twists(E0, F0)
-    h_e1f1 = hom_twists(E1, F1)
-    h_e0f1 = hom_twists(E0, F1)
-    h_e1f0m = hom_twists(E1, F0.twist(-d))
-    dm1 = _mapping_dm1(E, F)
-
-    # d^0: C^0 -> C^{-1}(d) = Hom(E0, F1)(d) (+) Hom(E1, F0)
-    c11 = _post_compose_matrix(ring, F.e0, E0, F0, F1.twist(d))  # (f0)_*
-    c11 = SheafMap(ring, h_e0f0, h_e0f1.twist(d), c11.entries, check=False)
-    c12 = _pre_compose_matrix(ring, E.e0, E0, E1.twist(d), F1.twist(d))  # e0^*
-    c12 = SheafMap(ring, h_e1f1, h_e0f1.twist(d), c12.entries, check=False)
-    c21 = _pre_compose_matrix(ring, E.e1, E1, E0, F0)            # e1^*
-    c22 = _post_compose_matrix(ring, F.e1, E1, F1, F0)           # (f1)_*
-    c21 = SheafMap(ring, h_e0f0, h_e1f0m.twist(d), c21.entries, check=False)
-    c22 = SheafMap(ring, h_e1f1, h_e1f0m.twist(d), c22.entries, check=False)
-    d0 = SheafMap.from_blocks(ring, [h_e0f0, h_e1f1],
-                              [h_e0f1.twist(d), h_e1f0m.twist(d)],
-                              [[c11, c12], [c21, c22]])
-    return TwistedPeriodicComplex(ctx, dm1, d0)
+    neg_e = MatrixFactorization(ctx, -E.e1, -E.e0, check=False)
+    neg_shift_f = MatrixFactorization(ctx, F.e0, F.e1.twist(ctx.d),
+                                      check=False)
+    return TwistedPeriodicComplex(ctx, _mapping_dm1(E, F),
+                                  _mapping_dm1(neg_e, neg_shift_f))
 
 
 def unpack_maps(ring, polys, *shapes):

@@ -260,10 +260,13 @@ class ModulePiece:
         ring = pres.ring
         # zero relation columns (twist None) add nothing to the span
         cols = [c for c, tw in enumerate(pres.rel_twists) if tw is not None]
-        rel = SheafMap(ring, TwistSum(pres.rel_twists[c] for c in cols),
-                       TwistSum(pres.gen_twists),
-                       [[pres.columns[c][r] for c in cols]
-                        for r in range(pres.n_gens)], check=False)
+        rows = [{} for _ in pres.gen_twists]
+        for k, c in enumerate(cols):
+            for row, p in zip(rows, pres.columns[c]):
+                if not p.is_zero():
+                    row[k] = p
+        rel = SheafMap.from_rows(ring, TwistSum(pres.rel_twists[c] for c in cols),
+                                 TwistSum(pres.gen_twists), rows)
         self.reducer = CosetReducer(ExactMatrix.from_sparse_rows(
             ring.field, *ring.piece_matrix(rel, t)))
         pivot_set = set(self.reducer.pivots)

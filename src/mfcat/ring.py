@@ -213,10 +213,12 @@ class GradedRing:
         """Matrix of a SheafMap f on the degree-t pieces of this ring, as
         (sparse rows, ncols): block (r, c) is multiplication by f's entry
         (r, c), taken to normal form here, from R_{t + f.src[c]} to
-        R_{t + f.dst[r]}; only the nonzero entries are visited."""
+        R_{t + f.dst[r]}; only the nonzero entries are visited, and those
+        that vanish in this ring (f may be a map over a ring this one is a
+        quotient of) are skipped."""
         blocks = ((r, c, self.mult_matrix(p, t + f.src[c]))
-                  for r, row in enumerate(f.entries)
-                  for c, p in enumerate(map(self.normal_form, row))
+                  for r, row in enumerate(f.rows)
+                  for c, p in zip(row, map(self.normal_form, row.values()))
                   if not p.is_zero())
         return sparse_blocks([self.hilbert(t + b) for b in f.dst],
                              [self.hilbert(t + a) for a in f.src], blocks)

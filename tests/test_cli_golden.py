@@ -1,0 +1,80 @@
+"""Byte stability of CLI reports: the SHA-256 of each JSON report, with
+``timing_ms`` removed, is pinned to a recorded value.
+
+The recorded hashes are in ``cli_golden.json``.  The commands run in a
+directory holding the seed-0 a1-affine and p2-small corpora as MF JSON
+files, named relatively, so the reports do not depend on where the files
+live."""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from mfcat.cli import main
+from mfcat.serialize import mf_to_json
+from mfcat.suite import generate_suite
+
+CORPORA = (("a1", "a1-affine"), ("p2", "p2-small"))
+
+
+def _files():
+    """File name -> MF JSON for every object of the two corpora."""
+    out = {}
+    for tag, profile in CORPORA:
+        _ctx, objs = generate_suite(0, profile)
+        for i, E in enumerate(objs):
+            out["%s_%d.json" % (tag, i)] = mf_to_json(E)
+    return out
+
+
+FILES = _files()
+
+
+def _names(tag):
+    return sorted(n for n in FILES if n.startswith(tag + "_"))
+
+
+def _commands():
+    a1, p2 = _names("a1"), _names("p2")
+    cmds = [["hom", "--source", s, "--target", t]
+            for names in (a1, p2) for s in names for t in names]
+    cmds += [["stabilize", "--source", s, "--target", t]
+             for s in p2 for t in p2]
+    # triples whose two Hom-sets are nonzero; a1_4 and a1_5 have dim 2
+    cmds += [["compose", "--source", "a1_%d.json" % s,
+              "--middle", "a1_%d.json" % m, "--target", "a1_%d.json" % t,
+              "--alpha", str(a), "--beta", str(b)]
+             for s, m, t, a, b in ((0, 0, 0, 0, 0), (0, 4, 2, 0, 0),
+                                   (4, 4, 5, 1, 0), (2, 5, 1, 0, 0),
+                                   (5, 5, 5, 1, 1))]
+    cmds.append(["suite", "--seed", "0", "--profile", "p1-small"])
+    return cmds
+
+
+def report_sha256(text):
+    report = json.loads(text)
+    report.pop("timing_ms")
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for name, obj in FILES.items():
+        (d / name).write_text(json.dumps(obj, sort_keys=True))
+    return d
+
+
+# recorded from the reports of the code before SheafMap stored sparse rows
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", _commands(), ids=" ".join)
+def test_report_bytes(argv, workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    assert main(list(argv)) == 0
+    assert report_sha256(capsys.readouterr().out) == GOLDEN[" ".join(argv)]

@@ -177,6 +177,17 @@ class TestMappingComplexGuard:
             mapping_complex(*pair)
 
 
+def assert_row_layout(m):
+    """m.rows holds one dict per target row, with only nonzero entries and
+    increasing keys in range(m.src.rank)."""
+    assert len(m.rows) == m.dst.rank
+    for row in m.rows:
+        keys = list(row)
+        assert keys == sorted(keys)
+        assert all(0 <= c < m.src.rank for c in keys)
+        assert not any(p.is_zero() for p in row.values())
+
+
 def dense_compose(g, f):
     """Reference for g.compose(f): the triple loop over every entry."""
     ring = g.ring
@@ -225,6 +236,11 @@ class TestSparseCompose:
         h = g.compose(f)
         assert h.src == A and h.dst == C
         assert h.entries == dense_compose(g, f)
+        assert_row_layout(h)
+        f2 = data.draw(nodal_sheafmaps(A, B))
+        assert (f + f2).entries == [[a + b for a, b in zip(r1, r2)]
+                                    for r1, r2 in zip(f.entries, f2.entries)]
+        assert_row_layout(f + f2)
 
     def test_cancelling_products(self):
         # x * y = 0 in the ring, and x*z - x*z cancels before the normal form
@@ -304,12 +320,107 @@ class TestNormalFormInvariant:
         nf = ring.normal_form
         monkeypatch.setattr(ring, "normal_form",
                             lambda p: calls.append(p) or nf(p))
-        maps = [SheafMap(ring, Es.E1, Es.E0, Es.e1.entries, check=False),
+        maps = [SheafMap.from_rows(ring, Es.E1, Es.E0, Es.e1.rows),
                 Es.e1.twist(1), -Es.e1,
                 SheafMap.from_blocks(ring, [Es.E1], [Es.E0], [[Es.e1]])]
-        assert calls == [] and all(m.entries for m in maps)
+        assert calls == [] and not any(m.is_zero() for m in maps)
         SheafMap(ring, Es.E1, Es.E0, Es.e1.entries)
         assert len(calls) == Es.E1.rank * Es.E0.rank
+
+
+def layout_corpus(name):
+    """(context, maps): the objects of a corpus, their shifts, the cones
+    and direct sums of its pairs, a level-1 stabilized source with its
+    augmentation (projective corpora), and both differentials of the
+    mapping complex of every pair, the stabilized source included."""
+    if name == "nodal":
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                          ideal_strings=["x*y"])
+        ctx = MFContext(ring, ring.poly("z"))
+        objs = _grow(random.Random(0), ctx, [unit_e0_factorization(ctx)], 4)
+    else:
+        ctx, objs = generate_suite(0, {"a1": "a1-affine", "p1": "p1-small",
+                                       "p2": "p2-small"}[name])
+    mfs = objs + [shift_mf(E) for E in objs]
+    mfs += [M for E in objs for F in objs
+            for M in (cone(StrictMorphism.zero(E, F)), direct_sum_mf(E, F))]
+    maps = [m for M in mfs for m in (M.e1, M.e0)]
+    sources = list(objs)
+    if not ctx.is_affine:
+        Es, eps = stabilized_mf(*koszul_truncated(ctx.ring, 1), objs[-1])
+        maps += [Es.e1, Es.e0, eps.g1, eps.g0]
+        sources.append(Es)
+    for E in sources:
+        for F in objs:
+            C = mapping_complex(E, F)
+            maps += [C.dm1, C.d0]
+    return ctx, maps
+
+
+def dense_assembly(f, mult, dim, nonzero):
+    """Reference for the assembled matrix of f: walk f.entries in (r, c)
+    order, skip entries with nonzero(p) false, and place mult(p, src
+    twist) at the block offsets, block dimensions dim(twist)."""
+    row_offs = [sum(dim(b) for b in f.dst[:r]) for r in range(f.dst.rank)]
+    col_offs = [sum(dim(a) for a in f.src[:c]) for c in range(f.src.rank)]
+    rows = [{} for _ in range(sum(dim(b) for b in f.dst))]
+    for r, row in enumerate(f.entries):
+        for c, p in enumerate(row):
+            if not nonzero(p):
+                continue
+            for i, mrow in enumerate(mult(p, f.src[c])):
+                for k, v in mrow.items():
+                    rows[row_offs[r] + i][col_offs[c] + k] = v
+    return rows, sum(dim(a) for a in f.src)
+
+
+def ordered(assembled):
+    """(rows, ncols) with each row as its list of items, key order kept."""
+    rows, ncols = assembled
+    return [list(row.items()) for row in rows], ncols
+
+
+class TestRowLayout:
+    """SheafMap stores only nonzero entries, as one {column: entry} dict
+    per target row with increasing keys; Γ and graded-piece matrices
+    assembled from the rows equal a walk over the dense entries."""
+
+    @pytest.fixture(scope="class", params=["a1", "p1", "p2", "nodal"])
+    def corpus(self, request):
+        return layout_corpus(request.param)
+
+    def test_rows_hold_nonzeros_in_column_order(self, corpus):
+        for m in corpus[1]:
+            assert_row_layout(m)
+
+    def test_gamma_rows_match_dense_walk(self, corpus):
+        ctx, maps = corpus
+        gs = GlobalSections(ctx)
+        for m in maps:
+            assert ordered(gs.sheafmap_rows(m)) == ordered(dense_assembly(
+                m, gs.mult, gs.dim, lambda p: not p.is_zero()))
+
+    def test_piece_matrix_matches_dense_walk(self, corpus):
+        ctx, maps = corpus
+        # over the hypersurface ring an entry can reduce to zero
+        rings = [ctx.ring] if ctx.W.is_zero() else [ctx.ring, ctx.y_ring()]
+        for ring in rings:
+            for t in (0, 2):
+                for m in maps:
+                    want = dense_assembly(
+                        m, lambda p, a: ring.mult_matrix(p, t + a),
+                        lambda a: ring.hilbert(t + a),
+                        lambda p: not ring.normal_form(p).is_zero())
+                    assert ordered(ring.piece_matrix(m, t)) == ordered(want)
+
+    def test_from_rows_checks_shape(self, E_u):
+        ring, e1 = E_u.ring, E_u.e1
+        SheafMap.from_rows(ring, e1.src, e1.dst, e1.rows)
+        with pytest.raises(ValueError, match="rows"):
+            SheafMap.from_rows(ring, e1.src, e1.dst, e1.rows + [{}])
+        with pytest.raises(ValueError, match="column"):
+            SheafMap.from_rows(ring, e1.src, e1.dst,
+                               [{e1.src.rank: ring.one()}])
 
 
 def assert_homotopy(f):
