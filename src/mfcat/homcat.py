@@ -7,7 +7,7 @@ from functools import cached_property
 
 from .cohomology import GlobalSections
 from .hypersurface import coker_module
-from .koszul import koszul_truncated, stabilized_mf, tensor_mf, tot_chain_morphism
+from .koszul import koszul_truncated, stabilized_mf, tot_blocks, tot_morphism
 from .linalg import (CosetReducer, ExactMatrix, homology_dim, kernel_basis,
                      sparse_matmul, sparse_rank)
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
@@ -189,19 +189,6 @@ class StabilizationCertificate:
                 "min_twist": self.min_twist, "verified": self.check()}
 
 
-def _stabilized_component_twists(P, E):
-    """Twist inventories (E'_1, E'_0) of Tot(P tensor E) without matrices."""
-    degs = P.degrees()
-    t1, t0 = [], []
-    for p in degs:
-        base = P.term(p)
-        for level, acc in ((-1, t1), (0, t0)):
-            comp = E.component_at(level - p)
-            for a in base:
-                acc.extend(c + a for c in comp.twists)
-    return TwistSum(t1), TwistSum(t0)
-
-
 def _mapping_row_twists(E1p, E0p, F, d, q):
     """Twist list of Hom_MF(E', F)^q from component inventories."""
     c0 = [b - a for b in F.E0 for a in E0p] + [b - a for b in F.E1 for a in E1p]
@@ -232,7 +219,9 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
     chosen = None
     for j in range(1, j_max + 1):
         P, aug = koszul_truncated(ring, j)
-        E1p, E0p = _stabilized_component_twists(P, E)
+        # the twist inventories of E'_1 and E'_0, without matrices
+        E1p, E0p = ([t for _, ts in tot_blocks(P, E, level) for t in ts]
+                    for level in (-1, 0))
         rows = {q: _mapping_row_twists(E1p, E0p, F, d, q)
                 for q in (q_min, q_min + 1)}
         min_twist = min(min(tw) for tw in rows.values() if tw) \
@@ -280,22 +269,6 @@ def hom_H(E, F, gs=None, want_basis=True):
 # -- composition ----------------------------------------------------------------
 
 
-def _tensor_tot_morphism(P, aug, f):
-    """The strict morphism Tot(P tensor src) -> Tot(P tensor dst) induced by
-    a strict morphism f."""
-    DP = tensor_mf(P, f.src)
-    DQ = tensor_mf(P, f.dst)
-    chain = {}
-    for p in DP.degrees():
-        base = P.term(p)
-        g1 = SheafMap.block_diagonal(f.ctx.ring,
-                                     [f.g1.twist(a) for a in base])
-        g0 = SheafMap.block_diagonal(f.ctx.ring,
-                                     [f.g0.twist(a) for a in base])
-        chain[p] = StrictMorphism(DP.term(p), DQ.term(p), g1, g0, check=False)
-    return tot_chain_morphism(DP, DQ, chain)
-
-
 def compose_h(beta, alpha):
     """Composition of stabilized classes: alpha: E -> F, beta: F -> G.
 
@@ -306,8 +279,8 @@ def compose_h(beta, alpha):
         raise ValueError("classes are not composable")
     rep = alpha.rep
     for j in beta.tower:
-        P, aug = koszul_truncated(rep.ctx.ring, j)
-        rep = _tensor_tot_morphism(P, aug, rep)
+        P, _aug = koszul_truncated(rep.ctx.ring, j)
+        rep = tot_morphism(P, rep)
     # rep now maps the stabilization of rep's source along beta.tower to
     # that of F, which is beta.rep's source
     composed = beta.rep.compose(rep)

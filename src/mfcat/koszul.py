@@ -1,16 +1,19 @@
-"""Truncated Koszul complexes, tensoring free complexes with a matrix
-factorization, total factorizations (Tot), and induced morphisms.
+"""Truncated Koszul complexes P(j), the total factorization Tot(P tensor E)
+of a bounded free complex P with a matrix factorization E, its
+augmentation to E, and the strict morphism Tot(P tensor f) induced by a
+strict morphism f.
 
-Tot of a bounded complex of MFs takes direct sums along lines of slope -1:
-T^n = (+)_p C_p^{n-p} with differential (vertical with sign (-1)^p) +
-(horizontal).
+Tot(P tensor E) is built straight from the terms and maps of P.  Its term
+in degree n is (+)_p (+)_{a in P^p} E^{n-p}(a), p ascending (`tot_blocks`,
+the one place this layout is written), where E^r is the unrolled periodic
+complex of E.  The differential has (-1)^p times copies of E's
+differential on the diagonal and P's maps tensor id on the subdiagonal.
 """
 
 from itertools import combinations
 
 from .linalg import homology_dim
-from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
-                 zero_mf)
+from .mf import MatrixFactorization, SheafMap, StrictMorphism, TwistSum
 from .poly import Poly
 
 
@@ -21,18 +24,17 @@ class FreeComplex:
     maps:  dict {p: SheafMap term(p) -> term(p+1)}
     """
 
-    def __init__(self, ring, terms, maps, check=True):
+    def __init__(self, ring, terms, maps):
         self.ring = ring
         self.terms = dict(terms)
         self.maps = dict(maps)
         for p, f in self.maps.items():
             if f.src != self.term(p) or f.dst != self.term(p + 1):
                 raise ValueError("map at %d has wrong endpoints" % p)
-        if check:
-            for p in self.maps:
-                if p + 1 in self.maps:
-                    if not self.maps[p + 1].compose(self.maps[p]).is_zero():
-                        raise ValueError("d^2 != 0 at degree %d" % p)
+        for p in self.maps:
+            if p + 1 in self.maps:
+                if not self.maps[p + 1].compose(self.maps[p]).is_zero():
+                    raise ValueError("d^2 != 0 at degree %d" % p)
 
     def term(self, p):
         return self.terms.get(p, TwistSum())
@@ -88,28 +90,12 @@ def koszul_truncated(ring, j):
     return complex_, aug
 
 
-def free_complex_homology_dims(fc, t, q_range, augmentation=None):
+def free_complex_homology_dims(fc, t, q_range):
     """Homology dimensions of a free complex on the internal-degree-t graded
-    pieces.  If `augmentation` is given it is appended as the map out of
-    term(0) into O (placed in cohomological degree 1)."""
+    pieces."""
     ring = fc.ring
-
-    def term(q):
-        if augmentation is not None and q == 1:
-            return TwistSum([0])
-        if augmentation is not None and q > 1:
-            return TwistSum()
-        return fc.term(q)
-
-    def map_at(q):
-        if augmentation is not None and q == 0:
-            return augmentation
-        if augmentation is not None and q >= 1:
-            return SheafMap.zero(ring, term(q), term(q + 1))
-        return fc.map_at(q)
-
-    return {q: homology_dim(ring.field, ring.piece_matrix(map_at(q), t),
-                            ring.piece_matrix(map_at(q - 1), t))
+    return {q: homology_dim(ring.field, ring.piece_matrix(fc.map_at(q), t),
+                            ring.piece_matrix(fc.map_at(q - 1), t))
             for q in q_range}
 
 
@@ -127,144 +113,95 @@ def koszul_exactness_report(ring, j, t_range=None):
     k = P.term(0).rank
     if t_range is None:
         t_range = range(k * j - 1, k * j + ring.nvars + 1)
+    # the augmentation is the map out of term(0) into O in degree 1
+    augmented = FreeComplex(ring, {**P.terms, 1: aug.dst}, {**P.maps, 0: aug})
     spots = range(min(P.degrees()), 2)
-    return {t: free_complex_homology_dims(P, t, spots, augmentation=aug)
+    return {t: free_complex_homology_dims(augmented, t, spots)
             for t in t_range}
 
 
-# -- tensoring with a matrix factorization -----------------------------------
+# -- Tot(P tensor E) ----------------------------------------------------------
 
 
-def free_tensor_mf(ts, E):
-    """(+) O(a) tensor E: components get the twists, matrices are block
-    diagonal copies."""
-    ring = E.ctx.ring
-    e1 = SheafMap.block_diagonal(ring, [E.e1.twist(a) for a in ts])
-    e0 = SheafMap.block_diagonal(ring, [E.e0.twist(a) for a in ts])
-    return MatrixFactorization(E.ctx, e1, e0, check=False)
+def tot_blocks(P, E, level):
+    """The summands of Tot(P tensor E) in degree `level`, in order: a list
+    of (p, (+)_{a in P^p} E^{level-p}(a)) for p ascending."""
+    return [(p, TwistSum(t + a for a in P.term(p)
+                         for t in E.component_at(level - p)))
+            for p in P.degrees()]
 
 
-def _free_map_tensor(f, E, component):
-    """The map (f tensor id_E) on one MF component (0 or 1): block matrix of
-    f's scalar entries times identity blocks."""
-    ring = E.ctx.ring
-    comp = E.E0 if component == 0 else E.E1
-    srcs = [comp.twist(a) for a in f.src]
-    dsts = [comp.twist(b) for b in f.dst]
-    blocks = [[None] * f.src.rank for _ in f.dst]
+def _twisted_copies(ts, g):
+    """id tensor g on (+)_{a in ts} O(a): the block diagonal of the g(a)."""
+    return SheafMap.block_diagonal(g.ring, [g.twist(a) for a in ts])
+
+
+def _tensor_id(f, ts):
+    """f tensor id on (+)_{a in f.src} ts(a) -> (+)_{b in f.dst} ts(b), for a
+    map f of twist sums: the block matrix of f's entries times identity
+    blocks."""
+    ring = f.ring
+    srcs = [ts.twist(a) for a in f.src]
+    dsts = [ts.twist(b) for b in f.dst]
+    blocks = [[None] * len(srcs) for _ in dsts]
     for r, row in enumerate(f.rows):
         for c, p in row.items():
             blocks[r][c] = SheafMap.scalar(ring, p, srcs[c], dsts[r])
     return SheafMap.from_blocks(ring, srcs, dsts, blocks)
 
 
-class MFComplex:
-    """Bounded complex of MFs connected by strict morphisms."""
+def tot(P, E):
+    """The total matrix factorization Tot(P tensor E), checked.
 
-    def __init__(self, ctx, terms, maps, check=True):
-        self.ctx = ctx
-        self.terms = dict(terms)
-        self.maps = dict(maps)
-        if check:
-            for p, f in self.maps.items():
-                if p + 1 in self.maps:
-                    if not self.maps[p + 1].compose(f).is_zero():
-                        raise ValueError("consecutive composite nonzero at %d" % p)
-
-    def term(self, p):
-        if p in self.terms:
-            return self.terms[p]
-        return zero_mf(self.ctx)
-
-    def degrees(self):
-        return sorted(self.terms)
-
-
-def tensor_mf(P, E):
-    """Tensor a bounded free complex P with the MF E, giving an MFComplex."""
-    ctx = E.ctx
-    terms = {p: free_tensor_mf(P.term(p), E) for p in P.degrees()}
-    maps = {}
-    for p in P.maps:
-        f = P.maps[p]
-        g1 = _free_map_tensor(f, E, component=1)
-        g0 = _free_map_tensor(f, E, component=0)
-        maps[p] = StrictMorphism(terms[p], terms[p + 1], g1, g0, check=False)
-    return MFComplex(ctx, terms, maps, check=False)
-
-
-def tot(D):
-    """Total matrix factorization of a bounded complex of MFs.
-
-    T^{-1} = (+)_p C_p^{-1-p},  T^0 = (+)_p C_p^{-p}  (p ascending), with
-    differential blocks: diagonal (-1)^p * (vertical differential of C_p)
-    and superdiagonal the horizontal strict morphisms.
-    """
-    ctx = D.ctx
-    ring = ctx.ring
-    degs = D.degrees()
-    if not degs:
-        return zero_mf(ctx)
+    The map from degree `level` to `level + 1` has the blocks
+    (-1)^p id tensor (E's differential at level - p) on the diagonal and
+    P^p -> P^{p+1} tensor id on the subdiagonal."""
+    ring = E.ctx.ring
+    degs = P.degrees()
 
     def build(level):
-        """The map T^level -> T^{level+1}."""
-        srcs = [D.term(p).component_at(level - p) for p in degs]
-        dsts = [D.term(p).component_at(level + 1 - p) for p in degs]
         blocks = [[None] * len(degs) for _ in degs]
         for i, p in enumerate(degs):
-            vert = D.term(p).diff_at(level - p)
+            vert = _twisted_copies(P.term(p), E.diff_at(level - p))
             blocks[i][i] = vert if p % 2 == 0 else -vert
-        for i, p in enumerate(degs):
-            if p in D.maps:
-                jj = degs.index(p + 1) if (p + 1) in D.terms else None
-                if jj is not None:
-                    blocks[jj][i] = D.maps[p].component_at(level - p)
-        return SheafMap.from_blocks(ring, srcs, dsts, blocks)
+        for p, f in P.maps.items():
+            blocks[degs.index(p + 1)][degs.index(p)] = \
+                _tensor_id(f, E.component_at(level - p))
+        return SheafMap.from_blocks(
+            ring, [ts for _, ts in tot_blocks(P, E, level)],
+            [ts for _, ts in tot_blocks(P, E, level + 1)], blocks)
 
-    e1 = build(-1)
-    e0 = build(0)
-    return MatrixFactorization(ctx, e1, e0)
+    return MatrixFactorization(E.ctx, build(-1), build(0))
 
 
-def tot_chain_morphism(DP, DQ, chain_map, src_tot=None, dst_tot=None):
-    """Strict morphism Tot(DP) -> Tot(DQ) induced by a degreewise map of
-    MF complexes; chain_map: dict {p: StrictMorphism DP.term(p) -> DQ.term(p)}.
-    The caller guarantees commutation with the horizontal maps."""
-    ctx = DP.ctx
-    ring = ctx.ring
-    degs_p = DP.degrees()
-    degs_q = DQ.degrees()
+def tot_morphism(P, f):
+    """The strict morphism Tot(P tensor f): Tot(P tensor E) -> Tot(P tensor
+    F) induced by a strict morphism f: E -> F, the block diagonal of f's
+    components; checked."""
+    ring = f.ctx.ring
 
     def build(level):
-        srcs = [DP.term(p).component_at(level - p) for p in degs_p]
-        dsts = [DQ.term(p).component_at(level - p) for p in degs_q]
-        blocks = [[None] * len(degs_p) for _ in degs_q]
-        for i, p in enumerate(degs_p):
-            if p in chain_map and p in DQ.terms:
-                jj = degs_q.index(p)
-                blocks[jj][i] = chain_map[p].component_at(level - p)
-        return SheafMap.from_blocks(ring, srcs, dsts, blocks)
+        return SheafMap.block_diagonal(
+            ring, [_twisted_copies(P.term(p), f.component_at(level - p))
+                   for p in P.degrees()])
 
-    if src_tot is None:
-        src_tot = tot(DP)
-    if dst_tot is None:
-        dst_tot = tot(DQ)
-    return StrictMorphism(src_tot, dst_tot, build(-1), build(0))
+    return StrictMorphism(tot(P, f.src), tot(P, f.dst), build(-1), build(0))
 
 
 def stabilized_mf(P, aug, E):
-    """Tot(P tensor E) together with the augmentation weak equivalence to E.
+    """Tot(P tensor E) together with the augmentation weak equivalence to E,
+    aug tensor id on the P^0 summand and zero on the others.
 
     Returns (E', epsilon: StrictMorphism E' -> E)."""
-    ctx = E.ctx
-    ring = ctx.ring
-    DP = tensor_mf(P, E)
-    Etot = tot(DP)
-    # the augmented target: the single-term complex [O] tensor E = E itself
-    DQ = MFComplex(ctx, {0: E}, {}, check=False)
-    aug0 = StrictMorphism(DP.term(0), E,
-                          _free_map_tensor(aug, E, component=1),
-                          _free_map_tensor(aug, E, component=0), check=False)
-    # Tot of the one-term complex [E] is E on the nose
-    eps = tot_chain_morphism(DP, DQ, {0: aug0}, src_tot=Etot, dst_tot=E)
-    return Etot, eps
+    ring = E.ctx.ring
+    Ep = tot(P, E)
+
+    def build(level):
+        summands = tot_blocks(P, E, level)
+        comp = E.component_at(level)
+        return SheafMap.from_blocks(
+            ring, [ts for _, ts in summands], [comp],
+            [[_tensor_id(aug, comp) if p == 0 else None
+              for p, _ in summands]])
+
+    return Ep, StrictMorphism(Ep, E, build(-1), build(0))

@@ -473,30 +473,6 @@ class StrictMorphism:
                               self.g1.compose(other.g1),
                               self.g0.compose(other.g0), check=False)
 
-    def __add__(self, other):
-        return StrictMorphism(self.src, self.dst, self.g1 + other.g1,
-                              self.g0 + other.g0, check=False)
-
-    def __neg__(self):
-        return StrictMorphism(self.src, self.dst, -self.g1, -self.g0,
-                              check=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return StrictMorphism(self.src, self.dst, self.g1.scale(c),
-                              self.g0.scale(c), check=False)
-
-    def twist(self, n):
-        return StrictMorphism(twist_mf(self.src, n), twist_mf(self.dst, n),
-                              self.g1.twist(n), self.g0.twist(n), check=False)
-
-    def shift(self):
-        """f[1]: E[1] -> F[1]; components swap (signs cancel)."""
-        return StrictMorphism(shift_mf(self.src), shift_mf(self.dst),
-                              self.g0, self.g1.twist(self.ctx.d), check=False)
-
     def is_zero(self):
         return self.g1.is_zero() and self.g0.is_zero()
 

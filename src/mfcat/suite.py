@@ -86,7 +86,7 @@ def _grow(rng, ctx, bases, count):
             continue
         if not twists_ok(cand):
             continue
-        if any(cand.describe() == e.describe() for e in out):
+        if any(cand.e1 == e.e1 and cand.e0 == e.e0 for e in out):
             continue
         out.append(cand)
     return out

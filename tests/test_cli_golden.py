@@ -2,9 +2,9 @@
 ``timing_ms`` removed, is pinned to a recorded value.
 
 The recorded hashes are in ``cli_golden.json``.  The commands run in a
-directory holding the seed-0 a1-affine and p2-small corpora as MF JSON
-files, named relatively, so the reports do not depend on where the files
-live."""
+directory holding the seed-0 a1-affine, p1-small and p2-small corpora as
+MF JSON files, named relatively, so the reports do not depend on where the
+files live."""
 
 import hashlib
 import json
@@ -16,11 +16,11 @@ from mfcat.cli import main
 from mfcat.serialize import mf_to_json
 from mfcat.suite import generate_suite
 
-CORPORA = (("a1", "a1-affine"), ("p2", "p2-small"))
+CORPORA = (("a1", "a1-affine"), ("p1", "p1-small"), ("p2", "p2-small"))
 
 
 def _files():
-    """File name -> MF JSON for every object of the two corpora."""
+    """File name -> MF JSON for every object of the corpora."""
     out = {}
     for tag, profile in CORPORA:
         _ctx, objs = generate_suite(0, profile)
@@ -37,11 +37,11 @@ def _names(tag):
 
 
 def _commands():
-    a1, p2 = _names("a1"), _names("p2")
+    a1, p1, p2 = _names("a1"), _names("p1"), _names("p2")
     cmds = [["hom", "--source", s, "--target", t]
             for names in (a1, p2) for s in names for t in names]
     cmds += [["stabilize", "--source", s, "--target", t]
-             for s in p2 for t in p2]
+             for names in (p1, p2) for s in names for t in names]
     # triples whose two Hom-sets are nonzero; a1_4 and a1_5 have dim 2
     cmds += [["compose", "--source", "a1_%d.json" % s,
               "--middle", "a1_%d.json" % m, "--target", "a1_%d.json" % t,
@@ -68,7 +68,9 @@ def workdir(tmp_path_factory):
     return d
 
 
-# recorded from the reports of the code before SheafMap stored sparse rows
+# recorded from the reports of the code before SheafMap stored sparse rows;
+# the p1 stabilize reports from the code before Tot(P(j) tensor E) was built
+# straight from P(j)
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json")
                     .read_text(encoding="utf-8"))
 

@@ -12,6 +12,7 @@ from mfcat.homcat import (StabilizedClass, _strict_to_c0_coords, class_coords,
                           compose_h, hom_H, hom_naive, is_contractible,
                           locally_contractible, prop28_report, stabilize,
                           weak_equivalence)
+from mfcat.koszul import koszul_truncated, stabilized_mf
 from mfcat.linalg import kernel_basis, subquotient_dim
 from mfcat.mf import (MFContext, SheafMap, StrictMorphism,
                       TwistedPeriodicComplex, cone, direct_sum_mf,
@@ -254,6 +255,19 @@ class TestComposition:
             right = compose_h(a, ident)
             assert class_coords(left) == class_coords(a)
             assert class_coords(right) == class_coords(a)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_stabilized_class_after_identity(self, E_unit_p2, j):
+        # Tot(P(j) tensor id_E) is the identity, so composing the class of
+        # eps: Tot(P(j) tensor E) -> E with the identity of E gives eps back
+        E = E_unit_p2
+        P, aug = koszul_truncated(E.ctx.ring, j)
+        _Ep, eps = stabilized_mf(P, aug, E)
+        out = compose_h(StabilizedClass(E, E, (j,), eps),
+                        StabilizedClass.identity(E))
+        assert out.tower == (j,)
+        assert (out.rep.g1, out.rep.g0) == (eps.g1, eps.g0)
+        assert out.rep.src.describe() == eps.src.describe()
 
     def test_associativity(self, E_u):
         S = direct_sum_mf(E_u, E_u)

@@ -1,13 +1,29 @@
-"""Truncated Koszul complexes, tensoring with an MF, and total objects."""
+"""Truncated Koszul complexes, Tot(P tensor E), its augmentation, and
+Tot(P tensor f) of a strict morphism f."""
 
 import pytest
 
 from mfcat.koszul import (FreeComplex, free_complex_homology_dims,
                           koszul_exactness_report, koszul_truncated,
-                          stabilized_mf, tensor_mf, tot)
-from mfcat.mf import (StrictMorphism, TwistSum, strictness_violation,
-                      verify_mf)
+                          stabilized_mf, tot, tot_blocks, tot_morphism)
+from mfcat.mf import (SheafMap, StrictMorphism, TwistSum,
+                      strictness_violation, twist_mf, verify_mf)
 from mfcat.ring import binom
+from mfcat.suite import generate_suite
+
+
+SEED0 = [(profile, i, E) for profile in ("p1-small", "p2-small")
+         for i, E in enumerate(generate_suite(0, profile)[1])]
+SEED0_IDS = ["%s-%d" % (profile, i) for profile, i, _E in SEED0]
+
+
+def _x0_times(E):
+    """The strict morphism x0 * id: E -> E(1)."""
+    ring = E.ctx.ring
+    x0 = ring.poly("x0")
+    F = twist_mf(E, 1)
+    return StrictMorphism(E, F, SheafMap.scalar(ring, x0, E.E1, F.E1),
+                          SheafMap.scalar(ring, x0, E.E0, F.E0))
 
 
 class TestKoszulComplex:
@@ -75,7 +91,6 @@ class TestKoszulComplex:
 
 class TestHomologyDims:
     def test_two_term_complex(self, ring_p1):
-        from mfcat.mf import SheafMap
         # O(-1) --x0--> O in internal degree t has homology only at spot 1
         src, dst = TwistSum([-1]), TwistSum([0])
         f = SheafMap(ring_p1, src, dst, [[ring_p1.poly("x0")]])
@@ -88,8 +103,7 @@ class TestHomologyDims:
 class TestTensorAndTot:
     def test_tot_verifies(self, ctx_p1, E_unit_p1):
         P, _aug = koszul_truncated(ctx_p1.ring, 1)
-        D = tensor_mf(P, E_unit_p1)
-        T = tot(D)
+        T = tot(P, E_unit_p1)
         assert verify_mf(T)["ok"]
         assert T.E0.rank > E_unit_p1.E0.rank
 
@@ -108,9 +122,51 @@ class TestTensorAndTot:
 
     def test_tot_rank_counts_components(self, ctx_p2, E_unit_p2):
         P, _aug = koszul_truncated(ctx_p2.ring, 1)
-        D = tensor_mf(P, E_unit_p2)
-        T = tot(D)
+        T = tot(P, E_unit_p2)
         # each free summand O(a) contributes one copy of an E component to
         # each total term
         n_summands = sum(P.term(p).rank for p in P.degrees())
         assert T.E0.rank + T.E1.rank == n_summands * 2
+
+
+class TestTotMorphism:
+    """Tot(P(j) tensor -) on strict morphisms, against the augmentation."""
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("obj", SEED0, ids=SEED0_IDS)
+    def test_augmentation_is_natural(self, obj, j):
+        # eps_F o Tot(P tensor f) = f o eps_E for f = x0 * id: E -> E(1)
+        _profile, _i, E = obj
+        f = _x0_times(E)
+        P, aug = koszul_truncated(E.ctx.ring, j)
+        _Ep, eps_E = stabilized_mf(P, aug, E)
+        _Fp, eps_F = stabilized_mf(P, aug, f.dst)
+        tf = tot_morphism(P, f)
+        assert tf.src.describe() == tot(P, E).describe()
+        lhs = eps_F.compose(tf)
+        rhs = f.compose(eps_E)
+        assert (lhs.g1, lhs.g0) == (rhs.g1, rhs.g0)
+        assert not lhs.is_zero()
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("obj", SEED0, ids=SEED0_IDS)
+    def test_identity_goes_to_identity(self, obj, j):
+        _profile, _i, E = obj
+        ring = E.ctx.ring
+        P, _aug = koszul_truncated(ring, j)
+        t = tot_morphism(P, StrictMorphism.identity(E))
+        T = tot(P, E)
+        assert t.src.describe() == t.dst.describe() == T.describe()
+        assert t.g1 == SheafMap.identity(ring, T.E1)
+        assert t.g0 == SheafMap.identity(ring, T.E0)
+
+    def test_blocks_give_the_layout(self, E_unit_p2):
+        P, _aug = koszul_truncated(E_unit_p2.ctx.ring, 2)
+        T = tot(P, E_unit_p2)
+        for level, comp in ((-1, T.E1), (0, T.E0)):
+            blocks = tot_blocks(P, E_unit_p2, level)
+            assert [p for p, _ts in blocks] == P.degrees()
+            assert TwistSum(t for _p, ts in blocks for t in ts) == comp
+            for p, ts in blocks:
+                assert ts.rank == P.term(p).rank * \
+                    E_unit_p2.component_at(level - p).rank
