@@ -1,6 +1,6 @@
 """Bounded Cech cohomology on Proj R and hypercohomology of twisted
-periodic complexes, plus exact global-section spaces and vanishing
-thresholds.
+periodic complexes (MFs of W = 0, such as the mapping complex), plus exact
+global-section spaces and vanishing thresholds.
 
 Truncation trick: the piece of the localized module O(a)(U_S) with
 exponents >= -B on the inverted variables is x_S^{-B} * R_{a + B*|S|}
@@ -158,15 +158,18 @@ def _total_space(C, n, B):
     """Degree n of the truncated total complex of the Cech bicomplex of C:
     the CechSpace of the term C^{n-p} in Cech degree p, for each p."""
     ring = C.ctx.ring
-    return [CechSpace(ring, list(C.term(n - p).twists), p, B)
+    return [CechSpace(ring, list(C.component_at(n - p).twists), p, B)
             for p in range(ring.nvars)]
 
 
 def cech_total_diff(C, q, B):
     """The differential Tot^q -> Tot^{q+1} of the truncated Cech bicomplex
-    of a twisted periodic complex C, as (sparse rows, ncols).  The
-    horizontal Cech maps and the vertical maps of C, signed (-1)^p, fill
-    disjoint blocks."""
+    of a twisted periodic complex C, an MF of W = 0, as (sparse rows,
+    ncols).  The horizontal Cech maps and the vertical maps of C, signed
+    (-1)^p, fill disjoint blocks.  ValueError if W != 0: C is then no
+    complex."""
+    if not C.ctx.W.is_zero():
+        raise ValueError("the Cech total complex needs an MF of W = 0")
     src, dst = _total_space(C, q, B), _total_space(C, q + 1, B)
 
     def blocks():
@@ -174,7 +177,7 @@ def cech_total_diff(C, q, B):
             if t and src[t - 1].dim and sp.dim:
                 yield t, t - 1, cech_horizontal(src[t - 1], sp)[0]
             if src[t].dim and sp.dim:
-                yield t, t, cech_vertical(src[t], sp, C.diff(q - t),
+                yield t, t, cech_vertical(src[t], sp, C.diff_at(q - t),
                                           sign=1 if t % 2 == 0 else -1)[0]
 
     return sparse_blocks([sp.dim for sp in dst], [sp.dim for sp in src],

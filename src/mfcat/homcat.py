@@ -11,8 +11,8 @@ from .koszul import koszul_truncated, stabilized_mf, tot_blocks, tot_morphism
 from .linalg import (CosetReducer, ExactMatrix, homology_dim, kernel_basis,
                      sparse_matmul, sparse_rank)
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
-                 cone, hom_twists, mapping_complex, solve_homotopy,
-                 strict_from_cycle, cycle_from_strict)
+                 cone, cycle_from_strict, hom_layout, hom_twists,
+                 mapping_complex, solve_homotopy, strict_from_cycle, unrolled)
 from .modules import (contains_irrelevant_power, default_saturation_bound,
                       fitting_ideal)
 from .poly import Poly
@@ -78,8 +78,8 @@ class GammaComplex:
 
     def __init__(self, C, gs):
         self.field = gs.ring.field
-        self.m_in, self.n_in = gs.sheafmap_rows(C.dm1)
-        self.m_out, self.n = gs.sheafmap_rows(C.d0)
+        self.m_in, self.n_in = gs.sheafmap_rows(C.e1)
+        self.m_out, self.n = gs.sheafmap_rows(C.e0)
 
     def h0_dim(self):
         """dim ker m_out / im m_in, after checking m_out m_in = 0 (the
@@ -111,14 +111,14 @@ def hom_naive(E, F, gs=None, want_basis=True):
     gamma = GammaComplex(C, gs)
     dim = gamma.h0_dim()
     basis = None
-    if want_basis and gs.monomial_path(list(C.C0.twists)):
-        basis = _cycle_basis_classes(E, F, gs, gamma.cycle_space,
+    if want_basis and gs.monomial_path(list(C.E0.twists)):
+        basis = _cycle_basis_classes(E, F, gamma.cycle_space,
                                      gamma.reducer) if dim else []
         assert len(basis) == dim
     return HomSpace(E, F, "naive", dim, basis, (), gamma=gamma)
 
 
-def _cycle_basis_classes(E, F, gs, Z, reducer):
+def _cycle_basis_classes(E, F, Z, reducer):
     """Coset representatives of ker/im as verified strict morphisms."""
     field = E.ctx.ring.field
     picked = []
@@ -131,16 +131,9 @@ def _cycle_basis_classes(E, F, gs, Z, reducer):
                           if not field.is_zero(a)}]
         if sparse_rank(field, cand, Z.nrows) == len(cand):
             picked = cand
-            polys = _c0_coords_to_polys(E, F, gs, v)
-            f = strict_from_cycle(E, F, polys)
+            f = strict_from_cycle(E, F, v)
             classes.append(StabilizedClass(E, F, (), f))
     return classes
-
-
-def _c0_coords_to_polys(E, F, gs, coords):
-    """Convert Gamma(C^0) coordinates (monomial fast path) to entry polys."""
-    return E.ctx.ring.polys_from_coords(
-        coords, hom_twists(E.E0, F.E0) + hom_twists(E.E1, F.E1))
 
 
 def class_coords(cls, gs=None, hom_space=None):
@@ -152,15 +145,7 @@ def class_coords(cls, gs=None, hom_space=None):
     gs = gs or GlobalSections(F.ctx)
     if hom_space is None:
         hom_space = hom_naive(E, F, gs, want_basis=False)
-    vec = _strict_to_c0_coords(cls.rep, gs)
-    return tuple(hom_space.reducer.reduce(vec))
-
-
-def _strict_to_c0_coords(f, gs):
-    """Coordinates of the degree-0 cycle of a strict morphism in Gamma(C^0)."""
-    E, F = f.src, f.dst
-    return E.ctx.ring.coords(cycle_from_strict(f), hom_twists(E.E0, F.E0)
-                             + hom_twists(E.E1, F.E1))
+    return tuple(hom_space.reducer.reduce(cycle_from_strict(cls.rep)))
 
 
 # -- stabilization -------------------------------------------------------------
@@ -189,16 +174,6 @@ class StabilizationCertificate:
                 "min_twist": self.min_twist, "verified": self.check()}
 
 
-def _mapping_row_twists(E1p, E0p, F, d, q):
-    """Twist list of Hom_MF(E', F)^q from component inventories."""
-    c0 = [b - a for b in F.E0 for a in E0p] + [b - a for b in F.E1 for a in E1p]
-    cm1 = [b - a for b in F.E1 for a in E0p] + \
-        [b - d - a for b in F.E0 for a in E1p]
-    if q % 2 == 0:
-        return sorted(t + (q // 2) * d for t in c0)
-    return sorted(t + ((q + 1) // 2) * d for t in cm1)
-
-
 def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
     """Replace E by Tot(P(j) tensor E) with the least j whose mapping-complex
     twist inventory clears the vanishing threshold in all rows q >= M-m-1.
@@ -213,17 +188,20 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
         cert = StabilizationCertificate(0, 0, 0, "trivial", {}, 0, M)
         return E, StrictMorphism.identity(E), cert
     n0, tag = threshold or (gs or GlobalSections(ctx)).threshold
-    m = ring.nvars - 1
-    d = ctx.d
-    q_min = M - m - 1
+    q_min = M - ring.nvars          # M - m - 1 on P^m
+
+    def row_twists(E1p, E0p):
+        """Sorted twist lists of Hom_MF(E', F)^q, q = q_min, q_min + 1."""
+        cm1, c0 = (hom_twists(*pairs) for pairs in hom_layout(E1p, E0p, F))
+        return {q: sorted(unrolled(c0, cm1, ctx.d, q))
+                for q in (q_min, q_min + 1)}
+
     chosen = None
     for j in range(1, j_max + 1):
         P, aug = koszul_truncated(ring, j)
         # the twist inventories of E'_1 and E'_0, without matrices
-        E1p, E0p = ([t for _, ts in tot_blocks(P, E, level) for t in ts]
-                    for level in (-1, 0))
-        rows = {q: _mapping_row_twists(E1p, E0p, F, d, q)
-                for q in (q_min, q_min + 1)}
+        rows = row_twists(*(TwistSum(t for _, ts in tot_blocks(P, E, level)
+                                     for t in ts) for level in (-1, 0)))
         min_twist = min(min(tw) for tw in rows.values() if tw) \
             if any(rows.values()) else n0
         if min_twist >= n0:
@@ -237,9 +215,7 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
     P, aug, cert = chosen
     Ep, eps = stabilized_mf(P, aug, E)
     # self-check: the certificate inventory matches the built object
-    got = {q: _mapping_row_twists(Ep.E1, Ep.E0, F, d, q)
-           for q in (q_min, q_min + 1)}
-    if got != cert.rows or not cert.check():
+    if row_twists(Ep.E1, Ep.E0) != cert.rows or not cert.check():
         raise AssertionError("stabilization certificate failed its re-check")
     return Ep, eps, cert
 

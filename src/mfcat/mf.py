@@ -1,10 +1,13 @@
-"""Matrix factorizations and twisted periodic complexes.
+"""Matrix factorizations, strict morphisms and the mapping complex.
 
 Conventions (fixed throughout the engine):
   * an MF is  e1: E1 -> E0,  e0: E0 -> E1(d)  with both composites W * id,
-    where d = deg W is the twist step (projective mode enforces d = 1);
-  * a twisted periodic complex satisfies C^{q+2} = C^q(d) on the nose, so
-    it is stored as two terms and two differentials;
+    where d is the twist step, deg W when W != 0 (projective mode enforces
+    d = 1);
+  * an MF unrolls to the complex whose slot r + 2 is slot r twisted by d
+    (`unrolled`), E0 in slot 0 and E1 in slot -1; a twisted periodic
+    complex, such as the mapping complex, is an MF of W = 0, so that
+    C^{-1} = E1, C^0 = E0, d^{-1} = e1 and d^0 = e0;
   * shift:  E[1] = (E0 --(-e0)--> E1(d) --(-e1(d))--> E0(d));
   * cone(f) uses the block matrices [[-e0, 0], [g0, f1]] and
     [[-e1(d), 0], [g1(d), f0]];
@@ -238,6 +241,13 @@ class SheafMap:
         return "SheafMap(%r -> %r, %r)" % (self.src, self.dst, self.to_strs())
 
 
+def unrolled(even, odd, d, r):
+    """Slot r of the periodic sequence with `even` in slot 0, `odd` in slot
+    -1 and slot r + 2 equal to slot r twisted by d (TwistSums or
+    SheafMaps)."""
+    return (odd if r % 2 else even).twist(((r + 1) // 2) * d)
+
+
 class MFContext:
     """The triple (X, O(1), W): a graded ring, a mode, and the section W.
 
@@ -255,7 +265,7 @@ class MFContext:
         self.mode = mode
         self.W = ring.poly(W)
         if self.W.is_zero():
-            # TPC-as-MF mode (W = 0): the twist step must be supplied
+            # a twisted periodic complex (W = 0): the twist step is supplied
             self.d = int(twist_step) if twist_step is not None else 1
             self.w_regular = False
         else:
@@ -316,9 +326,12 @@ class MFContext:
 
 
 class MatrixFactorization:
-    """e1: E1 -> E0 and e0: E0 -> E1(d) with both composites W * id."""
+    """e1: E1 -> E0 and e0: E0 -> E1(d) with both composites W * id.
 
-    __slots__ = ("ctx", "E1", "E0", "e1", "e0")
+    `verified` is set once require_mf has checked the laws; e1 and e0 are
+    never reassigned, so the check stays true."""
+
+    __slots__ = ("ctx", "E1", "E0", "e1", "e0", "verified")
 
     def __init__(self, ctx, e1, e0, check=True):
         self.ctx = ctx
@@ -326,6 +339,7 @@ class MatrixFactorization:
         self.e0 = e0
         self.E1 = e1.src
         self.E0 = e1.dst
+        self.verified = False
         if e0.src != self.E0 or e0.dst != self.E1.twist(ctx.d):
             raise ValueError("e0 must map E0 -> E1(d)")
         if check:
@@ -341,19 +355,12 @@ class MatrixFactorization:
     # -- the unrolled twisted periodic complex of E -----------------------
 
     def component_at(self, r):
-        """Term of the unrolled complex at cohomological degree r:
-        even slots are twists of E0, odd slots twists of E1."""
-        d = self.ctx.d
-        if r % 2 == 0:
-            return self.E0.twist((r // 2) * d)
-        return self.E1.twist(((r + 1) // 2) * d)
+        """Term of the unrolled complex at cohomological degree r."""
+        return unrolled(self.E0, self.E1, self.ctx.d, r)
 
     def diff_at(self, r):
         """Differential component_at(r) -> component_at(r+1)."""
-        d = self.ctx.d
-        if r % 2 == 0:
-            return self.e0.twist((r // 2) * d)
-        return self.e1.twist(((r + 1) // 2) * d)
+        return unrolled(self.e0, self.e1, self.ctx.d, r)
 
     def describe(self):
         return {
@@ -387,11 +394,15 @@ def verify_mf(E):
 
 
 def require_mf(E):
-    """Raise ValueError naming the first violation of the MF laws."""
+    """Raise ValueError naming the first violation of the MF laws; E is
+    checked once and marked."""
+    if E.verified:
+        return
     report = verify_mf(E)
     if not report["ok"]:
         raise ValueError("not a matrix factorization: %s"
                          % report["violations"][0])
+    E.verified = True
 
 
 def zero_mf(ctx):
@@ -448,10 +459,7 @@ class StrictMorphism:
     def component_at(self, r):
         """The map component_at(r) of src -> component_at(r) of dst in the
         unrolled complexes."""
-        d = self.ctx.d
-        if r % 2 == 0:
-            return self.g0.twist((r // 2) * d)
-        return self.g1.twist(((r + 1) // 2) * d)
+        return unrolled(self.g0, self.g1, self.ctx.d, r)
 
     @staticmethod
     def identity(E):
@@ -509,48 +517,24 @@ def cone(f):
     return MatrixFactorization(ctx, c1, c0, check=False)
 
 
-class TwistedPeriodicComplex:
-    """Two terms and two differentials generate the whole complex via
-    C^{q+2} = C^q(d)."""
-
-    __slots__ = ("ctx", "Cm1", "C0", "dm1", "d0")
-
-    def __init__(self, ctx, dm1, d0):
-        self.ctx = ctx
-        self.dm1 = dm1          # C^{-1} -> C^0
-        self.d0 = d0            # C^0 -> C^{-1}(d)
-        self.Cm1 = dm1.src
-        self.C0 = dm1.dst
-        if d0.src != self.C0 or d0.dst != self.Cm1.twist(ctx.d):
-            raise ValueError("d0 must map C0 -> C^{-1}(d)")
-
-    def term(self, q):
-        d = self.ctx.d
-        if q % 2 == 0:
-            return self.C0.twist((q // 2) * d)
-        return self.Cm1.twist(((q + 1) // 2) * d)
-
-    def diff(self, q):
-        """term(q) -> term(q+1)."""
-        d = self.ctx.d
-        if q % 2 == 0:
-            return self.d0.twist((q // 2) * d)
-        return self.dm1.twist(((q + 1) // 2) * d)
-
-    def twist(self, n):
-        return TwistedPeriodicComplex(self.ctx, self.dm1.twist(n),
-                                      self.d0.twist(n))
-
-    def __repr__(self):
-        return "TwistedPeriodicComplex(C^-1=%r, C^0=%r)" % (self.Cm1, self.C0)
-
-
 # -- the mapping complex ----------------------------------------------------
 
 
-def hom_twists(A, B):
-    """Twist list of Hom(A, B) = (+) O(B[r] - A[c]) in row-major (r, c) order."""
-    return TwistSum(B[r] - A[c] for r in range(B.rank) for c in range(A.rank))
+def hom_twists(*pairs):
+    """Twist list of the sum of the Hom(A, B) = (+) O(B[r] - A[c]) over the
+    (A, B) pairs, each in row-major (r, c) order."""
+    return TwistSum(B[r] - A[c] for A, B in pairs
+                    for r in range(B.rank) for c in range(A.rank))
+
+
+def hom_layout(E1, E0, F):
+    """The summands Hom(A, B) of the mapping complex Hom_MF(E, F), as (A, B)
+    pairs, from E's twist sums E1 and E0:
+        C^-1 = Hom(E0, F1) (+) Hom(E1, F0(-d)),
+        C^0  = Hom(E0, F0) (+) Hom(E1, F1).
+    Returns (C^-1 pairs, C^0 pairs)."""
+    return ([(E0, F.E1), (E1, F.E0.twist(-F.ctx.d))],
+            [(E0, F.E0), (E1, F.E1)])
 
 
 def _post_compose_matrix(phi, A):
@@ -558,8 +542,8 @@ def _post_compose_matrix(phi, A):
     nA = A.rank
     rows = [{s * nA + c: p for s, p in prow.items()}
             for prow in phi.rows for c in range(nA)]
-    return SheafMap.from_rows(phi.ring, hom_twists(A, phi.src),
-                              hom_twists(A, phi.dst), rows)
+    return SheafMap.from_rows(phi.ring, hom_twists((A, phi.src)),
+                              hom_twists((A, phi.dst)), rows)
 
 
 def _pre_compose_matrix(phi, C):
@@ -571,8 +555,8 @@ def _pre_compose_matrix(phi, C):
             cols[c][s] = p
     rows = [{r * nB + s: p for s, p in col.items()}
             for r in range(C.rank) for col in cols]
-    return SheafMap.from_rows(phi.ring, hom_twists(phi.dst, C),
-                              hom_twists(phi.src, C), rows)
+    return SheafMap.from_rows(phi.ring, hom_twists((phi.dst, C)),
+                              hom_twists((phi.src, C)), rows)
 
 
 def _mapping_dm1(E, F):
@@ -583,17 +567,18 @@ def _mapping_dm1(E, F):
     b12 = _pre_compose_matrix(-E.e0, F.E0)                   # -e0^*
     b21 = _pre_compose_matrix(-E.e1, F.E1)                   # -e1^*
     b22 = _post_compose_matrix(F.e0.twist(-E.ctx.d), E.E1)   # (f0)_*
-    return SheafMap.from_blocks(E.ctx.ring, [b11.src, b12.src],
-                                [b11.dst, b21.dst], [[b11, b12], [b21, b22]])
+    cm1, c0 = hom_layout(E.E1, E.E0, F)
+    return SheafMap.from_blocks(E.ctx.ring, [hom_twists(p) for p in cm1],
+                                [hom_twists(p) for p in c0],
+                                [[b11, b12], [b21, b22]])
 
 
 def mapping_complex(E, F):
-    """The twisted periodic complex Hom_MF(E, F).
-
-    C^0   = Hom(E0, F0) (+) Hom(E1, F1)
-    C^-1  = Hom(E0, F1) (+) Hom(E1, F0(-d))
-    d^-1  = [[(f1)_*, -e0^*], [-e1^*, (f0)_*]]
-    d^0   = [[(f0)_*,  e0^*], [ e1^*, (f1)_*]] = d^{-1}(-E, -F[1])
+    """The twisted periodic complex Hom_MF(E, F), as an MF of W = 0 with
+    twist step d: E1 = C^-1 and E0 = C^0 (hom_layout), e1 = d^-1 and
+    e0 = d^0, where
+        d^-1 = [[(f1)_*, -e0^*], [-e1^*, (f0)_*]],
+        d^0  = [[(f0)_*,  e0^*], [ e1^*, (f1)_*]] = d^-1(-E, -F[1]).
     """
     if E.ctx != F.ctx:
         raise ValueError("context mismatch")
@@ -605,8 +590,9 @@ def mapping_complex(E, F):
     neg_e = MatrixFactorization(ctx, -E.e1, -E.e0, check=False)
     neg_shift_f = MatrixFactorization(ctx, F.e0, F.e1.twist(ctx.d),
                                       check=False)
-    return TwistedPeriodicComplex(ctx, _mapping_dm1(E, F),
-                                  _mapping_dm1(neg_e, neg_shift_f))
+    return MatrixFactorization(
+        MFContext(ctx.ring, ctx.ring.zero(), ctx.mode, twist_step=ctx.d),
+        _mapping_dm1(E, F), _mapping_dm1(neg_e, neg_shift_f), check=False)
 
 
 def unpack_maps(ring, polys, *shapes):
@@ -616,17 +602,23 @@ def unpack_maps(ring, polys, *shapes):
             for A, B in shapes]
 
 
-def strict_from_cycle(E, F, polys):
-    """A degree-0 cycle (gamma0, gamma1) of the mapping complex corresponds
-    to the strict morphism (g0, g1) = (gamma0, -gamma1)."""
-    gamma0, gamma1 = unpack_maps(E.ctx.ring, polys, (E.E0, F.E0),
-                                 (E.E1, F.E1))
+def strict_from_cycle(E, F, coords):
+    """A degree-0 cycle (gamma0, gamma1) of the mapping complex, given by
+    its coordinates in the degree-0 pieces of C^0, corresponds to the
+    strict morphism (g0, g1) = (gamma0, -gamma1)."""
+    ring = E.ctx.ring
+    c0 = hom_layout(E.E1, E.E0, F)[1]
+    gamma0, gamma1 = unpack_maps(
+        ring, ring.polys_from_coords(coords, hom_twists(*c0)), *c0)
     return StrictMorphism(E, F, -gamma1, gamma0)
 
 
 def cycle_from_strict(f):
-    """Inverse of strict_from_cycle: the C^0 entries, row-major."""
-    return [p for g in (f.g0, -f.g1) for row in g.entries for p in row]
+    """Inverse of strict_from_cycle: the C^0 coordinates of f's cycle."""
+    E, F = f.src, f.dst
+    return E.ctx.ring.coords(
+        [p for g in (f.g0, -f.g1) for row in g.entries for p in row],
+        hom_twists(*hom_layout(E.E1, E.E0, F)[1]))
 
 
 def solve_homotopy(f):
@@ -637,16 +629,15 @@ def solve_homotopy(f):
     is a preimage under d^{-1} of the cycle of f, on degree-0 pieces."""
     E, F = f.src, f.dst
     ring = E.ctx.ring
-    d = E.ctx.d
     dm1 = _mapping_dm1(E, F)
     x = solve(ExactMatrix.from_sparse_rows(ring.field,
                                            *ring.piece_matrix(dm1, 0)),
-              ring.coords(cycle_from_strict(f), dm1.dst))
+              cycle_from_strict(f))
     if x is None:
         return None
     s, t_m = unpack_maps(ring, ring.polys_from_coords(x, dm1.src),
-                         (E.E0, F.E1), (E.E1, F.E0.twist(-d)))
-    return s, (-t_m).twist(d)
+                         *hom_layout(E.E1, E.E0, F)[0])
+    return s, (-t_m).twist(E.ctx.d)
 
 
 def is_nullhomotopic(f):

@@ -104,11 +104,18 @@ def context_from_json(obj, path="context"):
     if obj["mode"] not in ("projective", "affine-graded"):
         raise SchemaError(path + ".mode",
                           "must be 'projective' or 'affine-graded'")
+    step = obj.get("twist_step")
+    if step is not None and type(step) is not int:   # rejects bool too
+        raise SchemaError(path + ".twist_step", "expected an integer")
     try:
-        return MFContext(ring, obj["W"], mode=obj["mode"],
-                         twist_step=obj.get("twist_step"))
+        W = ring.poly(obj["W"])
+        ctx = MFContext(ring, W, mode=obj["mode"],
+                        twist_step=step if W.is_zero() else None)
     except ValueError as exc:
         raise SchemaError(path + ".W", str(exc))
+    if step is not None and step != ctx.d:
+        raise SchemaError(path + ".twist_step", "twist step must equal deg W")
+    return ctx
 
 
 # -- matrix factorizations ---------------------------------------------------------

@@ -19,8 +19,9 @@ from mfcat.hypersurface import (coker_module, ext_gamma_dims,
                                 stable_hom_dim)
 from mfcat.koszul import koszul_truncated, stabilized_mf
 from mfcat.linalg import kernel_basis
-from mfcat.mf import (MFContext, SheafMap, TwistSum, cone, mapping_complex,
-                      strict_from_cycle, strictness_violation, verify_mf)
+from mfcat.mf import (MFContext, SheafMap, TwistSum, cone, cycle_from_strict,
+                      mapping_complex, strict_from_cycle, strictness_violation,
+                      verify_mf)
 from mfcat.modules import ModulePresentation, syzygy_presentation
 from mfcat.ring import GradedRing
 from mfcat.suite import (a1_u_factorization, a1_v_factorization,
@@ -51,21 +52,19 @@ def test_a2_mapping_complex_cycles_are_strict_morphisms():
     t0 = time.process_time()
     ctx, objs = generate_suite(0, "p1-small")
     gs = GlobalSections(ctx)
-    from mfcat.homcat import _c0_coords_to_polys, _strict_to_c0_coords
     for E in objs:
         for F in objs:
             C = mapping_complex(E, F)
-            assert C.diff(0).compose(C.diff(-1)).is_zero()
-            assert C.diff(-1).twist(ctx.d).compose(C.diff(0)).is_zero()
-            if not gs.monomial_path(list(C.C0.twists)):
+            assert C.diff_at(0).compose(C.diff_at(-1)).is_zero()
+            assert C.diff_at(-1).twist(ctx.d).compose(C.diff_at(0)).is_zero()
+            if not gs.monomial_path(list(C.E0.twists)):
                 continue
-            Z = kernel_basis(gs.sheafmap_matrix(C.d0))
+            Z = kernel_basis(gs.sheafmap_matrix(C.e0))
             for j in range(Z.ncols):
                 v = Z.column(j)
-                polys = _c0_coords_to_polys(E, F, gs, v)
-                f = strict_from_cycle(E, F, polys)
+                f = strict_from_cycle(E, F, v)
                 assert strictness_violation(f) is None
-                assert _strict_to_c0_coords(f, gs) == v
+                assert cycle_from_strict(f) == v
     assert time.process_time() - t0 < 30.0
 
 

@@ -10,6 +10,7 @@ import pytest
 import mfcat
 from mfcat.cli import main
 from mfcat.hypersurface import coker_module
+from mfcat.mf import mapping_complex
 from mfcat.serialize import mf_to_json, module_to_json
 
 
@@ -77,6 +78,33 @@ class TestVerify:
                              "--p", "0")
         assert code == 1
         assert out is None and "ring.field" in err["error"]
+
+
+class TestTwistStep:
+    def test_mapping_complex_file_verifies(self, run, tmp_path, E_u, E_v):
+        path = tmp_path / "hom.json"
+        path.write_text(json.dumps(mf_to_json(mapping_complex(E_u, E_v))))
+        code, out, _err = run("verify", "--source", str(path))
+        assert code == 0 and out["result"]["ok"] is True
+
+    @pytest.mark.parametrize("step", [1.7, True, 3])
+    def test_bad_twist_step_exits_one(self, tmp_path, E_u, E_v, step):
+        # a fresh interpreter, so an uncaught exception would show as a
+        # traceback on stderr; 3 is an integer but not deg W of E_u
+        obj = mf_to_json(mapping_complex(E_u, E_v) if step != 3 else E_u)
+        obj["context"]["twist_step"] = step
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        src = os.path.dirname(os.path.dirname(mfcat.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfcat.cli", "verify", "--source",
+             str(path)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "bad.json:mf.context.twist_step" in \
+            json.loads(proc.stderr)["error"]
 
 
 class TestHom:

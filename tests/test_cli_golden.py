@@ -39,7 +39,7 @@ def _names(tag):
 def _commands():
     a1, p1, p2 = _names("a1"), _names("p1"), _names("p2")
     cmds = [["hom", "--source", s, "--target", t]
-            for names in (a1, p2) for s in names for t in names]
+            for names in (a1, p1, p2) for s in names for t in names]
     cmds += [["stabilize", "--source", s, "--target", t]
              for names in (p1, p2) for s in names for t in names]
     # triples whose two Hom-sets are nonzero; a1_4 and a1_5 have dim 2
@@ -50,6 +50,10 @@ def _commands():
                                    (4, 4, 5, 1, 0), (2, 5, 1, 0, 0),
                                    (5, 5, 5, 1, 1))]
     cmds.append(["suite", "--seed", "0", "--profile", "p1-small"])
+    cmds += [["cech-hh", "--source", s, "--target", t, "--q", q]
+             for q in ("-1", "0") for s in p1 for t in p1]
+    cmds += [[c, "--source", n] for c in ("contractible", "prop28")
+             for n in sorted(FILES)]
     return cmds
 
 
@@ -70,7 +74,8 @@ def workdir(tmp_path_factory):
 
 # recorded from the reports of the code before SheafMap stored sparse rows;
 # the p1 stabilize reports from the code before Tot(P(j) tensor E) was built
-# straight from P(j)
+# straight from P(j); the p1 hom, cech-hh, contractible and prop28 reports
+# from commit ced872e, before the mapping complex became an MF of W = 0
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json")
                     .read_text(encoding="utf-8"))
 

@@ -11,7 +11,7 @@ from mfcat.cohomology import (CechSetup, GlobalSections, cech_cohomology,
 from mfcat.fields import DEFAULT_PRIME, PrimeField
 from mfcat.homcat import hom_H
 from mfcat.linalg import ExactMatrix, rank, sparse_matmul, sparse_rank
-from mfcat.mf import MFContext, SheafMap, TwistSum, mapping_complex
+from mfcat.mf import MFContext, SheafMap, TwistSum, mapping_complex, twist_mf
 from mfcat.ring import GradedRing, binom
 from mfcat.suite import generate_suite
 
@@ -68,13 +68,19 @@ class TestHypercohomology:
         d = ctx_p2.d
         for q in (-1, 0):
             a = cech_hypercohomology(C, q + 2)
-            b = cech_hypercohomology(C.twist(d), q)
+            b = cech_hypercohomology(twist_mf(C, d), q)
             assert a == b
+
+    def test_rejects_nonzero_w(self, E_unit_p1):
+        # an MF of W != 0 squares to W, not 0: its Cech total complex is
+        # no complex, and homology_dim would miscount in silence
+        with pytest.raises(ValueError, match="W = 0"):
+            cech_hypercohomology(E_unit_p1, 0)
 
     def test_mapping_complex_squares_to_zero(self, E_u, E_v):
         C = mapping_complex(E_u, E_v)
         for q in (-2, -1, 0, 1):
-            assert C.diff(q + 1).compose(C.diff(q)).is_zero()
+            assert C.diff_at(q + 1).compose(C.diff_at(q)).is_zero()
 
     @pytest.mark.parametrize("B", [4, 5])
     def test_sparse_total_differentials(self, B):

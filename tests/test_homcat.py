@@ -5,17 +5,16 @@ import time
 
 import pytest
 
-from mfcat import cohomology, homcat, linalg
+from mfcat import cohomology, homcat, linalg, mf
 from mfcat.cohomology import GlobalSections, cech_hypercohomology
 from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
-from mfcat.homcat import (StabilizedClass, _strict_to_c0_coords, class_coords,
-                          compose_h, hom_H, hom_naive, is_contractible,
+from mfcat.homcat import (StabilizedClass, class_coords, compose_h, hom_H, hom_naive, is_contractible,
                           locally_contractible, prop28_report, stabilize,
                           weak_equivalence)
 from mfcat.koszul import koszul_truncated, stabilized_mf
 from mfcat.linalg import kernel_basis, subquotient_dim
-from mfcat.mf import (MFContext, SheafMap, StrictMorphism,
-                      TwistedPeriodicComplex, cone, direct_sum_mf,
+from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
+                      StrictMorphism, cone, cycle_from_strict, direct_sum_mf,
                       mapping_complex, shift_mf, twist_mf, zero_mf)
 from mfcat.ring import GradedRing
 from mfcat.suite import generate_suite, rank_one_mf, unit_e0_factorization
@@ -57,8 +56,8 @@ class TestHomNaive:
 def dense_hom_dim(E, F, gs):
     """Reference count: dense cycles modulo dense boundaries."""
     C = mapping_complex(E, F)
-    return subquotient_dim(kernel_basis(gs.sheafmap_matrix(C.d0)),
-                           gs.sheafmap_matrix(C.dm1))
+    return subquotient_dim(kernel_basis(gs.sheafmap_matrix(C.e0)),
+                           gs.sheafmap_matrix(C.e1))
 
 
 def nodal_light_pairs():
@@ -112,17 +111,38 @@ class TestSparseHomCount:
         F = twist_mf(E_u, 1)     # Gamma(C^-1) is nonzero in degree 0
         gs = GlobalSections(E_u.ctx)
         C = mapping_complex(E_u, F)
-        entries = [list(row) for row in C.d0.entries]
+        entries = [list(row) for row in C.e0.entries]
         r, c = next((r, c) for r, row in enumerate(entries)
                     for c, p in enumerate(row) if not p.is_zero())
         entries[r][c] = entries[r][c].scale(2)
-        d0 = SheafMap(C.ctx.ring, C.d0.src, C.d0.dst, entries)
-        bad = TwistedPeriodicComplex(C.ctx, C.dm1, d0)
-        assert not gs.sheafmap_matrix(bad.d0).matmul(
-            gs.sheafmap_matrix(bad.dm1)).is_zero()
+        d0 = SheafMap(C.ctx.ring, C.e0.src, C.e0.dst, entries)
+        bad = MatrixFactorization(C.ctx, C.e1, d0, check=False)
+        assert not gs.sheafmap_matrix(bad.e0).matmul(
+            gs.sheafmap_matrix(bad.e1)).is_zero()
         monkeypatch.setattr(homcat, "mapping_complex", lambda E, F: bad)
         with pytest.raises(ValueError, match="boundary space is not contained"):
             hom_naive(E_u, F, gs)
+
+
+class TestLawsCheckedOnce:
+    def test_verify_calls_per_hom(self, monkeypatch):
+        # E = objs[0] was checked when built; F = objs[3] was verified
+        # by the suite without being marked
+        ctx, objs = generate_suite(0, "p1-small")
+        E, F = objs[0], objs[3]
+        gs = GlobalSections(ctx)
+        calls = []
+        real = mf.verify_mf
+        monkeypatch.setattr(mf, "verify_mf",
+                            lambda X: calls.append(X) or real(X))
+        counts = []
+        for hom in (hom_H, hom_H, hom_naive):
+            del calls[:]
+            hom(E, F, gs)
+            counts.append(len(calls))
+        # the first hom_H checks Tot(P(j) tensor E) and F, the second only
+        # the rebuilt Tot, and hom_naive nothing
+        assert counts == [2, 1, 0]
 
 
 class TestLazyBasisData:
@@ -137,7 +157,7 @@ class TestLazyBasisData:
         assert hs.dimension == 0 and calls == []
         assert hom_naive(E, E, gs).basis == [] and calls == []
         C = mapping_complex(E, E)
-        assert hs.cycle_space == kernel_basis(gs.sheafmap_matrix(C.d0))
+        assert hs.cycle_space == kernel_basis(gs.sheafmap_matrix(C.e0))
         assert hs.cycle_space.ncols >= 1
 
     def test_class_coords_on_hom_h(self, E_u, E_unit_p1):
@@ -153,7 +173,7 @@ class TestLazyBasisData:
         assert hs.dimension == 0
         _Ep, eps, cert = stabilize(E, E, gs=gs)
         ident = StabilizedClass(E, E, (cert.j,), eps)
-        assert any(_strict_to_c0_coords(eps, gs))
+        assert any(cycle_from_strict(eps))
         assert not any(class_coords(ident, gs, hom_space=hs))
 
 
@@ -175,6 +195,19 @@ class TestStabilization:
         E = twist_mf(E_unit_p1, -1)
         hs = hom_H(E, E_unit_p1)
         assert hs.dimension == 0
+
+    @pytest.mark.parametrize("profile", ["p1-small", "p2-small"])
+    @pytest.mark.parametrize("M", [0, 1])
+    def test_certificate_rows_are_mapping_complex_terms(self, profile, M):
+        ctx, objs = generate_suite(0, profile)
+        gs = GlobalSections(ctx)
+        m = ctx.ring.nvars - 1
+        for E in objs:
+            for F in objs:
+                Ep, _eps, cert = stabilize(E, F, M, gs=gs)
+                C = mapping_complex(Ep, F)
+                assert cert.rows == {q: sorted(C.component_at(q).twists)
+                                     for q in (M - m - 1, M - m)}
 
     def test_naive_cycles_vs_stable_gap(self, E_unit_p1):
         # the unit-e0 object carries nonzero strict endomorphisms (its

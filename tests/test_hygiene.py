@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used in
 that module, every import sits at module level (the package's import
-graph has no cycles to break), and the package loads no numpy; stdlib
-checks, so no linter is needed."""
+graph has no cycles to break), every module-level function and class is
+referenced outside its own definition, and the package loads no numpy;
+stdlib checks, so no linter is needed."""
 
 import ast
 import os
@@ -13,6 +14,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mfcat"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -61,6 +63,52 @@ def test_detects_a_function_local_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert function_local_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _referenced_names(node):
+    """Every name read, attribute taken or imported in the tree of node."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name.split(".")[-1])
+    return out
+
+
+def orphaned_definitions(sources, users):
+    """(module, name) of each module-level function or class of `sources`
+    ({module: source}) that no tree of sources or users references outside
+    its own definition."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    refs = {}
+    for tree in list(trees.values()) + [ast.parse(src) for src in users]:
+        for name in _referenced_names(tree):
+            refs[name] = refs.get(name, 0) + 1
+    out = []
+    for mod, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = _referenced_names(node).count(node.name)
+                if refs.get(node.name, 0) == own:
+                    out.append((mod, node.name))
+    return out
+
+
+def test_detects_an_orphaned_definition():
+    src = ("def used():\n    return 1\n\n"
+           "def orphan(n):\n    return orphan(n - 1) if n else used()\n\n"
+           "class Kept:\n    pass\n")
+    assert orphaned_definitions({"m": src}, ["from m import Kept\n"]) == \
+        [("m", "orphan")]
+
+
+def test_no_orphaned_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    users = [p.read_text(encoding="utf-8") for p in TESTS]
+    assert orphaned_definitions(sources, users) == []
 
 
 def test_cli_import_leaves_numpy_out():

@@ -115,8 +115,8 @@ class TestStrictMorphisms:
 def assert_complex(C):
     """d^2 = 0 in the twisted periodic sense: both squares of C
     vanish as SheafMaps."""
-    assert C.d0.compose(C.dm1).is_zero()
-    assert C.dm1.twist(C.ctx.d).compose(C.d0).is_zero()
+    assert C.e0.compose(C.e1).is_zero()
+    assert C.e1.twist(C.ctx.d).compose(C.e0).is_zero()
 
 
 class TestMappingComplex:
@@ -127,14 +127,14 @@ class TestMappingComplex:
         from mfcat.cohomology import GlobalSections
         gs = GlobalSections(ctx_a1)
         C = mapping_complex(E_u, E_v)
-        Dm1 = gs.sheafmap_matrix(C.diff(-1))
-        D0 = gs.sheafmap_matrix(C.diff(0))
+        Dm1 = gs.sheafmap_matrix(C.diff_at(-1))
+        D0 = gs.sheafmap_matrix(C.diff_at(0))
         assert D0.matmul(Dm1).is_zero()
 
     def test_cycle_strict_roundtrip(self, E_u):
         i = StrictMorphism.identity(E_u)
-        polys = cycle_from_strict(i)
-        f = strict_from_cycle(E_u, E_u, polys)
+        coords = cycle_from_strict(i)
+        f = strict_from_cycle(E_u, E_u, coords)
         assert f.describe() == i.describe()
 
 
@@ -165,6 +165,24 @@ class TestMappingComplexGuard:
         assert cert.j == 2 and Ep.E0.rank == 7
         for src in (E, Ep):
             assert_complex(mapping_complex(src, E))
+
+    @pytest.mark.parametrize("profile",
+                             ["a1-affine", "p1-small", "p2-small", "nodal"])
+    def test_mapping_complex_is_an_mf_of_zero(self, profile):
+        # verify_mf on W = 0 checks d^0 d^-1 = 0 and d^-1(d) d^0 = 0
+        if profile == "nodal":
+            ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                              ideal_strings=["x*y"])
+            ctx = MFContext(ring, ring.poly("z"))
+            objs = _grow(random.Random(0), ctx,
+                         [unit_e0_factorization(ctx)], 4)
+        else:
+            ctx, objs = generate_suite(0, profile)
+        for E in objs:
+            for F in objs:
+                C = mapping_complex(E, F)
+                assert C.ctx.W.is_zero() and C.ctx.d == ctx.d
+                assert verify_mf(C)["ok"]
 
     @pytest.mark.parametrize("bad_side", ["source", "target"])
     def test_altered_e0_raises(self, E_u, E_v, bad_side):
@@ -286,7 +304,7 @@ class TestNormalFormInvariant:
                 C = mapping_complex(E, F)
                 cn = cone(StrictMorphism.zero(E, F))
                 ds = direct_sum_mf(E, F)
-                maps += [C.dm1, C.d0, cn.e1, cn.e0, ds.e1, ds.e0]
+                maps += [C.e1, C.e0, cn.e1, cn.e0, ds.e1, ds.e0]
         # x * (the y entries of the Koszul part) lies in the ideal
         x = SheafMap.scalar(ring, ring.poly("x"), Es.E0, Es.E0.twist(1))
         xe1 = x.compose(Es.e1)
@@ -353,7 +371,7 @@ def layout_corpus(name):
     for E in sources:
         for F in objs:
             C = mapping_complex(E, F)
-            maps += [C.dm1, C.d0]
+            maps += [C.e1, C.e0]
     return ctx, maps
 
 

@@ -71,6 +71,30 @@ class TestValidation:
             context_from_json(obj)
         assert "context.mode" in str(exc.value)
 
+    @pytest.mark.parametrize("step", [1.7, True, "abc", [1]])
+    def test_twist_step_must_be_an_integer(self, ring_p1, step):
+        obj = {"ring": ring_to_json(ring_p1), "W": "0", "mode": "projective",
+               "twist_step": step}
+        with pytest.raises(SchemaError) as exc:
+            context_from_json(obj)
+        assert exc.value.path == "context.twist_step"
+
+    def test_twist_step_must_equal_deg_w(self, ctx_a1):
+        obj = context_to_json(ctx_a1)
+        obj["twist_step"] = ctx_a1.d
+        assert context_from_json(obj) == ctx_a1
+        obj["twist_step"] = ctx_a1.d + 1
+        with pytest.raises(SchemaError) as exc:
+            context_from_json(obj)
+        assert exc.value.path == "context.twist_step"
+
+    def test_twist_step_of_w_zero(self, ring_p1):
+        obj = {"ring": ring_to_json(ring_p1), "W": "0", "mode": "projective",
+               "twist_step": 2}
+        ctx = context_from_json(obj)
+        assert ctx.W.is_zero() and ctx.d == 2
+        assert context_to_json(ctx) == obj
+
     def test_non_factorization_rejected(self, E_u):
         obj = mf_to_json(E_u)
         obj["e0"][0][0] = "u"  # u*u != uv
