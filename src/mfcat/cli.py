@@ -13,10 +13,9 @@ from .homcat import (class_coords, compose_h, hom_H, hom_naive, is_contractible,
                      locally_contractible, prop28_report, stabilize)
 from .hypersurface import (coker_module, ext_gamma_dims, is_relatively_perfect,
                            mf_from_module, stable_hom_dim)
-from .mf import (SheafMap, TwistSum, mapping_complex, shift_mf, twist_mf,
-                 verify_mf)
+from .mf import TwistSum, mapping_complex, shift_mf, twist_mf, verify_mf
 from .ring import GradedRing
-from .serialize import (SchemaError, _int_list, _matrix, _require_keys,
+from .serialize import (SchemaError, _int_list, _require_keys, _sheaf_map,
                         context_from_json, mf_from_json, mf_hash, mf_to_json,
                         module_from_json, module_to_json, morphism_to_json,
                         object_hash, ring_from_json)
@@ -218,13 +217,9 @@ def cmd_from_module(args, inputs):
         ctx = context_from_json(obj["context"], path + ".context")
         E1 = TwistSum(_int_list(obj["E1"], path + ".E1"))
         E0 = TwistSum(_int_list(obj["E0"], path + ".E0"))
-        strs = _matrix(obj["matrix"], path + ".matrix", E0.rank, E1.rank)
-        entries = [[ctx.ring.poly(s) for s in row] for row in strs]
-        alpha = SheafMap(ctx.ring, E1, E0, entries)
+        alpha = _sheaf_map(ctx.ring, obj["matrix"], E1, E0, path + ".matrix")
     except SchemaError as exc:
         raise CliError(str(exc))
-    except ValueError as exc:
-        raise CliError("%s: %s" % (args.alpha, exc))
     try:
         E = mf_from_module(ctx, alpha)
     except ValueError as exc:

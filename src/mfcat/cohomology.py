@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .linalg import (ExactMatrix, homology_dim, kernel_basis, solve,
-                     sparse_blocks)
+                     sparse_blocks, sparse_matmul, sparse_transpose)
 from .mf import SheafMap, TwistSum
 from .poly import Poly
 from .ring import binom
@@ -218,6 +218,9 @@ class GlobalSections:
         self.setup = setup or CechSetup()
         self._saturated = {}
         self._kernels = {}
+        # (E, j) -> (Tot(P(j) tensor E), epsilon), filled by
+        # homcat.stabilize; keyed on E itself, which the key keeps alive
+        self.stabilized = {}
 
     # degree classification
 
@@ -231,8 +234,8 @@ class GlobalSections:
         return self._saturated[n]
 
     def _kernel(self, n):
-        """(B, C^0 space, kernel basis matrix in C^0 coordinates) at a
-        stable bound."""
+        """(B, C^0 space, kernel basis in C^0 coordinates) at a stable
+        bound."""
         if n in self._kernels:
             return self._kernels[n]
         F = self.ring.field
@@ -241,7 +244,7 @@ class GlobalSections:
             sp0, d = _h0_diff(self.ring, n, B)
             if homology_dim(F, d, ([], 0)) == \
                     cech_cohomology_at(self.ring, n, 0, B + 1):
-                chosen = (B, sp0, _kernel_of(F, d))
+                chosen = (B, sp0, kernel_basis(F, *d))
                 break
         if chosen is None:
             raise RuntimeError("Cech H^0 did not stabilize for twist %d" % n)
@@ -251,7 +254,7 @@ class GlobalSections:
     def dim(self, n):
         if self.saturated(n):
             return self.ring.hilbert(n)
-        return self._kernel(n)[2].ncols
+        return len(self._kernel(n)[2])
 
     @cached_property
     def threshold(self):
@@ -280,21 +283,22 @@ class GlobalSections:
             # recompute the source kernel at the larger bound (bases embed)
             Bmax = max(B, B2)
             sp0, dK = _h0_diff(ring, n, Bmax)
-            K = _kernel_of(F, dK)
+            K = kernel_basis(F, *dK)
             tp0, dL = _h0_diff(ring, n + d, Bmax)
-            L = _kernel_of(F, dL)
+            L = kernel_basis(F, *dL)
         amb, _ = cech_vertical(sp0, tp0, _single_entry_map(ring, p, n, n + d))
-        out = [{} for _ in range(L.ncols)]
-        for j in range(K.ncols):
-            v = K.column(j)
-            img = [F.of(sum(a * v[c] for c, a in row.items())) for row in amb]
-            x = solve(L, img)
+        # the image of each source section, in target C^0 coordinates
+        imgs = sparse_transpose(
+            sparse_matmul(F, amb, sparse_transpose(K, sp0.dim)), len(K))
+        L_rows = sparse_transpose(L, tp0.dim)
+        out = [{} for _ in L]
+        for j, img in enumerate(imgs):
+            x = solve(F, L_rows, len(L), img)
             if x is None:
                 raise RuntimeError("section image left the section space "
                                    "(truncation too small)")
-            for row, v in zip(out, x):
-                if not F.is_zero(v):
-                    row[j] = v
+            for i, a in x.items():
+                out[i][j] = a
         return out
 
     def sheafmap_rows(self, f):
@@ -307,7 +311,8 @@ class GlobalSections:
                              [self.dim(a) for a in f.src], blocks)
 
     def sheafmap_matrix(self, f):
-        """Gamma of a map of twist sums, as one dense block matrix."""
+        """Gamma of a map of twist sums, as one dense block matrix: a view
+        for tests, which the engine does not use."""
         rows, ncols = self.sheafmap_rows(f)
         return ExactMatrix.from_sparse_rows(self.ring.field, rows, ncols)
 
@@ -316,11 +321,6 @@ def _h0_diff(ring, n, B):
     """C^0 of O(n) at truncation B and the Cech differential out of it."""
     sp0 = CechSpace(ring, [n], 0, B)
     return sp0, cech_horizontal(sp0, CechSpace(ring, [n], 1, B))
-
-
-def _kernel_of(field, d):
-    """Kernel basis of a (sparse rows, ncols) matrix (dense elimination)."""
-    return kernel_basis(ExactMatrix.from_sparse_rows(field, *d))
 
 
 def _single_entry_map(ring, p, a, b):

@@ -8,8 +8,8 @@ from functools import cached_property
 from .cohomology import GlobalSections
 from .hypersurface import coker_module
 from .koszul import koszul_truncated, stabilized_mf, tot_blocks, tot_morphism
-from .linalg import (CosetReducer, ExactMatrix, homology_dim, kernel_basis,
-                     sparse_matmul, sparse_rank)
+from .linalg import (CosetReducer, echelon_add, homology_dim, kernel_basis,
+                     sparse_matmul)
 from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
                  cone, cycle_from_strict, hom_layout, hom_twists,
                  mapping_complex, solve_homotopy, strict_from_cycle, unrolled)
@@ -36,7 +36,8 @@ class HomSpace:
 
     @property
     def cycle_space(self):
-        """Kernel basis of Gamma(d^0), built on first access."""
+        """Kernel basis of Gamma(d^0) as sparse vectors, built on first
+        access."""
         return None if self.gamma is None else self.gamma.cycle_space
 
     @property
@@ -73,8 +74,8 @@ class StabilizedClass:
 class GammaComplex:
     """Gamma of a mapping complex around degree 0, as sparse rows:
     m_in = Gamma(d^-1) with n_in columns, m_out = Gamma(d^0) with n columns.
-    The dense cycle basis and boundary reducer, needed only for bases and
-    class coordinates, are built on first access."""
+    The cycle basis and boundary reducer, needed only for bases and class
+    coordinates, are built on first access."""
 
     def __init__(self, C, gs):
         self.field = gs.ring.field
@@ -91,13 +92,11 @@ class GammaComplex:
 
     @cached_property
     def cycle_space(self):
-        return kernel_basis(ExactMatrix.from_sparse_rows(
-            self.field, self.m_out, self.n))
+        return kernel_basis(self.field, self.m_out, self.n)
 
     @cached_property
     def reducer(self):
-        return CosetReducer(ExactMatrix.from_sparse_rows(
-            self.field, self.m_in, self.n_in))
+        return CosetReducer(self.field, self.m_in, self.n_in)
 
 
 def hom_naive(E, F, gs=None, want_basis=True):
@@ -119,18 +118,15 @@ def hom_naive(E, F, gs=None, want_basis=True):
 
 
 def _cycle_basis_classes(E, F, Z, reducer):
-    """Coset representatives of ker/im as verified strict morphisms."""
+    """Coset representatives of ker/im as verified strict morphisms: the
+    reduced cycles independent of those picked before them, tested on one
+    growing echelon form."""
     field = E.ctx.ring.field
-    picked = []
+    picked = {}
     classes = []
-    for j in range(Z.ncols):
-        v = reducer.reduce(Z.column(j))
-        if all(field.is_zero(a) for a in v):
-            continue
-        cand = picked + [{i: a for i, a in enumerate(v)
-                          if not field.is_zero(a)}]
-        if sparse_rank(field, cand, Z.nrows) == len(cand):
-            picked = cand
+    for z in Z:
+        v = reducer.reduce(z)
+        if echelon_add(field, picked, v) is not None:
             f = strict_from_cycle(E, F, v)
             classes.append(StabilizedClass(E, F, (), f))
     return classes
@@ -145,7 +141,10 @@ def class_coords(cls, gs=None, hom_space=None):
     gs = gs or GlobalSections(F.ctx)
     if hom_space is None:
         hom_space = hom_naive(E, F, gs, want_basis=False)
-    return tuple(hom_space.reducer.reduce(cycle_from_strict(cls.rep)))
+    reducer = hom_space.reducer
+    v = reducer.reduce(cycle_from_strict(cls.rep))
+    zero = gs.ring.field.zero()
+    return tuple(v.get(i, zero) for i in range(reducer.ambient))
 
 
 # -- stabilization -------------------------------------------------------------
@@ -178,6 +177,8 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
     """Replace E by Tot(P(j) tensor E) with the least j whose mapping-complex
     twist inventory clears the vanishing threshold in all rows q >= M-m-1.
     The threshold is `threshold` as (n0, tag) if given, else gs.threshold.
+    E' and epsilon are built once per (E, j) in gs; the certificate is
+    re-checked on every call, since its rows depend on F.
 
     Returns (E', epsilon: E' -> E, certificate)."""
     ctx = E.ctx
@@ -187,7 +188,8 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
     if E.is_zero_object():
         cert = StabilizationCertificate(0, 0, 0, "trivial", {}, 0, M)
         return E, StrictMorphism.identity(E), cert
-    n0, tag = threshold or (gs or GlobalSections(ctx)).threshold
+    gs = gs or GlobalSections(ctx)
+    n0, tag = threshold or gs.threshold
     q_min = M - ring.nvars          # M - m - 1 on P^m
 
     def row_twists(E1p, E0p):
@@ -213,7 +215,9 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
         raise RuntimeError("no Koszul level up to %d clears the vanishing "
                            "threshold" % j_max)
     P, aug, cert = chosen
-    Ep, eps = stabilized_mf(P, aug, E)
+    if (E, cert.j) not in gs.stabilized:
+        gs.stabilized[E, cert.j] = stabilized_mf(P, aug, E)
+    Ep, eps = gs.stabilized[E, cert.j]
     # self-check: the certificate inventory matches the built object
     if row_twists(Ep.E1, Ep.E0) != cert.rows or not cert.check():
         raise AssertionError("stabilization certificate failed its re-check")

@@ -3,8 +3,7 @@ cokernel presentations, unrolled periodic resolutions, graded Ext tables,
 stable Hom dimensions, reconstruction of a factorization from a module
 map, and relative perfection of modules."""
 
-from .linalg import (ExactMatrix, homology_dim, solve, sparse_blocks,
-                     sparse_rank)
+from .linalg import homology_dim, solve, sparse_blocks, sparse_rank
 from .mf import MatrixFactorization, _post_compose_matrix, unpack_maps
 from .modules import (ModulePresentation, _minimalize_generators,
                       syzygy_presentation)
@@ -126,8 +125,7 @@ def mf_from_module(ctx, alpha, injectivity_bound=None):
     post = _post_compose_matrix(alpha.twist(d), E0)
     w_id = [ctx.W if r == c else ring.zero()
             for r in range(E0.rank) for c in range(E0.rank)]
-    x = solve(ExactMatrix.from_sparse_rows(ring.field,
-                                           *ring.piece_matrix(post, 0)),
+    x = solve(ring.field, *ring.piece_matrix(post, 0),
               ring.coords(w_id, post.dst))
     if x is None:
         raise ValueError("W*id does not factor through alpha: the cokernel "

@@ -1,12 +1,13 @@
 """Exact linear algebra over a prime field or the rationals.
 
-Matrices are built as sparse rows, one {column: value} dict per row, and
-a matrix travels with its number of columns as (rows, ncols); sparse_blocks
-assembles one from its nonzero blocks only.  Counts (sparse_rank,
-homology_dim) and products (sparse_matmul) are exact in Python scalars and
-never densify.  Bases (kernel_basis, solve, CosetReducer) come from
-Gauss-Jordan elimination (rref) of a dense ExactMatrix, in the field's own
-arithmetic over F_p and over Q alike.
+A matrix is sparse rows, one {column: value} dict per row, and travels
+with its number of columns as (rows, ncols); a vector is one such dict.
+sparse_blocks assembles a matrix from its nonzero blocks only.  Everything
+is exact in Python scalars over F_p and over Q and never densifies: counts
+(sparse_rank, homology_dim) come from Markowitz elimination, and bases
+(kernel_basis, solve, CosetReducer) from the reduced row echelon form
+sparse_rref.  The dense rref of an ExactMatrix is kept only as the
+reference for tests, with GlobalSections.sheafmap_matrix as its view.
 """
 
 import heapq
@@ -15,8 +16,12 @@ from itertools import accumulate
 from .fields import PrimeField
 
 
+def _modulus(field):
+    return field.p if isinstance(field, PrimeField) else None
+
+
 class ExactMatrix:
-    """Row-major matrix of field scalars with an explicit shape."""
+    """Dense row-major matrix of field scalars with an explicit shape."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -34,94 +39,14 @@ class ExactMatrix:
         self.ncols = ncols
         self.rows = rows
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zeros(field, nrows, ncols):
-        z = field.zero()
-        return ExactMatrix(field, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @staticmethod
-    def identity(field, n):
-        m = ExactMatrix.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one()
-        return m
-
-    @staticmethod
-    def from_columns(field, cols, nrows):
-        m = ExactMatrix.zeros(field, nrows, len(cols))
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ValueError("column length mismatch")
-            for i, v in enumerate(col):
-                m.rows[i][j] = v
-        return m
-
     @staticmethod
     def from_sparse_rows(field, rows, ncols):
         """Dense matrix of sparse rows (one {column: value} dict per row)."""
-        m = ExactMatrix.zeros(field, len(rows), ncols)
-        for dense, row in zip(m.rows, rows):
+        dense = [[field.zero()] * ncols for _ in rows]
+        for out, row in zip(dense, rows):
             for c, v in row.items():
-                dense[c] = v
-        return m
-
-    # -- basic ops --------------------------------------------------------
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self):
-        cols = [self.column(j) for j in range(self.ncols)]
-        return ExactMatrix(self.field, cols, self.nrows)
-
-    def hstack(self, other):
-        if other.nrows != self.nrows or other.field != self.field:
-            raise ValueError("hstack shape mismatch")
-        return ExactMatrix(self.field,
-                           [a + b for a, b in zip(self.rows, other.rows)],
-                           self.ncols + other.ncols)
-
-    def matvec(self, v):
-        F = self.field
-        if len(v) != self.ncols:
-            raise ValueError("matvec shape mismatch")
-        out = []
-        for r in self.rows:
-            s = F.zero()
-            for a, b in zip(r, v):
-                s = F.add(s, F.mul(a, b))
-            out.append(s)
-        return out
-
-    def matmul(self, other):
-        F = self.field
-        if other.nrows != self.ncols:
-            raise ValueError("matmul shape mismatch")
-        out = ExactMatrix.zeros(F, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            for j in range(other.ncols):
-                s = F.zero()
-                for k in range(self.ncols):
-                    s = F.add(s, F.mul(self.rows[i][k], other.rows[k][j]))
-                out.rows[i][j] = s
-        return out
-
-    def is_zero(self):
-        F = self.field
-        return all(F.is_zero(v) for r in self.rows for v in r)
-
-    def __eq__(self, other):
-        return (isinstance(other, ExactMatrix) and self.field == other.field
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
-
-    def __repr__(self):
-        return "ExactMatrix(%dx%d)" % (self.nrows, self.ncols)
+                out[c] = v
+        return ExactMatrix(field, dense, ncols)
 
 
 # -- sparse assembly ---------------------------------------------------
@@ -150,7 +75,16 @@ def sparse_blocks(row_dims, col_dims, blocks):
     return out, col_offs[-1]
 
 
-# -- elimination --------------------------------------------------------
+def sparse_transpose(rows, ncols):
+    """The transpose of a (rows, ncols) matrix, as ncols sparse rows."""
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][i] = v
+    return out
+
+
+# -- dense reference ------------------------------------------------------
 
 
 def rref(A):
@@ -180,8 +114,7 @@ def rref(A):
     return ExactMatrix(F, R, A.ncols), pivots
 
 
-def rank(A):
-    return len(rref(A)[1])
+# -- counts ---------------------------------------------------------------
 
 
 def sparse_rank(field, rows, ncols):
@@ -192,7 +125,7 @@ def sparse_rank(field, rows, ncols):
     Odlyzko, CRYPTO 1990): the pivot row is a shortest live row and its
     pivot column the one met by the fewest live rows, which keeps fill-in
     low.  Exact in Python scalars over F_p and over Q."""
-    p = field.p if isinstance(field, PrimeField) else None
+    p = _modulus(field)
     live = {}
     col_rows = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -254,7 +187,7 @@ def sparse_matmul(field, A, B):
     """The product A B of sparse-row matrices (row i of A is a {k: value}
     dict whose keys index the rows of B), as sparse rows; exact in Python
     scalars over F_p and over Q."""
-    p = field.p if isinstance(field, PrimeField) else None
+    p = _modulus(field)
     out = []
     for row in A:
         acc = {}
@@ -267,73 +200,118 @@ def sparse_matmul(field, A, B):
     return out
 
 
-def kernel_basis(A):
-    """Matrix whose columns are a basis of ker A (ncols x nullity)."""
-    F = A.field
-    R, pivots = rref(A)
-    pivot_set = set(pivots)
-    free = [c for c in range(A.ncols) if c not in pivot_set]
-    cols = []
-    for f in free:
-        v = [F.zero()] * A.ncols
-        v[f] = F.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R.rows[i][f])
-        cols.append(v)
-    return ExactMatrix.from_columns(F, cols, A.ncols)
+# -- bases ----------------------------------------------------------------
 
 
-def solve(A, b):
-    """A solution x of A x = b, or None (definitive no-solution)."""
-    F = A.field
-    if len(b) != A.nrows:
-        raise ValueError("solve shape mismatch")
-    aug = A.hstack(ExactMatrix.from_columns(F, [list(b)], A.nrows))
-    R, pivots = rref(aug)
-    if pivots and pivots[-1] == A.ncols:
+def echelon_reduce(field, echelon, v):
+    """v minus the combination of the rows of `echelon` that clears v at
+    each of their pivots, as a new vector.  `echelon` maps each pivot
+    column to its row, which is 1 there and 0 left of it.  Pivots are
+    cleared leftmost first, so a subtraction fills in only to the right of
+    the pivot it clears.  The result is the same for every echelon basis
+    of one row space: the canonical representative of v modulo it."""
+    p = _modulus(field)
+    v = dict(v)
+    todo = [c for c in v if c in echelon]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        f = v.pop(c, 0)
+        if not f:
+            continue    # cancelled earlier, or a repeated heap entry
+        for k, x in echelon[c].items():
+            if k == c:
+                continue
+            y = v.get(k, 0) - f * x
+            if p:
+                y %= p
+            if y:
+                if k not in v and k in echelon:
+                    heapq.heappush(todo, k)
+                v[k] = y
+            else:
+                v.pop(k, None)
+    return v
+
+
+def echelon_add(field, echelon, v):
+    """Reduce v by `echelon` and add what is left to it, scaled to 1 at its
+    leftmost column; returns that column, or None if v is in the row
+    space.  The entries of v are canonical: reduced mod p, none zero."""
+    v = echelon_reduce(field, echelon, v)
+    if not v:
         return None
-    x = [F.zero()] * A.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = R.rows[i][A.ncols]
-    return x
+    p = _modulus(field)
+    c = min(v)
+    inv = field.inv(v[c])
+    echelon[c] = {k: x * inv % p if p else x * inv for k, x in v.items()}
+    return c
 
 
-def subquotient_dim(Z, B):
-    """dim(span Z / span B); requires every column of B to lie in span Z.
-    A dense reference for homology_dim: the engine counts sparsely."""
-    if Z.nrows != B.nrows:
-        raise ValueError("subquotient ambient dimension mismatch")
-    rz, rb = rank(Z), rank(B)
-    if B.ncols and rank(Z.hstack(B)) != rz:
-        raise ValueError("boundary space is not contained in the cycle space")
-    return rz - rb
+def sparse_rref(field, rows, ncols):
+    """Reduced row echelon form of the matrix whose row i is the
+    {column: value} dict rows[i] (columns in range(ncols)), by Gauss-Jordan
+    elimination on sparse rows: each row is reduced and pivoted on its
+    leftmost column, then the rows are back-substituted rightmost pivot
+    first.  Returns (rows, pivots): the nonzero rows of the unique RREF in
+    pivot order, and their pivot columns.  The input is not modified."""
+    p = _modulus(field)
+    echelon = {}
+    for row in rows:
+        if p:
+            row = {c: v % p for c, v in row.items()}
+        echelon_add(field, echelon, {c: v for c, v in row.items() if v})
+    pivots = sorted(echelon)
+    for c in reversed(pivots):
+        row = echelon[c]
+        echelon[c] = {c: row[c], **echelon_reduce(
+            field, echelon, {k: x for k, x in row.items() if k != c})}
+    return [echelon[c] for c in pivots], pivots
+
+
+def kernel_basis(field, rows, ncols):
+    """A basis of the kernel of the (rows, ncols) matrix as sparse vectors,
+    one per free column f of its RREF in increasing order: 1 at f, and at
+    each pivot minus the RREF entry of that pivot's row in column f."""
+    p = _modulus(field)
+    R, pivots = sparse_rref(field, rows, ncols)
+    pivot_set = set(pivots)
+    basis = {f: {f: field.one()} for f in range(ncols) if f not in pivot_set}
+    for row, c in zip(R, pivots):
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = -x % p if p else -x
+    return list(basis.values())
+
+
+def solve(field, rows, ncols, b):
+    """A solution x of A x = b for the (rows, ncols) matrix A and a sparse
+    vector b indexed by its rows, as a sparse vector, or None if there is
+    none (definitive); read off the RREF of the augmented matrix [A | b]."""
+    if b and max(b) >= len(rows):
+        raise ValueError("solve shape mismatch")
+    aug = [{**row, ncols: b[i]} if i in b else row
+           for i, row in enumerate(rows)]
+    R, pivots = sparse_rref(field, aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    return {c: row[ncols] for row, c in zip(R, pivots) if ncols in row}
 
 
 class CosetReducer:
-    """Reduce vectors modulo a fixed column span, for canonical coset reps.
+    """Reduce sparse vectors modulo the column span of a (rows, ncols)
+    matrix, for canonical coset representatives.
 
-    Built from a matrix B: remembers the RREF of B^T; reduce(v) subtracts
-    the unique span-B component supported on B's pivot coordinates, so
-    reduce is linear, vanishes exactly on span B, and is idempotent.
-    """
+    Keeps the RREF of the transpose; reduce(v) subtracts the unique element
+    of the span that agrees with v at the pivots, so reduce is linear,
+    vanishes exactly on the span and is idempotent."""
 
-    def __init__(self, B):
-        self.field = B.field
-        self.ambient = B.nrows
-        Rt, pivots = rref(B.transpose())
-        # rows of Rt are a reduced basis of span(B) as row vectors
-        self.basis_rows = [Rt.rows[i] for i in range(len(pivots))]
-        self.pivots = pivots
+    def __init__(self, field, rows, ncols):
+        self.field = field
+        self.ambient = len(rows)
+        R, self.pivots = sparse_rref(field, sparse_transpose(rows, ncols),
+                                     self.ambient)
+        self.basis = dict(zip(self.pivots, R))
 
     def reduce(self, v):
-        F = self.field
-        v = list(v)
-        for row, pc in zip(self.basis_rows, self.pivots):
-            c = v[pc]
-            if not F.is_zero(c):
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def is_in_span(self, v):
-        F = self.field
-        return all(F.is_zero(a) for a in self.reduce(v))
+        return echelon_reduce(self.field, self.basis, v)

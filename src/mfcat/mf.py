@@ -19,7 +19,7 @@ Conventions (fixed throughout the engine):
     the signs going on the small maps.
 """
 
-from .linalg import ExactMatrix, solve, sparse_blocks, sparse_rank
+from .linalg import solve, sparse_blocks, sparse_rank
 
 
 class TwistSum:
@@ -604,8 +604,8 @@ def unpack_maps(ring, polys, *shapes):
 
 def strict_from_cycle(E, F, coords):
     """A degree-0 cycle (gamma0, gamma1) of the mapping complex, given by
-    its coordinates in the degree-0 pieces of C^0, corresponds to the
-    strict morphism (g0, g1) = (gamma0, -gamma1)."""
+    its coordinates in the degree-0 pieces of C^0 (a sparse vector),
+    corresponds to the strict morphism (g0, g1) = (gamma0, -gamma1)."""
     ring = E.ctx.ring
     c0 = hom_layout(E.E1, E.E0, F)[1]
     gamma0, gamma1 = unpack_maps(
@@ -630,9 +630,7 @@ def solve_homotopy(f):
     E, F = f.src, f.dst
     ring = E.ctx.ring
     dm1 = _mapping_dm1(E, F)
-    x = solve(ExactMatrix.from_sparse_rows(ring.field,
-                                           *ring.piece_matrix(dm1, 0)),
-              cycle_from_strict(f))
+    x = solve(ring.field, *ring.piece_matrix(dm1, 0), cycle_from_strict(f))
     if x is None:
         return None
     s, t_m = unpack_maps(ring, ring.polys_from_coords(x, dm1.src),

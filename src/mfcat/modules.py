@@ -9,7 +9,7 @@ which is how syzygies are extracted (tag-column elimination).
 
 from itertools import combinations
 
-from .linalg import CosetReducer, ExactMatrix
+from .linalg import CosetReducer, sparse_transpose
 from .mf import SheafMap, TwistSum
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul)
@@ -267,16 +267,11 @@ class ModulePiece:
                     row[k] = p
         rel = SheafMap.from_rows(ring, TwistSum(pres.rel_twists[c] for c in cols),
                                  TwistSum(pres.gen_twists), rows)
-        self.reducer = CosetReducer(ExactMatrix.from_sparse_rows(
-            ring.field, *ring.piece_matrix(rel, t)))
+        self.reducer = CosetReducer(ring.field, *ring.piece_matrix(rel, t))
         pivot_set = set(self.reducer.pivots)
         self.free_indices = [i for i in range(self.reducer.ambient)
                              if i not in pivot_set]
         self.dim = len(self.free_indices)
-
-    def quotient_coords(self, ambient_vec):
-        red = self.reducer.reduce(ambient_vec)
-        return [red[i] for i in self.free_indices]
 
     def mult_map(self, p, target_piece):
         """Matrix of multiplication by homogeneous p into target_piece,
@@ -284,16 +279,16 @@ class ModulePiece:
         columns in range(self.dim).  p must have degree
         target_piece.t - self.t (ValueError otherwise)."""
         ring = self.pres.ring
-        F = ring.field
         gens = TwistSum(self.pres.gen_twists)
-        m, _ = ring.piece_matrix(SheafMap.scalar(
+        m, n = ring.piece_matrix(SheafMap.scalar(
             ring, p, gens, gens.twist(target_piece.t - self.t)), self.t)
+        cols = sparse_transpose(m, n)
+        # a reduced vector is zero at the pivots: its keys are free indices
+        pos = {i: k for k, i in enumerate(target_piece.free_indices)}
         out = [{} for _ in range(target_piece.dim)]
         for j, i in enumerate(self.free_indices):
-            col = [row.get(i, F.zero()) for row in m]
-            for row, v in zip(out, target_piece.quotient_coords(col)):
-                if not F.is_zero(v):
-                    row[j] = v
+            for r, v in target_piece.reducer.reduce(cols[i]).items():
+                out[pos[r]][j] = v
         return out
 
 

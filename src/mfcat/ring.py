@@ -4,8 +4,9 @@ The monomial order is grevlex throughout; all variables have degree 1, so
 graded pieces are spanned by standard monomials of the right degree.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 from .linalg import sparse_blocks
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
@@ -181,33 +182,31 @@ class GradedRing:
     def hilbert(self, n):
         return len(self.graded_piece_basis(n))
 
-    def piece_coords(self, f, n):
-        """Coordinates of NF(f) in the degree-n standard-monomial basis."""
-        nf = self.normal_form(f)
-        basis = self.graded_piece_basis(n)
-        index = {m: i for i, m in enumerate(basis)}
-        coords = [self.field.zero()] * len(basis)
-        for e, c in nf.terms.items():
-            if sum(e) != n:
-                raise ValueError("polynomial not homogeneous of degree %d" % n)
-            coords[index[e]] = c
-        return coords
-
     def coords(self, polys, twists):
-        """The piece coordinates of polys[i] in degree twists[i], joined."""
-        return [c for p, a in zip(polys, twists)
-                for c in self.piece_coords(p, a)]
+        """The coordinates of NF(polys[i]) in the degree-twists[i] standard
+        monomials, joined into one sparse vector."""
+        out = {}
+        pos = 0
+        for p, a in zip(polys, twists):
+            basis = self.graded_piece_basis(a)
+            index = {m: i for i, m in enumerate(basis, pos)}
+            for e, c in self.normal_form(p).terms.items():
+                if sum(e) != a:
+                    raise ValueError("polynomial not homogeneous of degree %d"
+                                     % a)
+                out[index[e]] = c
+            pos += len(basis)
+        return out
 
     def polys_from_coords(self, coords, twists):
         """Inverse of coords: one polynomial of degree a per twist a."""
-        polys = []
-        pos = 0
-        for a in twists:
-            basis = self.graded_piece_basis(a)
-            polys.append(Poly(self.field, self.nvars,
-                              dict(zip(basis, coords[pos:pos + len(basis)]))))
-            pos += len(basis)
-        return polys
+        bases = [self.graded_piece_basis(a) for a in twists]
+        offs = [0, *accumulate(map(len, bases))]
+        terms = [{} for _ in bases]
+        for i, c in coords.items():
+            k = bisect_right(offs, i) - 1
+            terms[k][bases[k][i - offs[k]]] = c
+        return [Poly(self.field, self.nvars, t) for t in terms]
 
     def piece_matrix(self, f, t):
         """Matrix of a SheafMap f on the degree-t pieces of this ring, as

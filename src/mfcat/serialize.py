@@ -60,6 +60,30 @@ def _matrix(val, path, nrows, ncols):
     return val
 
 
+def _sheaf_map(ring, val, src, dst, path):
+    """The SheafMap src -> dst whose entries are the polynomial strings of
+    the matrix val; an entry that does not parse, or is not homogeneous of
+    degree dst[i] - src[j], is cited at path[i][j]."""
+    rows = []
+    for i, row in enumerate(_matrix(val, path, dst.rank, src.rank)):
+        out = {}
+        for j, s in enumerate(row):
+            epath = "%s[%d][%d]" % (path, i, j)
+            try:
+                p = ring.poly(s)
+            except ValueError as exc:
+                raise SchemaError(epath, str(exc))
+            if p.is_zero():
+                continue
+            want = dst[i] - src[j]
+            if not p.is_homogeneous() or p.total_degree() != want:
+                raise SchemaError(epath, "must be homogeneous of degree %d, "
+                                  "got %s" % (want, ring.to_str(p)))
+            out[j] = p
+        rows.append(out)
+    return SheafMap.from_rows(ring, src, dst, rows)
+
+
 # -- rings ---------------------------------------------------------------------
 
 
@@ -140,26 +164,8 @@ def mf_from_json(obj, path="mf", ctx=None):
     ring = ctx.ring
     E1 = TwistSum(_int_list(obj["E1"], path + ".E1"))
     E0 = TwistSum(_int_list(obj["E0"], path + ".E0"))
-    e1s = _matrix(obj["e1"], path + ".e1", E0.rank, E1.rank)
-    e0s = _matrix(obj["e0"], path + ".e0", E1.rank, E0.rank)
-
-    def parse_map(strs, src, dst, mpath):
-        entries = []
-        for i, row in enumerate(strs):
-            out_row = []
-            for j, s in enumerate(row):
-                try:
-                    out_row.append(ring.poly(s))
-                except ValueError as exc:
-                    raise SchemaError("%s[%d][%d]" % (mpath, i, j), str(exc))
-            entries.append(out_row)
-        try:
-            return SheafMap(ring, src, dst, entries)
-        except ValueError as exc:
-            raise SchemaError(mpath, str(exc))
-
-    e1 = parse_map(e1s, E1, E0, path + ".e1")
-    e0 = parse_map(e0s, E0, E1.twist(ctx.d), path + ".e0")
+    e1 = _sheaf_map(ring, obj["e1"], E1, E0, path + ".e1")
+    e0 = _sheaf_map(ring, obj["e0"], E0, E1.twist(ctx.d), path + ".e0")
     try:
         return MatrixFactorization(ctx, e1, e0)
     except ValueError as exc:
@@ -186,18 +192,8 @@ def morphism_from_json(obj, path="morphism", src=None, dst=None):
         src = mf_from_json(obj["source"], path + ".source")
         dst = mf_from_json(obj["target"], path + ".target", ctx=src.ctx)
     ring = src.ctx.ring
-    g1s = _matrix(obj["g1"], path + ".g1", dst.E1.rank, src.E1.rank)
-    g0s = _matrix(obj["g0"], path + ".g0", dst.E0.rank, src.E0.rank)
-
-    def parse(strs, s, d, mpath):
-        try:
-            entries = [[ring.poly(x) for x in row] for row in strs]
-            return SheafMap(ring, s, d, entries)
-        except ValueError as exc:
-            raise SchemaError(mpath, str(exc))
-
-    g1 = parse(g1s, src.E1, dst.E1, path + ".g1")
-    g0 = parse(g0s, src.E0, dst.E0, path + ".g0")
+    g1 = _sheaf_map(ring, obj["g1"], src.E1, dst.E1, path + ".g1")
+    g0 = _sheaf_map(ring, obj["g0"], src.E0, dst.E0, path + ".g0")
     try:
         return StrictMorphism(src, dst, g1, g0)
     except ValueError as exc:

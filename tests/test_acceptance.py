@@ -18,7 +18,7 @@ from mfcat.hypersurface import (coker_module, ext_gamma_dims,
                                 is_relatively_perfect, mf_from_module,
                                 stable_hom_dim)
 from mfcat.koszul import koszul_truncated, stabilized_mf
-from mfcat.linalg import kernel_basis
+from mfcat.linalg import kernel_basis, sparse_matmul, sparse_transpose
 from mfcat.mf import (MFContext, SheafMap, TwistSum, cone, cycle_from_strict,
                       mapping_complex, strict_from_cycle, strictness_violation,
                       verify_mf)
@@ -59,9 +59,11 @@ def test_a2_mapping_complex_cycles_are_strict_morphisms():
             assert C.diff_at(-1).twist(ctx.d).compose(C.diff_at(0)).is_zero()
             if not gs.monomial_path(list(C.E0.twists)):
                 continue
-            Z = kernel_basis(gs.sheafmap_matrix(C.e0))
-            for j in range(Z.ncols):
-                v = Z.column(j)
+            d0, n = gs.sheafmap_rows(C.e0)
+            Z = kernel_basis(ctx.ring.field, d0, n)
+            assert not any(sparse_matmul(ctx.ring.field, d0,
+                                         sparse_transpose(Z, n)))
+            for v in Z:
                 f = strict_from_cycle(E, F, v)
                 assert strictness_violation(f) is None
                 assert cycle_from_strict(f) == v
@@ -92,7 +94,7 @@ def test_a4_stable_homs_vanish_but_naive_cycles_do_not(profile):
     some_nonzero_cycles = False
     for E in objs:
         naive = hom_naive(E, E, gs=gs, want_basis=False)
-        if naive.cycle_space is not None and naive.cycle_space.ncols > 0:
+        if naive.cycle_space:
             some_nonzero_cycles = True
         for F in objs:
             assert hom_H(E, F, gs=gs).dimension == 0

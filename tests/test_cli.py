@@ -11,7 +11,8 @@ import mfcat
 from mfcat.cli import main
 from mfcat.hypersurface import coker_module
 from mfcat.mf import mapping_complex
-from mfcat.serialize import mf_to_json, module_to_json
+from mfcat.serialize import context_to_json, mf_to_json, module_to_json
+from mfcat.suite import projective_context
 
 
 @pytest.fixture()
@@ -216,6 +217,35 @@ class TestModuleCommands:
         assert code == 0
         assert out["result"]["perfect"] is False
         assert out["result"]["status"] == "periodic"
+
+
+class TestFromModule:
+    """from-module reads a map alpha of twist sums; a bad entry of its
+    matrix is cited by its field path, as verify cites an MF entry."""
+
+    def _alpha(self, tmp_path, entry):
+        obj = {"context": context_to_json(projective_context(2)),
+               "E1": [-1], "E0": [0], "matrix": [[entry]]}
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_completes_alpha(self, run, tmp_path):
+        code, out, _ = run("from-module", "--alpha",
+                           self._alpha(tmp_path, "x2"))
+        assert code == 0
+        assert out["result"]["mf"]["e1"] == [["x2"]]
+
+    @pytest.mark.parametrize("entry, message", [
+        ("x2+", "unexpected"),                      # does not parse
+        ("x2^2", "homogeneous of degree 1, got"),   # wrong degree
+    ])
+    def test_bad_entry_cites_path(self, run, tmp_path, entry, message):
+        alpha = self._alpha(tmp_path, entry)
+        code, out, err = run("from-module", "--alpha", alpha)
+        assert code == 1 and out is None
+        assert err["error"].startswith(alpha + ":map.matrix[0][0]: ")
+        assert message in err["error"]
 
 
 class TestSuite:

@@ -10,7 +10,7 @@ from mfcat.cohomology import (CechSetup, GlobalSections, cech_cohomology,
                               vanishing_threshold)
 from mfcat.fields import DEFAULT_PRIME, PrimeField
 from mfcat.homcat import hom_H
-from mfcat.linalg import ExactMatrix, rank, sparse_matmul, sparse_rank
+from mfcat.linalg import ExactMatrix, rref, sparse_matmul, sparse_rank
 from mfcat.mf import MFContext, SheafMap, TwistSum, mapping_complex, twist_mf
 from mfcat.ring import GradedRing, binom
 from mfcat.suite import generate_suite
@@ -101,7 +101,8 @@ class TestHypercohomology:
         for d, ncols in ((d_in, n_in), (d_out, n)):
             r = sparse_rank(F, d, ncols)
             assert r > 0
-            assert r == rank(ExactMatrix.from_sparse_rows(F, d, ncols))
+            dense = ExactMatrix.from_sparse_rows(F, d, ncols)
+            assert r == len(rref(dense)[1])
 
 
 class TestGlobalSections:
@@ -132,8 +133,8 @@ class TestGlobalSections:
                      [[ring.poly("x^2"), ring.poly("x")]])
         cech = GlobalSections(ctx)
         cech.saturated = lambda n: False     # every degree through Cech
-        assert rank(gs.sheafmap_matrix(f)) == 2
-        assert rank(cech.sheafmap_matrix(f)) == 2
+        assert len(rref(gs.sheafmap_matrix(f))[1]) == 2
+        assert len(rref(cech.sheafmap_matrix(f))[1]) == 2
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_projective_space_saturated_by_theorem(self, m):

@@ -16,6 +16,7 @@ from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       shift_mf, solve_homotopy, strict_from_cycle,
                       strictness_violation, twist_mf, verify_mf, zero_mf)
 from mfcat.koszul import koszul_truncated, stabilized_mf
+from mfcat.linalg import sparse_matmul
 from mfcat.poly import Poly
 from mfcat.ring import GradedRing, monomials_of_degree
 from mfcat.suite import (_grow, generate_suite, rank_one_mf,
@@ -127,9 +128,9 @@ class TestMappingComplex:
         from mfcat.cohomology import GlobalSections
         gs = GlobalSections(ctx_a1)
         C = mapping_complex(E_u, E_v)
-        Dm1 = gs.sheafmap_matrix(C.diff_at(-1))
-        D0 = gs.sheafmap_matrix(C.diff_at(0))
-        assert D0.matmul(Dm1).is_zero()
+        Dm1, _ = gs.sheafmap_rows(C.diff_at(-1))
+        D0, _ = gs.sheafmap_rows(C.diff_at(0))
+        assert not any(sparse_matmul(ctx_a1.ring.field, D0, Dm1))
 
     def test_cycle_strict_roundtrip(self, E_u):
         i = StrictMorphism.identity(E_u)

@@ -65,12 +65,16 @@ class TestGradedPieces:
 
     def test_piece_coords_roundtrip(self, ring_p2):
         f = ring_p2.poly("x0^2 - 3*x1*x2")
-        coords = ring_p2.piece_coords(f, 2)
+        h = ring_p2.poly("x1")
+        coords = ring_p2.coords([f, h], [2, 1])
         basis = ring_p2.graded_piece_basis(2)
+        assert len(coords) == 3 and max(coords) == len(basis) + 1
         g = ring_p2.zero()
-        for m, c in zip(basis, coords):
-            g = g + ring_p2.one().mul_monomial(m, c)
+        for i, c in coords.items():
+            if i < len(basis):
+                g = g + ring_p2.one().mul_monomial(basis[i], c)
         assert g == f
+        assert ring_p2.polys_from_coords(coords, [2, 1]) == [f, h]
 
     def test_mult_matrix_matches_multiplication(self, Fp):
         ring = GradedRing(Fp, ["x", "y"], ideal_strings=["x^3"])
@@ -82,8 +86,9 @@ class TestGradedPieces:
                    row.items())
         for j, m in enumerate(src):
             prod = ring.normal_form(p.mul_monomial(m))
-            col = ring.piece_coords(prod, 3)
-            assert [row.get(j, 0) for row in rows] == col
+            col = ring.coords([prod], [3])
+            assert {i: row[j] for i, row in enumerate(rows) if j in row} \
+                == col
 
 
 class TestHypothesisNF:
