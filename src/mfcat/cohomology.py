@@ -11,14 +11,21 @@ multiplicative.
 
 The differentials are very sparse (restriction is a monomial shift), so
 they are assembled as sparse rows, one {column: value} dict per target
-row, and only their ranks are computed, by sparse elimination.
+row, and only their ranks are computed, by sparse elimination.  Each
+block is a cached multiplication matrix of the ring, signs included
+(multiplication by -x_i^B or -f), and each truncated differential is
+assembled in one pass: cech_horizontal and cech_vertical list their
+blocks, and their callers hand all of them to one sparse_blocks call.
+The rank of the horizontal differential of O(n) out of C^p at truncation
+B is memoized on the ring (GradedRing.cech_ranks), so H^p and H^{p+1}
+share one elimination.
 """
 
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .linalg import (ExactMatrix, homology_dim, kernel_basis, solve,
-                     sparse_blocks, sparse_matmul, sparse_transpose)
+from .linalg import (ExactMatrix, homology_dim, kernel_basis, sparse_blocks,
+                     sparse_matmul, sparse_rank, sparse_transpose)
 from .mf import SheafMap, TwistSum
 from .poly import Poly
 from .ring import binom
@@ -42,11 +49,12 @@ def _subsets(nvars, p):
     return list(combinations(range(nvars), p + 1))
 
 
-def _xs_power(ring, S, B):
-    e = [0] * ring.nvars
-    for i in S:
-        e[i] = B
-    return Poly.monomial(ring.field, ring.nvars, tuple(e))
+def _restrictions(ring, B):
+    """(x_i^B, -x_i^B) for each variable x_i."""
+    return [[Poly.monomial(ring.field, ring.nvars,
+                           tuple(B if k == i else 0 for k in range(ring.nvars)),
+                           c) for c in (1, -1)]
+            for i in range(ring.nvars)]
 
 
 class CechSetup:
@@ -78,62 +86,69 @@ class CechSpace:
         self.dim = sum(self.block_dims)
 
 
-def _signed(field, rows, sign):
-    """Sparse rows times sign (+1 or -1), as new rows when negated."""
-    if sign > 0:
-        return rows
-    return [{c: field.neg(v) for c, v in row.items()} for row in rows]
-
-
 def cech_horizontal(src_space, dst_space):
-    """The Cech differential C^p -> C^{p+1} (same twist list), as
-    (sparse rows, ncols): on each twist summand, the face S of T = S + {i}
-    maps by x_i^B, signed (-1)^(position of i in T)."""
+    """The nonzero blocks of the Cech differential C^p -> C^{p+1} (same
+    twist list), as a list of (r, c, rows) in the CechSpace block layout:
+    on each twist summand, the face S of T = S + {i} maps by x_i^B,
+    signed (-1)^(position of i in T)."""
     ring = src_space.ring
-    B = src_space.B
     nt = len(src_space.twists)
-    shift = B * (src_space.p + 1)
+    shift = src_space.B * (src_space.p + 1)
     src_index = {S: k for k, S in enumerate(src_space.subsets)}
-
-    def blocks():
-        for tk, T in enumerate(dst_space.subsets):
-            faces = sorted((src_index[T[:pos] + T[pos + 1:]], pos, i)
-                           for pos, i in enumerate(T))
-            for t, a in enumerate(src_space.twists):
-                for sk, pos, i in faces:
-                    yield tk * nt + t, sk * nt + t, _signed(
-                        ring.field,
-                        ring.mult_matrix(_xs_power(ring, (i,), B), a + shift),
-                        -1 if pos % 2 else 1)
-
-    return sparse_blocks(dst_space.block_dims, src_space.block_dims, blocks())
+    restrict = _restrictions(ring, src_space.B)
+    blocks = []
+    for tk, T in enumerate(dst_space.subsets):
+        faces = sorted((src_index[T[:pos] + T[pos + 1:]], pos, i)
+                       for pos, i in enumerate(T))
+        for t, a in enumerate(src_space.twists):
+            blocks += [(tk * nt + t, sk * nt + t,
+                        ring.mult_matrix(restrict[i][pos % 2], a + shift))
+                       for sk, pos, i in faces]
+    return blocks
 
 
 def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
-    """Apply a map of twist sums on each localized piece (same p), as
-    (sparse rows, ncols)."""
+    """The nonzero blocks of a map of twist sums times sign (+1 or -1),
+    applied on each localized piece (same p), as a list of (r, c, rows)
+    in the CechSpace block layout."""
     ring = src_space.ring
     shift = src_space.B * (src_space.p + 1)
     ns, nd = len(src_space.twists), len(dst_space.twists)
-    blocks = ((s * nd + tr, s * ns + tc, _signed(
-        ring.field, ring.mult_matrix(p, src_space.twists[tc] + shift), sign))
-        for s in range(len(src_space.subsets))
-        for tr, row in enumerate(sheaf_map.rows)
-        for tc, p in row.items())
-    return sparse_blocks(dst_space.block_dims, src_space.block_dims, blocks)
+    entries = [(tr, tc, ring.mult_matrix(p if sign > 0 else -p,
+                                         src_space.twists[tc] + shift))
+               for tr, row in enumerate(sheaf_map.rows)
+               for tc, p in row.items()]
+    return [(s * nd + tr, s * ns + tc, rows)
+            for s in range(len(src_space.subsets))
+            for tr, tc, rows in entries]
+
+
+def _horizontal_diff(ring, n, p, B):
+    """C^p of O(n) at truncation B and the Cech differential out of it, as
+    (sparse rows, ncols)."""
+    src, dst = CechSpace(ring, [n], p, B), CechSpace(ring, [n], p + 1, B)
+    return src, sparse_blocks(dst.block_dims, src.block_dims,
+                              cech_horizontal(src, dst))
+
+
+def _horizontal_rank(ring, n, p, B):
+    """Rank of the Cech differential of O(n) out of C^p at truncation B
+    (0 outside 0 <= p < nvars - 1), memoized in ring.cech_ranks."""
+    if not 0 <= p < ring.nvars - 1:
+        return 0
+    key = (n, p, B)
+    if key not in ring.cech_ranks:
+        ring.cech_ranks[key] = sparse_rank(
+            ring.field, *_horizontal_diff(ring, n, p, B)[1])
+    return ring.cech_ranks[key]
 
 
 def cech_cohomology_at(ring, n, p, B):
     """dim H^p of the truncated Cech complex of O(n) at truncation B."""
-    m = ring.nvars - 1
-    if p < 0 or p > m:
+    if not 0 <= p < ring.nvars:
         return 0
-    cur = CechSpace(ring, [n], p, B)
-    d_out = ([], cur.dim) if p == m else \
-        cech_horizontal(cur, CechSpace(ring, [n], p + 1, B))
-    d_in = ([], 0) if p == 0 else \
-        cech_horizontal(CechSpace(ring, [n], p - 1, B), cur)
-    return homology_dim(ring.field, d_out, d_in)
+    return CechSpace(ring, [n], p, B).dim - _horizontal_rank(ring, n, p, B) \
+        - _horizontal_rank(ring, n, p - 1, B)
 
 
 def _stable_value(value_at, setup):
@@ -171,17 +186,20 @@ def cech_total_diff(C, q, B):
     if not C.ctx.W.is_zero():
         raise ValueError("the Cech total complex needs an MF of W = 0")
     src, dst = _total_space(C, q, B), _total_space(C, q + 1, B)
-
-    def blocks():
-        for t, sp in enumerate(dst):
-            if t and src[t - 1].dim and sp.dim:
-                yield t, t - 1, cech_horizontal(src[t - 1], sp)[0]
-            if src[t].dim and sp.dim:
-                yield t, t, cech_vertical(src[t], sp, C.diff_at(q - t),
-                                          sign=1 if t % 2 == 0 else -1)[0]
-
-    return sparse_blocks([sp.dim for sp in dst], [sp.dim for sp in src],
-                         blocks())
+    # offsets of each Cech degree's blocks in the concatenated layout
+    r0 = [0, *accumulate(len(sp.block_dims) for sp in dst)]
+    c0 = [0, *accumulate(len(sp.block_dims) for sp in src)]
+    blocks = []
+    for t, sp in enumerate(dst):
+        if t and src[t - 1].dim and sp.dim:
+            blocks += [(r0[t] + r, c0[t - 1] + c, rows) for r, c, rows
+                       in cech_horizontal(src[t - 1], sp)]
+        if src[t].dim and sp.dim:
+            blocks += [(r0[t] + r, c0[t] + c, rows) for r, c, rows
+                       in cech_vertical(src[t], sp, C.diff_at(q - t),
+                                        sign=1 if t % 2 == 0 else -1)]
+    return sparse_blocks([b for sp in dst for b in sp.block_dims],
+                         [b for sp in src for b in sp.block_dims], blocks)
 
 
 def cech_hypercohomology_at(C, q, B):
@@ -217,6 +235,7 @@ class GlobalSections:
         self.ring = ctx.ring
         self.setup = setup or CechSetup()
         self._saturated = {}
+        self._bounds = {}
         self._kernels = {}
         # (E, j) -> (Tot(P(j) tensor E), epsilon), filled by
         # homcat.stabilize; keyed on E itself, which the key keeps alive
@@ -233,28 +252,30 @@ class GlobalSections:
             self._saturated[n] = bool(stable) and dim == self.ring.hilbert(n)
         return self._saturated[n]
 
-    def _kernel(self, n):
-        """(B, C^0 space, kernel basis in C^0 coordinates) at a stable
-        bound."""
-        if n in self._kernels:
-            return self._kernels[n]
-        F = self.ring.field
-        chosen = None
-        for B in self.setup.schedule():
-            sp0, d = _h0_diff(self.ring, n, B)
-            if homology_dim(F, d, ([], 0)) == \
-                    cech_cohomology_at(self.ring, n, 0, B + 1):
-                chosen = (B, sp0, kernel_basis(F, *d))
-                break
-        if chosen is None:
+    def _bound(self, n):
+        """The first truncation B of the schedule at which Cech H^0 of
+        O(n) agrees with its value at B + 1 (read from the rank memo that
+        saturated filled)."""
+        if n not in self._bounds:
+            h0 = lambda B: cech_cohomology_at(self.ring, n, 0, B)
+            self._bounds[n] = next((B for B in self.setup.schedule()
+                                    if h0(B) == h0(B + 1)), None)
+        if self._bounds[n] is None:
             raise RuntimeError("Cech H^0 did not stabilize for twist %d" % n)
-        self._kernels[n] = chosen
-        return chosen
+        return self._bounds[n]
+
+    def _kernel(self, n, B):
+        """(C^0 space, kernel basis in C^0 coordinates) of O(n) at
+        truncation B, cached per (n, B)."""
+        if (n, B) not in self._kernels:
+            sp0, d = _horizontal_diff(self.ring, n, 0, B)
+            self._kernels[n, B] = sp0, kernel_basis(self.ring.field, *d)
+        return self._kernels[n, B]
 
     def dim(self, n):
         if self.saturated(n):
             return self.ring.hilbert(n)
-        return len(self._kernel(n)[2])
+        return len(self._kernel(n, self._bound(n))[1])
 
     @cached_property
     def threshold(self):
@@ -277,29 +298,25 @@ class GlobalSections:
         d = max(p.total_degree(), 0)
         if self.saturated(n) and self.saturated(n + d):
             return ring.mult_matrix(p, n)
-        B, sp0, K = self._kernel(n)
-        B2, tp0, L = self._kernel(n + d)
-        if B2 != B:
-            # recompute the source kernel at the larger bound (bases embed)
-            Bmax = max(B, B2)
-            sp0, dK = _h0_diff(ring, n, Bmax)
-            K = kernel_basis(F, *dK)
-            tp0, dL = _h0_diff(ring, n + d, Bmax)
-            L = kernel_basis(F, *dL)
-        amb, _ = cech_vertical(sp0, tp0, _single_entry_map(ring, p, n, n + d))
+        # both sides at the larger bound (bases embed)
+        B = max(self._bound(n), self._bound(n + d))
+        sp0, K = self._kernel(n, B)
+        tp0, L = self._kernel(n + d, B)
+        amb, _ = sparse_blocks(tp0.block_dims, sp0.block_dims, cech_vertical(
+            sp0, tp0, _single_entry_map(ring, p, n, n + d)))
         # the image of each source section, in target C^0 coordinates
         imgs = sparse_transpose(
             sparse_matmul(F, amb, sparse_transpose(K, sp0.dim)), len(K))
-        L_rows = sparse_transpose(L, tp0.dim)
-        out = [{} for _ in L]
-        for j, img in enumerate(imgs):
-            x = solve(F, L_rows, len(L), img)
-            if x is None:
-                raise RuntimeError("section image left the section space "
-                                   "(truncation too small)")
-            for i, a in x.items():
-                out[i][j] = a
-        return out
+        # each vector of L is 1 at its own free column, its largest key
+        # (its other entries sit at pivots left of it), and 0 at the other
+        # free columns, so an image's coordinates are read off there
+        free = [max(v) for v in L]
+        coords = [{i: img[f] for i, f in enumerate(free) if f in img}
+                  for img in imgs]
+        if sparse_matmul(F, coords, L) != imgs:
+            raise RuntimeError("section image left the section space "
+                               "(truncation too small)")
+        return sparse_transpose(coords, len(L))
 
     def sheafmap_rows(self, f):
         """Gamma of a map of twist sums as (sparse rows, ncols): block
@@ -315,12 +332,6 @@ class GlobalSections:
         for tests, which the engine does not use."""
         rows, ncols = self.sheafmap_rows(f)
         return ExactMatrix.from_sparse_rows(self.ring.field, rows, ncols)
-
-
-def _h0_diff(ring, n, B):
-    """C^0 of O(n) at truncation B and the Cech differential out of it."""
-    sp0 = CechSpace(ring, [n], 0, B)
-    return sp0, cech_horizontal(sp0, CechSpace(ring, [n], 1, B))
 
 
 def _single_entry_map(ring, p, a, b):

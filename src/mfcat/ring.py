@@ -133,6 +133,9 @@ class GradedRing:
         self.groebner = buchberger(self.ideal_gens)
         self._piece_cache = {}
         self._mult_cache = {}
+        # (n, p, B) -> rank of the Cech differential of O(n) out of C^p at
+        # truncation B, filled by cohomology.cech_cohomology_at
+        self.cech_ranks = {}
 
     # -- basic element helpers ------------------------------------------
 
@@ -243,10 +246,14 @@ class GradedRing:
             dst = self.graded_piece_basis(n + p.total_degree())
         index = {m: i for i, m in enumerate(dst)}
         rows = [{} for _ in dst]
-        for j, m in enumerate(src):
-            prod = self.normal_form(p.mul_monomial(m))
-            for e, c in prod.terms.items():
-                rows[index[e]][j] = c
+        if self.groebner:
+            for j, m in enumerate(src):
+                for e, c in self.normal_form(p.mul_monomial(m)).terms.items():
+                    rows[index[e]][j] = c
+        else:   # distinct exponents stay distinct: no normal form
+            for j, m in enumerate(src):
+                for e, c in p.terms.items():
+                    rows[index[mono_mul(e, m)]][j] = c
         self._mult_cache[key] = rows
         return rows
 

@@ -4,16 +4,21 @@ twisted periodic complexes."""
 import pytest
 
 from mfcat import cohomology
-from mfcat.cohomology import (CechSetup, GlobalSections, cech_cohomology,
-                              cech_hypercohomology, cech_total_diff,
-                              h_projective_space,
-                              vanishing_threshold)
-from mfcat.fields import DEFAULT_PRIME, PrimeField
+from mfcat.cohomology import (CechSetup, CechSpace, GlobalSections,
+                              cech_cohomology, cech_cohomology_at,
+                              cech_horizontal, cech_hypercohomology,
+                              cech_total_diff, cech_vertical,
+                              h_projective_space, vanishing_threshold)
+from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
 from mfcat.homcat import hom_H
-from mfcat.linalg import ExactMatrix, rref, sparse_matmul, sparse_rank
-from mfcat.mf import MFContext, SheafMap, TwistSum, mapping_complex, twist_mf
+from mfcat.linalg import (ExactMatrix, kernel_basis, rref, solve,
+                          sparse_blocks, sparse_matmul, sparse_rank,
+                          sparse_transpose)
+from mfcat.mf import (MFContext, SheafMap, TwistSum, direct_sum_mf,
+                      mapping_complex, shift_mf, twist_mf)
+from mfcat.poly import Poly
 from mfcat.ring import GradedRing, binom
-from mfcat.suite import generate_suite
+from mfcat.suite import generate_suite, unit_e0_factorization
 
 
 class TestClosedForm:
@@ -199,3 +204,292 @@ class TestTruncation:
             for p in (1, 2):
                 dim, stable = cech_cohomology(ring, n, p)
                 assert stable and dim == 0
+
+
+# -- one-pass assembly ----------------------------------------------------
+
+
+def nested_total_diff(C, q, B):
+    """cech_total_diff as it was assembled before the one-pass layout: each
+    Cech block matrix assembled on its own from unsigned blocks, negated
+    blocks copied, then those matrices assembled again.  The reference for
+    rows, values and the key order of each row."""
+    ring = C.ctx.ring
+    F = ring.field
+
+    def signed(rows, sign):
+        if sign > 0:
+            return rows
+        return [{c: F.neg(v) for c, v in row.items()} for row in rows]
+
+    def horizontal(src, dst):
+        nt = len(src.twists)
+        shift = B * (src.p + 1)
+        src_index = {S: k for k, S in enumerate(src.subsets)}
+        blocks = []
+        for tk, T in enumerate(dst.subsets):
+            faces = sorted((src_index[T[:pos] + T[pos + 1:]], pos, i)
+                           for pos, i in enumerate(T))
+            for t, a in enumerate(src.twists):
+                for sk, pos, i in faces:
+                    e = tuple(B if k == i else 0 for k in range(ring.nvars))
+                    x = Poly.monomial(F, ring.nvars, e)
+                    blocks.append((tk * nt + t, sk * nt + t, signed(
+                        ring.mult_matrix(x, a + shift),
+                        -1 if pos % 2 else 1)))
+        return sparse_blocks(dst.block_dims, src.block_dims, blocks)[0]
+
+    def vertical(src, dst, f, sign):
+        shift = B * (src.p + 1)
+        ns, nd = len(src.twists), len(dst.twists)
+        blocks = [(s * nd + tr, s * ns + tc, signed(
+            ring.mult_matrix(p, src.twists[tc] + shift), sign))
+            for s in range(len(src.subsets))
+            for tr, row in enumerate(f.rows) for tc, p in row.items()]
+        return sparse_blocks(dst.block_dims, src.block_dims, blocks)[0]
+
+    def total(n):
+        return [CechSpace(ring, list(C.component_at(n - p).twists), p, B)
+                for p in range(ring.nvars)]
+
+    src, dst = total(q), total(q + 1)
+    blocks = []
+    for t, sp in enumerate(dst):
+        if t and src[t - 1].dim and sp.dim:
+            blocks.append((t, t - 1, horizontal(src[t - 1], sp)))
+        if src[t].dim and sp.dim:
+            blocks.append((t, t, vertical(src[t], sp, C.diff_at(q - t),
+                                          1 if t % 2 == 0 else -1)))
+    return sparse_blocks([sp.dim for sp in dst], [sp.dim for sp in src],
+                         blocks)
+
+
+def nodal_context():
+    ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                      ideal_strings=["x*y"])
+    return MFContext(ring, ring.poly("z"))
+
+
+def oracle_pairs(profile):
+    """A few pairs whose mapping complexes have blocks in every Cech
+    degree, both signs and twists of both kinds."""
+    if profile == "nodal":
+        base = unit_e0_factorization(nodal_context())
+        up, sbase = twist_mf(base, 1), shift_mf(base)
+        return [(base, up), (sbase, twist_mf(sbase, 1)),
+                (base, direct_sum_mf(up, sbase))]
+    _ctx, objs = generate_suite(0, profile)
+    return [(objs[0], objs[3]), (objs[3], objs[1]), (objs[2], objs[2])]
+
+
+def as_items(d):
+    rows, ncols = d
+    return [list(row.items()) for row in rows], ncols
+
+
+class TestOnePassAssembly:
+    @pytest.mark.parametrize("profile", ["p1-small", "p2-small", "nodal"])
+    def test_total_diff_matches_nested_assembly(self, profile):
+        for E, F in oracle_pairs(profile):
+            C = mapping_complex(E, F)
+            for q in (-1, 0):
+                for B in (4, 5):
+                    got = cech_total_diff(C, q, B)
+                    assert any(got[0])
+                    assert as_items(got) == \
+                        as_items(nested_total_diff(C, q, B))
+
+    def test_blocks_are_materialized_and_signed_blocks_cached(self):
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x0", "x1", "x2"])
+        src, dst = CechSpace(ring, [1], 0, 4), CechSpace(ring, [1], 1, 4)
+        blocks = cech_horizontal(src, dst)
+        assert isinstance(blocks, list) and len(blocks) == 6
+        again = cech_horizontal(src, dst)
+        # a negated block is the cached matrix of -x_i^B, not a copy
+        assert all(a[2] is b[2] for a, b in zip(blocks, again))
+        f = SheafMap(ring, TwistSum([1]), TwistSum([2]), [[ring.poly("x0")]])
+        plus = cech_vertical(src, CechSpace(ring, [2], 0, 4), f)
+        minus = cech_vertical(src, CechSpace(ring, [2], 0, 4), f, sign=-1)
+        assert isinstance(plus, list) and len(plus) == len(minus) == 3
+        assert minus[0][2] is ring.mult_matrix(-ring.poly("x0"), 5)
+        assert [{c: -v % DEFAULT_PRIME for c, v in row.items()}
+                for row in plus[0][2]] == minus[0][2]
+
+
+class TestRankMemo:
+    @pytest.mark.parametrize("ideal", [[], ["x0*x1"]])
+    def test_memo_matches_assembled_rank(self, ideal):
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x0", "x1", "x2"],
+                          ideal_strings=ideal)
+        for n in (-4, 0, 2):
+            for p in range(3):
+                for B in (4, 5):
+                    cech_cohomology_at(ring, n, p, B)
+        assert set(ring.cech_ranks) == {(n, p, B) for n in (-4, 0, 2)
+                                        for p in (0, 1) for B in (4, 5)}
+        for (n, p, B), r in ring.cech_ranks.items():
+            src = CechSpace(ring, [n], p, B)
+            dst = CechSpace(ring, [n], p + 1, B)
+            rows, ncols = sparse_blocks(dst.block_dims, src.block_dims,
+                                        cech_horizontal(src, dst))
+            assert r == sparse_rank(ring.field, rows, ncols)
+            if ncols <= 60:
+                dense = ExactMatrix.from_sparse_rows(ring.field, rows, ncols)
+                assert r == len(rref(dense)[1])
+
+    def test_adjacent_degrees_share_one_elimination(self, monkeypatch):
+        calls = []
+        real = cohomology.sparse_rank
+        monkeypatch.setattr(cohomology, "sparse_rank",
+                            lambda *a: calls.append(a) or real(*a))
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x0", "x1", "x2"])
+        dims = [cech_cohomology(ring, -4, p) for p in range(3)]
+        assert dims == [(0, True), (0, True), (3, True)]
+        # two differentials (out of C^0 and C^1) at B = 4 and 5
+        assert len(calls) == 4
+
+    def test_memo_is_per_ring_instance(self, monkeypatch):
+        calls = []
+        real = cohomology.sparse_rank
+        monkeypatch.setattr(cohomology, "sparse_rank",
+                            lambda *a: calls.append(a) or real(*a))
+        F = PrimeField(DEFAULT_PRIME)
+        r1, r2 = GradedRing(F, ["x0", "x1"]), GradedRing(F, ["x0", "x1"])
+        assert r1 == r2 and hash(r1) == hash(r2)
+        assert cech_cohomology(r1, -3, 1) == (2, True)
+        n1 = len(calls)
+        assert n1 and r1.cech_ranks and not r2.cech_ranks
+        assert cech_cohomology(r1, -3, 1) == (2, True)
+        assert len(calls) == n1
+        assert cech_cohomology(r2, -3, 1) == (2, True)
+        assert len(calls) == 2 * n1 and r2.cech_ranks == r1.cech_ranks
+
+
+# -- sections off the saturated path --------------------------------------
+
+
+def skew_lines(field):
+    """Two skew lines in P^3, W = x + z: Gamma(O) is 2-dimensional while
+    R_0 is 1-dimensional."""
+    ring = GradedRing(field, ["x", "y", "z", "w"],
+                      ideal_strings=["x*z", "x*w", "y*z", "y*w"])
+    return MFContext(ring, ring.poly("x + z"))
+
+
+def _horizontal_rows(ring, n, B):
+    """The Cech differential of O(n) out of C^0 at truncation B."""
+    sp0, sp1 = CechSpace(ring, [n], 0, B), CechSpace(ring, [n], 1, B)
+    return sparse_blocks(sp1.block_dims, sp0.block_dims,
+                         cech_horizontal(sp0, sp1))
+
+
+def solve_mult(ring, p, n, setup=None):
+    """GlobalSections.mult off the saturated path as it was computed
+    before: both kernels at the larger stable bound, then one solve per
+    source section."""
+    F = ring.field
+    d = max(p.total_degree(), 0)
+
+    def bound(k):
+        return next(B for B in (setup or CechSetup()).schedule()
+                    if cech_cohomology_at(ring, k, 0, B) ==
+                    cech_cohomology_at(ring, k, 0, B + 1))
+
+    def kernel(k, B):
+        return (CechSpace(ring, [k], 0, B),
+                kernel_basis(F, *_horizontal_rows(ring, k, B)))
+
+    B = max(bound(n), bound(n + d))
+    (sp0, K), (tp0, L) = kernel(n, B), kernel(n + d, B)
+    f = SheafMap(ring, TwistSum([n]), TwistSum([n + d]), [[p]])
+    amb, _ = sparse_blocks(tp0.block_dims, sp0.block_dims,
+                           cech_vertical(sp0, tp0, f))
+    imgs = sparse_transpose(
+        sparse_matmul(F, amb, sparse_transpose(K, sp0.dim)), len(K))
+    L_rows = sparse_transpose(L, tp0.dim)
+    out = [{} for _ in L]
+    for j, img in enumerate(imgs):
+        x = solve(F, L_rows, len(L), img)
+        assert x is not None
+        for i, a in x.items():
+            out[i][j] = a
+    return out
+
+
+def three_points(field):
+    """Three points on P^1, W = x + 3y: the kernel vectors of the Cech
+    differential share pivot columns, so coordinates must be read at the
+    free columns."""
+    ring = GradedRing(field, ["x", "y"], ideal_strings=["x*y*(x - y)"])
+    return MFContext(ring, ring.poly("x + 3*y"))
+
+
+class TestSectionMultiplication:
+    @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME),
+                                       RationalField()], ids=["Fp", "Q"])
+    @pytest.mark.parametrize("space, entries", [
+        (skew_lines, ("x", "y - 2*w", "x^2 + 3*z*w", "x*y + z^2 - w^2", "5")),
+        (three_points, ("x", "x - 5*y", "x^2 + 2*y^2", "7"))],
+        ids=["skew-lines", "three-points"])
+    def test_matches_per_section_solve(self, field, space, entries):
+        ctx = space(field)
+        ring = ctx.ring
+        gs = GlobalSections(ctx)
+        gs.saturated = lambda n: False     # every degree through Cech
+        for s in entries:
+            p = ring.poly(s)
+            for n in range(3):
+                got = gs.mult(p, n)
+                assert len(got) == gs.dim(n + p.total_degree())
+                assert [list(r.items()) for r in got] == \
+                    [list(r.items()) for r in solve_mult(ring, p, n)]
+
+    def test_unequal_bounds_reuse_one_kernel_per_bound(self, monkeypatch):
+        """Two points on P^1 with B_start = 2: H^0 of O(-2) settles at
+        B = 4 and of O(-1) at B = 2, so mult takes both kernels at B = 4,
+        each eliminated once."""
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y"],
+                          ideal_strings=["x*y"])
+        setup = CechSetup(b_start=2)
+        gs = GlobalSections(MFContext(ring, ring.poly("x + y")), setup)
+        assert (gs._bound(-2), gs._bound(-1)) == (4, 2)
+        calls = []
+        real = cohomology.kernel_basis
+        monkeypatch.setattr(cohomology, "kernel_basis",
+                            lambda *a: calls.append(a) or real(*a))
+        p = ring.poly("x - 3*y")
+        got = gs.mult(p, -2)
+        assert [c[1:] for c in calls] == \
+            [_horizontal_rows(ring, n, 4) for n in (-2, -1)]
+        assert gs.mult(p, -2) == got and len(calls) == 2
+        assert got == solve_mult(ring, p, -2, setup)
+        assert len(got) == gs.dim(-1) == 2 and gs.dim(-2) == 2
+
+    def test_image_outside_sections_raises(self):
+        ctx = skew_lines(PrimeField(DEFAULT_PRIME))
+        gs = GlobalSections(ctx)
+        gs.saturated = lambda n: False
+        real = gs._kernel
+
+        def short_target(n, B):
+            sp0, K = real(n, B)
+            return (sp0, K[:-1]) if n == 1 else (sp0, K)
+
+        gs._kernel = short_target
+        with pytest.raises(RuntimeError, match="left the section space"):
+            gs.mult(ctx.ring.poly("x + y + z + w"), 0)
+
+    def test_kernel_eliminates_once_at_the_chosen_bound(self, monkeypatch):
+        ctx = skew_lines(PrimeField(DEFAULT_PRIME))
+        gs = GlobalSections(ctx)
+        assert not gs.saturated(0)
+        ranks, kernels = [], []
+        real_rank, real_kernel = cohomology.sparse_rank, \
+            cohomology.kernel_basis
+        monkeypatch.setattr(cohomology, "sparse_rank",
+                            lambda *a: ranks.append(a) or real_rank(*a))
+        monkeypatch.setattr(cohomology, "kernel_basis",
+                            lambda *a: kernels.append(a) or real_kernel(*a))
+        assert gs.dim(0) == 2 and gs.dim(0) == 2
+        # the bound is read from the ranks saturated() left on the ring
+        assert ranks == [] and len(kernels) == 1

@@ -1,5 +1,7 @@
 """Groebner bases, normal forms and graded pieces of quotient rings."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +91,47 @@ class TestGradedPieces:
             col = ring.coords([prod], [3])
             assert {i: row[j] for i, row in enumerate(rows) if j in row} \
                 == col
+
+
+def generic_mult_matrix(ring, p, n):
+    """mult_matrix by the generic construction: the normal form of p times
+    each source monomial, on every ring."""
+    p = ring.normal_form(p)
+    dst = ring.graded_piece_basis(n + p.total_degree()) if p.terms else []
+    index = {m: i for i, m in enumerate(dst)}
+    rows = [{} for _ in dst]
+    for j, m in enumerate(ring.graded_piece_basis(n)):
+        for e, c in ring.normal_form(p.mul_monomial(m)).terms.items():
+            rows[index[e]][j] = c
+    return rows
+
+
+MULT_RINGS = [GradedRing(F, ["x", "y", "z"], ideal_strings=ideal)
+              for F in (PrimeField(7), PrimeField(32003), RationalField())
+              for ideal in ([], ["x*y"], ["x*y - z^2", "x^3"])]
+
+
+class TestMultMatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_generic_construction(self, data):
+        """Rows, values and the key order of each row agree with the
+        generic construction, on polynomial and quotient rings over F_p
+        and Q, for either sign of p."""
+        ring = data.draw(st.sampled_from(MULT_RINGS))
+        d = data.draw(st.integers(0, 3))
+        n = data.draw(st.integers(-1, 4))
+        monos = monomials_of_degree(3, d)
+        terms = data.draw(st.lists(
+            st.tuples(st.sampled_from(monos), st.integers(-9, 9),
+                      st.integers(1, 4)), max_size=4))
+        p = sum((ring.one().mul_monomial(e, ring.field.of(Fraction(a, b)))
+                 for e, a, b in terms), ring.zero())
+        for q in (p, -p):
+            got = ring.mult_matrix(q, n)
+            want = generic_mult_matrix(ring, q, n)
+            assert [list(r.items()) for r in got] == \
+                [list(r.items()) for r in want]
 
 
 class TestHypothesisNF:
