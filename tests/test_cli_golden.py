@@ -3,9 +3,11 @@
 
 The recorded hashes are in ``cli_golden.json``.  The commands run in a
 directory holding the seed-0 a1-affine, p1-small and p2-small corpora as
-MF JSON files, and the nodal curve Proj k[x,y,z]/(xy) (W = z) as a ring
-file and unit-grown MF files, all named relatively, so the reports do not
-depend on where the files live."""
+MF JSON files, the nodal curve Proj k[x,y,z]/(xy) (W = z) as a ring
+file and unit-grown MF files, module and map files for the module-side
+commands, and a rank-two factorization of the affine-graded quadric
+W = xy + z^2, all named relatively, so the reports do not depend on where
+the files live."""
 
 import hashlib
 import json
@@ -15,10 +17,14 @@ import pytest
 
 from mfcat.cli import main
 from mfcat.fields import DEFAULT_PRIME, PrimeField
-from mfcat.mf import MFContext, shift_mf, twist_mf
+from mfcat.hypersurface import coker_module
+from mfcat.mf import (MatrixFactorization, MFContext, SheafMap, TwistSum,
+                      shift_mf, twist_mf)
 from mfcat.ring import GradedRing
-from mfcat.serialize import mf_to_json, ring_to_json
-from mfcat.suite import generate_suite, unit_e0_factorization
+from mfcat.serialize import (context_to_json, mf_to_json, module_to_json,
+                             ring_to_json)
+from mfcat.suite import (affine_a1_context, generate_suite,
+                         projective_context, unit_e0_factorization)
 
 CORPORA = (("a1", "a1-affine"), ("p1", "p1-small"), ("p2", "p2-small"))
 
@@ -44,8 +50,49 @@ def _nodal_files():
     return out
 
 
+def _module_files():
+    """The cokernel module of every a1 and p2 corpus object, the p2 and
+    nodal contexts, nodal modules (R/(x, y), the finite-length R/(x, y, z),
+    and R/(x, y) with a zero relation column), and two maps alpha for
+    from-module."""
+    out = {}
+    for tag, profile in CORPORA[0], CORPORA[2]:
+        _ctx, objs = generate_suite(0, profile)
+        for i, E in enumerate(objs):
+            out["coker_%s_%d.json" % (tag, i)] = module_to_json(coker_module(E))
+    nodal = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                       ideal_strings=["x*y"])
+    out["nodal_ctx.json"] = context_to_json(MFContext(nodal, nodal.poly("z")))
+    out["p2_ctx.json"] = context_to_json(projective_context(2))
+    for name, rels in (("xy", [["x", "y"]]), ("xyz", [["x", "y", "z"]]),
+                       ("zero_col", [["x", "0", "y"]])):
+        out["nodal_%s.json" % name] = {"ring": ring_to_json(nodal),
+                                       "twists": [0], "relations": rels}
+    out["alpha_a1.json"] = {"context": context_to_json(affine_a1_context()),
+                            "E1": [-2], "E0": [-1], "matrix": [["u"]]}
+    out["alpha_p2.json"] = {"context": out["p2_ctx.json"], "E1": [-1, -1],
+                            "E0": [0, 0], "matrix": [["x2", "x2"], ["0", "x2"]]}
+    return out
+
+
+def _quadric_files():
+    """A = ([[x, z], [-z, y]], [[y, -z], [z, x]]) on the affine-graded
+    quadric W = xy + z^2: its Hom basis comes out of a sparse RREF whose
+    back-substitution is needed."""
+    ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"])
+    ctx = MFContext(ring, ring.poly("x*y + z^2"), mode="affine-graded")
+    E1, E0 = TwistSum([-1, -1]), TwistSum([0, 0])
+    p = ring.poly
+    e1 = SheafMap(ring, E1, E0, [[p("x"), p("z")], [p("-z"), p("y")]])
+    e0 = SheafMap(ring, E0, E1.twist(ctx.d),
+                  [[p("y"), p("-z")], [p("z"), p("x")]])
+    return {"quadric_A.json": mf_to_json(MatrixFactorization(ctx, e1, e0))}
+
+
 FILES = _files()
 NODAL_FILES = _nodal_files()
+MODULE_FILES = _module_files()
+QUADRIC_FILES = _quadric_files()
 
 
 def _names(tag):
@@ -89,6 +136,35 @@ def _cech_commands():
     return cmds
 
 
+def _module_commands():
+    """coker, Ext tables, stable Hom, relative perfection, from-module and
+    verify."""
+    a1 = _names("a1")
+    objs = sorted(FILES) + ["nodal_%d.json" % i for i in range(3)]
+    cmds = [["coker", "--source", n] + raw for n in objs
+            for raw in ([], ["--raw"])]
+    cmds += [["ext-table", "--source", s, "--module", "coker_" + t,
+              "--q-lo", "0", "--q-hi", "4"] for s in a1 for t in a1]
+    cmds += [["stable-hom", "--source", s, "--module", "coker_" + t]
+             for s in a1 for t in a1]
+    cmds += [["rel-perfect", "--context", "p2_ctx.json", "--module",
+              "coker_" + n] for n in _names("p2")]
+    cmds += [["rel-perfect", "--context", "nodal_ctx.json", "--module",
+              "nodal_%s.json" % n] for n in ("xy", "xyz", "zero_col")]
+    cmds += [["from-module", "--alpha", "alpha_%s.json" % n]
+             for n in ("a1", "p2")]
+    cmds += [["verify", "--source", n] for n in objs]
+    return cmds
+
+
+def _quadric_commands():
+    a = "quadric_A.json"
+    cmds = [["hom", "--source", a, "--target", a] + extra
+            for extra in ([], ["--shift", "1"], ["--twist", "1"])]
+    cmds.append(["compose", "--source", a, "--middle", a, "--target", a])
+    return cmds
+
+
 def report_sha256(text):
     report = json.loads(text)
     report.pop("timing_ms")
@@ -99,7 +175,8 @@ def report_sha256(text):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
-    for name, obj in {**FILES, **NODAL_FILES}.items():
+    for name, obj in {**FILES, **NODAL_FILES, **MODULE_FILES,
+                      **QUADRIC_FILES}.items():
         (d / name).write_text(json.dumps(obj, sort_keys=True))
     return d
 
@@ -109,12 +186,15 @@ def workdir(tmp_path_factory):
 # straight from P(j); the p1 hom, cech-hh, contractible and prop28 reports
 # from commit ced872e, before the mapping complex became an MF of W = 0;
 # the cech and nodal cech-hh reports from commit aba7918, before each
-# truncated Cech differential was assembled in one pass
+# truncated Cech differential was assembled in one pass; the module-side
+# and quadric reports from commit ce91ad4, before a module presentation
+# kept its relations as a SheafMap
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json")
                     .read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("argv", _commands() + _cech_commands(),
+@pytest.mark.parametrize("argv", _commands() + _cech_commands()
+                         + _module_commands() + _quadric_commands(),
                          ids=" ".join)
 def test_report_bytes(argv, workdir, monkeypatch, capsys):
     monkeypatch.chdir(workdir)
