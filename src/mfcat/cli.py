@@ -13,12 +13,12 @@ from .homcat import (class_coords, compose_h, hom_H, hom_naive, is_contractible,
                      locally_contractible, prop28_report, stabilize)
 from .hypersurface import (coker_module, ext_gamma_dims, is_relatively_perfect,
                            mf_from_module, stable_hom_dim)
-from .mf import TwistSum, mapping_complex, shift_mf, twist_mf, verify_mf
+from .mf import mapping_complex, shift_mf, twist_mf, verify_mf
 from .ring import GradedRing
-from .serialize import (SchemaError, _int_list, _require_keys, _sheaf_map,
-                        context_from_json, mf_from_json, mf_hash, mf_to_json,
-                        module_from_json, module_to_json, morphism_to_json,
-                        object_hash, ring_from_json)
+from .serialize import (SchemaError, context_from_json, map_from_json,
+                        mf_from_json, mf_hash, mf_to_json, module_from_json,
+                        module_to_json, morphism_to_json, object_hash,
+                        ring_from_json)
 from .suite import generate_suite
 
 
@@ -212,12 +212,7 @@ def cmd_from_module(args, inputs):
     obj = _load_json(args.alpha)
     inputs.append(obj)
     try:
-        path = "%s:map" % args.alpha
-        _require_keys(obj, path, ("context", "E1", "E0", "matrix"))
-        ctx = context_from_json(obj["context"], path + ".context")
-        E1 = TwistSum(_int_list(obj["E1"], path + ".E1"))
-        E0 = TwistSum(_int_list(obj["E0"], path + ".E0"))
-        alpha = _sheaf_map(ctx.ring, obj["matrix"], E1, E0, path + ".matrix")
+        ctx, alpha = map_from_json(obj, path="%s:map" % args.alpha)
     except SchemaError as exc:
         raise CliError(str(exc))
     try:

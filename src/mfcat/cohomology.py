@@ -31,6 +31,7 @@ from .poly import Poly
 from .ring import binom
 
 
+# truncations tried: B = DEFAULT_B_START, doubling up to DEFAULT_B_MAX
 DEFAULT_B_START = 4
 DEFAULT_B_MAX = 64
 
@@ -57,18 +58,13 @@ def _restrictions(ring, B):
             for i in range(ring.nvars)]
 
 
-class CechSetup:
-    """Cover by the standard opens plus a truncation schedule."""
-
-    def __init__(self, b_start=DEFAULT_B_START, b_max=DEFAULT_B_MAX):
-        self.b_start = b_start
-        self.b_max = b_max
-
-    def schedule(self):
-        b = self.b_start
-        while b <= self.b_max:
-            yield b
-            b *= 2
+def truncations():
+    """The truncations B to try, doubling from DEFAULT_B_START up to
+    DEFAULT_B_MAX (read at each call)."""
+    b = DEFAULT_B_START
+    while b <= DEFAULT_B_MAX:
+        yield b
+        b *= 2
 
 
 class CechSpace:
@@ -151,11 +147,11 @@ def cech_cohomology_at(ring, n, p, B):
         - _horizontal_rank(ring, n, p - 1, B)
 
 
-def _stable_value(value_at, setup):
+def _stable_value(value_at):
     """(dimension, stable flag): the values at consecutive truncations B,
     B+1 must agree; B doubles until they do or the cap is hit."""
     last = None
-    for B in (setup or CechSetup()).schedule():
+    for B in truncations():
         v1 = value_at(B)
         v2 = value_at(B + 1)
         if v1 == v2:
@@ -164,9 +160,9 @@ def _stable_value(value_at, setup):
     return last, False
 
 
-def cech_cohomology(ring, n, p, setup=None):
+def cech_cohomology(ring, n, p):
     """(dimension, stable flag) of H^p(O(n)) by _stable_value."""
-    return _stable_value(lambda B: cech_cohomology_at(ring, n, p, B), setup)
+    return _stable_value(lambda B: cech_cohomology_at(ring, n, p, B))
 
 
 def _total_space(C, n, B):
@@ -209,9 +205,9 @@ def cech_hypercohomology_at(C, q, B):
                         cech_total_diff(C, q - 1, B))
 
 
-def cech_hypercohomology(C, q, setup=None):
+def cech_hypercohomology(C, q):
     """(dimension, stable flag) of H^q(C) by _stable_value."""
-    return _stable_value(lambda B: cech_hypercohomology_at(C, q, B), setup)
+    return _stable_value(lambda B: cech_hypercohomology_at(C, q, B))
 
 
 # -- exact global sections ----------------------------------------------------
@@ -230,10 +226,9 @@ class GlobalSections:
     polynomials and no strict-morphism basis is extracted there).
     """
 
-    def __init__(self, ctx, setup=None):
+    def __init__(self, ctx):
         self.ctx = ctx
         self.ring = ctx.ring
-        self.setup = setup or CechSetup()
         self._saturated = {}
         self._bounds = {}
         self._kernels = {}
@@ -248,7 +243,7 @@ class GlobalSections:
                                   and self.ring.nvars >= 2):
             return True
         if n not in self._saturated:
-            dim, stable = cech_cohomology(self.ring, n, 0, self.setup)
+            dim, stable = cech_cohomology(self.ring, n, 0)
             self._saturated[n] = bool(stable) and dim == self.ring.hilbert(n)
         return self._saturated[n]
 
@@ -258,7 +253,7 @@ class GlobalSections:
         saturated filled)."""
         if n not in self._bounds:
             h0 = lambda B: cech_cohomology_at(self.ring, n, 0, B)
-            self._bounds[n] = next((B for B in self.setup.schedule()
+            self._bounds[n] = next((B for B in truncations()
                                     if h0(B) == h0(B + 1)), None)
         if self._bounds[n] is None:
             raise RuntimeError("Cech H^0 did not stabilize for twist %d" % n)
@@ -341,30 +336,26 @@ def _single_entry_map(ring, p, a, b):
 # -- vanishing thresholds -----------------------------------------------------
 
 
-def vanishing_threshold(ctx, n_lo=None, n_hi=None, override=None, setup=None):
+def vanishing_threshold(ctx):
     """n0 with H^p(X, O(n)) = 0 for all p > 0, n >= n0.
 
-    Exact for projective space; otherwise scanned with stability flags (the
-    scan is heuristic evidence and refuses to answer when unstable or when
-    no clean tail is visible).  Returns (n0, tag)."""
-    if override is not None:
-        return int(override), "override"
+    Exact for projective space; otherwise scanned over n in [-2m-2, 2]
+    with stability flags (the scan is heuristic evidence and refuses to
+    answer when unstable or when no clean tail is visible; the caller can
+    then pass stabilize(threshold=) instead).  Returns (n0, tag)."""
     ring = ctx.ring
     m = ring.nvars - 1
     if ring.is_polynomial_ring():
         return -m, "exact"
-    if n_lo is None:
-        n_lo = -2 * m - 2
-    if n_hi is None:
-        n_hi = 2
+    n_lo, n_hi = -2 * m - 2, 2
     table = {}
     for n in range(n_lo, n_hi + 1):
         for p in range(1, m + 1):
-            dim, stable = cech_cohomology(ring, n, p, setup)
+            dim, stable = cech_cohomology(ring, n, p)
             if not stable:
                 raise RuntimeError(
-                    "Cech scan unstable at (n=%d, p=%d); supply an explicit "
-                    "threshold override" % (n, p))
+                    "Cech scan unstable at (n=%d, p=%d); pass an explicit "
+                    "threshold to stabilize(threshold=)" % (n, p))
             table[(n, p)] = dim
     n0 = None
     for n in range(n_lo, n_hi + 1):
@@ -374,5 +365,5 @@ def vanishing_threshold(ctx, n_lo=None, n_hi=None, override=None, setup=None):
             break
     if n0 is None:
         raise RuntimeError("no vanishing tail found in the scanned window; "
-                           "supply an explicit threshold override")
+                           "pass an explicit threshold to stabilize(threshold=)")
     return n0, "scanned"

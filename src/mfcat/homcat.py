@@ -10,13 +10,17 @@ from .hypersurface import coker_module
 from .koszul import koszul_truncated, stabilized_mf, tot_blocks, tot_morphism
 from .linalg import (CosetReducer, echelon_add, homology_dim, kernel_basis,
                      sparse_matmul)
-from .mf import (MatrixFactorization, SheafMap, StrictMorphism, TwistSum,
+from .mf import (MatrixFactorization, StrictMorphism, TwistSum,
                  cone, cycle_from_strict, hom_layout, hom_twists,
                  mapping_complex, solve_homotopy, strict_from_cycle, unrolled)
 from .modules import (contains_irrelevant_power, default_saturation_bound,
                       fitting_ideal)
 from .poly import Poly
 from .ring import buchberger, reduce_poly
+
+J_MAX = 12          # highest Koszul level stabilize tries
+FITTING_CAP = 9     # locally_contractible scans Fitting ideals up to this
+                    # many cokernel generators
 
 
 class HomSpace:
@@ -173,12 +177,12 @@ class StabilizationCertificate:
                 "min_twist": self.min_twist, "verified": self.check()}
 
 
-def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
-    """Replace E by Tot(P(j) tensor E) with the least j whose mapping-complex
-    twist inventory clears the vanishing threshold in all rows q >= M-m-1.
-    The threshold is `threshold` as (n0, tag) if given, else gs.threshold.
-    E' and epsilon are built once per (E, j) in gs; the certificate is
-    re-checked on every call, since its rows depend on F.
+def stabilize(E, F, M=0, threshold=None, gs=None):
+    """Replace E by Tot(P(j) tensor E) with the least j <= J_MAX whose
+    mapping-complex twist inventory clears the vanishing threshold in all
+    rows q >= M-m-1.  The threshold is `threshold` as (n0, tag) if given,
+    else gs.threshold.  E' and epsilon are built once per (E, j) in gs; the
+    certificate is re-checked on every call, since its rows depend on F.
 
     Returns (E', epsilon: E' -> E, certificate)."""
     ctx = E.ctx
@@ -199,7 +203,7 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
                 for q in (q_min, q_min + 1)}
 
     chosen = None
-    for j in range(1, j_max + 1):
+    for j in range(1, J_MAX + 1):
         P, aug = koszul_truncated(ring, j)
         # the twist inventories of E'_1 and E'_0, without matrices
         rows = row_twists(*(TwistSum(t for _, ts in tot_blocks(P, E, level)
@@ -213,7 +217,7 @@ def stabilize(E, F, M=0, j_max=12, threshold=None, gs=None):
             break
     if chosen is None:
         raise RuntimeError("no Koszul level up to %d clears the vanishing "
-                           "threshold" % j_max)
+                           "threshold" % J_MAX)
     P, aug, cert = chosen
     if (E, cert.j) not in gs.stabilized:
         gs.stabilized[E, cert.j] = stabilized_mf(P, aug, E)
@@ -316,18 +320,8 @@ def _connected_components(E):
 
 
 def _sub_mf(E, idx1, idx0):
-    ring = E.ctx.ring
-    E1 = TwistSum([E.E1[i] for i in idx1])
-    E0 = TwistSum([E.E0[i] for i in idx0])
-    pos1 = {c: k for k, c in enumerate(idx1)}
-    pos0 = {c: k for k, c in enumerate(idx0)}
-    e1 = SheafMap.from_rows(ring, E1, E0,
-                            [{pos1[c]: p for c, p in E.e1.rows[r].items()}
-                             for r in idx0])
-    e0 = SheafMap.from_rows(ring, E0, E1.twist(E.ctx.d),
-                            [{pos0[c]: p for c, p in E.e0.rows[r].items()}
-                             for r in idx1])
-    return MatrixFactorization(E.ctx, e1, e0, check=False)
+    return MatrixFactorization(E.ctx, E.e1.submatrix(idx0, idx1),
+                               E.e0.submatrix(idx1, idx0), check=False)
 
 
 def _sheaf_zero(gens, ring, B):
@@ -364,7 +358,7 @@ def _ideal_is_unit(gens, ring):
     return reduce_poly(ring.one(), basis).is_zero()
 
 
-def locally_contractible(E, saturation_bound=None, fitting_cap=9):
+def locally_contractible(E):
     """Three-valued local contractibility via local freeness of the
     restricted cokernel (Fitting-ideal scan over R/(W)).
 
@@ -380,8 +374,7 @@ def locally_contractible(E, saturation_bound=None, fitting_cap=9):
         return "true"
     comps = _connected_components(E)
     if comps is not None:
-        results = [locally_contractible(_sub_mf(E, i1, i0),
-                                        saturation_bound, fitting_cap)
+        results = [locally_contractible(_sub_mf(E, i1, i0))
                    for (i1, i0) in comps]
         if all(r == "true" for r in results):
             return "true"
@@ -391,15 +384,14 @@ def locally_contractible(E, saturation_bound=None, fitting_cap=9):
     if is_contractible(E):
         return "true"
     M = coker_module(E)
-    g = M.n_gens
+    g = M.rel.dst.rank
     if g == 0:
         return "true"
-    if g > fitting_cap:
+    if g > FITTING_CAP:
         return "inconclusive"
     ry = M.ring
-    if saturation_bound is None:
-        cols = [p for col in M.columns for p in col]
-        saturation_bound = default_saturation_bound(ry, cols or [ry.one()])
+    saturation_bound = default_saturation_bound(
+        ry, [p for row in M.rel.rows for p in row.values()])
     fitt = {r: fitting_ideal(M, r) for r in range(-1, g + 1)}
     for r in range(0, g + 1):
         lower = fitt[r - 1]
@@ -418,18 +410,18 @@ def locally_contractible(E, saturation_bound=None, fitting_cap=9):
     return "inconclusive"
 
 
-def weak_equivalence(f, **kw):
+def weak_equivalence(f):
     """A strict morphism is a weak equivalence iff its cone is locally
     contractible."""
-    return locally_contractible(cone(f), **kw)
+    return locally_contractible(cone(f))
 
 
-def prop28_report(E, **kw):
+def prop28_report(E):
     """Contractibility condition report: (1) the identity is nullhomotopic,
     (4) the restricted cokernel is locally free on Y.  The implication
     (1) => (4) is asserted as a hard invariant."""
     cond1 = is_contractible(E)
-    cond4 = locally_contractible(E, **kw)
+    cond4 = locally_contractible(E)
     if cond1 and cond4 == "false":
         raise AssertionError(
             "contractibility implication violated: identity nullhomotopic "

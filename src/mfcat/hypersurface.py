@@ -3,19 +3,28 @@ cokernel presentations, unrolled periodic resolutions, graded Ext tables,
 stable Hom dimensions, reconstruction of a factorization from a module
 map, and relative perfection of modules."""
 
-from .linalg import homology_dim, solve, sparse_blocks, sparse_rank
-from .mf import MatrixFactorization, _post_compose_matrix, unpack_maps
-from .modules import (ModulePresentation, _minimalize_generators,
-                      syzygy_presentation)
+from .linalg import (homology_dim, solve, sparse_blocks, sparse_rank,
+                     sparse_transpose)
+from .mf import MatrixFactorization, SheafMap, _post_compose_matrix, unpack_maps
+from .modules import ModulePresentation, minimal_columns, syzygy_presentation
+
+STABLE_HOM_STEPS = 8    # stable_hom_dim tries q0, ..., q0 + STABLE_HOM_STEPS
 
 
 def coker_module(E, minimal=True):
     """coker(e1) as a graded module over R_Y = R/(W): generators are the
-    twists of E0, relations the columns of e1."""
+    twists of E0, relations the columns of e1 taken to normal form in R_Y
+    (a column that vanishes there keeps its twist in E1)."""
     ry = E.ctx.y_ring()
-    e1 = E.e1.entries
-    cols = [[e1[r][c] for r in range(E.E0.rank)] for c in range(E.E1.rank)]
-    pres = ModulePresentation(ry, list(E.E0.twists), cols)
+    rows = []
+    for row in E.e1.rows:
+        out = {}
+        for c, p in row.items():
+            p = ry.normal_form(p)
+            if not p.is_zero():
+                out[c] = p
+        rows.append(out)
+    pres = ModulePresentation(SheafMap.from_rows(ry, E.E1, E.E0, rows))
     if minimal:
         pres = pres.minimalize()
     return pres
@@ -82,7 +91,7 @@ def ext_gamma_dims(E, N, q_range):
     return {q: homology_dim(N.ring.field, mats[q], mats[q - 1]) for q in qs}
 
 
-def stable_hom_dim(E, N, extra_steps=8):
+def stable_hom_dim(E, N):
     """Stable Hom dimension: Ext^{2q}(i^*E, N(-q*d)) for q past dim X + 1,
     accepted once two consecutive q agree.
 
@@ -91,31 +100,30 @@ def stable_hom_dim(E, N, extra_steps=8):
     d = ctx.d
     q0 = ctx.dim_x() + 2
     prev = None
-    for q in range(q0, q0 + extra_steps + 1):
+    for q in range(q0, q0 + STABLE_HOM_STEPS + 1):
         val = ext_gamma_dims(E, N.twist(-q * d), [2 * q])[2 * q]
         if prev is not None and val == prev:
             return val, True, q
         prev = val
-    return prev, False, q0 + extra_steps
+    return prev, False, q0 + STABLE_HOM_STEPS
 
 
 # -- reconstruction of a factorization --------------------------------------------
 
 
-def mf_from_module(ctx, alpha, injectivity_bound=None):
+def mf_from_module(ctx, alpha):
     """Complete an injective map alpha: (+)O(b) -> (+)O(a) over R to a
     matrix factorization of W: solves alpha(d) o beta = W*id for beta and
     returns MF(e1=alpha, e0=beta).
 
-    Raises if alpha is not injective in the tested degree window or if
-    W*id does not factor through alpha."""
+    Raises if alpha is not injective in the tested degree window (up to
+    the largest |twist| plus max ideal degree + deg W + 3) or if W*id does
+    not factor through alpha."""
     ring = ctx.ring
     d = ctx.d
     E1, E0 = alpha.src, alpha.dst
-    if injectivity_bound is None:
-        spread = max((abs(a) for a in tuple(E1) + tuple(E0)), default=0)
-        injectivity_bound = spread + ring.max_ideal_degree() + d + 3
-    for t in range(0, injectivity_bound + 1):
+    spread = max((abs(a) for a in tuple(E1) + tuple(E0)), default=0)
+    for t in range(0, spread + ring.max_ideal_degree() + d + 4):
         rows, ncols = ring.piece_matrix(alpha, t)
         if sparse_rank(ring.field, rows, ncols) < ncols:
             raise ValueError(
@@ -138,42 +146,36 @@ def mf_from_module(ctx, alpha, injectivity_bound=None):
 # -- relative perfection ---------------------------------------------------------
 
 
-def _column_signature(ring, col):
-    """Column rendered scale-invariantly: normalized by the leading
-    coefficient of its first nonzero entry."""
-    field = ring.field
-    scale = None
-    for p in col:
-        if not p.is_zero():
-            scale = field.inv(p.leading_term()[1])
-            break
-    if scale is None:
-        return None
-    return tuple(ring.to_str(p.scale(scale)) for p in col)
+def _column_signature(ring, col, n):
+    """A nonzero column {row: entry} of n rows rendered scale-invariantly:
+    normalized by the leading coefficient of its first nonzero entry."""
+    scale = ring.field.inv(col[min(col)].leading_term()[1])
+    return tuple(ring.to_str(col[r].scale(scale)) if r in col else "0"
+                 for r in range(n))
 
 
 def _presentation_signature(pres):
-    """Relation matrix up to column permutation, column unit scaling and a
-    uniform twist shift."""
-    base = min(pres.gen_twists) if pres.gen_twists else 0
-    twists = tuple(t - base for t in pres.gen_twists)
-    sigs = [_column_signature(pres.ring, col) for col in pres.columns]
-    sigs = tuple(sorted(s for s in sigs if s is not None))
+    """Relation matrix of a minimalized presentation (so without zero
+    columns) up to column permutation, column unit scaling and a uniform
+    twist shift."""
+    gens = pres.rel.dst
+    base = min(gens) if gens.rank else 0
+    twists = tuple(t - base for t in gens)
+    sigs = tuple(sorted(_column_signature(pres.ring, col, gens.rank)
+                        for col in sparse_transpose(pres.rel.rows,
+                                                    pres.rel.src.rank)))
     return (twists, sigs)
 
 
 def push_to_ambient(ctx, M):
     """View an R_Y-module as an R-module: same generators, the same
-    relations plus W times each generator, with redundant columns dropped."""
-    ring = ctx.ring
-    cols = [[ring.normal_form(p) for p in col] for col in M.columns]
-    for r in range(M.n_gens):
-        col = [ring.zero()] * M.n_gens
-        col[r] = ctx.W
-        cols.append(col)
-    cols = [c for c in cols if any(not p.is_zero() for p in c)]
-    cols = _minimalize_generators(cols, ring, ncomp=M.n_gens)
-    return ModulePresentation(ring, M.gen_twists, cols)
+    relations plus W times each generator, with redundant columns dropped.
+    The relation entries are normal forms in R too, since the leading
+    ideal of I + (W) contains that of I."""
+    ring, rel = ctx.ring, M.rel
+    w = SheafMap.scalar(ring, ctx.W, rel.dst.twist(-ctx.d), rel.dst)
+    return ModulePresentation(minimal_columns(SheafMap.from_blocks(
+        ring, [rel.src, w.src], [rel.dst], [[rel, w]])))
 
 
 def is_relatively_perfect(ctx, M, max_steps=12):
@@ -190,10 +192,10 @@ def is_relatively_perfect(ctx, M, max_steps=12):
         if M.ring != ctx.y_ring():
             raise ValueError("module is over neither R nor R_Y")
         M = push_to_ambient(ctx, M)
-    pres = M.minimalize().drop_zero_columns()
+    pres = M.minimalize()
     history = []
     for step in range(max_steps):
-        if pres.n_rels == 0:
+        if pres.rel.src.rank == 0:
             return {"perfect": True, "steps": step, "status": "finite",
                     "history": history}
         sig = _presentation_signature(pres)
@@ -201,6 +203,6 @@ def is_relatively_perfect(ctx, M, max_steps=12):
         if len(history) >= 3 and history[-1] == history[-3]:
             return {"perfect": False, "steps": step, "status": "periodic",
                     "history": history}
-        pres = syzygy_presentation(pres).minimalize().drop_zero_columns()
+        pres = syzygy_presentation(pres).minimalize()
     return {"perfect": None, "steps": max_steps, "status": "inconclusive",
             "history": history}

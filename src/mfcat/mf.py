@@ -171,6 +171,17 @@ class SheafMap:
             [[m if i == j else None for j in range(len(maps))]
              for i, m in enumerate(maps)])
 
+    def submatrix(self, rows, cols):
+        """The map from the summands cols of src to the summands rows of
+        dst (index lists in increasing order)."""
+        cols = list(cols)
+        pos = {c: k for k, c in enumerate(cols)}
+        return SheafMap.from_rows(
+            self.ring, TwistSum(self.src[c] for c in cols),
+            TwistSum(self.dst[r] for r in rows),
+            [{pos[c]: p for c, p in self.rows[r].items() if c in pos}
+             for r in rows])
+
     # -- arithmetic --------------------------------------------------------
 
     def compose(self, other):
@@ -257,8 +268,7 @@ class MFContext:
     bound and recorded as a flag.
     """
 
-    def __init__(self, ring, W, mode="projective", twist_step=None,
-                 regularity_bound=None):
+    def __init__(self, ring, W, mode="projective", twist_step=None):
         if mode not in ("projective", "affine-graded"):
             raise ValueError("mode must be 'projective' or 'affine-graded'")
         self.ring = ring
@@ -276,18 +286,16 @@ class MFContext:
                 raise ValueError("projective mode requires deg W = 1")
             if twist_step is not None and int(twist_step) != self.d:
                 raise ValueError("twist step must equal deg W")
-            self.w_regular = self._check_regular(regularity_bound)
+            self.w_regular = self._check_regular()
         self._y_ring = None
 
-    def _check_regular(self, bound):
+    def _check_regular(self):
         """W is regular iff multiplication by W is injective on R_n for all
         n; checked for n up to a bound (degrees where new relations between
         the generators of I and W could first appear, plus slack)."""
         ring = self.ring
         maxdeg = max([g.total_degree() for g in ring.ideal_gens] + [1])
-        if bound is None:
-            bound = ring.nvars + maxdeg + self.d + 2
-        for n in range(0, bound + 1):
+        for n in range(0, ring.nvars + maxdeg + self.d + 3):
             src = ring.graded_piece_basis(n)
             if not src:
                 continue

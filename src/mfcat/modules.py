@@ -1,10 +1,15 @@
 """Graded module presentations, module Groebner bases, syzygies,
 Fitting ideals, and bounded saturation queries.
 
-Free-module elements are sparse dicts {(component, exponent tuple): coeff}.
-The module order is grevlex on monomials with a component tie-break; an
-elimination variant ranks the first `split` components above the rest,
-which is how syzygies are extracted (tag-column elimination).
+A presentation is the cokernel of its relation matrix rel, a SheafMap
+(the sparse-row matrix of ring elements that the MF side uses): the
+relation twists are rel.src, the generator twists rel.dst.  The Groebner
+code alone works on free-module elements, sparse dicts {(component,
+exponent tuple): coeff}; syzygies and minimal_columns turn the columns of
+a map into such vectors where they start.  The module order is grevlex on
+monomials with a component tie-break; an elimination variant ranks the
+first `split` components above the rest, which is how syzygies are
+extracted (tag-column elimination).
 """
 
 from itertools import combinations
@@ -123,105 +128,86 @@ def module_buchberger(vectors, field, split):
 
 
 class ModulePresentation:
-    """Finitely presented graded module: generator twists + relation columns.
+    """Finitely presented graded module: the cokernel of its relation
+    matrix rel, a SheafMap from the relation twists (+)R(t_c) = rel.src to
+    the generator twists (+)R(a_r) = rel.dst, stored as sparse rows."""
 
-    A generator of twist a spans a copy of R(a); a relation column with
-    twist t has homogeneous entries of degree gen_twist(r) - t.
-    """
-
-    def __init__(self, ring, gen_twists, columns, check=True):
-        self.ring = ring
-        self.gen_twists = list(gen_twists)
-        cols = []
-        for col in columns:
-            cols.append([ring.normal_form(p) for p in col])
-        self.columns = cols
-        self.rel_twists = []
-        for c, col in enumerate(self.columns):
-            if len(col) != len(self.gen_twists):
-                raise ValueError("relation column %d has wrong length" % c)
-            tw = None
-            for r, p in enumerate(col):
-                if p.is_zero():
-                    continue
-                if check and not p.is_homogeneous():
-                    raise ValueError("relation entry (%d, %d) not homogeneous" % (r, c))
-                t = self.gen_twists[r] - p.total_degree()
-                if tw is None:
-                    tw = t
-                elif check and t != tw:
-                    raise ValueError(
-                        "relation column %d is not twist-consistent" % c)
-            self.rel_twists.append(tw)  # None for a zero column
+    def __init__(self, rel):
+        self.rel = rel
         self._pieces = {}
 
-    @property
-    def n_gens(self):
-        return len(self.gen_twists)
+    @classmethod
+    def from_columns(cls, ring, gen_twists, columns):
+        """The checked boundary for outside input: relation columns as
+        lists of Polys, one entry per generator.  Entries are taken to
+        normal form; each column's twist is read off its first nonzero
+        entry, and a column with none is dropped (it presents the same
+        module)."""
+        gens = TwistSum(gen_twists)
+        rows = [{} for _ in gens]
+        twists = []
+        for c, col in enumerate(columns):
+            if len(col) != gens.rank:
+                raise ValueError("relation column %d has wrong length" % c)
+            tw = None
+            for r, p in enumerate(map(ring.normal_form, col)):
+                if p.is_zero():
+                    continue
+                if not p.is_homogeneous():
+                    raise ValueError("relation entry (%d, %d) not homogeneous" % (r, c))
+                t = gens[r] - p.total_degree()
+                if tw is None:
+                    tw = t
+                elif t != tw:
+                    raise ValueError(
+                        "relation column %d is not twist-consistent" % c)
+                rows[r][len(twists)] = p
+            if tw is not None:
+                twists.append(tw)
+        return cls(SheafMap.from_rows(ring, TwistSum(twists), gens, rows))
 
     @property
-    def n_rels(self):
-        return len(self.columns)
-
-    def rows(self):
-        """Relation matrix as rows (gens x rels)."""
-        return [[self.columns[c][r] for c in range(self.n_rels)]
-                for r in range(self.n_gens)]
+    def ring(self):
+        return self.rel.ring
 
     def twist(self, n):
-        return ModulePresentation(self.ring, [a + n for a in self.gen_twists],
-                                  self.columns, check=False)
+        return ModulePresentation(self.rel.twist(n))
 
     def drop_zero_columns(self):
-        cols = [c for c in self.columns if any(not p.is_zero() for p in c)]
-        return ModulePresentation(self.ring, self.gen_twists, cols, check=False)
+        used = sorted(set().union(*self.rel.rows))
+        return ModulePresentation(self.rel.submatrix(range(self.rel.dst.rank),
+                                                     used))
 
     def minimalize(self):
-        """Eliminate generators that occur with a unit (constant) coefficient
-        in some relation; repeats until no constant entries remain."""
+        """Eliminate generators that occur with a unit (constant)
+        coefficient in some relation, pivoting on the first column with a
+        constant entry and its first such row, until no constant entries
+        remain; zero columns are then dropped."""
         ring = self.ring
-        F = ring.field
-        gens = list(self.gen_twists)
-        cols = [list(c) for c in self.columns]
-        changed = True
-        while changed:
-            changed = False
-            for ci in range(len(cols)):
-                unit = None
-                for r in range(len(gens)):
-                    p = cols[ci][r]
-                    if not p.is_zero() and p.is_constant():
-                        unit = r
-                        break
-                if unit is None:
-                    continue
-                pivot = cols[ci][unit].constant_value()
-                inv = F.inv(pivot)
-                # clear row `unit` from the other columns using column ci
-                for cj in range(len(cols)):
-                    if cj == ci:
-                        continue
-                    q = cols[cj][unit]
-                    if q.is_zero():
-                        continue
-                    factor = q.scale(inv)
-                    cols[cj] = [ring.normal_form(a - factor * b)
-                                for a, b in zip(cols[cj], cols[ci])]
-                del gens[unit]
-                del cols[ci]
-                for cj in range(len(cols)):
-                    del cols[cj][unit]
-                changed = True
-                break
-        cols = [c for c in cols if any(not p.is_zero() for p in c)]
-        return ModulePresentation(ring, gens, cols, check=False)
-
-    def is_same_presentation(self, other):
-        return (self.ring == other.ring
-                and self.gen_twists == other.gen_twists
-                and len(self.columns) == len(other.columns)
-                and all(a == b for ca, cb in zip(self.columns, other.columns)
-                        for a, b in zip(ca, cb)))
+        rel = self.rel
+        while True:
+            units = [(c, r) for r, row in enumerate(rel.rows)
+                     for c, p in row.items() if p.is_constant()]
+            if not units:
+                return ModulePresentation(rel).drop_zero_columns()
+            ci, unit = min(units)
+            inv = ring.field.inv(rel.rows[unit][ci].constant_value())
+            # clear row `unit` from the other columns using column ci
+            factors = [(cj, q.scale(inv)) for cj, q in rel.rows[unit].items()
+                       if cj != ci]
+            rows = []
+            for row in rel.rows:
+                if ci in row:
+                    acc = dict(row)
+                    for cj, factor in factors:
+                        acc[cj] = ring.normal_form(
+                            acc.get(cj, ring.zero()) - factor * row[ci])
+                    row = {c: acc[c] for c in sorted(acc)
+                           if not acc[c].is_zero()}
+                rows.append(row)
+            rel = SheafMap.from_rows(ring, rel.src, rel.dst, rows).submatrix(
+                [r for r in range(rel.dst.rank) if r != unit],
+                [c for c in range(rel.src.rank) if c != ci])
 
     # -- graded pieces ------------------------------------------------------
 
@@ -233,16 +219,9 @@ class ModulePresentation:
     def piece_dim(self, t):
         return self.piece(t).dim
 
-    def describe(self):
-        return {
-            "twists": list(self.gen_twists),
-            "relations": [[self.ring.to_str(self.columns[c][r])
-                           for c in range(self.n_rels)]
-                          for r in range(self.n_gens)],
-        }
-
     def __repr__(self):
-        return "ModulePresentation(gens=%r, rels=%d)" % (self.gen_twists, self.n_rels)
+        return "ModulePresentation(gens=%r, rels=%d)" % (
+            list(self.rel.dst), self.rel.src.rank)
 
 
 class ModulePiece:
@@ -258,16 +237,7 @@ class ModulePiece:
         self.pres = pres
         self.t = t
         ring = pres.ring
-        # zero relation columns (twist None) add nothing to the span
-        cols = [c for c, tw in enumerate(pres.rel_twists) if tw is not None]
-        rows = [{} for _ in pres.gen_twists]
-        for k, c in enumerate(cols):
-            for row, p in zip(rows, pres.columns[c]):
-                if not p.is_zero():
-                    row[k] = p
-        rel = SheafMap.from_rows(ring, TwistSum(pres.rel_twists[c] for c in cols),
-                                 TwistSum(pres.gen_twists), rows)
-        self.reducer = CosetReducer(ring.field, *ring.piece_matrix(rel, t))
+        self.reducer = CosetReducer(ring.field, *ring.piece_matrix(pres.rel, t))
         pivot_set = set(self.reducer.pivots)
         self.free_indices = [i for i in range(self.reducer.ambient)
                              if i not in pivot_set]
@@ -279,7 +249,7 @@ class ModulePiece:
         columns in range(self.dim).  p must have degree
         target_piece.t - self.t (ValueError otherwise)."""
         ring = self.pres.ring
-        gens = TwistSum(self.pres.gen_twists)
+        gens = self.pres.rel.dst
         m, n = ring.piece_matrix(SheafMap.scalar(
             ring, p, gens, gens.twist(target_piece.t - self.t)), self.t)
         cols = sparse_transpose(m, n)
@@ -295,26 +265,14 @@ class ModulePiece:
 # -- syzygies ---------------------------------------------------------------
 
 
-def _column_degree(col, gen_twists):
-    for r, p in enumerate(col):
-        if not p.is_zero():
-            return gen_twists[r] - p.total_degree()
-    return None
-
-
-def _vec_from_column(F, col):
-    v = {}
-    for r, p in enumerate(col):
-        for e, c in p.terms.items():
-            v[(r, e)] = c
-    return v
-
-
-def _column_from_vec(ring, v, ncomp):
-    cols = [dict() for _ in range(ncomp)]
-    for (comp, e), c in v.items():
-        cols[comp][e] = c
-    return [ring.normal_form(Poly(ring.field, ring.nvars, d)) for d in cols]
+def _column_vectors(rel):
+    """The columns of rel as free-module vectors {(row, exponent): coeff}."""
+    vecs = [{} for _ in rel.src]
+    for r, row in enumerate(rel.rows):
+        for c, p in row.items():
+            for e, x in p.terms.items():
+                vecs[c][(r, e)] = x
+    return vecs
 
 
 def _ideal_closure_vectors(ring, ncomp):
@@ -325,89 +283,77 @@ def _ideal_closure_vectors(ring, ncomp):
     return out
 
 
-def syzygies(matrix_columns, ring, gen_twists):
-    """Homogeneous generators of the syzygy module of the given columns.
-
-    `matrix_columns` is a list of columns, each a list of Polys (length =
-    len(gen_twists)), defining a map  ⊕ R(t_c) → ⊕ R(a_r)  over R = S/I.
-    Returns a list of syzygy columns (lists of Polys, one entry per input
-    column); (input matrix)·(each syzygy) normal-forms to zero over R.
-    The returned set is minimal (graded Nakayama) and deterministic.
-    """
+def syzygies(rel):
+    """Homogeneous generators of the syzygy module of rel: (+)R(t_c) ->
+    (+)R(a_r) over R = S/I, as the map (+)R(s_k) -> (+)R(t_c) whose columns
+    they are, so that rel composed with it is zero.  The set is minimal
+    (graded Nakayama) and deterministic."""
+    ring = rel.ring
     F = ring.field
-    R = len(gen_twists)
-    N = len(matrix_columns)
-    if N == 0:
-        return []
+    R, N = rel.dst.rank, rel.src.rank
     # Work in S^(R+N): tag column j with the extra basis vector e_{R+j};
     # untagged ideal multiples make the computation happen over R = S/I.
-    gens = []
-    for j, col in enumerate(matrix_columns):
-        v = _vec_from_column(F, [ring.normal_form(p) for p in col])
+    gens = _column_vectors(rel)
+    for j, v in enumerate(gens):
         v[(R + j, (0,) * ring.nvars)] = F.one()
-        gens.append(v)
     gens.extend(_ideal_closure_vectors(ring, R))
-    gb = module_buchberger(gens, F, split=R)
     raw = []
-    for v in gb:
+    for v in module_buchberger(gens, F, split=R):
         if any(comp < R for (comp, _e) in v):
             continue
-        shifted = {(comp - R, e): c for (comp, e), c in v.items()}
-        col = _column_from_vec(ring, shifted, N)
-        if any(not p.is_zero() for p in col):
+        terms = {}
+        for (comp, e), c in v.items():
+            terms.setdefault(comp - R, {})[e] = c
+        polys = {k: ring.normal_form(Poly(F, ring.nvars, terms[k]))
+                 for k in sorted(terms)}
+        col = {k: p for k, p in polys.items() if not p.is_zero()}
+        if col:
             raw.append(col)
-    # deduplicate and sort deterministically
-    col_twists = [_column_degree(c, gen_twists) for c in matrix_columns]
+
+    def twist(col):
+        k = min(col)
+        return rel.src[k] - col[k].total_degree()
+
     def sort_key(col):
-        deg = _column_degree(col, [t if t is not None else 0 for t in col_twists])
-        support = sum(1 for p in col if not p.is_zero())
-        s = tuple(ring.to_str(p) for p in col)
-        return (-(deg if deg is not None else 0), support, s)
+        s = tuple(ring.to_str(col[c]) if c in col else "0" for c in range(N))
+        return (-twist(col), len(col), s)
+    # sort deterministically, then drop repeats (equal columns, equal keys)
     raw.sort(key=sort_key)
-    dedup = []
-    seen = set()
-    for col in raw:
-        k = tuple(p.key() for p in col)
-        if k not in seen:
-            seen.add(k)
-            dedup.append(col)
-    return _minimalize_generators(dedup, ring, ncomp=N)
+    cols = list({tuple((k, p.key()) for k, p in col.items()): col
+                 for col in raw}.values())
+    return minimal_columns(SheafMap.from_rows(
+        ring, TwistSum(map(twist, cols)), rel.src, sparse_transpose(cols, N)))
 
 
-def _minimalize_generators(cols, ring, ncomp):
-    """Greedy minimal generating set: drop any column lying in the
-    R-submodule generated by the others."""
-    F = ring.field
-    keep = list(cols)
+def minimal_columns(rel):
+    """rel on a minimal generating set of its columns: greedily, in order,
+    drop any column that is zero or lies in the R-submodule generated by the
+    others."""
+    ncomp = rel.dst.rank
+    vecs = _column_vectors(rel)
+    keep = list(range(len(vecs)))
     i = 0
     while i < len(keep):
-        others = keep[:i] + keep[i + 1:]
-        if others and _in_submodule(keep[i], others, ring, ncomp):
+        v = vecs[keep[i]]
+        others = [vecs[k] for k in keep[:i] + keep[i + 1:] if vecs[k]]
+        if not v or (others and _in_submodule(v, others, rel.ring, ncomp)):
             del keep[i]
         else:
             i += 1
-    return keep
+    return rel.submatrix(range(ncomp), keep)
 
 
-def _in_submodule(col, generators, ring, ncomp):
-    F = ring.field
-    vecs = [_vec_from_column(F, g) for g in generators]
-    vecs = [v for v in vecs if v]
-    vecs.extend(_ideal_closure_vectors(ring, ncomp))
-    gb = module_buchberger(vecs, F, split=ncomp)
-    target = _vec_from_column(F, [ring.normal_form(p) for p in col])
-    if not target:
-        return True
-    return not vec_reduce(F, target, gb, split=ncomp)
+def _in_submodule(v, vectors, ring, ncomp):
+    """Whether v lies in the R-submodule generated by the vectors."""
+    gb = module_buchberger(vectors + _ideal_closure_vectors(ring, ncomp),
+                           ring.field, split=ncomp)
+    return not vec_reduce(ring.field, v, gb, split=ncomp)
 
 
 def syzygy_presentation(pres):
     """Syzygies of a presentation's relation columns, as a presentation of
     the first syzygy module (generators = the relation columns)."""
-    cols = syzygies(pres.columns, pres.ring,
-                    pres.gen_twists)
-    rel_twists = [t if t is not None else 0 for t in pres.rel_twists]
-    return ModulePresentation(pres.ring, rel_twists, cols, check=False)
+    return ModulePresentation(syzygies(pres.rel))
 
 
 # -- Fitting ideals ----------------------------------------------------------
@@ -450,12 +396,12 @@ def fitting_ideal(pres, r):
     Returns [] for the zero ideal and [1] when g - r <= 0.
     """
     ring = pres.ring
-    g = pres.n_gens
+    g = pres.rel.dst.rank
     t = g - r
     if t <= 0:
         return [ring.one()]
-    rows = pres.rows()
-    ncols = pres.n_rels
+    rows = pres.rel.entries
+    ncols = pres.rel.src.rank
     if t > g or t > ncols:
         return []
     out = []

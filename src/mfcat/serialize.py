@@ -1,5 +1,5 @@
-"""JSON schemas for rings, contexts, matrix factorizations, morphisms and
-module presentations, with strict validation (unknown fields rejected,
+"""JSON schemas for rings, contexts, matrix factorizations, morphisms,
+maps of twist sums and module presentations, with strict validation (unknown fields rejected,
 errors cite the field path) and canonical hashing."""
 
 import hashlib
@@ -200,14 +200,24 @@ def morphism_from_json(obj, path="morphism", src=None, dst=None):
         raise SchemaError(path, str(exc))
 
 
+# -- maps of twist sums --------------------------------------------------------------
+
+
+def map_from_json(obj, path="map"):
+    """(ctx, alpha) from {"context", "E1", "E0", "matrix"}: the map alpha:
+    E1 -> E0 whose entries are the polynomial strings of the matrix."""
+    _require_keys(obj, path, ("context", "E1", "E0", "matrix"))
+    ctx = context_from_json(obj["context"], path + ".context")
+    E1 = TwistSum(_int_list(obj["E1"], path + ".E1"))
+    E0 = TwistSum(_int_list(obj["E0"], path + ".E0"))
+    return ctx, _sheaf_map(ctx.ring, obj["matrix"], E1, E0, path + ".matrix")
+
+
 # -- module presentations ------------------------------------------------------------
 
 
 def module_to_json(pres, include_ring=True):
-    out = {"twists": list(pres.gen_twists),
-           "relations": [[pres.ring.to_str(pres.columns[c][r])
-                          for c in range(pres.n_rels)]
-                         for r in range(pres.n_gens)]}
+    out = {"twists": list(pres.rel.dst), "relations": pres.rel.to_strs()}
     if include_ring:
         out["ring"] = ring_to_json(pres.ring)
     return out
@@ -239,7 +249,7 @@ def module_from_json(obj, path="module", ring=None):
                                   str(exc))
         cols.append(col)
     try:
-        return ModulePresentation(ring, twists, cols)
+        return ModulePresentation.from_columns(ring, twists, cols)
     except ValueError as exc:
         raise SchemaError(path + ".relations", str(exc))
 

@@ -4,11 +4,11 @@ twisted periodic complexes."""
 import pytest
 
 from mfcat import cohomology
-from mfcat.cohomology import (CechSetup, CechSpace, GlobalSections,
-                              cech_cohomology, cech_cohomology_at,
-                              cech_horizontal, cech_hypercohomology,
-                              cech_total_diff, cech_vertical,
-                              h_projective_space, vanishing_threshold)
+from mfcat.cohomology import (CechSpace, GlobalSections, cech_cohomology,
+                              cech_cohomology_at, cech_horizontal,
+                              cech_hypercohomology, cech_total_diff,
+                              cech_vertical, h_projective_space, truncations,
+                              vanishing_threshold)
 from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
 from mfcat.homcat import hom_H
 from mfcat.linalg import (ExactMatrix, kernel_basis, rref, solve,
@@ -189,11 +189,12 @@ class TestGlobalSections:
 
 
 class TestTruncation:
-    def test_unstable_reported(self, ring_p1):
+    def test_unstable_reported(self, ring_p1, monkeypatch):
         # a schedule capped below stabilization must report stable=False
-        setup = CechSetup(b_start=1, b_max=1)
+        monkeypatch.setattr(cohomology, "DEFAULT_B_START", 1)
+        monkeypatch.setattr(cohomology, "DEFAULT_B_MAX", 1)
         # H^1(P^1, O(-3)): truncations B=1 and B=2 disagree (0 vs 2)
-        _dim, stable = cech_cohomology(ring_p1, -3, 1, setup)
+        _dim, stable = cech_cohomology(ring_p1, -3, 1)
         assert not stable
 
     def test_vanishing_threshold(self, ctx_p2):
@@ -383,7 +384,7 @@ def _horizontal_rows(ring, n, B):
                          cech_horizontal(sp0, sp1))
 
 
-def solve_mult(ring, p, n, setup=None):
+def solve_mult(ring, p, n):
     """GlobalSections.mult off the saturated path as it was computed
     before: both kernels at the larger stable bound, then one solve per
     source section."""
@@ -391,7 +392,7 @@ def solve_mult(ring, p, n, setup=None):
     d = max(p.total_degree(), 0)
 
     def bound(k):
-        return next(B for B in (setup or CechSetup()).schedule()
+        return next(B for B in truncations()
                     if cech_cohomology_at(ring, k, 0, B) ==
                     cech_cohomology_at(ring, k, 0, B + 1))
 
@@ -450,8 +451,8 @@ class TestSectionMultiplication:
         each eliminated once."""
         ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y"],
                           ideal_strings=["x*y"])
-        setup = CechSetup(b_start=2)
-        gs = GlobalSections(MFContext(ring, ring.poly("x + y")), setup)
+        monkeypatch.setattr(cohomology, "DEFAULT_B_START", 2)
+        gs = GlobalSections(MFContext(ring, ring.poly("x + y")))
         assert (gs._bound(-2), gs._bound(-1)) == (4, 2)
         calls = []
         real = cohomology.kernel_basis
@@ -462,7 +463,7 @@ class TestSectionMultiplication:
         assert [c[1:] for c in calls] == \
             [_horizontal_rows(ring, n, 4) for n in (-2, -1)]
         assert gs.mult(p, -2) == got and len(calls) == 2
-        assert got == solve_mult(ring, p, -2, setup)
+        assert got == solve_mult(ring, p, -2)
         assert len(got) == gs.dim(-1) == 2 and gs.dim(-2) == 2
 
     def test_image_outside_sections_raises(self):

@@ -10,7 +10,6 @@ from mfcat.hypersurface import (coker_module, ext_gamma_dims, is_relatively_perf
 from mfcat.mf import MFContext, SheafMap, TwistSum, verify_mf
 from mfcat.modules import ModulePresentation
 from mfcat.ring import GradedRing
-from mfcat.suite import rank_one_mf
 
 
 class TestCokerModule:
@@ -18,7 +17,7 @@ class TestCokerModule:
         N = coker_module(E_u)
         # coker(u: R(-2) -> R(-1)) over R_Y = k[u,v]/(uv)
         assert N.ring == ctx_a1.y_ring()
-        assert N.gen_twists == [-1]
+        assert N.rel.dst == TwistSum([-1])
         # dims of (R_Y/(u))(-1): degree t piece is spanned by v^(t-1)
         assert [N.piece_dim(t) for t in range(0, 4)] == [0, 1, 1, 1]
 
@@ -31,9 +30,17 @@ class TestCokerModule:
         # e1 = W, so coker(e1) is the free rank-one module over R_Y
         N = coker_module(E_unit_p1)
         ry = ctx_p1.y_ring()
-        assert N.n_rels == 0
+        assert N.rel.src.rank == 0
         assert [N.piece_dim(t) for t in range(0, 4)] == \
             [ry.hilbert(t) for t in range(0, 4)]
+
+    def test_vanishing_column_keeps_its_twist(self, E_unit_p1):
+        # e1 = W vanishes in R_Y: the raw cokernel keeps the column, with
+        # the twist of E1, and prints it as "0"
+        N = coker_module(E_unit_p1, minimal=False)
+        assert N.rel.src == E_unit_p1.E1 and N.rel.dst == E_unit_p1.E0
+        assert N.rel.to_strs() == [["0"]]
+        assert N.piece_dim(2) == coker_module(E_unit_p1).piece_dim(2)
 
 
 class TestExtTable:
@@ -56,7 +63,7 @@ class TestExtTable:
             ext_gamma_dims(E_u, coker_module(E_u), range(3, 2))
 
     def test_wrong_ring_rejected(self, E_u, ctx_a1):
-        M = ModulePresentation(ctx_a1.ring, [0], [])
+        M = ModulePresentation.from_columns(ctx_a1.ring, [0], [])
         with pytest.raises(ValueError):
             ext_gamma_dims(E_u, M, [0])
 
@@ -105,8 +112,8 @@ class TestFromModule:
         E = mf_from_module(ctx_a1, alpha)
         N = coker_module(E)
         ry = ctx_a1.y_ring()
-        want = ModulePresentation(ry, [-1], [[ry.poly("u")]]).minimalize()
-        assert N.is_same_presentation(want)
+        want = ModulePresentation.from_columns(ry, [-1], [[ry.poly("u")]])
+        assert N.ring == want.ring and N.rel == want.minimalize().rel
 
     def test_non_injective_rejected(self, ctx_a1):
         ring = ctx_a1.ring
@@ -135,15 +142,24 @@ class TestRelativePerfection:
         ring = GradedRing(F, ["x", "y", "z"], ideal_strings=["x*y"])
         ctx = MFContext(ring, ring.poly("z"))
         # R/(x, y) has an infinite 2-periodic resolution over k[x,y,z]/(xy)
-        M = ModulePresentation(ring, [0],
-                               [[ring.poly("x")], [ring.poly("y")]])
+        M = ModulePresentation.from_columns(
+            ring, [0], [[ring.poly("x")], [ring.poly("y")]])
         rep = is_relatively_perfect(ctx, M)
         assert rep["perfect"] is False and rep["status"] == "periodic"
 
     def test_push_to_ambient_adds_w(self, ctx_a1):
         ry = ctx_a1.y_ring()
-        M = ModulePresentation(ry, [0], [[ry.poly("u")]])
+        M = ModulePresentation.from_columns(ry, [0], [[ry.poly("u")]])
         P = push_to_ambient(ctx_a1, M)
         assert P.ring == ctx_a1.ring
         # u and uv generate (u): the W-column is absorbed
-        assert P.n_rels >= 1
+        assert P.rel.to_strs() == [["u"]] and P.rel.src == TwistSum([-1])
+
+    def test_push_to_ambient_keeps_w_column(self, ctx_a1):
+        # coker(u^2) over R_Y: u^2 does not generate uv, so the W column
+        # stays
+        ry = ctx_a1.y_ring()
+        M = ModulePresentation.from_columns(ry, [0], [[ry.poly("u^2")]])
+        P = push_to_ambient(ctx_a1, M)
+        assert P.rel.to_strs() == [["u^2", "u*v"]]
+        assert P.rel.src == TwistSum([-2, -2])

@@ -5,6 +5,7 @@ import pytest
 
 from mfcat.fields import DEFAULT_PRIME, PrimeField
 from mfcat.linalg import sparse_matmul
+from mfcat.mf import TwistSum
 from mfcat.modules import (ModulePresentation, contains_irrelevant_power,
                            default_saturation_bound, fitting_ideal,
                            ideals_equal, syzygies, syzygy_presentation)
@@ -17,13 +18,13 @@ NODAL = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
 
 def mk_pres(ring, twists, cols_strs):
     cols = [[ring.poly(s) for s in col] for col in cols_strs]
-    return ModulePresentation(ring, twists, cols)
+    return ModulePresentation.from_columns(ring, twists, cols)
 
 
 class TestPieces:
     def test_free_module_piece_dims(self, ring_p2):
         # R(0) + R(-1): dim M_t = h(t) + h(t-1)
-        M = ModulePresentation(ring_p2, [0, -1], [])
+        M = mk_pres(ring_p2, [0, -1], [])
         for t in range(4):
             assert M.piece_dim(t) == binom(t + 2, 2) + binom(t + 1, 2)
 
@@ -71,38 +72,33 @@ class TestPieces:
 class TestSyzygies:
     def test_koszul_syzygy(self, ring_p1):
         # relations (x0, x1) on R: the syzygy module is spanned by
-        # (x1, -x0) up to scale
-        cols = syzygies([[ring_p1.poly("x0")], [ring_p1.poly("x1")]],
-                        ring_p1, [0])
-        assert len(cols) == 1
-        a, b = cols[0]
-        # a*x0 + b*x1 == 0
-        z = a * ring_p1.poly("x0") + b * ring_p1.poly("x1")
-        assert ring_p1.is_zero(z)
+        # (x1, -x0) up to scale, in twist -2
+        rel = mk_pres(ring_p1, [0], [["x0"], ["x1"]]).rel
+        syz = syzygies(rel)
+        assert syz.src == TwistSum([-2]) and syz.dst == rel.src
+        assert syz.to_strs() == [["32002*x1"], ["x0"]]
+        assert rel.compose(syz).is_zero()
 
     def test_syzygy_presentation_columns_kill(self, ring_p2):
-        M = mk_pres(ring_p2, [0, 0], [["x0", "x1"], ["x1", "x2"]])
+        # the three Koszul syzygies of (x0, x1, x2) compose to zero
+        # against M's relation matrix
+        M = mk_pres(ring_p2, [0], [["x0"], ["x1"], ["x2"]])
         S = syzygy_presentation(M)
-        # every syzygy column composes to zero against M's relation matrix
-        for col in S.columns:
-            for r in range(2):
-                acc = ring_p2.zero()
-                for c in range(M.n_rels):
-                    acc = acc + M.columns[c][r] * col[c]
-                assert ring_p2.is_zero(acc)
+        assert S.rel.src == TwistSum([-2] * 3) and S.rel.dst == M.rel.src
+        assert M.rel.compose(S.rel).is_zero()
 
     def test_minimalize_drops_unit_columns(self, ring_p1):
         # (R + R)/((1, 0)) is just R
         M = mk_pres(ring_p1, [0, 0], [["1", "0"]])
         Mm = M.minimalize()
-        assert Mm.n_gens == 1
+        assert Mm.rel.dst == TwistSum([0]) and Mm.rel.src.rank == 0
         assert [Mm.piece_dim(t) for t in range(3)] == \
             [M.piece_dim(t) for t in range(3)]
 
 
 class TestFitting:
     def test_free_rank_one(self, ring_p1):
-        M = ModulePresentation(ring_p1, [0], [])
+        M = mk_pres(ring_p1, [0], [])
         assert fitting_ideal(M, 0) == []              # no 1-minors: Fitt_0 = 0
         assert fitting_ideal(M, 1) == [ring_p1.one()]
 
@@ -132,7 +128,46 @@ class TestFitting:
                                              ring_p2, B)
 
 
+class TestFromColumns:
+    def test_twists_from_first_nonzero_entry(self, ring_p1):
+        M = mk_pres(ring_p1, [0, -1], [["0", "x0"], ["x0^2", "x1"]])
+        assert M.rel.src == TwistSum([-2, -2]) and M.rel.dst == TwistSum([0, -1])
+        assert M.rel.to_strs() == [["0", "x0^2"], ["x0", "x1"]]
+
+    def test_zero_column_dropped(self, ring_p1):
+        M = mk_pres(ring_p1, [0], [["x0"], ["0"], ["x1"]])
+        assert M.rel == mk_pres(ring_p1, [0], [["x0"], ["x1"]]).rel
+
+    @pytest.mark.parametrize("twists, cols, message", [
+        ([0, -1], [["x0"]], "relation column 0 has wrong length"),
+        ([0], [["x0"], ["x0 + 1"]], r"relation entry \(0, 1\) not homogeneous"),
+    ])
+    def test_invalid_column(self, ring_p1, twists, cols, message):
+        with pytest.raises(ValueError, match=message):
+            mk_pres(ring_p1, twists, cols)
+
+
+class TestMinimalize:
+    def test_pivot_is_first_constant_column_then_row(self, ring_p1):
+        # columns 0 and 1 hold constants; the pivot is column 0 at its
+        # first constant (row 1), then the new column 0 at row 1: the
+        # last relation comes out as x0^2/2 + x0*x1/2 - x1^2, where other
+        # pivots would give a unit multiple of it
+        M = mk_pres(ring_p1, [1, 0, 0], [["x0", "2", "0"], ["x1", "1", "1"],
+                                         ["x0^2", "x0", "x1"]])
+        Mm = M.minimalize()
+        half = ring_p1.field.inv(ring_p1.field.of(2))
+        want = ring_p1.poly("x0^2 + x0*x1").scale(half) - ring_p1.poly("x1^2")
+        assert Mm.rel.dst == TwistSum([1]) and Mm.rel.src == TwistSum([-1])
+        assert Mm.rel.rows == [{0: want}]
+
+    def test_twist_shifts_both_sides(self, ring_p1):
+        M = mk_pres(ring_p1, [0], [["x0"]]).twist(3)
+        assert (M.rel.dst, M.rel.src) == (TwistSum([3]), TwistSum([2]))
+
+
 def test_invalid_column_degree(ring_p1):
     # relation entries must be homogeneous of consistent degree
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="relation column 0 is not twist-consistent"):
         mk_pres(ring_p1, [0, -1], [["x0", "x0"]])

@@ -3,11 +3,12 @@
 import pytest
 
 from mfcat.serialize import (SchemaError, canonical_dumps, context_from_json,
-                             context_to_json, mf_from_json, mf_hash,
-                             mf_to_json, module_from_json, module_to_json,
-                             morphism_from_json, morphism_to_json,
-                             object_hash, ring_from_json, ring_to_json)
-from mfcat.mf import StrictMorphism
+                             context_to_json, map_from_json, mf_from_json,
+                             mf_hash, mf_to_json, module_from_json,
+                             module_to_json, morphism_from_json,
+                             morphism_to_json, object_hash, ring_from_json,
+                             ring_to_json)
+from mfcat.mf import StrictMorphism, TwistSum
 from mfcat.modules import ModulePresentation
 
 
@@ -30,10 +31,17 @@ class TestRoundTrips:
         assert f2.describe() == f.describe()
 
     def test_module(self, ring_p1):
-        M = ModulePresentation(ring_p1, [0, -1],
-                               [[ring_p1.poly("x0"), ring_p1.poly("1")]])
+        M = ModulePresentation.from_columns(
+            ring_p1, [0, -1], [[ring_p1.poly("x0"), ring_p1.poly("1")]])
         M2 = module_from_json(module_to_json(M))
-        assert M2.is_same_presentation(M)
+        assert M2.ring == M.ring and M2.rel == M.rel
+
+    def test_module_zero_column_dropped(self, ring_p1):
+        obj = {"ring": ring_to_json(ring_p1), "twists": [0],
+               "relations": [["x0", "0", "x1^2"]]}
+        M = module_from_json(obj)
+        assert M.rel.src == TwistSum([-1, -2])
+        assert module_to_json(M)["relations"] == [["x0", "x1^2"]]
 
 
 class TestValidation:
@@ -100,6 +108,26 @@ class TestValidation:
         obj["e0"][0][0] = "u"  # u*u != uv
         with pytest.raises(SchemaError):
             mf_from_json(obj)
+
+    @pytest.mark.parametrize("twists, relations, message", [
+        ([0], [["x0 + 1"]], r"relation entry \(0, 0\) not homogeneous"),
+        ([0, -1], [["x0"], ["x0"]],
+         "relation column 0 is not twist-consistent"),
+    ])
+    def test_bad_module_column(self, ring_p1, twists, relations, message):
+        obj = {"ring": ring_to_json(ring_p1), "twists": twists,
+               "relations": relations}
+        with pytest.raises(SchemaError, match="^module.relations: " + message):
+            module_from_json(obj)
+
+    def test_map(self, ctx_p2):
+        obj = {"context": context_to_json(ctx_p2), "E1": [-1], "E0": [0],
+               "matrix": [["x2"]]}
+        ctx, alpha = map_from_json(obj)
+        assert ctx == ctx_p2 and alpha.to_strs() == [["x2"]]
+        obj["matrix"] = [["x2^2"]]
+        with pytest.raises(SchemaError, match=r"^map\.matrix\[0\]\[0\]: "):
+            map_from_json(obj)
 
 
 class TestHashing:
