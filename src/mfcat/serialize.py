@@ -1,6 +1,7 @@
 """JSON schemas for rings, contexts, matrix factorizations, morphisms,
-maps of twist sums and module presentations, with strict validation (unknown fields rejected,
-errors cite the field path) and canonical hashing."""
+maps of twist sums and module presentations, with strict validation
+(unknown fields rejected, errors cite the field path) and canonical
+hashing."""
 
 import hashlib
 import json

@@ -206,6 +206,16 @@ class TestTruncation:
                 dim, stable = cech_cohomology(ring, n, p)
                 assert stable and dim == 0
 
+    def test_unstable_scan_names_the_escape_hatch(self, monkeypatch):
+        # the nodal curve's threshold is scanned; capped at B = 1 the scan
+        # cannot settle, and the error points at stabilize(threshold=)
+        monkeypatch.setattr(cohomology, "DEFAULT_B_START", 1)
+        monkeypatch.setattr(cohomology, "DEFAULT_B_MAX", 1)
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                          ideal_strings=["x*y"])
+        with pytest.raises(RuntimeError, match=r"stabilize\(threshold=\)"):
+            vanishing_threshold(MFContext(ring, ring.poly("z")))
+
 
 # -- one-pass assembly ----------------------------------------------------
 
