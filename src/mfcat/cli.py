@@ -15,17 +15,15 @@ from .hypersurface import (coker_module, ext_gamma_dims, is_relatively_perfect,
                            mf_from_module, stable_hom_dim)
 from .mf import mapping_complex, shift_mf, twist_mf, verify_mf
 from .ring import GradedRing
-from .serialize import (SchemaError, context_from_json, map_from_json,
-                        mf_from_json, mf_hash, mf_to_json, module_from_json,
-                        module_to_json, morphism_to_json, object_hash,
-                        ring_from_json)
+from .serialize import (context_from_json, map_from_json, mf_from_json,
+                        mf_hash, mf_to_json, module_from_json, module_to_json,
+                        morphism_to_json, object_hash, ring_from_json)
 from .suite import generate_suite
 
 
-class CliError(Exception):
-    def __init__(self, message, exit_code=1):
-        super().__init__(message)
-        self.exit_code = exit_code
+class CliError(ValueError):
+    """A usage or input error; main reports it, as every ValueError, with
+    exit code 1."""
 
 
 def _load_json(path):
@@ -41,21 +39,15 @@ def _load_json(path):
 
 def _load_mf(path, ctx=None):
     obj = _load_json(path)
-    try:
-        return mf_from_json(obj, path="%s:mf" % path, ctx=ctx), obj
-    except SchemaError as exc:
-        raise CliError(str(exc))
+    return mf_from_json(obj, path="%s:mf" % path, ctx=ctx), obj
 
 
 def _load_module(path, default_ring=None):
     obj = _load_json(path)
-    try:
-        if default_ring is not None and "ring" not in obj:
-            return module_from_json(obj, path="%s:module" % path,
-                                    ring=default_ring), obj
-        return module_from_json(obj, path="%s:module" % path), obj
-    except SchemaError as exc:
-        raise CliError(str(exc))
+    if default_ring is not None and "ring" not in obj:
+        return module_from_json(obj, path="%s:module" % path,
+                                ring=default_ring), obj
+    return module_from_json(obj, path="%s:module" % path), obj
 
 
 def _apply_shift_twist(E, shift, twist):
@@ -148,10 +140,7 @@ def cmd_cech(args, inputs):
     elif args.ring:
         obj = _load_json(args.ring)
         inputs.append(obj)
-        try:
-            ring = ring_from_json(obj, path="%s:ring" % args.ring)
-        except SchemaError as exc:
-            raise CliError(str(exc))
+        ring = ring_from_json(obj, path="%s:ring" % args.ring)
     else:
         raise CliError("one of --space or --ring is required")
     if not (0 <= args.p <= ring.nvars - 1):
@@ -211,15 +200,8 @@ def cmd_coker(args, inputs):
 def cmd_from_module(args, inputs):
     obj = _load_json(args.alpha)
     inputs.append(obj)
-    try:
-        ctx, alpha = map_from_json(obj, path="%s:map" % args.alpha)
-    except SchemaError as exc:
-        raise CliError(str(exc))
-    try:
-        E = mf_from_module(ctx, alpha)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return {"mf": mf_to_json(E)}, 0
+    ctx, alpha = map_from_json(obj, path="%s:map" % args.alpha)
+    return {"mf": mf_to_json(mf_from_module(ctx, alpha))}, 0
 
 
 def cmd_ext_table(args, inputs):
@@ -250,10 +232,7 @@ def cmd_stable_hom(args, inputs):
 def cmd_rel_perfect(args, inputs):
     cobj = _load_json(args.context)
     inputs.append(cobj)
-    try:
-        ctx = context_from_json(cobj, path="%s:context" % args.context)
-    except SchemaError as exc:
-        raise CliError(str(exc))
+    ctx = context_from_json(cobj, path="%s:context" % args.context)
     M, mo = _load_module(args.module)
     inputs.append(mo)
     res = is_relatively_perfect(ctx, M, max_steps=args.max_steps)
@@ -401,11 +380,6 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         result, code = args.handler(args, inputs)
-    except CliError as exc:
-        _emit({"command": "mfcat " + " ".join(argv), "error": str(exc),
-               "engine": {"name": "mfcat", "version": __version__}},
-              args.format, sys.stderr)
-        return exc.exit_code
     except (ValueError, RuntimeError, AssertionError) as exc:
         # AssertionError: a self-check of the engine failed (prop28
         # implication, stabilization certificate, Koszul augmentation)

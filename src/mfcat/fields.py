@@ -137,7 +137,7 @@ def field_from_spec(spec):
         return PrimeField(DEFAULT_PRIME)
     kind = spec.get("type")
     if kind == "prime":
-        return PrimeField(int(spec.get("p", DEFAULT_PRIME)))
+        return PrimeField(spec.get("p", DEFAULT_PRIME))
     if kind == "rational":
         return RationalField()
     raise ValueError("unknown field type: %r" % (kind,))

@@ -49,15 +49,6 @@ class HomSpace:
         """CosetReducer modulo the boundaries, built on first access."""
         return None if self.gamma is None else self.gamma.reducer
 
-    def describe(self):
-        out = {"model": self.model, "dim": self.dimension,
-               "tower": list(self.tower)}
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.describe()
-        if self.basis is not None:
-            out["basis"] = [cls.rep.describe() for cls in self.basis]
-        return out
-
 
 class StabilizedClass:
     """A morphism class E -> F represented by a strict morphism out of the

@@ -3,11 +3,14 @@
 A matrix is sparse rows, one {column: value} dict per row, and travels
 with its number of columns as (rows, ncols); a vector is one such dict.
 sparse_blocks assembles a matrix from its nonzero blocks only.  Everything
-is exact in Python scalars over F_p and over Q and never densifies: counts
-(sparse_rank, homology_dim) come from Markowitz elimination, and bases
-(kernel_basis, solve, CosetReducer) from the reduced row echelon form
-sparse_rref.  The dense rref of an ExactMatrix is kept only as the
-reference for tests, with GlobalSections.sheafmap_matrix as its view.
+is exact in Python scalars over F_p and over Q and never densifies, and
+has one elimination: each row is reduced by the echelon form built so far
+and pivoted on its leftmost column.  Counts (sparse_rank, homology_dim)
+are the number of its pivots, and bases (kernel_basis, solve,
+CosetReducer) are read off the reduced row echelon form sparse_rref that
+back-substitution makes of it.  The dense rref of an ExactMatrix is kept
+only as the reference for tests, with GlobalSections.sheafmap_matrix as
+its view.
 """
 
 import heapq
@@ -119,56 +122,9 @@ def rref(A):
 
 def sparse_rank(field, rows, ncols):
     """Rank of the matrix whose row i is the {column: value} dict rows[i]
-    (columns in range(ncols)); the input is not modified.
-
-    Structured Gaussian elimination with Markowitz pivoting (LaMacchia and
-    Odlyzko, CRYPTO 1990): the pivot row is a shortest live row and its
-    pivot column the one met by the fewest live rows, which keeps fill-in
-    low.  Exact in Python scalars over F_p and over Q."""
-    p = _modulus(field)
-    live = {}
-    col_rows = [set() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        row = {c: v % p if p else v for c, v in row.items()}
-        row = {c: v for c, v in row.items() if v}
-        if row:
-            live[i] = row
-            for c in row:
-                col_rows[c].add(i)
-    heap = [(len(row), i) for i, row in live.items()]
-    heapq.heapify(heap)
-    r = 0
-    while heap:
-        n, i = heapq.heappop(heap)
-        row = live.get(i)
-        if row is None or len(row) != n:
-            continue    # stale entry: the row was eliminated or changed
-        del live[i]
-        c = min(row, key=lambda k: len(col_rows[k]))
-        for k in row:
-            col_rows[k].discard(i)
-        inv = field.inv(row.pop(c))
-        piv = [(k, v * inv % p if p else v * inv) for k, v in row.items()]
-        for j in col_rows[c]:
-            other = live[j]
-            f = other.pop(c)
-            for k, v in piv:
-                x = other.get(k, 0) - f * v
-                if p:
-                    x %= p
-                if x:
-                    other[k] = x
-                    col_rows[k].add(j)
-                elif k in other:
-                    del other[k]
-                    col_rows[k].discard(j)
-            if other:
-                heapq.heappush(heap, (len(other), j))
-            else:
-                del live[j]
-        col_rows[c] = set()
-        r += 1
-    return r
+    (columns in range(ncols)): the number of pivots of its echelon form,
+    the forward pass of sparse_rref.  The input is not modified."""
+    return len(_echelon(field, rows))
 
 
 def homology_dim(field, d_out, d_in):
@@ -248,6 +204,19 @@ def echelon_add(field, echelon, v):
     return c
 
 
+def _echelon(field, rows):
+    """The echelon form of the row space of `rows`, as echelon_add keeps
+    it: each row, reduced mod p, is reduced by the rows before it and
+    pivoted on its leftmost column."""
+    p = _modulus(field)
+    echelon = {}
+    for row in rows:
+        if p:
+            row = {c: v % p for c, v in row.items()}
+        echelon_add(field, echelon, {c: v for c, v in row.items() if v})
+    return echelon
+
+
 def sparse_rref(field, rows, ncols):
     """Reduced row echelon form of the matrix whose row i is the
     {column: value} dict rows[i] (columns in range(ncols)), by Gauss-Jordan
@@ -255,12 +224,7 @@ def sparse_rref(field, rows, ncols):
     leftmost column, then the rows are back-substituted rightmost pivot
     first.  Returns (rows, pivots): the nonzero rows of the unique RREF in
     pivot order, and their pivot columns.  The input is not modified."""
-    p = _modulus(field)
-    echelon = {}
-    for row in rows:
-        if p:
-            row = {c: v % p for c, v in row.items()}
-        echelon_add(field, echelon, {c: v for c, v in row.items() if v})
+    echelon = _echelon(field, rows)
     pivots = sorted(echelon)
     for c in reversed(pivots):
         row = echelon[c]

@@ -214,14 +214,14 @@ class GradedRing:
     def piece_matrix(self, f, t):
         """Matrix of a SheafMap f on the degree-t pieces of this ring, as
         (sparse rows, ncols): block (r, c) is multiplication by f's entry
-        (r, c), taken to normal form here, from R_{t + f.src[c]} to
-        R_{t + f.dst[r]}; only the nonzero entries are visited, and those
-        that vanish in this ring (f may be a map over a ring this one is a
-        quotient of) are skipped."""
-        blocks = ((r, c, self.mult_matrix(p, t + f.src[c]))
-                  for r, row in enumerate(f.rows)
-                  for c, p in zip(row, map(self.normal_form, row.values()))
-                  if not p.is_zero())
+        (r, c), taken to normal form here by mult_matrix, from
+        R_{t + f.src[c]} to R_{t + f.dst[r]}; only the nonzero entries are
+        visited, and a block with no rows is skipped: an entry that
+        vanishes in this ring (f may be a map over a ring this one is a
+        quotient of), or a target piece of dimension 0."""
+        blocks = ((r, c, blk) for r, row in enumerate(f.rows)
+                  for c, p in row.items()
+                  if (blk := self.mult_matrix(p, t + f.src[c])))
         return sparse_blocks([self.hilbert(t + b) for b in f.dst],
                              [self.hilbert(t + a) for a in f.src], blocks)
 

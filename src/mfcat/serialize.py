@@ -98,6 +98,11 @@ def ring_from_json(obj, path="ring"):
     _require_keys(obj, path, ("field", "variables"), ("ideal",))
     fobj = obj["field"]
     _require_keys(fobj, path + ".field", ("type",), ("p",))
+    if "p" in fobj:
+        if fobj["type"] == "rational":
+            raise SchemaError(path + ".field.p", "unknown field")
+        if type(fobj["p"]) is not int:   # rejects bool too
+            raise SchemaError(path + ".field.p", "expected an integer")
     try:
         field = field_from_spec(fobj)
     except (ValueError, KeyError) as exc:

@@ -80,6 +80,16 @@ class TestVerify:
         assert code == 1
         assert out is None and "ring.field" in err["error"]
 
+    def test_non_integer_modulus_cites_field_p(self, run, tmp_path):
+        # int() would read 32003.9 as F_32003
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({"field": {"type": "prime", "p": 32003.9},
+                                    "variables": ["x0", "x1"]}))
+        code, out, err = run("cech", "--ring", str(ring), "--twist", "0",
+                             "--p", "0")
+        assert code == 1 and out is None
+        assert err["error"] == "%s:ring.field.p: expected an integer" % ring
+
 
 class TestTwistStep:
     def test_mapping_complex_file_verifies(self, run, tmp_path, E_u, E_v):

@@ -216,13 +216,15 @@ def test_rref_property(seed, nr, nc, p, density):
        st.sampled_from([0.0, 0.05, 0.2, 1.0]))
 def test_sparse_rref_matches_dense(seed, nr, nc, field_name, density):
     """sparse_rref returns the rows and pivots of the dense reference rref,
-    on matrices with empty rows and with no rows at all (nr = 0)."""
+    and sparse_rank its rank, on matrices with empty rows and with no rows
+    at all (nr = 0)."""
     field = _field(field_name)
     rng = random.Random(seed)
     A = random_rows(field, nr, nc, rng, density)
     R, pivots = sparse_rref(field, A, nc)
     D, dense_pivots = rref(ExactMatrix.from_sparse_rows(field, A, nc))
     assert pivots == dense_pivots
+    assert sparse_rank(field, A, nc) == len(dense_pivots)
     assert ExactMatrix.from_sparse_rows(field, R, nc).rows == \
         D.rows[:len(pivots)]
     assert all(field.is_zero(v) for row in D.rows[len(pivots):] for v in row)

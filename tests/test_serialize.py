@@ -87,6 +87,26 @@ class TestValidation:
             context_from_json(obj)
         assert exc.value.path == "context.twist_step"
 
+    @pytest.mark.parametrize("field, message", [
+        ({"type": "prime", "p": 32003.9}, "expected an integer"),
+        ({"type": "prime", "p": 7.0}, "expected an integer"),
+        ({"type": "prime", "p": "7"}, "expected an integer"),
+        ({"type": "prime", "p": True}, "expected an integer"),
+        ({"type": "prime", "p": None}, "expected an integer"),
+        ({"type": "prime", "p": [7]}, "expected an integer"),
+        ({"type": "rational", "p": 5}, "unknown field"),
+    ])
+    def test_field_p_must_be_an_integer(self, field, message):
+        obj = {"field": field, "variables": ["x0", "x1"]}
+        with pytest.raises(SchemaError,
+                           match="^ring.field.p: %s$" % message) as exc:
+            ring_from_json(obj)
+        assert exc.value.path == "ring.field.p"
+
+    def test_field_p_default(self):
+        obj = {"field": {"type": "prime"}, "variables": ["x0"]}
+        assert ring_from_json(obj).field.p == 32003
+
     def test_twist_step_must_equal_deg_w(self, ctx_a1):
         obj = context_to_json(ctx_a1)
         obj["twist_step"] = ctx_a1.d
