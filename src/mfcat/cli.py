@@ -3,6 +3,7 @@ reports, deterministic output (byte-identical apart from timing)."""
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -395,7 +396,16 @@ def main(argv=None):
         "timing_ms": elapsed_ms,
         "result": result,
     }
-    _emit(report, args.format, sys.stdout)
+    try:
+        _emit(report, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the final flush
+        # at exit stays silent, and fail without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

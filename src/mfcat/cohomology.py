@@ -286,7 +286,8 @@ class GlobalSections:
     def mult(self, p, n):
         """Gamma(O(n)) -> Gamma(O(n + deg p)), multiplication by p, as
         sparse rows (columns in range(self.dim(n))); on saturated degrees
-        it is the cached GradedRing.mult_matrix, not to be modified."""
+        it is the cached GradedRing.mult_matrix, not to be modified, and
+        otherwise it is read off the Cech kernels of both degrees."""
         ring = self.ring
         F = ring.field
         p = ring.normal_form(p)
@@ -316,7 +317,11 @@ class GlobalSections:
     def sheafmap_rows(self, f):
         """Gamma of a map of twist sums as (sparse rows, ncols): block
         (r, c) is multiplication by f's entry (r, c); only the nonzero
-        entries are visited."""
+        entries are visited.  When every twist of f is saturated, Gamma is
+        R on them and this is ring.piece_matrix(f, 0); otherwise each
+        block is self.mult."""
+        if self.monomial_path([*f.src, *f.dst]):
+            return self.ring.piece_matrix(f, 0)
         blocks = ((r, c, self.mult(p, f.src[c]))
                   for r, row in enumerate(f.rows) for c, p in row.items())
         return sparse_blocks([self.dim(b) for b in f.dst],

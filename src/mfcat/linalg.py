@@ -55,6 +55,18 @@ class ExactMatrix:
 # -- sparse assembly ---------------------------------------------------
 
 
+class ShapedRows(list):
+    """Sparse rows that carry their number of columns, ncols: a block whose
+    builder knows its width, so sparse_blocks checks it in O(1) each time
+    the block is placed instead of scanning its rows."""
+
+    __slots__ = ("ncols",)
+
+    def __init__(self, rows, ncols):
+        super().__init__(rows)
+        self.ncols = ncols
+
+
 def sparse_blocks(row_dims, col_dims, blocks):
     """Assemble a block matrix as (sparse rows, ncols) from an iterable of
     (r, c, rows) triples, one per nonzero block: rows are the sparse rows
@@ -62,19 +74,23 @@ def sparse_blocks(row_dims, col_dims, blocks):
     range(col_dims[c]).  Omitted blocks are zero.  Each row dict gets its
     keys in the order the blocks come, so callers yield the blocks of a
     block row in increasing c.  The blocks are read, never modified, so
-    they may be cached."""
+    they may be cached.  Every block's shape is checked: a ShapedRows
+    block by its recorded width, which must equal col_dims[c], any other
+    block row by row."""
     col_offs = [0, *accumulate(col_dims)]
     row_offs = [0, *accumulate(row_dims)]
     out = [{} for _ in range(row_offs[-1])]
     for r, c, blk in blocks:
         nc = col_dims[c]
-        if len(blk) != row_dims[r] or any(row and max(row) >= nc
-                                          for row in blk):
+        if len(blk) != row_dims[r] or (
+                blk.ncols != nc if isinstance(blk, ShapedRows)
+                else any(row and max(row) >= nc for row in blk)):
             raise ValueError("block (%d, %d) has wrong shape" % (r, c))
         co = col_offs[c]
         for i, row in enumerate(blk, row_offs[r]):
             if row:
-                out[i].update({co + k: v for k, v in row.items()})
+                out[i].update({co + k: v for k, v in row.items()}
+                              if co else row)
     return out, col_offs[-1]
 
 

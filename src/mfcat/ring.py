@@ -8,7 +8,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 
-from .linalg import sparse_blocks
+from .linalg import ShapedRows, sparse_blocks
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul, parse_poly)
 
@@ -230,13 +230,28 @@ class GradedRing:
 
         Columns are indexed by the degree-n standard basis, rows by the
         target basis.  Returns sparse rows, one {column: value} dict per
-        target basis element; the result is cached, so callers must not
-        modify it.
+        target basis element, with increasing columns, as ShapedRows that
+        record their width len(R_n).  The result is cached under (p, n)
+        as given and under (normal form of p, n), so a repeated call is a
+        lookup and p is taken to normal form only on a miss; callers must
+        not modify it.
         """
-        p = self.normal_form(p)
-        key = (p.key(), n)
-        if key in self._mult_cache:
-            return self._mult_cache[key]
+        key = (p, n)
+        rows = self._mult_cache.get(key)
+        if rows is None:
+            q = self.normal_form(p)
+            rows = self._mult_cache.get((q, n))
+            if rows is None:
+                rows = self._mult_cache[q, n] = self._mult_rows(q, n)
+            self._mult_cache[key] = rows
+        return rows
+
+    def _mult_rows(self, p, n):
+        """The rows of mult_matrix for p in normal form.  The terms of p*m
+        that are standard monomials go straight into the rows; only the
+        rest is reduced, which is exact since normal forms are linear and
+        a standard monomial is its own normal form."""
+        F = self.field
         src = self.graded_piece_basis(n)
         if p.is_zero():
             dst = []
@@ -245,16 +260,23 @@ class GradedRing:
                 raise ValueError("multiplication by a non-homogeneous element")
             dst = self.graded_piece_basis(n + p.total_degree())
         index = {m: i for i, m in enumerate(dst)}
-        rows = [{} for _ in dst]
-        if self.groebner:
-            for j, m in enumerate(src):
-                for e, c in self.normal_form(p.mul_monomial(m)).terms.items():
+        rows = ShapedRows([{} for _ in dst], len(src))
+        for j, m in enumerate(src):
+            # distinct terms of p give distinct products
+            col, rest = {}, {}
+            for e, c in p.terms.items():
+                e = mono_mul(e, m)
+                if e in index:
+                    col[e] = c
+                else:
+                    rest[e] = c
+            if rest:
+                rest = reduce_poly(Poly(F, self.nvars, rest), self.groebner)
+                for e, c in rest.terms.items():
+                    col[e] = F.add(col[e], c) if e in col else c
+            for e, c in col.items():
+                if not F.is_zero(c):
                     rows[index[e]][j] = c
-        else:   # distinct exponents stay distinct: no normal form
-            for j, m in enumerate(src):
-                for e, c in p.terms.items():
-                    rows[index[mono_mul(e, m)]][j] = c
-        self._mult_cache[key] = rows
         return rows
 
     # -- derived rings -----------------------------------------------------

@@ -280,3 +280,20 @@ class TestFormats:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        """A reader that is gone before the report is written: stdout is
+        a pipe whose read end is closed before the child starts."""
+        src = os.path.dirname(os.path.dirname(mfcat.__file__))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mfcat.cli", "cech", "--space", "P2",
+                 "--twist", "-3", "--p", "2"], stdout=w,
+                stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr

@@ -504,3 +504,48 @@ class TestSectionMultiplication:
         assert gs.dim(0) == 2 and gs.dim(0) == 2
         # the bound is read from the ranks saturated() left on the ring
         assert ranks == [] and len(kernels) == 1
+
+
+def per_entry_rows(gs, f):
+    """Gamma of f assembled entry by entry from GlobalSections.mult."""
+    return sparse_blocks([gs.dim(b) for b in f.dst],
+                         [gs.dim(a) for a in f.src],
+                         ((r, c, gs.mult(p, f.src[c]))
+                          for r, row in enumerate(f.rows)
+                          for c, p in row.items()))
+
+
+class TestSheafmapRows:
+    """sheafmap_rows is ring.piece_matrix(f, 0) when every twist of f is
+    saturated and the per-entry mult assembly otherwise; both equal the
+    per-entry assembly, key order included."""
+
+    @pytest.mark.parametrize("space, src, dst, entries, saturated", [
+        (skew_lines, [1, 2], [2, 3],
+         [["x + 2*w", "0"], ["x*y + z^2 - w^2", "y - 2*w"]], True),
+        (skew_lines, [0, 1], [1, 2],
+         [["x", "0"], ["x^2 + 3*z*w", "y - 2*w"]], False),
+        (three_points, [2, 3], [3, 5],
+         [["x - 5*y", "0"], ["x^3 + 2*y^3", "x^2 + 2*y^2"]], True),
+        (three_points, [1, 2], [2, 3],
+         [["x", "7"], ["x^2 + 2*y^2", "x - 5*y"]], False)],
+        ids=["skew-lines-saturated", "skew-lines-unsaturated",
+             "three-points-saturated", "three-points-unsaturated"])
+    def test_matches_per_entry_assembly(self, monkeypatch, space, src, dst,
+                                        entries, saturated):
+        ctx = space(PrimeField(DEFAULT_PRIME))
+        ring = ctx.ring
+        f = SheafMap(ring, TwistSum(src), TwistSum(dst),
+                     [[ring.poly(s) for s in row] for row in entries])
+        gs = GlobalSections(ctx)
+        assert gs.monomial_path(src + dst) == saturated
+        calls = []
+        real = ring.piece_matrix
+        monkeypatch.setattr(ring, "piece_matrix",
+                            lambda *a: calls.append(a) or real(*a))
+        got = gs.sheafmap_rows(f)
+        assert len(calls) == saturated
+        want = per_entry_rows(GlobalSections(ctx), f)
+        assert got[1] == want[1] and any(got[0])
+        assert [list(r.items()) for r in got[0]] == \
+            [list(r.items()) for r in want[0]]

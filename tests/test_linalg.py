@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcat.fields import PrimeField, RationalField
-from mfcat.linalg import (CosetReducer, ExactMatrix, homology_dim,
-                          kernel_basis, rref, solve, sparse_blocks,
-                          sparse_matmul, sparse_rank, sparse_rref,
-                          sparse_transpose)
+from mfcat.linalg import (CosetReducer, ExactMatrix, ShapedRows,
+                          homology_dim, kernel_basis, rref, solve,
+                          sparse_blocks, sparse_matmul, sparse_rank,
+                          sparse_rref, sparse_transpose)
+from mfcat.ring import GradedRing
 
 F = PrimeField(32003)
 
@@ -147,6 +148,34 @@ class TestSparseBlocks:
     def test_wrong_shape_raises(self, blk):
         with pytest.raises(ValueError, match="block \\(1, 0\\)"):
             sparse_blocks([1, 2], [2, 1], [(1, 0, blk)])
+
+    def test_cached_block_width_checked(self):
+        """A cached mult_matrix block records its width: under a column of
+        any other dimension it raises, even where its keys would fit; a
+        plain copy of it is scanned and raises only on a column >= nc."""
+        ring = GradedRing(F, ["x", "y", "z"], ideal_strings=["x*y"])
+        blk = ring.mult_matrix(ring.poly("x + 2*z"), 1)     # R_1 -> R_2
+        assert blk.ncols == 3 and len(blk) == 5
+        plain = [dict(row) for row in blk]
+        for nc in (2, 4):
+            with pytest.raises(ValueError, match="block \\(0, 1\\) has wrong "
+                               "shape"):
+                sparse_blocks([5], [1, nc], [(0, 1, blk)])
+        with pytest.raises(ValueError, match="block \\(0, 1\\) has wrong "
+                           "shape"):
+            sparse_blocks([5], [1, 2], [(0, 1, plain)])
+        rows, ncols = sparse_blocks([5], [1, 4], [(0, 1, plain)])
+        assert ncols == 5 and rows == sparse_blocks([5], [1, 3],
+                                                    [(0, 1, blk)])[0]
+
+    def test_offset_zero_rows_are_copies(self):
+        """A block at column offset 0 is placed without re-keying; the
+        assembled rows are new dicts, so a cached block is never shared."""
+        blk = ShapedRows([{0: 1, 1: 2}, {}], 2)
+        rows, ncols = sparse_blocks([2], [2, 1], [(0, 0, blk),
+                                                  (0, 1, [{0: 3}, {0: 4}])])
+        assert (rows, ncols) == ([{0: 1, 1: 2, 2: 3}, {2: 4}], 3)
+        assert blk == [{0: 1, 1: 2}, {}]
 
 
 def _field(name):

@@ -134,6 +134,66 @@ class TestMultMatrix:
                 [list(r.items()) for r in want]
 
 
+def coords_mult_matrix(ring, p, n):
+    """mult_matrix built column by column, without it: column j holds the
+    coordinates of NF(p * m) for the j-th degree-n standard monomial m."""
+    q = ring.normal_form(p)
+    dst = ring.graded_piece_basis(n + q.total_degree()) if q.terms else []
+    rows = [{} for _ in dst]
+    for j, m in enumerate(ring.graded_piece_basis(n)):
+        prod = ring.normal_form(p * ring.one().mul_monomial(m))
+        if q.terms:
+            for i, c in ring.coords([prod], [n + q.total_degree()]).items():
+                rows[i][j] = c
+        else:
+            assert prod.is_zero()
+    return rows
+
+
+# (variables, ideal, p not in normal form, p with normal form 0)
+MULT_CASES = {
+    "twisted-cubic": (["x", "y", "z", "w"],
+                      ["x*z - y^2", "y*w - z^2", "x*w - y*z"],
+                      "y^2 + 3*x*w - 2/5*z^2", "(x*z - y^2)*(x - 4*w)"),
+    "conic": (["x", "y", "z"], ["x^2 - y*z"],
+              "x^3 - 7*x*y*z + z^3", "(x^2 - y*z)*(2*y + z)"),
+    "nodal": (["x", "y", "z"], ["x*y"],
+              "x*y + 3*x^2 - 1/2*y*z", "x*y*(x - z)"),
+    # x^2 -> x*y: times x, the normal form x*y + x*z - y*z gives
+    # x*y^2 + x*y*z - x*y*z, a reduced product that cancels a standard one
+    "two-lines": (["x", "y", "z"], ["x^2 - x*y"],
+                  "x^2 + x*z - y*z", "(x^2 - x*y)*(y + 2*z)"),
+}
+
+
+class TestMultMatrixByCoords:
+    """mult_matrix against an assembly that does not call it, on
+    non-monomial and monomial ideals over F_p and Q, for p given out of
+    normal form or with normal form 0, and with the given key or the
+    normal-form key looked up first."""
+
+    @pytest.mark.parametrize("field", [PrimeField(32003), RationalField()],
+                             ids=["Fp", "Q"])
+    @pytest.mark.parametrize("case", list(MULT_CASES))
+    @pytest.mark.parametrize("nf_first", [False, True],
+                             ids=["given-first", "nf-first"])
+    def test_matches_coords(self, field, case, nf_first):
+        variables, ideal, *given = MULT_CASES[case]
+        ring = GradedRing(field, variables, ideal_strings=ideal)
+        for s, vanishes in zip(given, (False, True)):
+            p = parse_poly(s, variables, field)
+            q = ring.normal_form(p)
+            assert q != p and q.is_zero() == vanishes
+            for n in range(4):
+                keys = (q, p) if nf_first else (p, q)
+                first, second = (ring.mult_matrix(k, n) for k in keys)
+                assert second is first
+                assert first.ncols == ring.hilbert(n)
+                assert [list(r.items()) for r in first] == \
+                    [list(r.items()) for r in coords_mult_matrix(ring, p, n)]
+                assert ring.mult_matrix(p, n) is first
+
+
 class TestHypothesisNF:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
