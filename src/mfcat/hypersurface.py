@@ -1,11 +1,18 @@
 """Module-side operations over the hypersurface ring R_Y = R/(W):
-cokernel presentations, unrolled periodic resolutions, graded Ext tables,
-stable Hom dimensions, reconstruction of a factorization from a module
-map, and relative perfection of modules."""
+cokernel presentations, unrolled periodic resolutions, graded Ext tables
+and stable Hom dimensions, reconstruction of a factorization from a module
+map, and relative perfection of modules.
+
+Ext into N = coker(rel) is counted from ranks alone: the maps of the Hom
+complex into N's generators and relations are built by the pre- and
+post-composition builders of the mapping complex, and their degree-0
+piece matrices are joined and eliminated; no quotient basis of N is
+formed."""
 
 from .linalg import (homology_dim, solve, sparse_blocks, sparse_rank,
                      sparse_transpose)
-from .mf import MatrixFactorization, SheafMap, _post_compose_matrix, unpack_maps
+from .mf import (MatrixFactorization, SheafMap, _post_compose_matrix,
+                 _pre_compose_matrix, unpack_maps)
 from .modules import ModulePresentation, minimal_columns, syzygy_presentation
 
 STABLE_HOM_STEPS = 8    # stable_hom_dim tries q0, ..., q0 + STABLE_HOM_STEPS
@@ -57,38 +64,37 @@ def periodic_resolution(E, lo=-6, hi=0, t_range=None):
 # -- graded Ext tables ---------------------------------------------------------
 
 
-def _ext_differential(E, N, q):
-    """Matrix of Hom(i^*E^{-q}, N)_0 -> Hom(i^*E^{-q-1}, N)_0 given by
-    precomposition with the differential of i^*E, as (sparse rows,
-    ncols)."""
-    d = E.diff_at(-q - 1)            # component(-q-1) -> component(-q)
-    src_pieces = [N.piece(-a) for a in d.dst]   # Hom(i^*E^{-q}, N)_0
-    dst_pieces = [N.piece(-a) for a in d.src]
-
-    def blocks():
-        # entry (c, r) of d is block (r, c); row by row of d, each block
-        # row still gets its blocks in increasing c
-        for c, row in enumerate(d.rows):
-            pc = src_pieces[c]
-            for r, p in row.items():
-                p, pr = N.ring.normal_form(p), dst_pieces[r]
-                if pr.dim and pc.dim and not p.is_zero():   # may vanish in R_Y
-                    yield r, c, pc.mult_map(p, pr)
-
-    return sparse_blocks([pr.dim for pr in dst_pieces],
-                         [pc.dim for pc in src_pieces], blocks())
-
-
 def ext_gamma_dims(E, N, q_range):
     """dim Ext^q in degree 0 between the restriction of E and the graded
-    R_Y-module N, computed from the 2-periodic Hom complex."""
-    if N.ring != E.ctx.y_ring():
+    R_Y-module N = coker(rel: G1 -> G0), as the homology of the quotient
+    of the 2-periodic complex V_q = Hom(i^*E^{-q}, G0)_0 by the images of
+    u_q = rel o -: Hom(i^*E^{-q}, G1)_0 -> V_q.  With d_q: V_q -> V_{q+1}
+    the precomposition with the differential of i^*E,
+        dim Ext^q = dim V_q - rank [d_q | u_{q+1}] + rank u_{q+1}
+                    - rank [d_{q-1} | u_q],
+    each rank the pivot count of one sparse echelon form."""
+    ry = E.ctx.y_ring()
+    if N.ring != ry:
         raise ValueError("N must be a module over the hypersurface ring")
     qs = sorted(q_range)
     if not qs:
         raise ValueError("empty range of Ext degrees q")
-    mats = {q: _ext_differential(E, N, q) for q in range(qs[0] - 1, qs[-1] + 1)}
-    return {q: homology_dim(N.ring.field, mats[q], mats[q - 1]) for q in qs}
+    rel = N.rel
+
+    def step(q):
+        """(dim V_q, rank [d_q | u_{q+1}], u_{q+1} as (rows, ncols))."""
+        d = E.diff_at(-q - 1)            # i^*E^{-q-1} -> i^*E^{-q}
+        dm, n = ry.piece_matrix(_pre_compose_matrix(d, rel.dst), 0)
+        um, k = ry.piece_matrix(_post_compose_matrix(rel, d.src), 0)
+        joined = sparse_blocks([len(dm)], [n, k], [(0, 0, dm), (0, 1, um)])
+        return n, sparse_rank(ry.field, *joined), (um, k)
+
+    steps = {q: step(q) for q in range(qs[0] - 1, qs[-1] + 1)}
+    out = {}
+    for q in qs:
+        dim_v, join, u = steps[q]
+        out[q] = dim_v - join + sparse_rank(ry.field, *u) - steps[q - 1][1]
+    return out
 
 
 def stable_hom_dim(E, N):

@@ -3,7 +3,8 @@ Fitting ideals, and bounded saturation queries.
 
 A presentation is the cokernel of its relation matrix rel, a SheafMap
 (the sparse-row matrix of ring elements that the MF side uses): the
-relation twists are rel.src, the generator twists rel.dst.  The Groebner
+relation twists are rel.src, the generator twists rel.dst.  Its graded
+pieces are only counted, from the rank of rel's piece matrix.  The Groebner
 code alone works on free-module elements, sparse dicts {(component,
 exponent tuple): coeff}; syzygies and minimal_columns turn the columns of
 a map into such vectors where they start.  The module order is grevlex on
@@ -14,7 +15,7 @@ extracted (tag-column elimination).
 
 from itertools import combinations
 
-from .linalg import CosetReducer, sparse_transpose
+from .linalg import sparse_rank, sparse_transpose
 from .mf import SheafMap, TwistSum
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul)
@@ -134,7 +135,6 @@ class ModulePresentation:
 
     def __init__(self, rel):
         self.rel = rel
-        self._pieces = {}
 
     @classmethod
     def from_columns(cls, ring, gen_twists, columns):
@@ -209,57 +209,16 @@ class ModulePresentation:
                 [r for r in range(rel.dst.rank) if r != unit],
                 [c for c in range(rel.src.rank) if c != ci])
 
-    # -- graded pieces ------------------------------------------------------
-
-    def piece(self, t):
-        if t not in self._pieces:
-            self._pieces[t] = ModulePiece(self, t)
-        return self._pieces[t]
-
     def piece_dim(self, t):
-        return self.piece(t).dim
+        """dim of the degree-t piece: that of the generators' piece minus
+        the rank of the relation matrix on it."""
+        ring, rel = self.ring, self.rel
+        return sum(ring.hilbert(t + a) for a in rel.dst) \
+            - sparse_rank(ring.field, *ring.piece_matrix(rel, t))
 
     def __repr__(self):
         return "ModulePresentation(gens=%r, rels=%d)" % (
             list(self.rel.dst), self.rel.src.rank)
-
-
-class ModulePiece:
-    """The degree-t piece of a presented module, as explicit linear algebra.
-
-    Ambient space = direct sum of the degree-(t + a_r) pieces of R over the
-    generators; the relation image, the degree-t piece matrix of the
-    relation matrix, is divided out through a coset reducer, so elements
-    get canonical quotient coordinates.
-    """
-
-    def __init__(self, pres, t):
-        self.pres = pres
-        self.t = t
-        ring = pres.ring
-        self.reducer = CosetReducer(ring.field, *ring.piece_matrix(pres.rel, t))
-        pivot_set = set(self.reducer.pivots)
-        self.free_indices = [i for i in range(self.reducer.ambient)
-                             if i not in pivot_set]
-        self.dim = len(self.free_indices)
-
-    def mult_map(self, p, target_piece):
-        """Matrix of multiplication by homogeneous p into target_piece,
-        in quotient coordinates, as sparse rows: target_piece.dim rows,
-        columns in range(self.dim).  p must have degree
-        target_piece.t - self.t (ValueError otherwise)."""
-        ring = self.pres.ring
-        gens = self.pres.rel.dst
-        m, n = ring.piece_matrix(SheafMap.scalar(
-            ring, p, gens, gens.twist(target_piece.t - self.t)), self.t)
-        cols = sparse_transpose(m, n)
-        # a reduced vector is zero at the pivots: its keys are free indices
-        pos = {i: k for k, i in enumerate(target_piece.free_indices)}
-        out = [{} for _ in range(target_piece.dim)]
-        for j, i in enumerate(self.free_indices):
-            for r, v in target_piece.reducer.reduce(cols[i]).items():
-                out[pos[r]][j] = v
-        return out
 
 
 # -- syzygies ---------------------------------------------------------------

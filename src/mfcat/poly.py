@@ -174,7 +174,8 @@ class Poly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field, self.nvars, self.key()))
+            self._hash = hash((self.field, self.nvars,
+                               frozenset(self.terms.items())))
         return self._hash
 
     def to_str(self, varnames):
@@ -211,8 +212,14 @@ class Poly:
 
 # -- parsing -----------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>[\^\*\+\-\(\)]))")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>%s)"
+                    r"|(?P<op>[\^\*\+\-\(\)]))" % _NAME)
+
+
+def is_variable_name(s):
+    """Whether parse_poly reads s back as one variable name."""
+    return re.fullmatch(_NAME, s) is not None
 
 
 def parse_poly(s, varnames, field):
@@ -254,7 +261,11 @@ def parse_poly(s, varnames, field):
         kind, val = peek()
         if kind == "num":
             advance()
-            p = Poly.const(field, nvars, val)
+            try:
+                p = Poly.const(field, nvars, val)
+            except ZeroDivisionError:
+                raise ValueError("coefficient %s has a zero denominator in "
+                                 "%r" % (val, field)) from None
         elif kind == "name":
             advance()
             if val not in var_index:

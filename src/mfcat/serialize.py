@@ -9,6 +9,7 @@ import json
 from .fields import field_from_spec
 from .mf import MatrixFactorization, MFContext, SheafMap, StrictMorphism, TwistSum
 from .modules import ModulePresentation
+from .poly import is_variable_name
 from .ring import GradedRing
 
 SCHEMA_VERSION = 1
@@ -110,6 +111,12 @@ def ring_from_json(obj, path="ring"):
     variables = _string_list(obj["variables"], path + ".variables")
     if not variables:
         raise SchemaError(path + ".variables", "at least one variable required")
+    for i, name in enumerate(variables):
+        if not is_variable_name(name):
+            raise SchemaError("%s.variables[%d]" % (path, i),
+                              "not a variable name: %r" % name)
+    if len(set(variables)) != len(variables):
+        raise SchemaError(path + ".variables", "duplicate variable names")
     gens = _string_list(obj.get("ideal", []), path + ".ideal")
     try:
         return GradedRing(field, variables, ideal_strings=gens)

@@ -91,6 +91,44 @@ class TestVerify:
         assert err["error"] == "%s:ring.field.p: expected an integer" % ring
 
 
+class TestZeroDenominator:
+    """A coefficient whose denominator vanishes in the field exits 1 with
+    a field path, not a ZeroDivisionError traceback."""
+
+    @staticmethod
+    def run_fresh(*argv):
+        src = os.path.dirname(os.path.dirname(mfcat.__file__))
+        proc = subprocess.run([sys.executable, "-m", "mfcat.cli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        return json.loads(proc.stderr)["error"]
+
+    @pytest.mark.parametrize("field, ideal, coeff", [
+        ({"type": "prime", "p": 7}, "1/7*x*y", "1/7"),
+        ({"type": "rational"}, "1/0*x", "1/0"),
+    ])
+    def test_ring_ideal(self, tmp_path, field, ideal, coeff):
+        ring = tmp_path / "r.json"
+        ring.write_text(json.dumps({"field": field, "variables": ["x", "y"],
+                                    "ideal": [ideal]}))
+        err = self.run_fresh("cech", "--ring", str(ring), "--twist", "0",
+                             "--p", "0")
+        assert err.startswith("%s:ring.ideal: " % ring)
+        assert "coefficient %s has a zero denominator" % coeff in err
+
+    def test_mf_entry(self, tmp_path, E_u):
+        obj = mf_to_json(E_u)
+        obj["context"]["ring"]["field"] = {"type": "prime", "p": 7}
+        obj["e1"][0][0] = "1/7*u"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        err = self.run_fresh("verify", "--source", str(path))
+        assert err.startswith("%s:mf.e1[0][0]: " % path)
+        assert "coefficient 1/7 has a zero denominator in F_7" in err
+
+
 class TestTwistStep:
     def test_mapping_complex_file_verifies(self, run, tmp_path, E_u, E_v):
         path = tmp_path / "hom.json"

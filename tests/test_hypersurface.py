@@ -3,13 +3,16 @@ tables, stable Hom, factorization reconstruction, relative perfection."""
 
 import pytest
 
-from mfcat.fields import PrimeField
+from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
 from mfcat.hypersurface import (coker_module, ext_gamma_dims, is_relatively_perfect,
                                 mf_from_module, periodic_resolution,
                                 push_to_ambient, stable_hom_dim)
-from mfcat.mf import MFContext, SheafMap, TwistSum, verify_mf
+from mfcat.linalg import CosetReducer, ExactMatrix, rref, sparse_transpose
+from mfcat.mf import (MFContext, SheafMap, TwistSum, direct_sum_mf, shift_mf,
+                      twist_mf, verify_mf)
 from mfcat.modules import ModulePresentation
 from mfcat.ring import GradedRing
+from mfcat.suite import rank_one_mf, unit_e0_factorization
 
 
 class TestCokerModule:
@@ -66,6 +69,113 @@ class TestExtTable:
         M = ModulePresentation.from_columns(ctx_a1.ring, [0], [])
         with pytest.raises(ValueError):
             ext_gamma_dims(E_u, M, [0])
+
+
+def _quotient_piece(N, t):
+    """N_t in quotient coordinates: a CosetReducer modulo the image of the
+    relations in the generators' degree-t piece, and the free (non-pivot)
+    coordinates, which index a basis of N_t."""
+    ring = N.ring
+    red = CosetReducer(ring.field, *ring.piece_matrix(N.rel, t))
+    pivots = set(red.pivots)
+    return red, [i for i in range(red.ambient) if i not in pivots]
+
+
+def _reference_ext(E, N, qs):
+    """dim Ext^q(i^*E, N)_0 from explicit quotient bases:
+    Hom(i^*E^{-q}, N)_0 is the sum of the pieces N_{-a} over the twists a
+    of E^{-q}, the differential multiplies by the entries of E's
+    differential and reduces each image column into quotient coordinates,
+    and ranks come from the dense reference rref."""
+    ring, gens = N.ring, N.rel.dst
+
+    def rank_and_dim(q):
+        d = E.diff_at(-q - 1)            # E^{-q-1} -> E^{-q}
+        src = [_quotient_piece(N, -a) for a in d.dst]
+        dst = [_quotient_piece(N, -a) for a in d.src]
+        col_offs = [0]
+        for _red, free in src:
+            col_offs.append(col_offs[-1] + len(free))
+        rows = []
+        for r, (red_r, free_r) in enumerate(dst):
+            pos = {i: k for k, i in enumerate(free_r)}
+            block_rows = [{} for _ in free_r]
+            for c, (_red_c, free_c) in enumerate(src):
+                p = ring.normal_form(d.rows[c].get(r, ring.zero()))
+                if p.is_zero() or not free_r or not free_c:
+                    continue
+                m, n = ring.piece_matrix(SheafMap.scalar(
+                    ring, p, gens, gens.twist(d.dst[c] - d.src[r])),
+                    -d.dst[c])
+                cols = sparse_transpose(m, n)
+                for j, i in enumerate(free_c):
+                    for k, v in red_r.reduce(cols[i]).items():
+                        block_rows[pos[k]][col_offs[c] + j] = v
+            rows.extend(block_rows)
+        dense = ExactMatrix.from_sparse_rows(ring.field, rows, col_offs[-1])
+        return len(rref(dense)[1]), col_offs[-1]
+
+    data = {q: rank_and_dim(q) for q in range(min(qs) - 1, max(qs) + 1)}
+    return {q: data[q][1] - data[q][0] - data[q - 1][0] for q in qs}
+
+
+def _ext_grid(field):
+    """(E, N) pairs: affine k[x,y] with W = x^2 y against cokernels, the
+    residue field, R_Y and R_Y/(x); the nodal curve Proj k[x,y,z]/(xy)
+    with W = z and W = x + y (deg W = 1, so every object is contractible)
+    against R_Y/(x, y) and cokernels."""
+    ring = GradedRing(field, ["x", "y"])
+    ctx = MFContext(ring, ring.poly("x^2*y"), mode="affine-graded")
+    objs = [rank_one_mf(ctx, a, b, 0) for a, b in
+            [("x", "x*y"), ("x^2", "y"), ("y", "x^2")]]
+    objs.append(direct_sum_mf(objs[0], twist_mf(shift_mf(objs[1]), -1)))
+    ry = ctx.y_ring()
+    mods = [coker_module(F) for F in objs[:3]]
+    mods += [coker_module(objs[3], minimal=False),
+             ModulePresentation.from_columns(
+                 ry, [0], [[ry.poly("x")], [ry.poly("y")]]),
+             ModulePresentation.from_columns(ry, [0], []),
+             ModulePresentation.from_columns(ry, [0], [[ry.poly("x")]])]
+    pairs = [(E, N.twist(s)) for E in objs for N in mods for s in (-1, 0, 1)]
+    for w in ("z", "x + y"):
+        ring = GradedRing(field, ["x", "y", "z"], ideal_strings=["x*y"])
+        ctx = MFContext(ring, ring.poly(w))
+        ry = ctx.y_ring()
+        base = unit_e0_factorization(ctx)
+        objs = [base, direct_sum_mf(twist_mf(base, 1), shift_mf(base))]
+        mods = [coker_module(objs[1], minimal=False),
+                ModulePresentation.from_columns(
+                    ry, [0], [[ry.poly("x")], [ry.poly("y")]])]
+        pairs += [(E, N.twist(s)) for E in objs for N in mods
+                  for s in (-1, 0)]
+    return pairs
+
+
+class TestExtAgainstQuotientBases:
+    @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME),
+                                       PrimeField(7), RationalField()],
+                             ids=repr)
+    def test_matches_reference(self, field):
+        qs = range(-1, 3)
+        nonzero = 0
+        for E, N in _ext_grid(field):
+            table = ext_gamma_dims(E, N, qs)
+            assert table == _reference_ext(E, N, qs)
+            nonzero += sum(1 for v in table.values() if v)
+        assert nonzero >= 20      # the grid sees nonzero Ext
+
+    def test_residue_field_counts_generators(self):
+        # for a minimal E the Hom complex into k = R_Y/(x, y) has zero
+        # differentials: Ext^q(i^*E, k)_0 counts the twist-0 generators
+        # of E^{-q}
+        ring = GradedRing(RationalField(), ["x", "y"])
+        ctx = MFContext(ring, ring.poly("x^2*y"), mode="affine-graded")
+        ry = ctx.y_ring()
+        k = ModulePresentation.from_columns(
+            ry, [0], [[ry.poly("x")], [ry.poly("y")]])
+        E = rank_one_mf(ctx, "x", "x*y", 0)       # E0 = O(0), E1 = O(-1)
+        assert ext_gamma_dims(E, k, range(0, 4)) == {0: 1, 1: 0, 2: 0, 3: 0}
+        assert ext_gamma_dims(E, k.twist(-1), [1]) == {1: 1}
 
 
 class TestStableHom:

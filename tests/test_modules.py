@@ -4,7 +4,6 @@ ideals."""
 import pytest
 
 from mfcat.fields import DEFAULT_PRIME, PrimeField
-from mfcat.linalg import sparse_matmul
 from mfcat.mf import TwistSum
 from mfcat.modules import (ModulePresentation, contains_irrelevant_power,
                            default_saturation_bound, fitting_ideal,
@@ -38,35 +37,13 @@ class TestPieces:
         N = M.twist(-2)
         assert [N.piece_dim(t) for t in range(5)] == [0, 0, 1, 1, 1]
 
-    def test_mult_map_squares(self, ring_p1):
-        # multiplication by p then p equals multiplication by p^2; on
-        # k[x,y,z]/(xy) the piece bases are standard monomials and
-        # (x + y)^2 reduces to x^2 + y^2 (the zero column adds nothing)
-        cases = [(ring_p1, [0], [["x0"]], "x1", "x1^2"),
-                 (NODAL, [0, 0], [["x", "y"], ["0", "0"]], "x + y",
-                  "x^2 + 2*x*y + y^2")]
-        for ring, twists, cols, p, psq in cases:
-            M = mk_pres(ring, twists, cols)
-            m0, m1, m2 = M.piece(0), M.piece(1), M.piece(2)
-            A = m0.mult_map(ring.poly(p), m1)
-            B = m1.mult_map(ring.poly(p), m2)
-            C = m0.mult_map(ring.poly(psq), m2)
-            assert (len(A), len(B), len(C)) == (m1.dim, m2.dim, m2.dim)
-            assert any(C)
-            assert sparse_matmul(ring.field, B, A) == C
-        assert (m0.dim, m1.dim, m2.dim) == (2, 5, 7)
 
-    def test_mult_map_wrong_degree_raises(self):
-        M = mk_pres(NODAL, [0, 0], [["x", "y"]])
-        with pytest.raises(ValueError):
-            M.piece(0).mult_map(NODAL.poly("z"), M.piece(2))
-
-    def test_mult_map_by_zero(self):
-        M = mk_pres(NODAL, [0, 0], [["x", "y"]])
-        src, dst = M.piece(1), M.piece(2)
-        Z = src.mult_map(NODAL.zero(), dst)
-        assert (len(Z), src.dim) == (dst.dim, 5) == (7, 5)
-        assert not any(Z)
+    def test_quotient_ring_piece_dims(self):
+        # on k[x,y,z]/(xy) (Hilbert function 1, 3, 5) the relation
+        # x*e1 + y*e2 of R + R has rank 1 in degree 1 and rank 3 in degree
+        # 2, where x*y = 0; a zero column adds nothing
+        M = mk_pres(NODAL, [0, 0], [["x", "y"], ["0", "0"]])
+        assert [M.piece_dim(t) for t in range(-1, 3)] == [0, 2, 5, 7]
 
 
 class TestSyzygies:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcat.fields import PrimeField, RationalField
-from mfcat.poly import parse_poly
+from mfcat.poly import Poly, parse_poly
 from mfcat.ring import GradedRing, binom, monomials_of_degree
 
 
@@ -48,6 +48,36 @@ class TestNormalForm:
         ring = GradedRing(RationalField(), ["x", "y"], ideal_strings=["x*y"])
         f = ring.poly("1/2*x^2 + x*y")
         assert ring.to_str(f) == "1/2*x^2"
+
+
+class TestParse:
+    @pytest.mark.parametrize("field, s, coeff", [
+        (PrimeField(7), "1/7*x*y", "1/7"),
+        (PrimeField(7), "x + 3/14*y", "3/14"),
+        (RationalField(), "1/0*x", "1/0"),
+    ])
+    def test_zero_denominator_is_a_value_error(self, field, s, coeff):
+        with pytest.raises(ValueError, match="coefficient %s has a zero "
+                           "denominator in %r" % (coeff, field)):
+            parse_poly(s, ["x", "y"], field)
+
+    def test_nonzero_denominator_in_f_p(self):
+        # 1/2 = 4 in F_7
+        assert parse_poly("1/2*x", ["x"], PrimeField(7)) == \
+            parse_poly("4*x", ["x"], PrimeField(7))
+
+
+class TestPolyHash:
+    @pytest.mark.parametrize("field", [PrimeField(7), RationalField()])
+    def test_independent_of_term_order(self, field):
+        terms = {(2, 0): field.of(1), (1, 1): field.of(3), (0, 2): field.of(5)}
+        f = Poly(field, 2, terms)
+        g = Poly(field, 2, dict(reversed(list(terms.items()))))
+        assert list(f.terms) != list(g.terms)
+        assert f == g and hash(f) == hash(g)
+        x, y = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1)
+        assert hash(x * x + y) == hash(y + x * x)
+        assert {f: 1}[g] == 1
 
 
 class TestGradedPieces:

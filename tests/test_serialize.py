@@ -107,6 +107,29 @@ class TestValidation:
         obj = {"field": {"type": "prime"}, "variables": ["x0"]}
         assert ring_from_json(obj).field.p == 32003
 
+    def test_duplicate_variables_cite_variables(self):
+        obj = {"field": {"type": "prime"}, "variables": ["x", "y", "x"]}
+        with pytest.raises(SchemaError, match="^ring.variables: duplicate "
+                           "variable names$") as exc:
+            ring_from_json(obj)
+        assert exc.value.path == "ring.variables"
+
+    @pytest.mark.parametrize("names, i", [
+        (["x", "y z"], 1), (["2"], 0), ([""], 0), (["x", "x-1"], 1),
+        (["x^2", "y"], 0), (["1x"], 0), (["x", " y"], 1),
+    ])
+    def test_unreadable_variable_names_rejected(self, names, i):
+        # a name that parse_poly cannot read back as one variable
+        obj = {"field": {"type": "prime"}, "variables": names}
+        with pytest.raises(SchemaError, match="not a variable name") as exc:
+            ring_from_json(obj)
+        assert exc.value.path == "ring.variables[%d]" % i
+
+    def test_readable_variable_names_accepted(self):
+        names = ["x", "x0", "_t", "Y_12"]
+        obj = {"field": {"type": "prime"}, "variables": names}
+        assert ring_from_json(obj).variables == names
+
     def test_twist_step_must_equal_deg_w(self, ctx_a1):
         obj = context_to_json(ctx_a1)
         obj["twist_step"] = ctx_a1.d
