@@ -231,6 +231,9 @@ def cmd_stable_hom(args, inputs):
 
 
 def cmd_rel_perfect(args, inputs):
+    if args.max_steps < 1:
+        raise CliError("--max-steps must be at least 1 (got %d)"
+                       % args.max_steps)
     cobj = _load_json(args.context)
     inputs.append(cobj)
     ctx = context_from_json(cobj, path="%s:context" % args.context)

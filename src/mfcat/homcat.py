@@ -14,9 +14,7 @@ from .mf import (MatrixFactorization, StrictMorphism, TwistSum,
                  cone, cycle_from_strict, hom_layout, hom_twists,
                  mapping_complex, solve_homotopy, strict_from_cycle, unrolled)
 from .modules import (contains_irrelevant_power, default_saturation_bound,
-                      fitting_ideal)
-from .poly import Poly
-from .ring import buchberger, reduce_poly
+                      fitting_ideal, variable_powers)
 
 J_MAX = 12          # highest Koszul level stabilize tries
 FITTING_CAP = 9     # locally_contractible scans Fitting ideals up to this
@@ -317,36 +315,12 @@ def _sub_mf(E, idx1, idx0):
 
 def _sheaf_zero(gens, ring, B):
     """Positive certificate that each generator restricts to zero on Proj:
-    normal form zero, or annihilated by the B-th power of every variable."""
-    gens = [ring.normal_form(p) for p in gens]
-    gens = [p for p in gens if not p.is_zero()]
-    if not gens:
-        return True
-    for N in range(1, B + 1):
-        ok = True
-        for p in gens:
-            for i in range(ring.nvars):
-                xi = Poly.monomial(ring.field, ring.nvars,
-                                   tuple(N if k == i else 0
-                                         for k in range(ring.nvars)))
-                if not ring.normal_form(xi * p).is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
-def _ideal_is_unit(gens, ring):
-    """1 in (gens) + I, decided by a Groebner basis."""
-    gens = [ring.normal_form(p) for p in gens]
-    gens = [p for p in gens if not p.is_zero()]
-    if not gens:
-        return False
-    basis = buchberger(gens + ring.ideal_gens)
-    return reduce_poly(ring.one(), basis).is_zero()
+    annihilated by the N-th power of every variable for some N <= B; at
+    N = 0 (x^0 = 1) that is normal form zero, so bound 0 is the affine
+    test."""
+    return any(all(ring.is_zero(x * p) for x in variable_powers(ring, N)
+                   for p in gens)
+               for N in range(B + 1))
 
 
 def locally_contractible(E):
@@ -381,24 +355,15 @@ def locally_contractible(E):
     if g > FITTING_CAP:
         return "inconclusive"
     ry = M.ring
-    saturation_bound = default_saturation_bound(
+    # bound 0 is the affine test: Fitt_{r-1} = 0 and 1 in Fitt_r + I
+    bound = 0 if ctx.is_affine else default_saturation_bound(
         ry, [p for row in M.rel.rows for p in row.values()])
     fitt = {r: fitting_ideal(M, r) for r in range(-1, g + 1)}
     for r in range(0, g + 1):
-        lower = fitt[r - 1]
-        upper = fitt[r]
-        if ctx.is_affine:
-            low_zero = all(ry.normal_form(p).is_zero() for p in lower)
-            up_unit = _ideal_is_unit(upper, ry)
-        else:
-            low_zero = _sheaf_zero(lower, ry, saturation_bound)
-            up_unit = contains_irrelevant_power(upper, ry,
-                                                saturation_bound) is not None
-        if low_zero and up_unit:
+        if (_sheaf_zero(fitt[r - 1], ry, bound)
+                and contains_irrelevant_power(fitt[r], ry, bound)):
             return "true"
-    if ctx.is_affine:
-        return "false"
-    return "inconclusive"
+    return "false" if ctx.is_affine else "inconclusive"
 
 
 def weak_equivalence(f):

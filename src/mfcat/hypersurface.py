@@ -192,7 +192,10 @@ def is_relatively_perfect(ctx, M, max_steps=12):
     steps apart equal up to column permutation, unit scaling and twist
     shift) certifies infinite projective dimension.
 
-    Returns {"perfect": True|False|None, "steps", "status", "history"}."""
+    Returns {"perfect": True|False|None, "steps", "status", "history"};
+    max_steps must be at least 1."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1, got %d" % max_steps)
     ring = ctx.ring
     if M.ring != ring:
         if M.ring != ctx.y_ring():

@@ -1,128 +1,48 @@
-"""Graded module presentations, module Groebner bases, syzygies,
-Fitting ideals, and bounded saturation queries.
+"""Graded module presentations, syzygies, Fitting ideals, and bounded
+saturation queries.
 
 A presentation is the cokernel of its relation matrix rel, a SheafMap
 (the sparse-row matrix of ring elements that the MF side uses): the
 relation twists are rel.src, the generator twists rel.dst.  Its graded
-pieces are only counted, from the rank of rel's piece matrix.  The Groebner
-code alone works on free-module elements, sparse dicts {(component,
-exponent tuple): coeff}; syzygies and minimal_columns turn the columns of
-a map into such vectors where they start.  The module order is grevlex on
-monomials with a component tie-break; an elimination variant ranks the
-first `split` components above the rest, which is how syzygies are
-extracted (tag-column elimination).
+pieces are only counted, from the rank of rel's piece matrix.  Submodule
+membership and syzygies run the Groebner engine of ring.py on free-module
+vectors: term dicts whose monomials are an exponent tuple followed by a
+one-hot block naming the component, so that a term divides another only
+within its component; syzygies and minimal_columns turn the columns of a
+map into such vectors where they start.  The module order ranks the first
+`split` components above the rest (the elimination that extracts
+syzygies, by tag columns), then grevlex on the monomial, then the lower
+component.
 """
 
 from itertools import combinations
 
 from .linalg import sparse_rank, sparse_transpose
 from .mf import SheafMap, TwistSum
-from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
-                   mono_mul)
-from .ring import buchberger, reduce_poly
+from .poly import Poly, grevlex_key
+from .ring import buchberger, groebner_terms, reduce_poly, reduce_terms
 
 
-# -- sparse free-module vectors ------------------------------------------
+# -- free-module vectors -------------------------------------------------
 
 
-def vec_add(F, v, w):
-    out = dict(v)
-    for t, c in w.items():
-        s = F.add(out.get(t, F.zero()), c)
-        if F.is_zero(s):
-            out.pop(t, None)
-        else:
-            out[t] = s
-    return out
+def _unit(comp, ncomp):
+    return tuple(int(k == comp) for k in range(ncomp))
 
 
-def vec_scale_mono(F, v, expv, c):
-    if F.is_zero(c):
-        return {}
-    return {(comp, mono_mul(e, expv)): F.mul(cc, c) for (comp, e), cc in v.items()}
-
-
-def vec_sub(F, v, w):
-    return vec_add(F, v, {t: F.neg(c) for t, c in w.items()})
-
-
-def _term_key(split):
-    def key(term):
-        comp, e = term
-        return (1 if comp < split else 0, grevlex_key(e), -comp)
+def _module_key(nvars, split):
+    """The module order on one-hot terms over nvars variables."""
+    def key(t):
+        # t[nvars:] is larger for a lower component
+        return (any(t[nvars:nvars + split]), grevlex_key(t[:nvars]),
+                t[nvars:])
     return key
 
 
-def vec_lead(v, split):
-    k = _term_key(split)
-    t = max(v, key=k)
-    return t, v[t]
-
-
-def vec_reduce(F, v, basis, split):
-    """Remainder of v under division by basis vectors (same order)."""
-    key = _term_key(split)
-    leads = [vec_lead(b, split) for b in basis]
-    rem = {}
-    work = dict(v)
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        if F.is_zero(c):
-            continue
-        comp, e = t
-        hit = None
-        for b, ((bc, be), blc) in zip(basis, leads):
-            if bc == comp and mono_divides(be, e):
-                hit = (b, be, blc)
-                break
-        if hit is None:
-            s = F.add(rem.get(t, F.zero()), c)
-            if F.is_zero(s):
-                rem.pop(t, None)
-            else:
-                rem[t] = s
-            continue
-        b, be, blc = hit
-        factor = mono_div(e, be)
-        coef = F.div(c, blc)
-        for (bcomp, bexp), bval in b.items():
-            if bcomp == comp and bexp == be:
-                continue  # leading term cancels the popped term exactly
-            t2 = (bcomp, mono_mul(bexp, factor))
-            s = F.sub(work.get(t2, F.zero()), F.mul(coef, bval))
-            if F.is_zero(s):
-                work.pop(t2, None)
-            else:
-                work[t2] = s
-    return rem
-
-
-def module_buchberger(vectors, field, split):
-    """Groebner basis of the submodule generated by `vectors` over S."""
-    basis = [dict(v) for v in vectors if v]
-    if not basis:
-        return []
-    def monic(v):
-        _, lc = vec_lead(v, split)
-        inv = field.inv(lc)
-        return {t: field.mul(c, inv) for t, c in v.items()}
-    basis = [monic(v) for v in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop()
-        (ci, ei), lci = vec_lead(basis[i], split)
-        (cj, ej), lcj = vec_lead(basis[j], split)
-        if ci != cj:
-            continue
-        lcm = mono_lcm(ei, ej)
-        a = vec_scale_mono(field, basis[i], mono_div(lcm, ei), field.inv(lci))
-        b = vec_scale_mono(field, basis[j], mono_div(lcm, ej), field.inv(lcj))
-        r = vec_reduce(field, vec_sub(field, a, b), basis, split)
-        if r:
-            basis.append(monic(r))
-            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
-    return basis
+def module_buchberger(vectors, field, nvars, split):
+    """Groebner basis of the submodule generated by `vectors` over S, in the
+    module order with the first `split` components eliminated."""
+    return groebner_terms(field, vectors, _module_key(nvars, split), nvars)
 
 
 # -- presentations ---------------------------------------------------------
@@ -224,22 +144,24 @@ class ModulePresentation:
 # -- syzygies ---------------------------------------------------------------
 
 
-def _column_vectors(rel):
-    """The columns of rel as free-module vectors {(row, exponent): coeff}."""
+def _column_vectors(rel, ncomp):
+    """The columns of rel as vectors of a free module of rank ncomp, at
+    least rel's number of rows: the term x^e of row r becomes e followed by
+    the one-hot block of r."""
+    units = [_unit(r, ncomp) for r in range(rel.dst.rank)]
     vecs = [{} for _ in rel.src]
     for r, row in enumerate(rel.rows):
         for c, p in row.items():
             for e, x in p.terms.items():
-                vecs[c][(r, e)] = x
+                vecs[c][e + units[r]] = x
     return vecs
 
 
-def _ideal_closure_vectors(ring, ncomp):
-    out = []
-    for g in ring.ideal_gens:
-        for i in range(ncomp):
-            out.append({(i, e): c for e, c in g.terms.items()})
-    return out
+def _ideal_closure_vectors(ring, nrows, ncomp):
+    """g e_i for every generator g of I and component i < nrows, which make
+    a computation over S happen over R = S/I."""
+    return [{e + _unit(i, ncomp): c for e, c in g.terms.items()}
+            for g in ring.ideal_gens for i in range(nrows)]
 
 
 def syzygies(rel):
@@ -248,22 +170,22 @@ def syzygies(rel):
     they are, so that rel composed with it is zero.  The set is minimal
     (graded Nakayama) and deterministic."""
     ring = rel.ring
-    F = ring.field
+    F, n = ring.field, ring.nvars
     R, N = rel.dst.rank, rel.src.rank
     # Work in S^(R+N): tag column j with the extra basis vector e_{R+j};
     # untagged ideal multiples make the computation happen over R = S/I.
-    gens = _column_vectors(rel)
+    gens = _column_vectors(rel, R + N)
     for j, v in enumerate(gens):
-        v[(R + j, (0,) * ring.nvars)] = F.one()
-    gens.extend(_ideal_closure_vectors(ring, R))
+        v[(0,) * n + _unit(R + j, R + N)] = F.one()
+    gens.extend(_ideal_closure_vectors(ring, R, R + N))
     raw = []
-    for v in module_buchberger(gens, F, split=R):
-        if any(comp < R for (comp, _e) in v):
+    for v in module_buchberger(gens, F, n, split=R):
+        if any(1 in t[n:n + R] for t in v):
             continue
         terms = {}
-        for (comp, e), c in v.items():
-            terms.setdefault(comp - R, {})[e] = c
-        polys = {k: ring.normal_form(Poly(F, ring.nvars, terms[k]))
+        for t, c in v.items():
+            terms.setdefault(t.index(1, n) - n - R, {})[t[:n]] = c
+        polys = {k: ring.normal_form(Poly(F, n, terms[k]))
                  for k in sorted(terms)}
         col = {k: p for k, p in polys.items() if not p.is_zero()}
         if col:
@@ -289,7 +211,7 @@ def minimal_columns(rel):
     drop any column that is zero or lies in the R-submodule generated by the
     others."""
     ncomp = rel.dst.rank
-    vecs = _column_vectors(rel)
+    vecs = _column_vectors(rel, ncomp)
     keep = list(range(len(vecs)))
     i = 0
     while i < len(keep):
@@ -303,10 +225,12 @@ def minimal_columns(rel):
 
 
 def _in_submodule(v, vectors, ring, ncomp):
-    """Whether v lies in the R-submodule generated by the vectors."""
-    gb = module_buchberger(vectors + _ideal_closure_vectors(ring, ncomp),
-                           ring.field, split=ncomp)
-    return not vec_reduce(ring.field, v, gb, split=ncomp)
+    """Whether v lies in the R-submodule of R^ncomp generated by the
+    vectors."""
+    gb = module_buchberger(vectors + _ideal_closure_vectors(ring, ncomp, ncomp),
+                           ring.field, ring.nvars, split=ncomp)
+    return not reduce_terms(ring.field, v, gb,
+                            _module_key(ring.nvars, ncomp))
 
 
 def syzygy_presentation(pres):
@@ -393,28 +317,24 @@ def ideals_equal(gens_a, gens_b, ring):
     return ok_ab and ok_ba
 
 
-def contains_irrelevant_power(J_gens, ring, B):
-    """Least N <= B with x_i^N in J + I for every variable, else None.
+def variable_powers(ring, N):
+    """x_i^N for every variable x_i of ring."""
+    return [Poly.monomial(ring.field, ring.nvars,
+                          tuple(N if k == i else 0 for k in range(ring.nvars)))
+            for i in range(ring.nvars)]
 
-    A yes(N) answer certifies that V(J) misses Proj(R); None is the
-    explicit "no within bound" signal, never a silent no.
+
+def contains_irrelevant_power(J_gens, ring, B):
+    """Whether x_i^N lies in J + I for every variable and some N <= B.
+
+    Yes certifies that V(J) misses Proj(R); no is "not within bound B",
+    never a certified no.  At N = 0 (x^0 = 1) the test is 1 in J + I, so
+    bound 0 decides whether J + I is the unit ideal.
     """
-    gens = [ring.normal_form(p) for p in J_gens]
-    gens = [p for p in gens if not p.is_zero()]
-    basis = buchberger(gens + ring.ideal_gens)
-    if not basis:
-        return None
-    for N in range(1, B + 1):
-        ok = True
-        for i in range(ring.nvars):
-            xN = Poly.monomial(ring.field, ring.nvars,
-                               tuple(N if k == i else 0 for k in range(ring.nvars)))
-            if not reduce_poly(xN, basis).is_zero():
-                ok = False
-                break
-        if ok:
-            return N
-    return None
+    basis = buchberger(list(J_gens) + ring.ideal_gens)
+    return any(all(reduce_poly(x, basis).is_zero()
+                   for x in variable_powers(ring, N))
+               for N in range(B + 1))
 
 
 def default_saturation_bound(ring, J_gens):

@@ -6,29 +6,30 @@ All variables have degree 1.
 """
 
 import re
+from operator import add, le, neg, sub
 
 
 def grevlex_key(expv):
     """Sort key: larger key = larger monomial in grevlex."""
-    return (sum(expv), tuple(-e for e in reversed(expv)))
+    return (sum(expv), tuple(map(neg, reversed(expv))))
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
     """b / a, assuming divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:

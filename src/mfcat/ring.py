@@ -1,7 +1,13 @@
-"""Graded quotient rings R = S/I with Groebner normal forms.
+"""The Groebner engine, and graded quotient rings R = S/I with normal
+forms.
 
-The monomial order is grevlex throughout; all variables have degree 1, so
-graded pieces are spanned by standard monomials of the right degree.
+One division loop (reduce_terms) and one Buchberger pair loop
+(groebner_terms) serve ideals and submodules alike: both work on term
+dicts {monomial: coeff} under a monomial-order key.  Ideals use grevlex;
+a free-module term is its exponent tuple followed by a one-hot component
+block, under the module order of modules.py.  In rings the monomial order
+is grevlex throughout; all variables have degree 1, so graded pieces are
+spanned by standard monomials of the right degree.
 """
 
 from bisect import bisect_right
@@ -13,87 +19,115 @@ from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul, parse_poly)
 
 
-def reduce_poly(f, basis):
-    """Remainder of f under multivariate division by basis (list of Polys)."""
-    if not f.terms:
-        return f
-    F = f.field
-    leads = [g.leading_term() for g in basis]
+def lead(terms, key):
+    """The leading (monomial, coefficient) of a nonzero term dict under the
+    monomial-order key."""
+    m = max(terms, key=key)
+    return m, terms[m]
+
+
+def _monic(F, terms, key):
+    inv = F.inv(lead(terms, key)[1])
+    return {e: F.mul(c, inv) for e, c in terms.items()}
+
+
+def reduce_terms(F, terms, basis, key, leads=None):
+    """Remainder of the term dict {monomial: coeff} under division by the
+    term dicts in basis, in the monomial order of key: the largest
+    remaining term is cancelled by the first basis element whose leading
+    monomial divides it, or else moved to the remainder.  leads, if
+    given, are the basis elements' leading terms."""
+    if leads is None:
+        leads = [lead(b, key) for b in basis]
     rem = {}
-    work = dict(f.terms)
+    work = dict(terms)
     while work:
-        m = max(work, key=grevlex_key)
+        m = max(work, key=key)
         c = work.pop(m)
-        if F.is_zero(c):
-            continue
-        hit = None
-        for g, (lm, lc) in zip(basis, leads):
+        for b, (lm, lc) in zip(basis, leads):
             if mono_divides(lm, m):
-                hit = (g, lm, lc)
                 break
-        if hit is None:
-            rem[m] = F.add(rem.get(m, F.zero()), c)
-            if F.is_zero(rem[m]):
-                del rem[m]
+        else:
+            rem[m] = c
             continue
-        g, lm, lc = hit
         factor = mono_div(m, lm)
         coef = F.div(c, lc)
-        # work -= coef * x^factor * (g minus its leading term); the leading
+        # work -= coef * x^factor * (b minus its leading term); the leading
         # term cancels the popped term exactly
-        for e, gc in g.terms.items():
+        for e, bc in b.items():
             if e == lm:
                 continue
             e2 = mono_mul(e, factor)
-            s = F.sub(work.get(e2, F.zero()), F.mul(coef, gc))
+            s = F.sub(work.get(e2, F.zero()), F.mul(coef, bc))
             if F.is_zero(s):
                 work.pop(e2, None)
             else:
                 work[e2] = s
-    return Poly(F, f.nvars, rem)
+    return rem
 
 
-def s_polynomial(f, g):
-    F = f.field
-    (lmf, lcf), (lmg, lcg) = f.leading_term(), g.leading_term()
-    lcm = mono_lcm(lmf, lmg)
-    a = f.mul_monomial(mono_div(lcm, lmf), F.inv(lcf))
-    b = g.mul_monomial(mono_div(lcm, lmg), F.inv(lcg))
-    return a - b
+def groebner_terms(F, gens, key, nvars):
+    """A Groebner basis, made monic but not reduced, of the term dicts gens
+    under the monomial-order key, by Buchberger's pair loop.
+
+    A monomial is an exponent tuple over the nvars variables, followed for
+    a free module by a one-hot block naming its component, so mono_divides
+    divides only within a component.  A pair is skipped when its leading
+    terms lie in different components (it has no S-pair) or have coprime
+    leading monomials (its S-pair reduces to zero); two terms of one
+    component are never coprime, since their one-hot blocks overlap."""
+    basis = [_monic(F, g, key) for g in gens if g]
+    leads = [lead(b, key) for b in basis]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        i, j = pairs.pop()
+        mi, mj = leads[i][0], leads[j][0]
+        lcm = mono_lcm(mi, mj)
+        if mi[nvars:] != mj[nvars:] or lcm == mono_mul(mi, mj):
+            continue
+        # the S-pair of two monic elements; their leading terms cancel
+        fi, fj = mono_div(lcm, mi), mono_div(lcm, mj)
+        s = {mono_mul(e, fi): c for e, c in basis[i].items()}
+        for e, c in basis[j].items():
+            e = mono_mul(e, fj)
+            v = F.sub(s.get(e, F.zero()), c)
+            if F.is_zero(v):
+                s.pop(e, None)
+            else:
+                s[e] = v
+        r = reduce_terms(F, s, basis, key, leads)
+        if r:
+            basis.append(_monic(F, r, key))
+            leads.append(lead(basis[-1], key))
+            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
+    return basis
+
+
+def reduce_poly(f, basis):
+    """Remainder of f under multivariate division by basis (list of Polys)."""
+    return Poly(f.field, f.nvars,
+                reduce_terms(f.field, f.terms, [g.terms for g in basis],
+                             grevlex_key))
 
 
 def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by gens."""
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    basis = [g.monic() for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop()
-        lmi = basis[i].leading_term()[0]
-        lmj = basis[j].leading_term()[0]
-        if mono_lcm(lmi, lmj) == mono_mul(lmi, lmj):
-            continue  # coprime leading monomials: S-poly reduces to zero
-        r = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
+    F, n = gens[0].field, gens[0].nvars
+    basis = [(lead(g, grevlex_key)[0], g) for g in
+             groebner_terms(F, [g.terms for g in gens], grevlex_key, n)]
     # minimalize: drop elements whose lead is divisible by another lead
-    basis.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
+    basis.sort(key=lambda t: grevlex_key(t[0]))
     minimal = []
-    for g in basis:
-        lm = g.leading_term()[0]
-        if not any(mono_divides(h.leading_term()[0], lm) for h in minimal):
-            minimal.append(g)
-    # reduce each element fully against the others
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r = reduce_poly(g, others) if others else g
-        reduced.append(r.monic())
-    reduced.sort(key=lambda g: grevlex_key(g.leading_term()[0]))
-    return reduced
+    for lm, g in basis:
+        if not any(mono_divides(h, lm) for h, _ in minimal):
+            minimal.append((lm, g))
+    # reduce each element fully against the others; the monic leads stay
+    gs = [g for _, g in minimal]
+    return [Poly(F, n, reduce_terms(F, g, gs[:i] + gs[i + 1:], grevlex_key))
+            for i, g in enumerate(gs)]
 
 
 def monomials_of_degree(nvars, n):

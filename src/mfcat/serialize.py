@@ -9,7 +9,7 @@ import json
 from .fields import field_from_spec
 from .mf import MatrixFactorization, MFContext, SheafMap, StrictMorphism, TwistSum
 from .modules import ModulePresentation
-from .poly import is_variable_name
+from .poly import is_variable_name, parse_poly
 from .ring import GradedRing
 
 SCHEMA_VERSION = 1
@@ -117,11 +117,18 @@ def ring_from_json(obj, path="ring"):
                               "not a variable name: %r" % name)
     if len(set(variables)) != len(variables):
         raise SchemaError(path + ".variables", "duplicate variable names")
-    gens = _string_list(obj.get("ideal", []), path + ".ideal")
-    try:
-        return GradedRing(field, variables, ideal_strings=gens)
-    except ValueError as exc:
-        raise SchemaError(path + ".ideal", str(exc))
+    gens = []
+    for i, s in enumerate(_string_list(obj.get("ideal", []), path + ".ideal")):
+        gpath = "%s.ideal[%d]" % (path, i)
+        try:
+            g = parse_poly(s, variables, field)
+        except ValueError as exc:
+            raise SchemaError(gpath, str(exc))
+        if not g.is_zero() and (not g.is_homogeneous()
+                                or g.total_degree() < 1):
+            raise SchemaError(gpath, "must be homogeneous of degree >= 1")
+        gens.append(g)
+    return GradedRing(field, variables, gens)
 
 
 # -- contexts --------------------------------------------------------------------

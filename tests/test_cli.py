@@ -115,8 +115,18 @@ class TestZeroDenominator:
                                     "ideal": [ideal]}))
         err = self.run_fresh("cech", "--ring", str(ring), "--twist", "0",
                              "--p", "0")
-        assert err.startswith("%s:ring.ideal: " % ring)
+        assert err.startswith("%s:ring.ideal[0]: " % ring)
         assert "coefficient %s has a zero denominator" % coeff in err
+
+    def test_ring_ideal_cites_generator_index(self, tmp_path):
+        ring = tmp_path / "r.json"
+        ring.write_text(json.dumps({"field": {"type": "prime", "p": 7},
+                                    "variables": ["x", "y"],
+                                    "ideal": ["x*y", "1/7*x*y"]}))
+        err = self.run_fresh("cech", "--ring", str(ring), "--twist", "0",
+                             "--p", "0")
+        assert err.startswith("%s:ring.ideal[1]: " % ring)
+        assert "coefficient 1/7 has a zero denominator in F_7" in err
 
     def test_mf_entry(self, tmp_path, E_u):
         obj = mf_to_json(E_u)
@@ -265,6 +275,15 @@ class TestModuleCommands:
         assert code == 0
         assert out["result"]["perfect"] is False
         assert out["result"]["status"] == "periodic"
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_rel_perfect_rejects_max_steps_below_one(self, run, tmp_path,
+                                                     steps):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run("rel-perfect", "--context", missing,
+                             "--module", missing, "--max-steps", steps)
+        assert code == 1 and out is None
+        assert "--max-steps" in err["error"]
 
 
 class TestFromModule:

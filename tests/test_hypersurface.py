@@ -257,6 +257,11 @@ class TestRelativePerfection:
         rep = is_relatively_perfect(ctx, M)
         assert rep["perfect"] is False and rep["status"] == "periodic"
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_max_steps_below_one_raises(self, ctx_a1, E_u, steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            is_relatively_perfect(ctx_a1, coker_module(E_u), max_steps=steps)
+
     def test_push_to_ambient_adds_w(self, ctx_a1):
         ry = ctx_a1.y_ring()
         M = ModulePresentation.from_columns(ry, [0], [[ry.poly("u")]])

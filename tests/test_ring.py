@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcat.fields import PrimeField, RationalField
-from mfcat.poly import Poly, parse_poly
-from mfcat.ring import GradedRing, binom, monomials_of_degree
+from mfcat.modules import _in_submodule, _module_key, module_buchberger
+from mfcat.poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
+                        mono_mul, parse_poly)
+from mfcat.ring import (GradedRing, binom, buchberger, lead,
+                        monomials_of_degree, reduce_poly, reduce_terms)
 
 
 def poly_strategy(ring, max_terms=4, max_deg=3):
@@ -78,6 +81,118 @@ class TestPolyHash:
         x, y = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1)
         assert hash(x * x + y) == hash(y + x * x)
         assert {f: 1}[g] == 1
+
+
+ENGINE_FIELDS = [PrimeField(32003), PrimeField(7), RationalField()]
+
+
+def s_pairs_reduce_to_zero(F, basis, key, nvars):
+    """The Groebner property: the S-pair of every two elements whose leading
+    terms share a component (the block after the nvars exponents) reduces
+    to zero against basis."""
+    for i, f in enumerate(basis):
+        for g in basis[i + 1:]:
+            (mf, cf), (mg, cg) = lead(f, key), lead(g, key)
+            if mf[nvars:] != mg[nvars:]:
+                continue
+            lcm = mono_lcm(mf, mg)
+            s = {}
+            for h, m, c in ((f, mf, cf), (g, mg, F.neg(cg))):
+                u = F.div(F.one(), c)
+                for e, x in h.items():
+                    e = mono_mul(e, mono_div(lcm, m))
+                    s[e] = F.add(s.get(e, F.zero()), F.mul(u, x))
+            s = {e: x for e, x in s.items() if not F.is_zero(x)}
+            if s and reduce_terms(F, s, basis, key):
+                return False
+    return True
+
+
+def one_hot(ring, entries):
+    """The vector (entries) of S^len(entries) as one-hot term dicts."""
+    n = len(entries)
+    out = {}
+    for r, s in enumerate(entries):
+        unit = tuple(int(k == r) for k in range(n))
+        for e, c in parse_poly(s, ring.variables, ring.field).terms.items():
+            out[e + unit] = c
+    return out
+
+
+class TestGroebnerEngine:
+    @pytest.mark.parametrize("F", ENGINE_FIELDS)
+    def test_twisted_cubic_reduced_basis(self, F):
+        # the 2x2 minors of [[x, y, z], [y, z, w]]: already a Groebner basis
+        # in grevlex, with leads z^2, y*z, y^2
+        v = ["x", "y", "z", "w"]
+        minors = [parse_poly(s, v, F) for s in
+                  ("x*z - y^2", "x*w - y*z", "y*w - z^2")]
+        want = [parse_poly(s, v, F) for s in
+                ("z^2 - y*w", "y*z - x*w", "y^2 - x*z")]
+        assert buchberger(minors) == want
+        # the same ideal from generators that need interreduction
+        m0, m1, m2 = minors
+        assert buchberger([m2, m0 - m1, m1 + m2, m0 * m1]) == want
+
+    @pytest.mark.parametrize("F", ENGINE_FIELDS)
+    def test_ideal_basis_is_reduced_groebner(self, F):
+        v = ["x", "y", "z"]
+        gens = [parse_poly(s, v, F) for s in
+                ("x^2 - y*z", "x*y - z^2", "2*x*z + y^2")]
+        basis = buchberger(gens)
+        terms = [g.terms for g in basis]
+        assert s_pairs_reduce_to_zero(F, terms, grevlex_key, 3)
+        assert all(reduce_poly(g, basis).is_zero() for g in gens)
+        # reduced: monic, and no term of one element is divisible by the
+        # leading monomial of another
+        for i, g in enumerate(basis):
+            assert g.leading_term()[1] == F.one()
+            for h in basis[:i] + basis[i + 1:]:
+                lm = h.leading_term()[0]
+                assert not any(mono_divides(lm, e) for e in g.terms)
+        assert len(basis) > len(gens)   # not a Groebner basis as given
+
+    @pytest.mark.parametrize("F", ENGINE_FIELDS)
+    @pytest.mark.parametrize("split", [0, 1, 2])
+    def test_submodule_basis_is_groebner(self, F, split):
+        ring = GradedRing(F, ["x", "y", "z"])
+        vecs = [one_hot(ring, pair) for pair in
+                (("x", "y"), ("y", "z"), ("z^2", "x*y"))]
+        key = _module_key(3, split)
+        basis = module_buchberger(vecs, F, 3, split)
+        assert len(basis) > len(vecs)
+        assert all(lead(b, key)[1] == F.one() for b in basis)
+        # no S-pair across components: every term stays one-hot
+        assert all(sum(e[3:]) == 1 for b in basis for e in b)
+        assert s_pairs_reduce_to_zero(F, basis, key, 3)
+        assert not any(reduce_terms(F, v, basis, key) for v in vecs)
+
+    @pytest.mark.parametrize("F", ENGINE_FIELDS)
+    def test_one_component_matches_ideal(self, F):
+        ring = GradedRing(F, ["x", "y", "z"])
+        gens = ["x^2 - y*z", "x*y - z^2", "x*z"]
+        basis = module_buchberger([one_hot(ring, [g]) for g in gens], F, 3, 1)
+        ideal = buchberger([ring.poly(g) for g in gens])
+        strip = [Poly(F, 3, {e[:3]: c for e, c in b.items()}) for b in basis]
+        assert buchberger(strip) == ideal
+        assert s_pairs_reduce_to_zero(F, [g.terms for g in strip],
+                                      grevlex_key, 3)
+
+    @pytest.mark.parametrize("F", ENGINE_FIELDS)
+    def test_in_submodule(self, F):
+        # (0, y^2) = y*(x, y) over k[x,y,z]/(xy), but not over k[x,y,z];
+        # (0, y) is in neither
+        gens = [("x", "y"), ("z", "0")]
+        for ring, member in ((GradedRing(F, ["x", "y", "z"],
+                                         ideal_strings=["x*y"]), True),
+                             (GradedRing(F, ["x", "y", "z"]), False)):
+            vecs = [one_hot(ring, g) for g in gens]
+            assert _in_submodule(one_hot(ring, ["0", "y^2"]), vecs, ring,
+                                 2) is member
+            assert not _in_submodule(one_hot(ring, ["0", "y"]), vecs, ring, 2)
+            # z*(x, y) + 3*x*(z, 0)
+            assert _in_submodule(one_hot(ring, ["4*x*z", "y*z"]), vecs,
+                                 ring, 2)
 
 
 class TestGradedPieces:

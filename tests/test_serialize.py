@@ -125,6 +125,18 @@ class TestValidation:
             ring_from_json(obj)
         assert exc.value.path == "ring.variables[%d]" % i
 
+    @pytest.mark.parametrize("ideal, i, message", [
+        (["x*y", "x + 1"], 1, "must be homogeneous of degree >= 1"),
+        (["3"], 0, "must be homogeneous of degree >= 1"),
+        (["x^2", "x*y", "z"], 2, "unknown variable 'z'"),
+    ])
+    def test_bad_ideal_generator_cites_index(self, ideal, i, message):
+        obj = {"field": {"type": "prime"}, "variables": ["x", "y"],
+               "ideal": ideal}
+        with pytest.raises(SchemaError, match=message) as exc:
+            ring_from_json(obj)
+        assert exc.value.path == "ring.ideal[%d]" % i
+
     def test_readable_variable_names_accepted(self):
         names = ["x", "x0", "_t", "Y_12"]
         obj = {"field": {"type": "prime"}, "variables": names}
