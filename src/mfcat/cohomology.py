@@ -1,8 +1,22 @@
-"""Bounded Cech cohomology on Proj R and hypercohomology of twisted
-periodic complexes (MFs of W = 0, such as the mapping complex), plus exact
-global-section spaces and vanishing thresholds.
+"""Line-bundle cohomology on X = Proj R, R = S/I: exact, by local
+duality, and by bounded Cech complexes, the independent oracle; Cech
+hypercohomology of twisted periodic complexes (MFs of W = 0, such as the
+mapping complex); exact global-section spaces and vanishing thresholds.
 
-Truncation trick: the piece of the localized module O(a)(U_S) with
+Local duality: a minimal graded free resolution F of R over the
+polynomial ring S on the same N variables, built once per ring, gives the
+local cohomology of R at the irrelevant ideal m exactly in every degree:
+H^i_m(R)_n is dual to Ext^{N-i}_S(R, S(-N))_{-n}, the homology of the
+dual complex Hom(F, S) at Hom(F_{N-i}, S) in degree -n-N.  From it
+H^p(X, O(n)) = H^{p+1}_m(R)_n for p >= 1, and
+h^0(O(n)) = dim R_n - h^0_m(R)_n + h^1_m(R)_n.  The Castelnuovo-Mumford
+regularity reg R = max_i (b_i - i), b_i the largest degree of an i-th
+syzygy, bounds where all of it vanishes: H^i_m(R)_n = 0 for
+n > reg R - i (Eisenbud, The Geometry of Syzygies, ch. 4 and app. 1).
+Vanishing thresholds and the saturation check Gamma(O(n)) = R_n are
+read off this, with no Cech complex.
+
+Cech truncation trick: the piece of the localized module O(a)(U_S) with
 exponents >= -B on the inverted variables is x_S^{-B} * R_{a + B*|S|}
 (standard monomials), so restriction maps are multiplication by x_i^B and
 the whole truncated Cech bicomplex is assembled from normal-form
@@ -27,8 +41,9 @@ from itertools import accumulate, combinations
 from .linalg import (ExactMatrix, homology_dim, kernel_basis, sparse_blocks,
                      sparse_matmul, sparse_rank, sparse_transpose)
 from .mf import SheafMap, TwistSum
+from .modules import minimal_columns, syzygies
 from .poly import Poly
-from .ring import binom
+from .ring import GradedRing, binom
 
 
 # truncations tried: B = DEFAULT_B_START, doubling up to DEFAULT_B_MAX
@@ -86,7 +101,8 @@ def cech_horizontal(src_space, dst_space):
     """The nonzero blocks of the Cech differential C^p -> C^{p+1} (same
     twist list), as a list of (r, c, rows) in the CechSpace block layout:
     on each twist summand, the face S of T = S + {i} maps by x_i^B,
-    signed (-1)^(position of i in T)."""
+    signed (-1)^(position of i in T).  A block with no rows is skipped:
+    x_i^B = 0 in R (x_i nilpotent), or a target piece of dimension 0."""
     ring = src_space.ring
     nt = len(src_space.twists)
     shift = src_space.B * (src_space.p + 1)
@@ -97,9 +113,9 @@ def cech_horizontal(src_space, dst_space):
         faces = sorted((src_index[T[:pos] + T[pos + 1:]], pos, i)
                        for pos, i in enumerate(T))
         for t, a in enumerate(src_space.twists):
-            blocks += [(tk * nt + t, sk * nt + t,
-                        ring.mult_matrix(restrict[i][pos % 2], a + shift))
-                       for sk, pos, i in faces]
+            blocks += [(tk * nt + t, sk * nt + t, blk) for sk, pos, i in faces
+                       if (blk := ring.mult_matrix(restrict[i][pos % 2],
+                                                   a + shift))]
     return blocks
 
 
@@ -210,6 +226,73 @@ def cech_hypercohomology(C, q):
     return _stable_value(lambda B: cech_hypercohomology_at(C, q, B))
 
 
+# -- local duality ------------------------------------------------------------
+
+
+class LocalDuality:
+    """The minimal graded free resolution S = F_0 <- F_1 <- ... of a ring
+    R = S/I over the polynomial ring S on its variables, with the local
+    cohomology of R read off the dual complex Hom(F, S).
+
+    The resolution starts at a minimal set of the ideal's generators
+    (modules.minimal_columns) and iterates modules.syzygies until a step
+    is zero; free[i] holds the twists of F_i, and duals[i - 1] is the
+    transpose of F_i -> F_{i-1}, a map Hom(F_{i-1}, S) -> Hom(F_i, S)."""
+
+    def __init__(self, ring):
+        S = GradedRing(ring.field, ring.variables)
+        gens = ring.ideal_gens
+        d = minimal_columns(SheafMap.from_rows(
+            S, TwistSum(-g.total_degree() for g in gens), TwistSum([0]),
+            [dict(enumerate(gens))]))
+        maps = []
+        while d.src.rank:
+            maps.append(d)
+            d = syzygies(d)
+        # the ring itself is not kept: it holds this object
+        self.S, self.nvars = S, ring.nvars
+        self.free = [TwistSum([0])] + [d.src for d in maps]
+        self.duals = [SheafMap.from_rows(
+            S, TwistSum(-b for b in d.dst), TwistSum(-a for a in d.src),
+            sparse_transpose(d.rows, d.src.rank)) for d in maps]
+        # an i-th syzygy of degree b spans a summand S(-b) of F_i
+        self.regularity = max(-a - i for i, F in enumerate(self.free)
+                              for a in F)
+        self._local = {}
+
+    def local_dim(self, i, n):
+        """dim H^i_m(R)_n = dim Ext^{N-i}_S(R, S(-N))_{-n}, N the number of
+        variables: the homology of Hom(F, S) at Hom(F_{N-i}, S) in degree
+        -n-N, memoized."""
+        if (i, n) not in self._local:
+            S, N = self.S, self.nvars
+            j, u = N - i, -n - N
+            dim = 0
+            if 0 <= j < len(self.free):
+                spot = sum(S.hilbert(u - a) for a in self.free[j])
+                d_out = S.piece_matrix(self.duals[j], u) \
+                    if j < len(self.duals) else ([], spot)
+                d_in = S.piece_matrix(self.duals[j - 1], u) if j else ([], 0)
+                dim = homology_dim(S.field, d_out, d_in)
+            self._local[i, n] = dim
+        return self._local[i, n]
+
+
+def local_duality(ring):
+    """The LocalDuality of ring, built on first use and held on the ring."""
+    if ring.duality is None:
+        ring.duality = LocalDuality(ring)
+    return ring.duality
+
+
+def h_duality(ring, n, p):
+    """dim H^p(X, O(n)) on X = Proj R, for p >= 0, by local duality."""
+    local = local_duality(ring).local_dim
+    if p == 0:
+        return ring.hilbert(n) - local(0, n) + local(1, n)
+    return local(p + 1, n)
+
+
 # -- exact global sections ----------------------------------------------------
 
 
@@ -218,9 +301,9 @@ class GlobalSections:
 
     Affine-graded mode: Gamma(O(n)) = R_n on the monomial basis.
     Projective space P^m, m >= 1: Gamma(O(n)) = R_n for every n by theorem
-    (Hartshorne III.5.1), so no degree is scanned.  Other projective rings
-    (quotients, and the point P^0, where Gamma(O(n)) = k for n < 0): a
-    per-degree saturation check (stable Cech H^0 dim equals dim R_n)
+    (Hartshorne III.5.1).  Other projective rings (quotients, and the point
+    P^0, where Gamma(O(n)) = k for n < 0): Gamma(O(n)) = R_n exactly when
+    H^0_m(R)_n = H^1_m(R)_n = 0, read off the ring's LocalDuality, which
     enables the same fast path; degrees that fail it fall back to the Cech
     kernel representation (exact dimensions, but sections are not
     polynomials and no strict-morphism basis is extracted there).
@@ -229,7 +312,6 @@ class GlobalSections:
     def __init__(self, ctx):
         self.ctx = ctx
         self.ring = ctx.ring
-        self._saturated = {}
         self._bounds = {}
         self._kernels = {}
         # (E, j) -> (Tot(P(j) tensor E), epsilon), filled by
@@ -239,18 +321,16 @@ class GlobalSections:
     # degree classification
 
     def saturated(self, n):
+        """Whether Gamma(O(n)) = R_n."""
         if self.ctx.is_affine or (self.ring.is_polynomial_ring()
                                   and self.ring.nvars >= 2):
             return True
-        if n not in self._saturated:
-            dim, stable = cech_cohomology(self.ring, n, 0)
-            self._saturated[n] = bool(stable) and dim == self.ring.hilbert(n)
-        return self._saturated[n]
+        local = local_duality(self.ring).local_dim
+        return not (local(0, n) or local(1, n))
 
     def _bound(self, n):
         """The first truncation B of the schedule at which Cech H^0 of
-        O(n) agrees with its value at B + 1 (read from the rank memo that
-        saturated filled)."""
+        O(n) agrees with its value at B + 1."""
         if n not in self._bounds:
             h0 = lambda B: cech_cohomology_at(self.ring, n, 0, B)
             self._bounds[n] = next((B for B in truncations()
@@ -274,7 +354,8 @@ class GlobalSections:
 
     @cached_property
     def threshold(self):
-        """vanishing_threshold(ctx) as (n0, tag), scanned once per context."""
+        """vanishing_threshold(ctx) as (n0, tag), computed once per
+        context."""
         return vanishing_threshold(self.ctx)
 
     def monomial_path(self, degrees):
@@ -342,33 +423,18 @@ def _single_entry_map(ring, p, a, b):
 
 
 def vanishing_threshold(ctx):
-    """n0 with H^p(X, O(n)) = 0 for all p > 0, n >= n0.
+    """n0 with H^p(X, O(n)) = 0 for all p > 0 and n >= n0, as (n0, tag).
 
-    Exact for projective space; otherwise scanned over n in [-2m-2, 2]
-    with stability flags (the scan is heuristic evidence and refuses to
-    answer when unstable or when no clean tail is visible; the caller can
-    then pass stabilize(threshold=) instead).  Returns (n0, tag)."""
+    Projective space P^m: the closed form -m, tagged "exact".  Any other
+    ring, by local duality, tagged "duality": vanishing for n >= reg R - 1
+    is a theorem, and from there n0 steps down while every H^p of the next
+    twist down is 0, to no lower than -2m-2."""
     ring = ctx.ring
     m = ring.nvars - 1
     if ring.is_polynomial_ring():
         return -m, "exact"
-    n_lo, n_hi = -2 * m - 2, 2
-    table = {}
-    for n in range(n_lo, n_hi + 1):
-        for p in range(1, m + 1):
-            dim, stable = cech_cohomology(ring, n, p)
-            if not stable:
-                raise RuntimeError(
-                    "Cech scan unstable at (n=%d, p=%d); pass an explicit "
-                    "threshold to stabilize(threshold=)" % (n, p))
-            table[(n, p)] = dim
-    n0 = None
-    for n in range(n_lo, n_hi + 1):
-        if all(table[(nn, p)] == 0
-               for nn in range(n, n_hi + 1) for p in range(1, m + 1)):
-            n0 = n
-            break
-    if n0 is None:
-        raise RuntimeError("no vanishing tail found in the scanned window; "
-                           "pass an explicit threshold to stabilize(threshold=)")
-    return n0, "scanned"
+    n0 = local_duality(ring).regularity - 1
+    while n0 > -2 * m - 2 and not any(h_duality(ring, n0 - 1, p)
+                                      for p in range(1, m + 1)):
+        n0 -= 1
+    return n0, "duality"

@@ -5,22 +5,22 @@ A presentation is the cokernel of its relation matrix rel, a SheafMap
 (the sparse-row matrix of ring elements that the MF side uses): the
 relation twists are rel.src, the generator twists rel.dst.  Its graded
 pieces are only counted, from the rank of rel's piece matrix.  Submodule
-membership and syzygies run the Groebner engine of ring.py on free-module
-vectors: term dicts whose monomials are an exponent tuple followed by a
-one-hot block naming the component, so that a term divides another only
-within its component; syzygies and minimal_columns turn the columns of a
-map into such vectors where they start.  The module order ranks the first
-`split` components above the rest (the elimination that extracts
-syzygies, by tag columns), then grevlex on the monomial, then the lower
-component.
+membership is linear algebra in one graded piece (minimal_columns).
+Syzygies run the Groebner engine of ring.py on free-module vectors: term
+dicts whose monomials are an exponent tuple followed by a one-hot block
+naming the component, so that a term divides another only within its
+component; syzygies turns the columns of a map into such vectors where
+it starts.  The module order ranks the first `split` components above
+the rest (the elimination that extracts syzygies, by tag columns), then
+grevlex on the monomial, then the lower component.
 """
 
 from itertools import combinations
 
-from .linalg import sparse_rank, sparse_transpose
+from .linalg import solve, sparse_rank, sparse_transpose
 from .mf import SheafMap, TwistSum
 from .poly import Poly, grevlex_key
-from .ring import buchberger, groebner_terms, reduce_poly, reduce_terms
+from .ring import buchberger, groebner_terms, reduce_poly
 
 
 # -- free-module vectors -------------------------------------------------
@@ -209,28 +209,24 @@ def syzygies(rel):
 def minimal_columns(rel):
     """rel on a minimal generating set of its columns: greedily, in order,
     drop any column that is zero or lies in the R-submodule generated by the
-    others."""
-    ncomp = rel.dst.rank
-    vecs = _column_vectors(rel, ncomp)
-    keep = list(range(len(vecs)))
+    others.  A column of twist t is homogeneous of degree -t, so it lies
+    there exactly when its coordinates in the degree -t pieces are in the
+    column span of the others' piece matrix in degree -t."""
+    ring, rows = rel.ring, range(rel.dst.rank)
+    cols = sparse_transpose(rel.rows, rel.src.rank)
+    keep = [c for c, col in enumerate(cols) if col]
     i = 0
     while i < len(keep):
-        v = vecs[keep[i]]
-        others = [vecs[k] for k in keep[:i] + keep[i + 1:] if vecs[k]]
-        if not v or (others and _in_submodule(v, others, rel.ring, ncomp)):
+        c = keep[i]
+        t = -rel.src[c]
+        b = ring.coords([cols[c].get(r, ring.zero()) for r in rows],
+                        [t + a for a in rel.dst])
+        others = rel.submatrix(rows, keep[:i] + keep[i + 1:])
+        if solve(ring.field, *ring.piece_matrix(others, t), b) is not None:
             del keep[i]
         else:
             i += 1
-    return rel.submatrix(range(ncomp), keep)
-
-
-def _in_submodule(v, vectors, ring, ncomp):
-    """Whether v lies in the R-submodule of R^ncomp generated by the
-    vectors."""
-    gb = module_buchberger(vectors + _ideal_closure_vectors(ring, ncomp, ncomp),
-                           ring.field, ring.nvars, split=ncomp)
-    return not reduce_terms(ring.field, v, gb,
-                            _module_key(ring.nvars, ncomp))
+    return rel.submatrix(rows, keep)
 
 
 def syzygy_presentation(pres):

@@ -170,6 +170,10 @@ class GradedRing:
         # (n, p, B) -> rank of the Cech differential of O(n) out of C^p at
         # truncation B, filled by cohomology.cech_cohomology_at
         self.cech_ranks = {}
+        # the minimal graded free resolution of this ring over the
+        # polynomial ring and the local cohomology read off it, built on
+        # first use by cohomology.local_duality
+        self.duality = None
 
     # -- basic element helpers ------------------------------------------
 

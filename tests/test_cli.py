@@ -199,6 +199,23 @@ class TestCech:
         assert code == 0
         assert out["result"]["dim"] == 4
 
+    @pytest.mark.parametrize("twist, p, dim", [
+        (0, 0, 1), (1, 0, 3), (-1, 1, 1), (-2, 1, 3), (-3, 1, 5), (0, 1, 0),
+        (-2, 2, 0)])
+    def test_nilpotent_variable(self, run, tmp_path, twist, p, dim):
+        """On the double line Proj k[x,y,z]/(x^2), x^B = 0, so the Cech
+        restriction blocks by x vanish; h^p(O(n)) is h^p of O(n) and of
+        O(n - 1) on the reduced line P^1, so h^1(O(-2)) = 1 + 2."""
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({"field": {"type": "prime", "p": 32003},
+                                    "variables": ["x", "y", "z"],
+                                    "ideal": ["x^2"]}))
+        code, out, err = run("cech", "--ring", str(ring), "--twist",
+                             str(twist), "--p", str(p))
+        assert code == 0 and err is None
+        assert out["result"] == {"dim": dim, "stable": True, "twist": twist,
+                                 "p": p}
+
     def test_determinism(self, run):
         _c1, o1, _ = run("cech", "--space", "P1", "--twist", "-2", "--p", "1")
         _c2, o2, _ = run("cech", "--space", "P1", "--twist", "-2", "--p", "1")

@@ -4,10 +4,11 @@
 The recorded hashes are in ``cli_golden.json``.  The commands run in a
 directory holding the seed-0 a1-affine, p1-small and p2-small corpora as
 MF JSON files, the nodal curve Proj k[x,y,z]/(xy) (W = z) as a ring
-file and unit-grown MF files, module and map files for the module-side
-commands, and a rank-two factorization of the affine-graded quadric
-W = xy + z^2, all named relatively, so the reports do not depend on where
-the files live."""
+file and unit-grown MF files, the double line Proj k[x,y,z]/(x^2) as a
+ring file, module and map files for the module-side commands, and a
+rank-two factorization of the affine-graded quadric W = xy + z^2, all
+named relatively, so the reports do not depend on where the files
+live."""
 
 import hashlib
 import json
@@ -48,6 +49,13 @@ def _nodal_files():
     out = {"nodal_%d.json" % i: mf_to_json(E) for i, E in enumerate(objs)}
     out["nodal_ring.json"] = ring_to_json(ring)
     return out
+
+
+def _double_line_files():
+    """The double line Proj k[x,y,z]/(x^2), where x is nilpotent."""
+    ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                      ideal_strings=["x^2"])
+    return {"double_line_ring.json": ring_to_json(ring)}
 
 
 def _module_files():
@@ -91,6 +99,7 @@ def _quadric_files():
 
 FILES = _files()
 NODAL_FILES = _nodal_files()
+DOUBLE_LINE_FILES = _double_line_files()
 MODULE_FILES = _module_files()
 QUADRIC_FILES = _quadric_files()
 
@@ -121,8 +130,8 @@ def _commands():
 
 
 def _cech_commands():
-    """Line bundles on P^1, P^2, P^3 and on the nodal curve, and
-    hypercohomology of nodal mapping complexes."""
+    """Line bundles on P^1, P^2, P^3, on the nodal curve and on the double
+    line, and hypercohomology of nodal mapping complexes."""
     grid = [("P1", n, p) for n in range(-4, 4) for p in (0, 1)]
     grid += [("P2", n, p) for n in range(-5, 3) for p in (0, 1, 2)]
     grid += [("P3", n, p) for n in (-5, -4, -1, 0, 1) for p in (0, 1, 2, 3)]
@@ -130,6 +139,8 @@ def _cech_commands():
             for m, n, p in grid]
     cmds += [["cech", "--ring", "nodal_ring.json", "--twist", str(n),
               "--p", str(p)] for n in range(-3, 3) for p in (0, 1)]
+    cmds += [["cech", "--ring", "double_line_ring.json", "--twist", str(n),
+              "--p", str(p)] for n in range(-3, 3) for p in (0, 1, 2)]
     nodal = ["nodal_%d.json" % i for i in range(3)]
     cmds += [["cech-hh", "--source", s, "--target", t, "--q", q]
              for q in ("-1", "0") for s in nodal for t in nodal]
@@ -175,8 +186,8 @@ def report_sha256(text):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
-    for name, obj in {**FILES, **NODAL_FILES, **MODULE_FILES,
-                      **QUADRIC_FILES}.items():
+    for name, obj in {**FILES, **NODAL_FILES, **DOUBLE_LINE_FILES,
+                      **MODULE_FILES, **QUADRIC_FILES}.items():
         (d / name).write_text(json.dumps(obj, sort_keys=True))
     return d
 
@@ -188,7 +199,9 @@ def workdir(tmp_path_factory):
 # the cech and nodal cech-hh reports from commit aba7918, before each
 # truncated Cech differential was assembled in one pass; the module-side
 # and quadric reports from commit ce91ad4, before a module presentation
-# kept its relations as a SheafMap
+# kept its relations as a SheafMap; the double-line cech reports from the
+# code that first skipped the vanishing Cech restriction blocks of a
+# nilpotent variable (before it, they failed)
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json")
                     .read_text(encoding="utf-8"))
 

@@ -144,8 +144,7 @@ class TestGlobalSections:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_projective_space_saturated_by_theorem(self, m):
         """Gamma(P^m, O(n)) = R_n for every n when m >= 1 (Hartshorne
-        III.5.1): GlobalSections answers without a scan, and the Cech
-        scan it skips agrees."""
+        III.5.1): GlobalSections answers by theorem, and Cech agrees."""
         ring = GradedRing(PrimeField(DEFAULT_PRIME),
                           ["x%d" % i for i in range(m + 1)])
         gs = GlobalSections(MFContext(ring, ring.poly("x0")))
@@ -155,7 +154,8 @@ class TestGlobalSections:
 
     def test_point_unsaturated_in_negative_degrees(self):
         """P^0 is a point: Gamma(O(n)) = k for every n, but R_n = 0 for
-        n < 0, so the scan stays and finds those degrees unsaturated."""
+        n < 0, so the theorem for P^m, m >= 1, does not apply, and local
+        duality finds those degrees unsaturated: H^1_m(k[x])_n = k."""
         ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x"])
         gs = GlobalSections(MFContext(ring, ring.poly("x")))
         for n in range(-4, 0):
@@ -163,19 +163,24 @@ class TestGlobalSections:
             assert gs.dim(n) == 1
         assert all(gs.saturated(n) for n in range(0, 4))
 
-    def test_scan_only_off_projective_space(self, monkeypatch):
+    def test_no_cech_for_saturation_or_threshold(self, monkeypatch):
+        """Saturation and the vanishing threshold are decided without
+        Cech: on P^2 by theorem, and on the conic by local duality."""
         calls = []
-        real = cohomology.cech_cohomology
-        monkeypatch.setattr(cohomology, "cech_cohomology",
-                            lambda *a: calls.append(a) or real(*a))
+        for name in ("cech_cohomology", "cech_cohomology_at"):
+            real = getattr(cohomology, name)
+            monkeypatch.setattr(cohomology, name,
+                                lambda *a, real=real: calls.append(a)
+                                or real(*a))
         ctx, objs = generate_suite(0, "p2-small")
         gs = GlobalSections(ctx)
         assert hom_H(objs[1], objs[3], gs).dimension == 0
-        assert calls == []
         conic = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
                            ideal_strings=["x*z - y^2"])
-        assert GlobalSections(MFContext(conic, conic.poly("x"))).saturated(0)
-        assert len(calls) == 1
+        ctx = MFContext(conic, conic.poly("x"))
+        assert GlobalSections(ctx).saturated(0)
+        assert vanishing_threshold(ctx) == (0, "duality")
+        assert calls == []
 
     def test_mult_commutes(self, ctx_p1):
         gs = GlobalSections(ctx_p1)
@@ -205,16 +210,6 @@ class TestTruncation:
             for p in (1, 2):
                 dim, stable = cech_cohomology(ring, n, p)
                 assert stable and dim == 0
-
-    def test_unstable_scan_names_the_escape_hatch(self, monkeypatch):
-        # the nodal curve's threshold is scanned; capped at B = 1 the scan
-        # cannot settle, and the error points at stabilize(threshold=)
-        monkeypatch.setattr(cohomology, "DEFAULT_B_START", 1)
-        monkeypatch.setattr(cohomology, "DEFAULT_B_MAX", 1)
-        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
-                          ideal_strings=["x*y"])
-        with pytest.raises(RuntimeError, match=r"stabilize\(threshold=\)"):
-            vanishing_threshold(MFContext(ring, ring.poly("z")))
 
 
 # -- one-pass assembly ----------------------------------------------------
@@ -502,8 +497,10 @@ class TestSectionMultiplication:
         monkeypatch.setattr(cohomology, "kernel_basis",
                             lambda *a: kernels.append(a) or real_kernel(*a))
         assert gs.dim(0) == 2 and gs.dim(0) == 2
-        # the bound is read from the ranks saturated() left on the ring
-        assert ranks == [] and len(kernels) == 1
+        # saturated() runs no Cech, so _bound takes its own ranks, B = 4
+        # and 5, once; then one elimination at the chosen bound
+        assert len(ranks) == 2 and len(kernels) == 1
+        assert kernels[0][1:] == _horizontal_rows(ctx.ring, 0, gs._bound(0))
 
 
 def per_entry_rows(gs, f):

@@ -231,7 +231,7 @@ class TestStabilization:
 
 class TestNodalStabilization:
     """Koszul stabilization on the pure powers over Proj k[x,y,z]/(xy),
-    W = z, where the vanishing threshold comes from a Cech scan."""
+    W = z, where the vanishing threshold comes from local duality."""
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_heavy_endomorphisms_at_level_2(self, shift):
@@ -275,14 +275,14 @@ class TestNodalStabilization:
         for E, F in pairs:
             shared = stabilize(E, F, gs=gs)[2].describe()
             assert shared == stabilize(E, F)[2].describe()
-            assert shared["threshold_tag"] == "scanned"
+            assert shared["threshold_tag"] == "duality"
 
     def test_explicit_threshold_bypasses_cache(self, monkeypatch):
         ctx, pairs = nodal_light_pairs()
         gs = GlobalSections(ctx)
         n0, tag = gs.threshold
         monkeypatch.setattr(cohomology, "vanishing_threshold",
-                            lambda c: pytest.fail("threshold rescanned"))
+                            lambda c: pytest.fail("threshold recomputed"))
         E, F = pairs[0]
         cert = stabilize(E, F, threshold=(n0 + 1, "override"),
                          gs=GlobalSections(ctx))[2]
