@@ -38,17 +38,29 @@ def _load_json(path):
                        % (path, exc.lineno, exc.colno, exc.msg))
 
 
-def _load_mf(path, ctx=None):
-    obj = _load_json(path)
-    return mf_from_json(obj, path="%s:mf" % path, ctx=ctx), obj
+def _load_mfs(inputs, *paths):
+    """The MFs at `paths`, each after the first read in the first one's
+    context; every file's JSON is appended to inputs, in order."""
+    mfs = []
+    for path in paths:
+        obj = _load_json(path)
+        mfs.append(mf_from_json(obj, path="%s:mf" % path,
+                                ctx=mfs[0].ctx if mfs else None))
+        inputs.append(obj)
+    return mfs
 
 
-def _load_module(path, default_ring=None):
+def _load_module(inputs, path, ring=None):
+    """The module at `path`, its JSON appended to inputs.  Given `ring`
+    (R/(W) of the source), a file without a ring is read over it and a
+    module over any other ring is refused."""
     obj = _load_json(path)
-    if default_ring is not None and "ring" not in obj:
-        return module_from_json(obj, path="%s:module" % path,
-                                ring=default_ring), obj
-    return module_from_json(obj, path="%s:module" % path), obj
+    M = module_from_json(obj, path="%s:module" % path,
+                         ring=None if "ring" in obj else ring)
+    inputs.append(obj)
+    if ring is not None and M.ring != ring:
+        raise CliError("module must live over the hypersurface ring R/(W)")
+    return M
 
 
 def _apply_shift_twist(E, shift, twist):
@@ -85,16 +97,13 @@ def _serialize_basis(hs):
 
 
 def cmd_verify(args, inputs):
-    E, obj = _load_mf(args.source)
-    inputs.append(obj)
+    [E] = _load_mfs(inputs, args.source)
     report = verify_mf(E)
     return report, 0
 
 
 def cmd_hom(args, inputs):
-    E, so = _load_mf(args.source)
-    F, to = _load_mf(args.target, ctx=E.ctx)
-    inputs.extend([so, to])
+    E, F = _load_mfs(inputs, args.source, args.target)
     F = _apply_shift_twist(F, args.shift, args.twist)
     if args.model == "naive":
         hs = hom_naive(E, F)
@@ -108,10 +117,7 @@ def cmd_hom(args, inputs):
 
 
 def cmd_compose(args, inputs):
-    E, so = _load_mf(args.source)
-    F, mo = _load_mf(args.middle, ctx=E.ctx)
-    G, to = _load_mf(args.target, ctx=E.ctx)
-    inputs.extend([so, mo, to])
+    E, F, G = _load_mfs(inputs, args.source, args.middle, args.target)
     gs = GlobalSections(E.ctx)
     hom_ef = hom_H(E, F, gs)
     hom_fg = hom_H(F, G, gs)
@@ -152,9 +158,7 @@ def cmd_cech(args, inputs):
 
 
 def cmd_cech_hh(args, inputs):
-    E, so = _load_mf(args.source)
-    F, to = _load_mf(args.target, ctx=E.ctx)
-    inputs.extend([so, to])
+    E, F = _load_mfs(inputs, args.source, args.target)
     if E.ctx.is_affine:
         raise CliError("cech-hh requires a projective context")
     C = mapping_complex(E, F)
@@ -163,9 +167,7 @@ def cmd_cech_hh(args, inputs):
 
 
 def cmd_stabilize(args, inputs):
-    E, so = _load_mf(args.source)
-    F, to = _load_mf(args.target, ctx=E.ctx)
-    inputs.extend([so, to])
+    E, F = _load_mfs(inputs, args.source, args.target)
     if E.ctx.is_affine:
         raise CliError("stabilize requires a projective context")
     Ep, eps, cert = stabilize(E, F, args.min_degree)
@@ -175,8 +177,7 @@ def cmd_stabilize(args, inputs):
 
 
 def cmd_contractible(args, inputs):
-    E, so = _load_mf(args.source)
-    inputs.append(so)
+    [E] = _load_mfs(inputs, args.source)
     glob = is_contractible(E)
     local = locally_contractible(E)
     result = {"contractible": glob, "locally_contractible": local}
@@ -184,16 +185,14 @@ def cmd_contractible(args, inputs):
 
 
 def cmd_prop28(args, inputs):
-    E, so = _load_mf(args.source)
-    inputs.append(so)
+    [E] = _load_mfs(inputs, args.source)
     report = prop28_report(E)
     code = 2 if report["condition4_locally_free_coker"] == "inconclusive" else 0
     return report, code
 
 
 def cmd_coker(args, inputs):
-    E, so = _load_mf(args.source)
-    inputs.append(so)
+    [E] = _load_mfs(inputs, args.source)
     pres = coker_module(E, minimal=not args.raw)
     return {"module": module_to_json(pres)}, 0
 
@@ -206,12 +205,8 @@ def cmd_from_module(args, inputs):
 
 
 def cmd_ext_table(args, inputs):
-    E, so = _load_mf(args.source)
-    inputs.append(so)
-    N, no = _load_module(args.module, default_ring=E.ctx.y_ring())
-    inputs.append(no)
-    if N.ring != E.ctx.y_ring():
-        raise CliError("module must live over the hypersurface ring R/(W)")
+    [E] = _load_mfs(inputs, args.source)
+    N = _load_module(inputs, args.module, E.ctx.y_ring())
     if args.q_lo > args.q_hi:
         raise CliError("--q-lo (%d) must not exceed --q-hi (%d)"
                        % (args.q_lo, args.q_hi))
@@ -220,12 +215,8 @@ def cmd_ext_table(args, inputs):
 
 
 def cmd_stable_hom(args, inputs):
-    E, so = _load_mf(args.source)
-    inputs.append(so)
-    N, no = _load_module(args.module, default_ring=E.ctx.y_ring())
-    inputs.append(no)
-    if N.ring != E.ctx.y_ring():
-        raise CliError("module must live over the hypersurface ring R/(W)")
+    [E] = _load_mfs(inputs, args.source)
+    N = _load_module(inputs, args.module, E.ctx.y_ring())
     dim, stable, q = stable_hom_dim(E, N)
     return {"dim": dim, "stable": stable, "q": q}, 0 if stable else 2
 
@@ -237,8 +228,7 @@ def cmd_rel_perfect(args, inputs):
     cobj = _load_json(args.context)
     inputs.append(cobj)
     ctx = context_from_json(cobj, path="%s:context" % args.context)
-    M, mo = _load_module(args.module)
-    inputs.append(mo)
+    M = _load_module(inputs, args.module)
     res = is_relatively_perfect(ctx, M, max_steps=args.max_steps)
     result = {"perfect": res["perfect"], "steps": res["steps"],
               "status": res["status"]}

@@ -1,6 +1,8 @@
-"""Hom-sets in the naive and hypercohomology homotopy categories,
-Koszul stabilization with self-checking certificates, composition of
-stabilized classes, and the contractibility/weak-equivalence predicates.
+"""Hom-sets in the naive and hypercohomology homotopy categories as one
+object, HomSpace (H^0 of Gamma of the mapping complex: the dimension on
+construction, the basis and class coordinates on first read), Koszul
+stabilization with self-checking certificates, composition of stabilized
+classes, and the contractibility/weak-equivalence predicates.
 """
 
 from functools import cached_property
@@ -22,30 +24,82 @@ FITTING_CAP = 9     # locally_contractible scans Fitting ideals up to this
 
 
 class HomSpace:
-    """A computed Hom-set: dimension, canonical basis data, model tag."""
+    """Hom(src, dst) as H^0 of Gamma of the mapping complex out of
+    `stabilized_src`: m_in = Gamma(d^-1) with n_in columns and m_out =
+    Gamma(d^0) with n columns, as sparse rows.  The dimension is counted on
+    construction, after checking m_out m_in = 0 (the boundaries lie in the
+    cycles); the cycle basis, the boundary reducer and the basis of classes
+    are built on first read.
 
-    def __init__(self, src, dst, model, dimension, basis, tower,
-                 certificate=None, stabilized_src=None, gamma=None):
-        self.src = src
+    hom_naive builds it with model 'naive'; hom_H relabels it as the
+    'hyper' Hom out of `src`, with the Koszul `tower` and `certificate`
+    of the stabilization.  A zero object has dimension 0, basis [] and no
+    cycle space or reducer; off the monomial path the basis is None."""
+
+    def __init__(self, src, dst, gs):
+        self.src = self.stabilized_src = src
         self.dst = dst
-        self.model = model            # 'naive' | 'hyper'
-        self.dimension = dimension
-        self.basis = basis            # list of StabilizedClass, or None
-        self.tower = tower            # tuple of Koszul levels j
-        self.certificate = certificate
-        self.stabilized_src = stabilized_src if stabilized_src is not None else src
-        self.gamma = gamma            # GammaComplex, or None for a zero object
+        self.model = "naive"            # 'naive' | 'hyper'
+        self.tower = ()                 # tuple of Koszul levels j
+        self.certificate = None
+        self.field = gs.ring.field
+        self.m_out = None               # stays None for a zero object
+        self.dimension = 0
+        if src.is_zero_object() or dst.is_zero_object():
+            return
+        C = mapping_complex(src, dst)
+        self._monomial = gs.monomial_path(list(C.E0.twists))
+        self.m_in, self.n_in = gs.sheafmap_rows(C.e1)
+        self.m_out, self.n = gs.sheafmap_rows(C.e0)
+        if any(sparse_matmul(self.field, self.m_out, self.m_in)):
+            raise ValueError("boundary space is not contained in the cycle space")
+        self.dimension = homology_dim(self.field, (self.m_out, self.n),
+                                      (self.m_in, self.n_in))
 
-    @property
+    @cached_property
     def cycle_space(self):
-        """Kernel basis of Gamma(d^0) as sparse vectors, built on first
-        access."""
-        return None if self.gamma is None else self.gamma.cycle_space
+        """Kernel basis of Gamma(d^0) as sparse vectors."""
+        if self.m_out is None:
+            return None
+        return kernel_basis(self.field, self.m_out, self.n)
 
-    @property
+    @cached_property
     def reducer(self):
-        """CosetReducer modulo the boundaries, built on first access."""
-        return None if self.gamma is None else self.gamma.reducer
+        """CosetReducer modulo the boundaries."""
+        if self.m_out is None:
+            return None
+        return CosetReducer(self.field, self.m_in, self.n_in)
+
+    @cached_property
+    def basis(self):
+        """StabilizedClasses src -> dst along `tower`, represented by
+        verified strict morphisms out of `stabilized_src`: the reduced
+        cycles independent of those picked before them, tested on one
+        growing echelon form."""
+        if self.m_out is None:
+            return []
+        if not self._monomial:
+            return None
+        if not self.dimension:
+            return []
+        picked = {}
+        classes = []
+        for z in self.cycle_space:
+            v = self.reducer.reduce(z)
+            if echelon_add(self.field, picked, v) is not None:
+                f = strict_from_cycle(self.stabilized_src, self.dst, v)
+                classes.append(StabilizedClass(self.src, self.dst,
+                                               self.tower, f))
+        assert len(classes) == self.dimension
+        return classes
+
+    def coords(self, cls):
+        """Canonical coordinates of a class with representative
+        stabilized_src -> dst: its boundary-reduced Gamma(C^0) vector
+        (classes are equal iff these agree, at equal towers)."""
+        v = self.reducer.reduce(cycle_from_strict(cls.rep))
+        zero = self.field.zero()
+        return tuple(v.get(i, zero) for i in range(self.reducer.ambient))
 
 
 class StabilizedClass:
@@ -64,80 +118,17 @@ class StabilizedClass:
         return StabilizedClass(E, E, (), StrictMorphism.identity(E))
 
 
-class GammaComplex:
-    """Gamma of a mapping complex around degree 0, as sparse rows:
-    m_in = Gamma(d^-1) with n_in columns, m_out = Gamma(d^0) with n columns.
-    The cycle basis and boundary reducer, needed only for bases and class
-    coordinates, are built on first access."""
-
-    def __init__(self, C, gs):
-        self.field = gs.ring.field
-        self.m_in, self.n_in = gs.sheafmap_rows(C.e1)
-        self.m_out, self.n = gs.sheafmap_rows(C.e0)
-
-    def h0_dim(self):
-        """dim ker m_out / im m_in, after checking m_out m_in = 0 (the
-        boundaries lie in the cycles)."""
-        if any(sparse_matmul(self.field, self.m_out, self.m_in)):
-            raise ValueError("boundary space is not contained in the cycle space")
-        return homology_dim(self.field, (self.m_out, self.n),
-                            (self.m_in, self.n_in))
-
-    @cached_property
-    def cycle_space(self):
-        return kernel_basis(self.field, self.m_out, self.n)
-
-    @cached_property
-    def reducer(self):
-        return CosetReducer(self.field, self.m_in, self.n_in)
-
-
-def hom_naive(E, F, gs=None, want_basis=True):
+def hom_naive(E, F, gs=None):
     """Strict morphisms modulo homotopy: H^0 of Gamma(mapping complex)."""
     if E.ctx != F.ctx:
         raise ValueError("context mismatch")
-    gs = gs or GlobalSections(E.ctx)
-    if E.is_zero_object() or F.is_zero_object():
-        return HomSpace(E, F, "naive", 0, [], ())
-    C = mapping_complex(E, F)
-    gamma = GammaComplex(C, gs)
-    dim = gamma.h0_dim()
-    basis = None
-    if want_basis and gs.monomial_path(list(C.E0.twists)):
-        basis = _cycle_basis_classes(E, F, gamma.cycle_space,
-                                     gamma.reducer) if dim else []
-        assert len(basis) == dim
-    return HomSpace(E, F, "naive", dim, basis, (), gamma=gamma)
+    return HomSpace(E, F, gs or GlobalSections(E.ctx))
 
 
-def _cycle_basis_classes(E, F, Z, reducer):
-    """Coset representatives of ker/im as verified strict morphisms: the
-    reduced cycles independent of those picked before them, tested on one
-    growing echelon form."""
-    field = E.ctx.ring.field
-    picked = {}
-    classes = []
-    for z in Z:
-        v = reducer.reduce(z)
-        if echelon_add(field, picked, v) is not None:
-            f = strict_from_cycle(E, F, v)
-            classes.append(StabilizedClass(E, F, (), f))
-    return classes
-
-
-def class_coords(cls, gs=None, hom_space=None):
-    """Canonical coordinates of a class: the boundary-reduced Gamma(C^0)
-    vector of its representative (classes are equal iff these agree, at
-    equal towers)."""
-    E = cls.rep.src
-    F = cls.dst
-    gs = gs or GlobalSections(F.ctx)
-    if hom_space is None:
-        hom_space = hom_naive(E, F, gs, want_basis=False)
-    reducer = hom_space.reducer
-    v = reducer.reduce(cycle_from_strict(cls.rep))
-    zero = gs.ring.field.zero()
-    return tuple(v.get(i, zero) for i in range(reducer.ambient))
+def class_coords(cls, gs=None):
+    """Canonical coordinates of a class in the naive Hom-set of its
+    representative (see HomSpace.coords)."""
+    return hom_naive(cls.rep.src, cls.dst, gs).coords(cls)
 
 
 # -- stabilization -------------------------------------------------------------
@@ -217,26 +208,23 @@ def stabilize(E, F, M=0, threshold=None, gs=None):
     return Ep, eps, cert
 
 
-def hom_H(E, F, gs=None, want_basis=True):
+def hom_H(E, F, gs=None):
     """Hom in the hypercohomology homotopy category.
 
-    Affine-graded mode: equals hom_naive.  Projective mode: hom_naive out
-    of the Koszul stabilization of the source, with the certificate."""
+    Affine-graded mode: hom_naive(E, F).  Projective mode: hom_naive out
+    of the Koszul stabilization E' of the source, with the certificate.
+    Either way the naive HomSpace is returned relabelled as Hom(E, F)."""
     if E.ctx != F.ctx:
         raise ValueError("context mismatch")
     gs = gs or GlobalSections(E.ctx)
-    if E.ctx.is_affine:
-        hs = hom_naive(E, F, gs, want_basis=want_basis)
-        return HomSpace(E, F, "hyper", hs.dimension, hs.basis, (),
-                        gamma=hs.gamma)
-    Ep, eps, cert = stabilize(E, F, 0, gs=gs)
-    hs = hom_naive(Ep, F, gs, want_basis=want_basis)
-    basis = None
-    if hs.basis is not None:
-        basis = [StabilizedClass(E, F, (cert.j,), cls.rep)
-                 for cls in hs.basis]
-    return HomSpace(E, F, "hyper", hs.dimension, basis, (cert.j,),
-                    certificate=cert, stabilized_src=Ep, gamma=hs.gamma)
+    Ep, cert = E, None
+    if not E.ctx.is_affine:
+        Ep, _eps, cert = stabilize(E, F, 0, gs=gs)
+    hs = hom_naive(Ep, F, gs)
+    # relabelled before its basis is first read, so the classes are E -> F
+    hs.src, hs.model, hs.certificate = E, "hyper", cert
+    hs.tower = (cert.j,) if cert is not None else ()
+    return hs
 
 
 # -- composition ----------------------------------------------------------------

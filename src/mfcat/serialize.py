@@ -181,6 +181,10 @@ def mf_from_json(obj, path="mf", ctx=None):
     _require_keys(obj, path, required, optional)
     if ctx is None:
         ctx = context_from_json(obj["context"], path + ".context")
+    elif ("context" in obj and
+          context_from_json(obj["context"], path + ".context") != ctx):
+        raise SchemaError(path + ".context",
+                          "does not match the source's context")
     ring = ctx.ring
     E1 = TwistSum(_int_list(obj["E1"], path + ".E1"))
     E0 = TwistSum(_int_list(obj["E0"], path + ".E0"))

@@ -93,7 +93,7 @@ def test_a4_stable_homs_vanish_but_naive_cycles_do_not(profile):
     gs = GlobalSections(ctx)
     some_nonzero_cycles = False
     for E in objs:
-        naive = hom_naive(E, E, gs=gs, want_basis=False)
+        naive = hom_naive(E, E, gs=gs)
         if naive.cycle_space:
             some_nonzero_cycles = True
         for F in objs:

@@ -12,7 +12,7 @@ from mfcat.cli import main
 from mfcat.hypersurface import coker_module
 from mfcat.mf import mapping_complex
 from mfcat.serialize import context_to_json, mf_to_json, module_to_json
-from mfcat.suite import projective_context
+from mfcat.suite import generate_suite, projective_context
 
 
 @pytest.fixture()
@@ -164,6 +164,57 @@ class TestTwistStep:
         assert "Traceback" not in proc.stderr
         assert "bad.json:mf.context.twist_step" in \
             json.loads(proc.stderr)["error"]
+
+
+class TestTargetContext:
+    """A second or third MF file is read in the source's context: a
+    `context` field of its own must equal that context."""
+
+    COMMANDS = (("hom", "--target"), ("compose", "--middle", "e.json",
+                                      "--target"),
+                ("cech-hh", "--target"), ("stabilize", "--target"))
+
+    @staticmethod
+    def write(tmp_path, edit):
+        _ctx, objs = generate_suite(0, "p1-small")
+        obj = mf_to_json(objs[0])
+        (tmp_path / "e.json").write_text(json.dumps(obj))
+        edit(obj)
+        (tmp_path / "f.json").write_text(json.dumps(obj))
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("edit", [
+        lambda o: o["context"].update(mode="affine-graded"),
+        lambda o: o["context"]["ring"].update(field={"type": "prime",
+                                                     "p": 7}),
+        lambda o: o.update(context=5),
+    ], ids=["mode", "field", "not-an-object"])
+    def test_other_context_exits_one(self, run, tmp_path, monkeypatch,
+                                     command, edit):
+        self.write(tmp_path, edit)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(command[0], "--source", "e.json", *command[1:],
+                             "f.json")
+        assert code == 1 and out is None
+        assert err["error"].startswith("f.json:mf.context")
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("edit", [
+        lambda o: o.pop("context"),
+        lambda o: o["context"]["ring"].pop("ideal"),
+        lambda o: o["context"].update(W="2*x0 - x0"),
+    ], ids=["absent", "ideal-omitted", "W-rewritten"])
+    def test_equal_context_is_accepted(self, run, tmp_path, monkeypatch,
+                                       command, edit):
+        self.write(tmp_path, edit)
+        monkeypatch.chdir(tmp_path)
+        code, _out, err = run(command[0], "--source", "e.json", *command[1:],
+                              "f.json")
+        # every p1-small Hom is 0, so compose finds no class to pick
+        if command[0] == "compose":
+            assert code == 1 and err["error"].startswith("--alpha index")
+        else:
+            assert code in (0, 2) and err is None
 
 
 class TestHom:

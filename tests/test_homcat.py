@@ -87,7 +87,7 @@ class TestSparseHomCount:
         dims = set()
         for E in objs:
             for F in objs:
-                dim = hom_naive(E, F, gs, want_basis=False).dimension
+                dim = hom_naive(E, F, gs).dimension
                 assert dim == dense_hom_dim(E, F, gs)
                 dims.add(dim)
         if profile == "a1-affine":
@@ -110,7 +110,7 @@ class TestSparseHomCount:
             Ep, _eps, cert = stabilize(E, F, gs=gs)
             assert cert.j == 1
             for src in (E, Ep):
-                assert hom_naive(src, F, gs, want_basis=False).dimension \
+                assert hom_naive(src, F, gs).dimension \
                     == dense_hom_dim(src, F, gs)
 
     def test_boundaries_outside_cycles_raise(self, E_u, monkeypatch):
@@ -162,7 +162,7 @@ class TestLazyBasisData:
         real = linalg.sparse_rref
         monkeypatch.setattr(linalg, "sparse_rref",
                             lambda *a: calls.append(a) or real(*a))
-        hs = hom_naive(E, E, gs, want_basis=False)
+        hs = hom_naive(E, E, gs)
         assert hs.dimension == 0 and calls == []
         assert hom_naive(E, E, gs).basis == [] and calls == []
         C = mapping_complex(E, E)
@@ -171,21 +171,55 @@ class TestLazyBasisData:
         assert len(hs.cycle_space) >= 1
         assert len(calls) == 2       # the cycle space, then the reference
 
+    def test_dimension_runs_no_basis_elimination(self, monkeypatch):
+        ctx, objs = generate_suite(0, "a1-affine")
+        gs = GlobalSections(ctx)
+        E, F = next((E, F) for E in objs for F in objs
+                    if hom_naive(E, F, gs).dimension >= 1)
+        gs = GlobalSections(ctx)
+        calls = []
+        real = linalg.sparse_rref
+        monkeypatch.setattr(linalg, "sparse_rref",
+                            lambda *a: calls.append(a) or real(*a))
+        hs = hom_H(E, F, gs)
+        assert hs.dimension >= 1 and calls == []
+        basis = hs.basis
+        assert calls and len(basis) == hs.dimension
+        ref = hom_naive(E, F, gs).basis
+        assert [(c.src, c.dst, c.tower) for c in basis] == [(E, F, ())] * len(ref)
+        assert [(c.rep.g1.rows, c.rep.g0.rows) for c in basis] \
+            == [(c.rep.g1.rows, c.rep.g0.rows) for c in ref]
+
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_hom_h_calls_hom_naive_once(self, affine, E_u, E_unit_p1,
+                                        monkeypatch):
+        E = E_u if affine else E_unit_p1
+        calls = []
+        real = homcat.hom_naive
+        monkeypatch.setattr(homcat, "hom_naive",
+                            lambda *a: calls.append(a) or real(*a))
+        hs = hom_H(E, E)
+        hs.basis
+        assert len(calls) == 1
+        src, dst, _gs = calls[0]
+        assert dst is E and src is hs.stabilized_src
+        assert (src is E) == affine
+
     def test_class_coords_on_hom_h(self, E_u, E_unit_p1):
         hs = hom_H(E_u, E_u)
         cls = hs.basis[0]
-        assert any(class_coords(cls, hom_space=hs))
-        assert class_coords(cls, hom_space=hs) == class_coords(cls)
+        assert any(hs.coords(cls))
+        assert hs.coords(cls) == class_coords(cls)
         # the identity of a contractible object, as a class out of its
         # stabilization, is a nonzero cycle that reduces to zero
         E = E_unit_p1
         gs = GlobalSections(E.ctx)
-        hs = hom_H(E, E, gs, want_basis=False)
+        hs = hom_H(E, E, gs)
         assert hs.dimension == 0
         _Ep, eps, cert = stabilize(E, E, gs=gs)
         ident = StabilizedClass(E, E, (cert.j,), eps)
         assert any(cycle_from_strict(eps))
-        assert not any(class_coords(ident, gs, hom_space=hs))
+        assert not any(hs.coords(ident))
 
 
 class TestStabilization:
