@@ -314,9 +314,15 @@ class GlobalSections:
         self.ring = ctx.ring
         self._bounds = {}
         self._kernels = {}
-        # (E, j) -> (Tot(P(j) tensor E), epsilon), filled by
-        # homcat.stabilize; keyed on E itself, which the key keeps alive
+        # filled by homcat's stabilization, which builds each value once:
+        # j -> (P(j), augmentation to O), the truncated Koszul complex;
+        # (E, j) -> Tot(P(j) tensor E), shared by hom_H and stabilize;
+        # (E, j) -> epsilon: Tot(P(j) tensor E) -> E, built only when
+        # stabilize is asked for it.  Keyed on E itself, which the key
+        # keeps alive.
+        self.koszul = {}
         self.stabilized = {}
+        self.augmentations = {}
 
     # degree classification
 

@@ -9,7 +9,8 @@ from functools import cached_property
 
 from .cohomology import GlobalSections
 from .hypersurface import coker_module
-from .koszul import koszul_truncated, stabilized_mf, tot_blocks, tot_morphism
+from .koszul import (koszul_truncated, tot, tot_augmentation, tot_blocks,
+                     tot_morphism)
 from .linalg import (CosetReducer, echelon_add, homology_dim, kernel_basis,
                      sparse_matmul)
 from .mf import (MatrixFactorization, StrictMorphism, TwistSum,
@@ -30,6 +31,16 @@ class HomSpace:
     construction, after checking m_out m_in = 0 (the boundaries lie in the
     cycles); the cycle basis, the boundary reducer and the basis of classes
     are built on first read.
+
+    That product is kept as the self-check of the assembly.  On the
+    monomial path it is 0 by proof: d^0 d^-1 = 0 on the mapping complex
+    (the MF laws of both objects, checked by mapping_complex), and each
+    Gamma is a matrix of multiplication by normal forms on graded pieces,
+    which is multiplicative, so m_out m_in = Gamma(d^0 d^-1) = 0; a
+    nonzero product there is a fault of assembly or of normal forms.  Off
+    that path Gamma is read off Cech kernels at a truncation chosen by
+    comparing two truncations, which no proof covers, and the product is
+    the only check that the boundaries lie in the cycles.
 
     hom_naive builds it with model 'naive'; hom_H relabels it as the
     'hyper' Hom out of `src`, with the Koszul `tower` and `certificate`
@@ -86,7 +97,7 @@ class HomSpace:
         classes = []
         for z in self.cycle_space:
             v = self.reducer.reduce(z)
-            if echelon_add(self.field, picked, v) is not None:
+            if echelon_add(self.field, picked, dict(v)) is not None:
                 f = strict_from_cycle(self.stabilized_src, self.dst, v)
                 classes.append(StabilizedClass(self.src, self.dst,
                                                self.tower, f))
@@ -157,24 +168,28 @@ class StabilizationCertificate:
                 "min_twist": self.min_twist, "verified": self.check()}
 
 
-def stabilize(E, F, M=0, threshold=None, gs=None):
-    """Replace E by Tot(P(j) tensor E) with the least j <= J_MAX whose
-    mapping-complex twist inventory clears the vanishing threshold in all
-    rows q >= M-m-1.  The threshold is `threshold` as (n0, tag) if given,
-    else gs.threshold.  E' and epsilon are built once per (E, j) in gs; the
-    certificate is re-checked on every call, since its rows depend on F.
+def _koszul(gs, j):
+    """koszul_truncated(gs.ring, j), built and checked once per gs.  Held
+    on gs, not on the ring: P(j) refers to its ring, so a cache on the
+    ring would be a reference cycle."""
+    if j not in gs.koszul:
+        gs.koszul[j] = koszul_truncated(gs.ring, j)
+    return gs.koszul[j]
 
-    Returns (E', epsilon: E' -> E, certificate)."""
+
+def _stabilization(E, F, M, threshold, gs):
+    """(E', certificate) for stabilize, without the augmentation: E' is
+    Tot(P(j) tensor E) for the least j <= J_MAX whose mapping-complex twist
+    inventory clears the vanishing threshold in all rows q >= M-m-1, built
+    once per (E, j) in gs; the certificate is re-checked on every call,
+    since its rows depend on F."""
     ctx = E.ctx
-    ring = ctx.ring
     if ctx.is_affine:
         raise ValueError("stabilization is a projective-mode operation")
     if E.is_zero_object():
-        cert = StabilizationCertificate(0, 0, 0, "trivial", {}, 0, M)
-        return E, StrictMorphism.identity(E), cert
-    gs = gs or GlobalSections(ctx)
+        return E, StabilizationCertificate(0, 0, 0, "trivial", {}, 0, M)
     n0, tag = threshold or gs.threshold
-    q_min = M - ring.nvars          # M - m - 1 on P^m
+    q_min = M - ctx.ring.nvars      # M - m - 1 on P^m
 
     def row_twists(E1p, E0p):
         """Sorted twist lists of Hom_MF(E', F)^q, q = q_min, q_min + 1."""
@@ -182,44 +197,62 @@ def stabilize(E, F, M=0, threshold=None, gs=None):
         return {q: sorted(unrolled(c0, cm1, ctx.d, q))
                 for q in (q_min, q_min + 1)}
 
-    chosen = None
     for j in range(1, J_MAX + 1):
-        P, aug = koszul_truncated(ring, j)
+        P, _aug = _koszul(gs, j)
         # the twist inventories of E'_1 and E'_0, without matrices
         rows = row_twists(*(TwistSum(t for _, ts in tot_blocks(P, E, level)
                                      for t in ts) for level in (-1, 0)))
         min_twist = min(min(tw) for tw in rows.values() if tw) \
             if any(rows.values()) else n0
         if min_twist >= n0:
-            k = P.term(0).rank
-            cert = StabilizationCertificate(j, k, n0, tag, rows, min_twist, M)
-            chosen = (P, aug, cert)
+            cert = StabilizationCertificate(j, P.term(0).rank, n0, tag, rows,
+                                            min_twist, M)
             break
-    if chosen is None:
+    else:
         raise RuntimeError("no Koszul level up to %d clears the vanishing "
                            "threshold" % J_MAX)
-    P, aug, cert = chosen
-    if (E, cert.j) not in gs.stabilized:
-        gs.stabilized[E, cert.j] = stabilized_mf(P, aug, E)
-    Ep, eps = gs.stabilized[E, cert.j]
+    if (E, j) not in gs.stabilized:
+        gs.stabilized[E, j] = tot(P, E)
+    Ep = gs.stabilized[E, j]
     # self-check: the certificate inventory matches the built object
     if row_twists(Ep.E1, Ep.E0) != cert.rows or not cert.check():
         raise AssertionError("stabilization certificate failed its re-check")
-    return Ep, eps, cert
+    return Ep, cert
+
+
+def stabilize(E, F, M=0, threshold=None, gs=None):
+    """Replace E by Tot(P(j) tensor E) with the least j <= J_MAX whose
+    mapping-complex twist inventory clears the vanishing threshold in all
+    rows q >= M-m-1.  The threshold is `threshold` as (n0, tag) if given,
+    else gs.threshold.  P(j) is built once per gs, and E' once per (E, j)
+    in gs, shared with hom_H; epsilon is built, and checked to be strict,
+    on its first read here, against that E', and kept beside it.  The
+    certificate is re-checked on every call, since its rows depend on F.
+
+    Returns (E', epsilon: E' -> E, certificate)."""
+    gs = gs or GlobalSections(E.ctx)
+    Ep, cert = _stabilization(E, F, M, threshold, gs)
+    if E.is_zero_object():
+        return E, StrictMorphism.identity(E), cert
+    if (E, cert.j) not in gs.augmentations:
+        gs.augmentations[E, cert.j] = tot_augmentation(
+            *_koszul(gs, cert.j), E, Ep)
+    return Ep, gs.augmentations[E, cert.j], cert
 
 
 def hom_H(E, F, gs=None):
     """Hom in the hypercohomology homotopy category.
 
     Affine-graded mode: hom_naive(E, F).  Projective mode: hom_naive out
-    of the Koszul stabilization E' of the source, with the certificate.
-    Either way the naive HomSpace is returned relabelled as Hom(E, F)."""
+    of the Koszul stabilization E' of the source, with the certificate;
+    the augmentation E' -> E is not built.  Either way the naive HomSpace
+    is returned relabelled as Hom(E, F)."""
     if E.ctx != F.ctx:
         raise ValueError("context mismatch")
     gs = gs or GlobalSections(E.ctx)
     Ep, cert = E, None
     if not E.ctx.is_affine:
-        Ep, _eps, cert = stabilize(E, F, 0, gs=gs)
+        Ep, cert = _stabilization(E, F, 0, None, gs)
     hs = hom_naive(Ep, F, gs)
     # relabelled before its basis is first read, so the classes are E -> F
     hs.src, hs.model, hs.certificate = E, "hyper", cert

@@ -1,7 +1,8 @@
 """Truncated Koszul complexes P(j), the total factorization Tot(P tensor E)
 of a bounded free complex P with a matrix factorization E, its
-augmentation to E, and the strict morphism Tot(P tensor f) induced by a
-strict morphism f.
+augmentation to E (tot_augmentation, built apart from Tot, so a caller
+that does not read it does not build it), and the strict morphism
+Tot(P tensor f) induced by a strict morphism f.
 
 Tot(P tensor E) is built straight from the terms and maps of P.  Its term
 in degree n is (+)_p (+)_{a in P^p} E^{n-p}(a), p ascending (`tot_blocks`,
@@ -188,13 +189,10 @@ def tot_morphism(P, f):
     return StrictMorphism(tot(P, f.src), tot(P, f.dst), build(-1), build(0))
 
 
-def stabilized_mf(P, aug, E):
-    """Tot(P tensor E) together with the augmentation weak equivalence to E,
-    aug tensor id on the P^0 summand and zero on the others.
-
-    Returns (E', epsilon: StrictMorphism E' -> E)."""
+def tot_augmentation(P, aug, E, Ep):
+    """The augmentation weak equivalence Ep = Tot(P tensor E) -> E, aug
+    tensor id on the P^0 summand and zero on the others; checked."""
     ring = E.ctx.ring
-    Ep = tot(P, E)
 
     def build(level):
         summands = tot_blocks(P, E, level)
@@ -204,4 +202,12 @@ def stabilized_mf(P, aug, E):
             [[_tensor_id(aug, comp) if p == 0 else None
               for p, _ in summands]])
 
-    return Ep, StrictMorphism(Ep, E, build(-1), build(0))
+    return StrictMorphism(Ep, E, build(-1), build(0))
+
+
+def stabilized_mf(P, aug, E):
+    """Tot(P tensor E) together with its augmentation to E.
+
+    Returns (E', epsilon: StrictMorphism E' -> E)."""
+    Ep = tot(P, E)
+    return Ep, tot_augmentation(P, aug, E, Ep)

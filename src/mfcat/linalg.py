@@ -5,12 +5,17 @@ with its number of columns as (rows, ncols); a vector is one such dict.
 sparse_blocks assembles a matrix from its nonzero blocks only.  Everything
 is exact in Python scalars over F_p and over Q and never densifies, and
 has one elimination: each row is reduced by the echelon form built so far
-and pivoted on its leftmost column.  Counts (sparse_rank, homology_dim)
-are the number of its pivots, and bases (kernel_basis, solve,
-CosetReducer) are read off the reduced row echelon form sparse_rref that
-back-substitution makes of it.  The dense rref of an ExactMatrix is kept
-only as the reference for tests, with GlobalSections.sheafmap_matrix as
-its view.
+and pivoted on its leftmost column.  One reduction loop, shared by F_p
+and Q, does every reduction in place on a vector its caller owns: the
+public echelon_reduce copies its argument once, and the elimination hands
+over each row as a fresh dict, reduced mod p and free of zeros.  Counts
+(sparse_rank, homology_dim) are the number of its pivots, and bases
+(kernel_basis, solve, CosetReducer) are read off the reduced row echelon
+form sparse_rref that back-substitution makes of it.  Apart from the
+echelon form and the vector that echelon_add is handed, no function
+modifies what it is given.  The dense rref of an ExactMatrix is kept only
+as the reference for tests, with GlobalSections.sheafmap_matrix as its
+view.
 """
 
 import heapq
@@ -175,16 +180,14 @@ def sparse_matmul(field, A, B):
 # -- bases ----------------------------------------------------------------
 
 
-def echelon_reduce(field, echelon, v):
-    """v minus the combination of the rows of `echelon` that clears v at
-    each of their pivots, as a new vector.  `echelon` maps each pivot
-    column to its row, which is 1 there and 0 left of it.  Pivots are
+def _reduce(p, echelon, v):
+    """The one reduction loop: reduce v in place by `echelon` and return
+    it; p is the modulus, or None over Q.  The caller owns v.  Pivots are
     cleared leftmost first, so a subtraction fills in only to the right of
-    the pivot it clears.  The result is the same for every echelon basis
-    of one row space: the canonical representative of v modulo it."""
-    p = _modulus(field)
-    v = dict(v)
+    the pivot it clears; a v that meets no pivot is returned untouched."""
     todo = [c for c in v if c in echelon]
+    if not todo:
+        return v
     heapq.heapify(todo)
     while todo:
         c = heapq.heappop(todo)
@@ -206,30 +209,47 @@ def echelon_reduce(field, echelon, v):
     return v
 
 
+def echelon_reduce(field, echelon, v):
+    """v minus the combination of the rows of `echelon` that clears v at
+    each of their pivots, as a new vector: v is copied once and reduced by
+    the one reduction loop, and is not modified.  `echelon` maps each
+    pivot column to its row, which is 1 there and 0 left of it.  The
+    result is the same for every echelon basis of one row space: the
+    canonical representative of v modulo it."""
+    return _reduce(_modulus(field), echelon, dict(v))
+
+
 def echelon_add(field, echelon, v):
     """Reduce v by `echelon` and add what is left to it, scaled to 1 at its
     leftmost column; returns that column, or None if v is in the row
-    space.  The entries of v are canonical: reduced mod p, none zero."""
-    v = echelon_reduce(field, echelon, v)
+    space.  The entries of v are canonical: reduced mod p, none zero.
+    A caller that owns v hands it over: v is reduced in place and may
+    become the new row, so a caller that keeps v passes a copy."""
+    p = _modulus(field)
+    v = _reduce(p, echelon, v)
     if not v:
         return None
-    p = _modulus(field)
     c = min(v)
-    inv = field.inv(v[c])
-    echelon[c] = {k: x * inv % p if p else x * inv for k, x in v.items()}
+    if v[c] != 1:
+        inv = field.inv(v[c])
+        v = {k: x * inv % p if p else x * inv for k, x in v.items()}
+    echelon[c] = v
     return c
 
 
 def _echelon(field, rows):
     """The echelon form of the row space of `rows`, as echelon_add keeps
-    it: each row, reduced mod p, is reduced by the rows before it and
-    pivoted on its leftmost column."""
+    it: each row, reduced mod p and without zeros in one fresh dict, is
+    handed over to be reduced by the rows before it and pivoted on its
+    leftmost column.  The rows are not modified."""
     p = _modulus(field)
     echelon = {}
     for row in rows:
         if p:
-            row = {c: v % p for c, v in row.items()}
-        echelon_add(field, echelon, {c: v for c, v in row.items() if v})
+            v = {c: y for c, x in row.items() if (y := x % p)}
+        else:
+            v = {c: x for c, x in row.items() if x}
+        echelon_add(field, echelon, v)
     return echelon
 
 
@@ -240,12 +260,13 @@ def sparse_rref(field, rows, ncols):
     leftmost column, then the rows are back-substituted rightmost pivot
     first.  Returns (rows, pivots): the nonzero rows of the unique RREF in
     pivot order, and their pivot columns.  The input is not modified."""
+    p = _modulus(field)
     echelon = _echelon(field, rows)
     pivots = sorted(echelon)
     for c in reversed(pivots):
         row = echelon[c]
-        echelon[c] = {c: row[c], **echelon_reduce(
-            field, echelon, {k: x for k, x in row.items() if k != c})}
+        echelon[c] = {c: row[c], **_reduce(
+            p, echelon, {k: x for k, x in row.items() if k != c})}
     return [echelon[c] for c in pivots], pivots
 
 

@@ -152,6 +152,48 @@ class TestLawsCheckedOnce:
         assert counts == [2, 0, 0]
 
 
+class TestStabilizationOnRead:
+    """hom_H uses the stabilized source and builds no augmentation; P(j)
+    is built once per GlobalSections; stabilize builds epsilon on read."""
+
+    def test_hom_builds_no_augmentation(self, monkeypatch):
+        ctx, objs = generate_suite(0, "p1-small")
+        E, F = objs[0], objs[3]
+        gs = GlobalSections(ctx)
+        calls = []
+        real = mf.strictness_violation
+        monkeypatch.setattr(mf, "strictness_violation",
+                            lambda f: calls.append(f) or real(f))
+        hom_H(E, F, gs).dimension
+        assert calls == []
+
+    def test_koszul_built_once_per_level(self, monkeypatch):
+        # the light pairs in four rounds on one GlobalSections (level 1),
+        # then an endomorphism that needs level 2
+        ctx, pairs = nodal_light_pairs()
+        gs = GlobalSections(ctx)
+        calls = []
+        real = homcat.koszul_truncated
+        monkeypatch.setattr(homcat, "koszul_truncated",
+                            lambda ring, j: calls.append(j) or real(ring, j))
+        base = pairs[0][0]
+        towers = [hom_H(E, F, gs).tower for E, F in pairs * 4 + [(base, base)]]
+        assert {j for (j,) in towers} == {1, 2}
+        assert calls == [1, 2]
+
+    def test_augmentation_built_on_read(self):
+        ctx, objs = generate_suite(0, "p1-small")
+        E, F = objs[0], objs[3]
+        gs = GlobalSections(ctx)
+        hs = hom_H(E, F, gs)
+        Ep, eps, cert = stabilize(E, F, gs=gs)
+        assert Ep is hs.stabilized_src
+        assert eps.src is Ep and eps.dst is E
+        assert cert.describe() == hs.certificate.describe()
+        assert not mf.strictness_violation(eps)
+        assert stabilize(E, F, gs=gs)[1] is eps
+
+
 class TestLazyBasisData:
     def test_zero_hom_runs_no_dense_elimination(self, E_unit_p1, monkeypatch):
         E = E_unit_p1

@@ -5,7 +5,8 @@ import pytest
 
 from mfcat.koszul import (FreeComplex, free_complex_homology_dims,
                           koszul_exactness_report, koszul_truncated,
-                          stabilized_mf, tot, tot_blocks, tot_morphism)
+                          stabilized_mf, tot, tot_augmentation, tot_blocks,
+                          tot_morphism)
 from mfcat.mf import (SheafMap, StrictMorphism, TwistSum,
                       strictness_violation, twist_mf, verify_mf)
 from mfcat.ring import binom
@@ -119,6 +120,17 @@ class TestTensorAndTot:
         Etot, eps = stabilized_mf(P, aug, E_unit_p1)
         assert verify_mf(Etot)["ok"]
         assert not strictness_violation(eps)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_augmentation_apart_from_tot(self, ctx_p2, E_unit_p2, j):
+        # stabilized_mf is Tot and tot_augmentation against it
+        P, aug = koszul_truncated(ctx_p2.ring, j)
+        Etot, eps = stabilized_mf(P, aug, E_unit_p2)
+        T = tot(P, E_unit_p2)
+        built = tot_augmentation(P, aug, E_unit_p2, T)
+        assert built.src is T and built.dst is E_unit_p2
+        assert T.describe() == Etot.describe()
+        assert (built.g1, built.g0) == (eps.g1, eps.g0)
 
     def test_tot_rank_counts_components(self, ctx_p2, E_unit_p2):
         P, _aug = koszul_truncated(ctx_p2.ring, 1)

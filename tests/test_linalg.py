@@ -1,5 +1,6 @@
 """Exact linear algebra over prime fields and the rationals."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from mfcat.fields import PrimeField, RationalField
 from mfcat.linalg import (CosetReducer, ExactMatrix, ShapedRows,
-                          homology_dim, kernel_basis, rref, solve,
-                          sparse_blocks, sparse_matmul, sparse_rank,
+                          echelon_reduce, homology_dim, kernel_basis, rref,
+                          solve, sparse_blocks, sparse_matmul, sparse_rank,
                           sparse_rref, sparse_transpose)
 from mfcat.ring import GradedRing
 
@@ -263,3 +264,72 @@ def test_sparse_rref_matches_dense(seed, nr, nc, field_name, density):
     b = apply(field, A, nc, x)
     sol = solve(field, A, nc, b)
     assert sol is not None and apply(field, A, nc, sol) == b
+
+
+def _eliminations(field, rows, ncols):
+    """Every public elimination on one (rows, ncols) matrix, each as a
+    thunk, with the vectors and echelon forms they are given."""
+    rng = random.Random(3)
+    b = apply(field, rows, ncols, {c: field.one() for c in range(ncols)})
+    v = {i: _scalar(field, rng, 1.0) or field.one()
+         for i in range(len(rows))}
+    R, pivots = sparse_rref(field, rows, ncols)
+    echelon = dict(zip(pivots, R))
+    w = {c: _scalar(field, rng, 1.0) or field.one() for c in range(ncols)}
+    red = CosetReducer(field, rows, ncols)
+    return [lambda: sparse_rank(field, rows, ncols),
+            lambda: sparse_rref(field, rows, ncols),
+            lambda: kernel_basis(field, rows, ncols),
+            lambda: solve(field, rows, ncols, b),
+            lambda: CosetReducer(field, rows, ncols),
+            lambda: red.reduce(v),
+            lambda: echelon_reduce(field, echelon, w)], (b, v, echelon, w)
+
+
+@pytest.mark.parametrize("field_name", ["32003", "Q"])
+def test_eliminations_leave_inputs_alone(field_name):
+    """The one reduction loop works in place on vectors it owns: no
+    elimination modifies its rows, right-hand side, vector or echelon
+    form, and rows from the shared GradedRing.mult_matrix cache stay as
+    they were for later calls."""
+    field = _field(field_name)
+    rng = random.Random(7)
+    ring = GradedRing(field, ["x", "y", "z"], ideal_strings=["x*y"])
+    cached = ring.mult_matrix(ring.poly("2*x + 3*y - z"), 2)
+    assert isinstance(cached, ShapedRows)
+    for rows, ncols in ((cached, cached.ncols),
+                        (random_rows(field, 12, 9, rng, density=0.4), 9),
+                        (random_rows(field, 9, 12, rng, density=1.0), 12)):
+        rows_before = copy.deepcopy(list(rows))
+        calls, given = _eliminations(field, rows, ncols)
+        assert list(rows) == rows_before
+        given_before = copy.deepcopy(given)
+        for call in calls:
+            call()
+            assert (list(rows), given) == (rows_before, given_before)
+    assert ring.mult_matrix(ring.poly("2*x + 3*y - z"), 2) is cached
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 15), st.integers(1, 15),
+       st.sampled_from([3, 7, 101, 32003]), st.sampled_from([0.2, 1.0]))
+def test_sparse_rref_reduces_entries_mod_p(seed, nr, nc, p, density):
+    """Over F_p, sparse_rref takes its input mod p: on rows with entries
+    that are negative, at least p or multiples of p, and with leading
+    coefficients other than 1, it equals the dense reference rref of the
+    rows reduced mod p, in canonical entries."""
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    A = [{c: rng.choice([rng.randrange(-3 * p, 3 * p), p * rng.randint(-2, 2)])
+          for c in range(nc) if rng.random() < density} for _ in range(nr)]
+    for row in A:
+        if row:
+            row[min(row)] = rng.randrange(2, p) + p * rng.randint(-2, 2)
+    canonical = [{c: v % p for c, v in row.items()} for row in A]
+    R, pivots = sparse_rref(field, A, nc)
+    D, dense_pivots = rref(ExactMatrix.from_sparse_rows(field, canonical, nc))
+    assert pivots == dense_pivots
+    assert sparse_rank(field, A, nc) == len(pivots)
+    assert ExactMatrix.from_sparse_rows(field, R, nc).rows == \
+        D.rows[:len(pivots)]
+    assert all(0 < v < p for row in R for v in row.values())
