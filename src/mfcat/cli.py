@@ -173,7 +173,7 @@ def cmd_stabilize(args, inputs):
     Ep, eps, cert = stabilize(E, F, args.min_degree)
     return {"certificate": cert.describe(),
             "stabilized": mf_to_json(Ep, include_context=False),
-            "augmentation": morphism_to_json(eps, include_objects=False)}, 0
+            "augmentation": morphism_to_json(eps)}, 0
 
 
 def cmd_contractible(args, inputs):

@@ -14,7 +14,10 @@ regularity reg R = max_i (b_i - i), b_i the largest degree of an i-th
 syzygy, bounds where all of it vanishes: H^i_m(R)_n = 0 for
 n > reg R - i (Eisenbud, The Geometry of Syzygies, ch. 4 and app. 1).
 Vanishing thresholds and the saturation check Gamma(O(n)) = R_n are
-read off this, with no Cech complex.
+read off this, with no Cech complex, and so is the Cech truncation
+B = max(1, reg R + 1 - n) at which the kernel out of C^0 is exactly
+Gamma(O(n)) on a degree where Gamma(O(n)) != R_n (the proof is in
+GlobalSections).
 
 Cech truncation trick: the piece of the localized module O(a)(U_S) with
 exponents >= -B on the inverted variables is x_S^{-B} * R_{a + B*|S|}
@@ -46,7 +49,8 @@ from .poly import Poly
 from .ring import GradedRing, binom
 
 
-# truncations tried: B = DEFAULT_B_START, doubling up to DEFAULT_B_MAX
+# truncations the Cech oracle tries: B = DEFAULT_B_START, doubling up to
+# DEFAULT_B_MAX
 DEFAULT_B_START = 4
 DEFAULT_B_MAX = 64
 
@@ -74,8 +78,8 @@ def _restrictions(ring, B):
 
 
 def truncations():
-    """The truncations B to try, doubling from DEFAULT_B_START up to
-    DEFAULT_B_MAX (read at each call)."""
+    """The truncations B the Cech oracle tries, doubling from
+    DEFAULT_B_START up to DEFAULT_B_MAX (read at each call)."""
     b = DEFAULT_B_START
     while b <= DEFAULT_B_MAX:
         yield b
@@ -164,8 +168,10 @@ def cech_cohomology_at(ring, n, p, B):
 
 
 def _stable_value(value_at):
-    """(dimension, stable flag): the values at consecutive truncations B,
-    B+1 must agree; B doubles until they do or the cap is hit."""
+    """(dimension, stable flag) for the Cech oracle: the values at
+    consecutive truncations B, B+1 must agree; B doubles until they do or
+    the cap is hit.  Two equal values are evidence, not proof, which is why
+    the stable flag is reported."""
     last = None
     for B in truncations():
         v1 = value_at(B)
@@ -304,15 +310,27 @@ class GlobalSections:
     (Hartshorne III.5.1).  Other projective rings (quotients, and the point
     P^0, where Gamma(O(n)) = k for n < 0): Gamma(O(n)) = R_n exactly when
     H^0_m(R)_n = H^1_m(R)_n = 0, read off the ring's LocalDuality, which
-    enables the same fast path; degrees that fail it fall back to the Cech
-    kernel representation (exact dimensions, but sections are not
-    polynomials and no strict-morphism basis is extracted there).
+    enables the same fast path.
+
+    A degree n that fails it is represented by the kernel of the Cech
+    differential out of C^0 at the truncation B = max(1, reg R + 1 - n):
+    exact dimensions, but sections are not polynomials and no
+    strict-morphism basis is extracted there.  That kernel is Gamma(O(n)),
+    because every degree t >= reg R + 1 is saturated (H^i_m(R)_t = 0 for
+    t > reg R - i) and n + B >= reg R + 1:
+    - onto: a section s gives the vector (x_i^B s), with entries in
+      Gamma(O(n + B)) = R_{n+B}; it meets the kernel equations
+      x_j^B a_i = x_i^B a_j, since both sides are x_i^B x_j^B s in
+      Gamma(O(n + 2B)) = R_{n+2B};
+    - one-to-one: if a kernel vector (a_i) gives the zero section, each
+      a_i is killed by a power of x_i, and then, by the kernel equations,
+      by a power of every variable; so a_i lies in H^0_m(R)_{n+B} = 0.
+    A truncation that serves n serves every degree above n too.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.ring = ctx.ring
-        self._bounds = {}
         self._kernels = {}
         # filled by homcat's stabilization, which builds each value once:
         # j -> (P(j), augmentation to O), the truncated Koszul complex;
@@ -334,16 +352,10 @@ class GlobalSections:
         local = local_duality(self.ring).local_dim
         return not (local(0, n) or local(1, n))
 
-    def _bound(self, n):
-        """The first truncation B of the schedule at which Cech H^0 of
-        O(n) agrees with its value at B + 1."""
-        if n not in self._bounds:
-            h0 = lambda B: cech_cohomology_at(self.ring, n, 0, B)
-            self._bounds[n] = next((B for B in truncations()
-                                    if h0(B) == h0(B + 1)), None)
-        if self._bounds[n] is None:
-            raise RuntimeError("Cech H^0 did not stabilize for twist %d" % n)
-        return self._bounds[n]
+    def _truncation(self, n):
+        """B = max(1, reg R + 1 - n), at which the Cech C^0 kernel of O(n)
+        is Gamma(O(n)) (see the class docstring)."""
+        return max(1, local_duality(self.ring).regularity + 1 - n)
 
     def _kernel(self, n, B):
         """(C^0 space, kernel basis in C^0 coordinates) of O(n) at
@@ -356,7 +368,7 @@ class GlobalSections:
     def dim(self, n):
         if self.saturated(n):
             return self.ring.hilbert(n)
-        return len(self._kernel(n, self._bound(n))[1])
+        return len(self._kernel(n, self._truncation(n))[1])
 
     @cached_property
     def threshold(self):
@@ -365,8 +377,9 @@ class GlobalSections:
         return vanishing_threshold(self.ctx)
 
     def monomial_path(self, degrees):
-        """True if every degree in the list passes the saturation check."""
-        return all(self.saturated(n) for n in degrees)
+        """True if every degree passes the saturation check, each distinct
+        degree tested once."""
+        return all(self.saturated(n) for n in set(degrees))
 
     # matrices
 
@@ -374,15 +387,17 @@ class GlobalSections:
         """Gamma(O(n)) -> Gamma(O(n + deg p)), multiplication by p, as
         sparse rows (columns in range(self.dim(n))); on saturated degrees
         it is the cached GradedRing.mult_matrix, not to be modified, and
-        otherwise it is read off the Cech kernels of both degrees."""
+        otherwise it is read off the Cech kernels of both degrees at the
+        source degree's truncation, which serves the target degree too.
+        An image that leaves the target kernel is a fault of assembly,
+        checked as HomSpace checks its m_out m_in product."""
         ring = self.ring
         F = ring.field
         p = ring.normal_form(p)
         d = max(p.total_degree(), 0)
         if self.saturated(n) and self.saturated(n + d):
             return ring.mult_matrix(p, n)
-        # both sides at the larger bound (bases embed)
-        B = max(self._bound(n), self._bound(n + d))
+        B = self._truncation(n)
         sp0, K = self._kernel(n, B)
         tp0, L = self._kernel(n + d, B)
         amb, _ = sparse_blocks(tp0.block_dims, sp0.block_dims, cech_vertical(
@@ -397,8 +412,7 @@ class GlobalSections:
         coords = [{i: img[f] for i, f in enumerate(free) if f in img}
                   for img in imgs]
         if sparse_matmul(F, coords, L) != imgs:
-            raise RuntimeError("section image left the section space "
-                               "(truncation too small)")
+            raise RuntimeError("section image left the section space")
         return sparse_transpose(coords, len(L))
 
     def sheafmap_rows(self, f):

@@ -2,7 +2,7 @@
 object, HomSpace (H^0 of Gamma of the mapping complex: the dimension on
 construction, the basis and class coordinates on first read), Koszul
 stabilization with self-checking certificates, composition of stabilized
-classes, and the contractibility/weak-equivalence predicates.
+classes, and the contractibility predicates.
 """
 
 from functools import cached_property
@@ -14,7 +14,7 @@ from .koszul import (koszul_truncated, tot, tot_augmentation, tot_blocks,
 from .linalg import (CosetReducer, echelon_add, homology_dim, kernel_basis,
                      sparse_matmul)
 from .mf import (MatrixFactorization, StrictMorphism, TwistSum,
-                 cone, cycle_from_strict, hom_layout, hom_twists,
+                 cycle_from_strict, hom_layout, hom_twists,
                  mapping_complex, solve_homotopy, strict_from_cycle, unrolled)
 from .modules import (contains_irrelevant_power, default_saturation_bound,
                       fitting_ideal, variable_powers)
@@ -38,9 +38,9 @@ class HomSpace:
     Gamma is a matrix of multiplication by normal forms on graded pieces,
     which is multiplicative, so m_out m_in = Gamma(d^0 d^-1) = 0; a
     nonzero product there is a fault of assembly or of normal forms.  Off
-    that path Gamma is read off Cech kernels at a truncation chosen by
-    comparing two truncations, which no proof covers, and the product is
-    the only check that the boundaries lie in the cycles.
+    that path Gamma is read off Cech kernels at the truncation that
+    GlobalSections proves from reg R, and the product is the one check of
+    that assembly that the boundaries lie in the cycles.
 
     hom_naive builds it with model 'naive'; hom_H relabels it as the
     'hyper' Hom out of `src`, with the Koszul `tower` and `certificate`
@@ -59,7 +59,7 @@ class HomSpace:
         if src.is_zero_object() or dst.is_zero_object():
             return
         C = mapping_complex(src, dst)
-        self._monomial = gs.monomial_path(list(C.E0.twists))
+        self._monomial = gs.monomial_path(C.E0.twists)
         self.m_in, self.n_in = gs.sheafmap_rows(C.e1)
         self.m_out, self.n = gs.sheafmap_rows(C.e0)
         if any(sparse_matmul(self.field, self.m_out, self.m_in)):
@@ -177,7 +177,7 @@ def _koszul(gs, j):
     return gs.koszul[j]
 
 
-def _stabilization(E, F, M, threshold, gs):
+def _stabilization(E, F, M, gs):
     """(E', certificate) for stabilize, without the augmentation: E' is
     Tot(P(j) tensor E) for the least j <= J_MAX whose mapping-complex twist
     inventory clears the vanishing threshold in all rows q >= M-m-1, built
@@ -188,7 +188,7 @@ def _stabilization(E, F, M, threshold, gs):
         raise ValueError("stabilization is a projective-mode operation")
     if E.is_zero_object():
         return E, StabilizationCertificate(0, 0, 0, "trivial", {}, 0, M)
-    n0, tag = threshold or gs.threshold
+    n0, tag = gs.threshold
     q_min = M - ctx.ring.nvars      # M - m - 1 on P^m
 
     def row_twists(E1p, E0p):
@@ -220,18 +220,18 @@ def _stabilization(E, F, M, threshold, gs):
     return Ep, cert
 
 
-def stabilize(E, F, M=0, threshold=None, gs=None):
+def stabilize(E, F, M=0, gs=None):
     """Replace E by Tot(P(j) tensor E) with the least j <= J_MAX whose
-    mapping-complex twist inventory clears the vanishing threshold in all
-    rows q >= M-m-1.  The threshold is `threshold` as (n0, tag) if given,
-    else gs.threshold.  P(j) is built once per gs, and E' once per (E, j)
-    in gs, shared with hom_H; epsilon is built, and checked to be strict,
-    on its first read here, against that E', and kept beside it.  The
-    certificate is re-checked on every call, since its rows depend on F.
+    mapping-complex twist inventory clears the vanishing threshold
+    gs.threshold in all rows q >= M-m-1.  P(j) is built once per gs, and
+    E' once per (E, j) in gs, shared with hom_H; epsilon is built, and
+    checked to be strict, on its first read here, against that E', and
+    kept beside it.  The certificate is re-checked on every call, since
+    its rows depend on F.
 
     Returns (E', epsilon: E' -> E, certificate)."""
     gs = gs or GlobalSections(E.ctx)
-    Ep, cert = _stabilization(E, F, M, threshold, gs)
+    Ep, cert = _stabilization(E, F, M, gs)
     if E.is_zero_object():
         return E, StrictMorphism.identity(E), cert
     if (E, cert.j) not in gs.augmentations:
@@ -252,7 +252,7 @@ def hom_H(E, F, gs=None):
     gs = gs or GlobalSections(E.ctx)
     Ep, cert = E, None
     if not E.ctx.is_affine:
-        Ep, cert = _stabilization(E, F, 0, None, gs)
+        Ep, cert = _stabilization(E, F, 0, gs)
     hs = hom_naive(Ep, F, gs)
     # relabelled before its basis is first read, so the classes are E -> F
     hs.src, hs.model, hs.certificate = E, "hyper", cert
@@ -385,12 +385,6 @@ def locally_contractible(E):
                 and contains_irrelevant_power(fitt[r], ry, bound)):
             return "true"
     return "false" if ctx.is_affine else "inconclusive"
-
-
-def weak_equivalence(f):
-    """A strict morphism is a weak equivalence iff its cone is locally
-    contractible."""
-    return locally_contractible(cone(f))
 
 
 def prop28_report(E):

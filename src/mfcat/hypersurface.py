@@ -1,7 +1,7 @@
 """Module-side operations over the hypersurface ring R_Y = R/(W):
-cokernel presentations, unrolled periodic resolutions, graded Ext tables
-and stable Hom dimensions, reconstruction of a factorization from a module
-map, and relative perfection of modules.
+cokernel presentations, graded Ext tables and stable Hom dimensions,
+reconstruction of a factorization from a module map, and relative
+perfection of modules.
 
 Ext into N = coker(rel) is counted from ranks alone: the maps of the Hom
 complex into N's generators and relations are built by the pre- and
@@ -9,8 +9,7 @@ post-composition builders of the mapping complex, and their degree-0
 piece matrices are joined and eliminated; no quotient basis of N is
 formed."""
 
-from .linalg import (homology_dim, solve, sparse_blocks, sparse_rank,
-                     sparse_transpose)
+from .linalg import solve, sparse_blocks, sparse_rank, sparse_transpose
 from .mf import (MatrixFactorization, SheafMap, _post_compose_matrix,
                  _pre_compose_matrix, unpack_maps)
 from .modules import ModulePresentation, minimal_columns, syzygy_presentation
@@ -35,30 +34,6 @@ def coker_module(E, minimal=True):
     if minimal:
         pres = pres.minimalize()
     return pres
-
-
-def periodic_resolution(E, lo=-6, hi=0, t_range=None):
-    """Unroll the restriction of E to Y into the 2-periodic complex
-    ... -> (i^*E)^{-2} -> (i^*E)^{-1} -> (i^*E)^0 -> coker -> 0
-    and verify graded-piece exactness at the interior spots.  Failures
-    signal that W is not a regular element."""
-    ctx = E.ctx
-    ry = ctx.y_ring()
-    terms = {q: list(E.component_at(q).twists) for q in range(lo, hi + 1)}
-    if t_range is None:
-        spread = max((abs(a) for tw in terms.values() for a in tw), default=0)
-        t_range = range(0, spread + ctx.ring.max_ideal_degree() + 3)
-    failures = []
-    for q in range(lo + 1, min(hi, -1) + 1):
-        f_in = E.diff_at(q - 1)
-        f_out = E.diff_at(q)
-        for t in t_range:
-            h = homology_dim(ry.field, ry.piece_matrix(f_out, t),
-                             ry.piece_matrix(f_in, t))
-            if h != 0:
-                failures.append({"spot": q, "internal_degree": t, "dim": h})
-    return {"window": [lo, hi], "terms": terms,
-            "exact": not failures, "failures": failures}
 
 
 # -- graded Ext tables ---------------------------------------------------------

@@ -13,7 +13,6 @@ differential on the diagonal and P's maps tensor id on the subdiagonal.
 
 from itertools import combinations
 
-from .linalg import homology_dim
 from .mf import MatrixFactorization, SheafMap, StrictMorphism, TwistSum
 from .poly import Poly
 
@@ -89,36 +88,6 @@ def koszul_truncated(ring, j):
     if k >= 2 and not aug.compose(complex_.map_at(-1)).is_zero():
         raise AssertionError("augmentation does not annihilate the image")
     return complex_, aug
-
-
-def free_complex_homology_dims(fc, t, q_range):
-    """Homology dimensions of a free complex on the internal-degree-t graded
-    pieces."""
-    ring = fc.ring
-    return {q: homology_dim(ring.field, ring.piece_matrix(fc.map_at(q), t),
-                            ring.piece_matrix(fc.map_at(q - 1), t))
-            for q in q_range}
-
-
-def koszul_exactness_report(ring, j, t_range=None):
-    """Graded-piece exactness of the augmented truncated Koszul complex.
-
-    Sheaf-level exactness only forces graded-piece exactness in high
-    internal degrees.  On a polynomial ring the pure powers are a regular
-    sequence, so the only homology is R/(x_0^j, ..., x_m^j) at O, which
-    vanishes for t > (m+1)(j-1); the default window starts at t = k*j - 1,
-    inside that range.  The window is proven only for polynomial rings (on
-    k[x,y,z]/(xy) its first degree has homology for j = 1, 2, 3).  Returns
-    {t: {spot: homology dim}}; all-zero means the check passed."""
-    P, aug = koszul_truncated(ring, j)
-    k = P.term(0).rank
-    if t_range is None:
-        t_range = range(k * j - 1, k * j + ring.nvars + 1)
-    # the augmentation is the map out of term(0) into O in degree 1
-    augmented = FreeComplex(ring, {**P.terms, 1: aug.dst}, {**P.maps, 0: aug})
-    spots = range(min(P.degrees()), 2)
-    return {t: free_complex_homology_dims(augmented, t, spots)
-            for t in t_range}
 
 
 # -- Tot(P tensor E) ----------------------------------------------------------

@@ -413,12 +413,6 @@ def require_mf(E):
     E.verified = True
 
 
-def zero_mf(ctx):
-    z = TwistSum()
-    m = SheafMap.zero(ctx.ring, z, z)
-    return MatrixFactorization(ctx, m, m, check=False)
-
-
 def twist_mf(E, n):
     return MatrixFactorization(E.ctx, E.e1.twist(n), E.e0.twist(n), check=False)
 
@@ -644,7 +638,3 @@ def solve_homotopy(f):
     s, t_m = unpack_maps(ring, ring.polys_from_coords(x, dm1.src),
                          *hom_layout(E.E1, E.E0, F)[0])
     return s, (-t_m).twist(E.ctx.d)
-
-
-def is_nullhomotopic(f):
-    return solve_homotopy(f) is not None

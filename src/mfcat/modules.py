@@ -17,7 +17,7 @@ grevlex on the monomial, then the lower component.
 
 from itertools import combinations
 
-from .linalg import solve, sparse_rank, sparse_transpose
+from .linalg import solve, sparse_transpose
 from .mf import SheafMap, TwistSum
 from .poly import Poly, grevlex_key
 from .ring import buchberger, groebner_terms, reduce_poly
@@ -128,13 +128,6 @@ class ModulePresentation:
             rel = SheafMap.from_rows(ring, rel.src, rel.dst, rows).submatrix(
                 [r for r in range(rel.dst.rank) if r != unit],
                 [c for c in range(rel.src.rank) if c != ci])
-
-    def piece_dim(self, t):
-        """dim of the degree-t piece: that of the generators' piece minus
-        the rank of the relation matrix on it."""
-        ring, rel = self.ring, self.rel
-        return sum(ring.hilbert(t + a) for a in rel.dst) \
-            - sparse_rank(ring.field, *ring.piece_matrix(rel, t))
 
     def __repr__(self):
         return "ModulePresentation(gens=%r, rels=%d)" % (
@@ -298,19 +291,6 @@ def fitting_ideal(pres, r):
                 out.append(minor)
     out.sort(key=lambda p: (p.total_degree(), ring.to_str(p)))
     return out
-
-
-def ideals_equal(gens_a, gens_b, ring):
-    """Mutual membership of generators (ideal equality inside R)."""
-    ga = [ring.normal_form(p) for p in gens_a]
-    gb = [ring.normal_form(p) for p in gens_b]
-    basis_a = buchberger([p for p in ga if not p.is_zero()] + ring.ideal_gens)
-    basis_b = buchberger([p for p in gb if not p.is_zero()] + ring.ideal_gens)
-    ok_ab = all(reduce_poly(p, basis_b).is_zero() for p in ga if not p.is_zero()) \
-        if basis_b else all(p.is_zero() for p in ga)
-    ok_ba = all(reduce_poly(p, basis_a).is_zero() for p in gb if not p.is_zero()) \
-        if basis_a else all(p.is_zero() for p in gb)
-    return ok_ab and ok_ba
 
 
 def variable_powers(ring, N):

@@ -147,14 +147,6 @@ class Poly:
             return Poly.zero(F, self.nvars)
         return Poly(F, self.nvars, {e: F.mul(cc, c) for e, cc in self.terms.items()})
 
-    def mul_monomial(self, expv, c=1):
-        F = self.field
-        c = F.of(c)
-        if F.is_zero(c):
-            return Poly.zero(F, self.nvars)
-        return Poly(F, self.nvars,
-                    {mono_mul(e, expv): F.mul(cc, c) for e, cc in self.terms.items()})
-
     def monic(self):
         if not self.terms:
             return self

@@ -7,7 +7,7 @@ import hashlib
 import json
 
 from .fields import field_from_spec
-from .mf import MatrixFactorization, MFContext, SheafMap, StrictMorphism, TwistSum
+from .mf import MatrixFactorization, MFContext, SheafMap, TwistSum
 from .modules import ModulePresentation
 from .poly import is_variable_name, parse_poly
 from .ring import GradedRing
@@ -199,29 +199,9 @@ def mf_from_json(obj, path="mf", ctx=None):
 # -- strict morphisms --------------------------------------------------------------
 
 
-def morphism_to_json(f, include_objects=True):
-    out = {"g1": f.g1.to_strs(), "g0": f.g0.to_strs()}
-    if include_objects:
-        out["source"] = mf_to_json(f.src)
-        out["target"] = mf_to_json(f.dst, include_context=False)
-    return out
-
-
-def morphism_from_json(obj, path="morphism", src=None, dst=None):
-    required = ("g1", "g0")
-    if src is None:
-        required = ("source", "target") + required
-    _require_keys(obj, path, required)
-    if src is None:
-        src = mf_from_json(obj["source"], path + ".source")
-        dst = mf_from_json(obj["target"], path + ".target", ctx=src.ctx)
-    ring = src.ctx.ring
-    g1 = _sheaf_map(ring, obj["g1"], src.E1, dst.E1, path + ".g1")
-    g0 = _sheaf_map(ring, obj["g0"], src.E0, dst.E0, path + ".g0")
-    try:
-        return StrictMorphism(src, dst, g1, g0)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc))
+def morphism_to_json(f):
+    """The matrices g1 and g0 of a strict morphism, without its objects."""
+    return {"g1": f.g1.to_strs(), "g0": f.g0.to_strs()}
 
 
 # -- maps of twist sums --------------------------------------------------------------

@@ -8,7 +8,6 @@ from .fields import DEFAULT_PRIME, PrimeField
 from .mf import (MFContext, MatrixFactorization, SheafMap, StrictMorphism,
                  TwistSum, cone, direct_sum_mf, shift_mf, twist_mf)
 from .ring import GradedRing
-from .serialize import mf_hash
 
 PROFILES = ("a1-affine", "p1-small", "p2-small")
 
@@ -117,8 +116,3 @@ def generate_suite(seed, profile):
     ctx = projective_context(2)
     base = unit_e0_factorization(ctx)
     return ctx, _grow(rng, ctx, [base], 4)
-
-
-def suite_hashes(seed, profile):
-    _ctx, objs = generate_suite(seed, profile)
-    return [mf_hash(E) for E in objs]

@@ -4,11 +4,11 @@
 The recorded hashes are in ``cli_golden.json``.  The commands run in a
 directory holding the seed-0 a1-affine, p1-small and p2-small corpora as
 MF JSON files, the nodal curve Proj k[x,y,z]/(xy) (W = z) as a ring
-file and unit-grown MF files, the double line Proj k[x,y,z]/(x^2) as a
-ring file, module and map files for the module-side commands, and a
-rank-two factorization of the affine-graded quadric W = xy + z^2, all
-named relatively, so the reports do not depend on where the files
-live."""
+file and unit-grown MF files, two skew lines in P^3 (W = x + z) as
+unit-grown MF files, the double line Proj k[x,y,z]/(x^2) as a ring file,
+module and map files for the module-side commands, and a rank-two
+factorization of the affine-graded quadric W = xy + z^2, all named
+relatively, so the reports do not depend on where the files live."""
 
 import hashlib
 import json
@@ -49,6 +49,17 @@ def _nodal_files():
     out = {"nodal_%d.json" % i: mf_to_json(E) for i, E in enumerate(objs)}
     out["nodal_ring.json"] = ring_to_json(ring)
     return out
+
+
+def _skew_files():
+    """Two skew lines in P^3, W = x + z, where Gamma(O) is 2-dimensional
+    while R_0 is 1-dimensional: the unit object, its twist and its shift,
+    whose Hom-sets take sections on that unsaturated degree."""
+    ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z", "w"],
+                      ideal_strings=["x*z", "x*w", "y*z", "y*w"])
+    base = unit_e0_factorization(MFContext(ring, ring.poly("x + z")))
+    objs = (base, twist_mf(base, 1), shift_mf(base))
+    return {"skew_%d.json" % i: mf_to_json(E) for i, E in enumerate(objs)}
 
 
 def _double_line_files():
@@ -99,6 +110,7 @@ def _quadric_files():
 
 FILES = _files()
 NODAL_FILES = _nodal_files()
+SKEW_FILES = _skew_files()
 DOUBLE_LINE_FILES = _double_line_files()
 MODULE_FILES = _module_files()
 QUADRIC_FILES = _quadric_files()
@@ -176,6 +188,15 @@ def _quadric_commands():
     return cmds
 
 
+def _skew_commands():
+    """hom, naive hom and stabilize between the skew-line objects."""
+    skew = sorted(SKEW_FILES)
+    return [[cmd, *extra, "--source", s, "--target", t]
+            for cmd, extra in (("hom", []), ("hom", ["--model", "naive"]),
+                               ("stabilize", []))
+            for s in skew for t in skew]
+
+
 def report_sha256(text):
     report = json.loads(text)
     report.pop("timing_ms")
@@ -186,8 +207,9 @@ def report_sha256(text):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
-    for name, obj in {**FILES, **NODAL_FILES, **DOUBLE_LINE_FILES,
-                      **MODULE_FILES, **QUADRIC_FILES}.items():
+    for name, obj in {**FILES, **NODAL_FILES, **SKEW_FILES,
+                      **DOUBLE_LINE_FILES, **MODULE_FILES,
+                      **QUADRIC_FILES}.items():
         (d / name).write_text(json.dumps(obj, sort_keys=True))
     return d
 
@@ -201,13 +223,16 @@ def workdir(tmp_path_factory):
 # and quadric reports from commit ce91ad4, before a module presentation
 # kept its relations as a SheafMap; the double-line cech reports from the
 # code that first skipped the vanishing Cech restriction blocks of a
-# nilpotent variable (before it, they failed)
+# nilpotent variable (before it, they failed); the skew-line reports from
+# commit ba9e84e, before the Cech truncation of an unsaturated degree was
+# taken from reg R
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json")
                     .read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("argv", _commands() + _cech_commands()
-                         + _module_commands() + _quadric_commands(),
+                         + _module_commands() + _quadric_commands()
+                         + _skew_commands(),
                          ids=" ".join)
 def test_report_bytes(argv, workdir, monkeypatch, capsys):
     monkeypatch.chdir(workdir)

@@ -7,7 +7,7 @@ from mfcat import cohomology
 from mfcat.cohomology import (CechSpace, GlobalSections, cech_cohomology,
                               cech_cohomology_at, cech_horizontal,
                               cech_hypercohomology, cech_total_diff,
-                              cech_vertical, h_projective_space, truncations,
+                              cech_vertical, h_duality, h_projective_space,
                               vanishing_threshold)
 from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
 from mfcat.homcat import hom_H
@@ -389,24 +389,17 @@ def _horizontal_rows(ring, n, B):
                          cech_horizontal(sp0, sp1))
 
 
-def solve_mult(ring, p, n):
-    """GlobalSections.mult off the saturated path as it was computed
-    before: both kernels at the larger stable bound, then one solve per
-    source section."""
+def solve_mult(ring, p, n, B):
+    """GlobalSections.mult off the saturated path, computed another way:
+    both kernels at truncation B, then one solve per source section."""
     F = ring.field
     d = max(p.total_degree(), 0)
 
-    def bound(k):
-        return next(B for B in truncations()
-                    if cech_cohomology_at(ring, k, 0, B) ==
-                    cech_cohomology_at(ring, k, 0, B + 1))
-
-    def kernel(k, B):
+    def kernel(k):
         return (CechSpace(ring, [k], 0, B),
                 kernel_basis(F, *_horizontal_rows(ring, k, B)))
 
-    B = max(bound(n), bound(n + d))
-    (sp0, K), (tp0, L) = kernel(n, B), kernel(n + d, B)
+    (sp0, K), (tp0, L) = kernel(n), kernel(n + d)
     f = SheafMap(ring, TwistSum([n]), TwistSum([n + d]), [[p]])
     amb, _ = sparse_blocks(tp0.block_dims, sp0.block_dims,
                            cech_vertical(sp0, tp0, f))
@@ -430,6 +423,81 @@ def three_points(field):
     return MFContext(ring, ring.poly("x + 3*y"))
 
 
+def two_points(field):
+    """Two points on P^1, W = x + y: Gamma(O(n)) = k^2, R_n = k^2 only
+    from n = 1 on."""
+    ring = GradedRing(field, ["x", "y"], ideal_strings=["x*y"])
+    return MFContext(ring, ring.poly("x + y"))
+
+
+def embedded_point(field):
+    """The two lines xy = 0 in P^2 with an embedded point: I_2 = 0, but
+    xy lies in the saturation, so degree 2 is unsaturated."""
+    ring = GradedRing(field, ["x", "y", "z"],
+                      ideal_strings=["x^2*y", "x*y^2", "x*y*z"])
+    return MFContext(ring, ring.poly("z"))
+
+
+def point(field):
+    """P^0 = Proj k[x]: Gamma(O(n)) = k for every n, R_n = 0 for n < 0."""
+    ring = GradedRing(field, ["x"])
+    return MFContext(ring, ring.poly("x"))
+
+
+FIELDS = [PrimeField(DEFAULT_PRIME), PrimeField(7), RationalField()]
+
+# space -> (its unsaturated degrees in [-4, 5], multipliers for mult)
+UNSATURATED = {
+    skew_lines: ([0], ("x", "y - 2*w", "x^2 + 3*z*w", "5")),
+    embedded_point: ([2], ("x", "y - 2*z", "x^2 + 3*y*z", "5")),
+    two_points: ([-4, -3, -2, -1, 0], ("x", "x - 3*y", "x^2 + 2*y^2", "5")),
+    three_points: ([-4, -3, -2, -1, 0, 1], ("x", "x - 5*y", "y^2", "5")),
+    point: ([-4, -3, -2, -1], ("x", "x^2", "3")),
+}
+
+
+class TestProvenTruncation:
+    """Off the saturated path, Gamma(O(n)) is the Cech C^0 kernel at
+    B = max(1, reg R + 1 - n), and mult takes both kernels at the source
+    degree's B: the dimension is h^0 by local duality, and mult equals
+    the per-section solve at larger truncations."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("space", UNSATURATED,
+                             ids=lambda f: f.__name__.replace("_", "-"))
+    def test_dim_is_h0(self, space, field):
+        ctx = space(field)
+        gs = GlobalSections(ctx)
+        unsaturated, _ = UNSATURATED[space]
+        assert [n for n in range(-4, 6) if not gs.saturated(n)] == \
+            unsaturated
+        reg = cohomology.local_duality(ctx.ring).regularity
+        for n in unsaturated:
+            assert gs._truncation(n) == max(1, reg + 1 - n)
+            assert gs.dim(n) == h_duality(ctx.ring, n, 0) != \
+                ctx.ring.hilbert(n)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("space", UNSATURATED,
+                             ids=lambda f: f.__name__.replace("_", "-"))
+    def test_mult_matches_solve_at_larger_truncations(self, space, field):
+        ctx = space(field)
+        ring = ctx.ring
+        gs = GlobalSections(ctx)
+        unsaturated, entries = UNSATURATED[space]
+        for s in entries:
+            p = ring.poly(s)
+            d = p.total_degree()
+            # every source or target degree off the saturated path
+            for n in sorted({k - e for k in unsaturated for e in (0, d)}):
+                got = gs.mult(p, n)
+                B = gs._truncation(n)
+                for larger in (B + 1, B + 2):
+                    assert [list(r.items()) for r in got] == \
+                        [list(r.items())
+                         for r in solve_mult(ring, p, n, larger)], (s, n)
+
+
 class TestSectionMultiplication:
     @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME),
                                        RationalField()], ids=["Fp", "Q"])
@@ -448,28 +516,33 @@ class TestSectionMultiplication:
                 got = gs.mult(p, n)
                 assert len(got) == gs.dim(n + p.total_degree())
                 assert [list(r.items()) for r in got] == \
-                    [list(r.items()) for r in solve_mult(ring, p, n)]
+                    [list(r.items())
+                     for r in solve_mult(ring, p, n, gs._truncation(n))]
 
     def test_unequal_bounds_reuse_one_kernel_per_bound(self, monkeypatch):
-        """Two points on P^1 with B_start = 2: H^0 of O(-2) settles at
-        B = 4 and of O(-1) at B = 2, so mult takes both kernels at B = 4,
-        each eliminated once."""
+        """Two points on P^1, reg R = 1: O(-2) takes B = 4 and O(-1)
+        B = 3.  mult out of O(-2) takes both kernels at B = 4, each
+        eliminated once; dim(-1) eliminates once more, at B = 3, and no
+        truncation is found by a rank scan."""
         ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y"],
                           ideal_strings=["x*y"])
-        monkeypatch.setattr(cohomology, "DEFAULT_B_START", 2)
         gs = GlobalSections(MFContext(ring, ring.poly("x + y")))
-        assert (gs._bound(-2), gs._bound(-1)) == (4, 2)
-        calls = []
-        real = cohomology.kernel_basis
+        assert (gs._truncation(-2), gs._truncation(-1)) == (4, 3)
+        calls, ranks = [], []
+        real, real_rank = cohomology.kernel_basis, cohomology.sparse_rank
         monkeypatch.setattr(cohomology, "kernel_basis",
                             lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(cohomology, "sparse_rank",
+                            lambda *a: ranks.append(a) or real_rank(*a))
         p = ring.poly("x - 3*y")
         got = gs.mult(p, -2)
         assert [c[1:] for c in calls] == \
             [_horizontal_rows(ring, n, 4) for n in (-2, -1)]
         assert gs.mult(p, -2) == got and len(calls) == 2
-        assert got == solve_mult(ring, p, -2)
+        assert got == solve_mult(ring, p, -2, 5)
         assert len(got) == gs.dim(-1) == 2 and gs.dim(-2) == 2
+        assert calls[2][1:] == _horizontal_rows(ring, -1, 3)
+        assert len(calls) == 3 and ranks == []
 
     def test_image_outside_sections_raises(self):
         ctx = skew_lines(PrimeField(DEFAULT_PRIME))
@@ -486,9 +559,11 @@ class TestSectionMultiplication:
             gs.mult(ctx.ring.poly("x + y + z + w"), 0)
 
     def test_kernel_eliminates_once_at_the_chosen_bound(self, monkeypatch):
+        """Two skew lines, reg R = 1: degree 0 takes B = 2, one kernel
+        elimination, and no rank scan."""
         ctx = skew_lines(PrimeField(DEFAULT_PRIME))
         gs = GlobalSections(ctx)
-        assert not gs.saturated(0)
+        assert not gs.saturated(0) and gs._truncation(0) == 2
         ranks, kernels = [], []
         real_rank, real_kernel = cohomology.sparse_rank, \
             cohomology.kernel_basis
@@ -497,10 +572,8 @@ class TestSectionMultiplication:
         monkeypatch.setattr(cohomology, "kernel_basis",
                             lambda *a: kernels.append(a) or real_kernel(*a))
         assert gs.dim(0) == 2 and gs.dim(0) == 2
-        # saturated() runs no Cech, so _bound takes its own ranks, B = 4
-        # and 5, once; then one elimination at the chosen bound
-        assert len(ranks) == 2 and len(kernels) == 1
-        assert kernels[0][1:] == _horizontal_rows(ctx.ring, 0, gs._bound(0))
+        assert ranks == [] and len(kernels) == 1
+        assert kernels[0][1:] == _horizontal_rows(ctx.ring, 0, 2)
 
 
 def per_entry_rows(gs, f):

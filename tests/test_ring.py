@@ -20,8 +20,7 @@ def poly_strategy(ring, max_terms=4, max_deg=3):
     term = st.tuples(mono, st.integers(0, ring.field.p - 1))
     return st.lists(term, max_size=max_terms).map(
         lambda terms: sum(
-            (parse_poly("1", ring.variables, ring.field)
-             .mul_monomial(e, ring.field.of(c)) for e, c in terms),
+            (Poly.monomial(ring.field, ring.nvars, e, c) for e, c in terms),
             ring.zero()))
 
 
@@ -226,7 +225,7 @@ class TestGradedPieces:
         g = ring_p2.zero()
         for i, c in coords.items():
             if i < len(basis):
-                g = g + ring_p2.one().mul_monomial(basis[i], c)
+                g = g + Poly.monomial(ring_p2.field, 3, basis[i], c)
         assert g == f
         assert ring_p2.polys_from_coords(coords, [2, 1]) == [f, h]
 
@@ -239,7 +238,8 @@ class TestGradedPieces:
         assert all(0 <= c < len(src) and v for row in rows for c, v in
                    row.items())
         for j, m in enumerate(src):
-            prod = ring.normal_form(p.mul_monomial(m))
+            prod = ring.normal_form(
+                p * Poly.monomial(ring.field, ring.nvars, m))
             col = ring.coords([prod], [3])
             assert {i: row[j] for i, row in enumerate(rows) if j in row} \
                 == col
@@ -253,7 +253,8 @@ def generic_mult_matrix(ring, p, n):
     index = {m: i for i, m in enumerate(dst)}
     rows = [{} for _ in dst]
     for j, m in enumerate(ring.graded_piece_basis(n)):
-        for e, c in ring.normal_form(p.mul_monomial(m)).terms.items():
+        mono = Poly.monomial(ring.field, ring.nvars, m)
+        for e, c in ring.normal_form(p * mono).terms.items():
             rows[index[e]][j] = c
     return rows
 
@@ -277,7 +278,7 @@ class TestMultMatrix:
         terms = data.draw(st.lists(
             st.tuples(st.sampled_from(monos), st.integers(-9, 9),
                       st.integers(1, 4)), max_size=4))
-        p = sum((ring.one().mul_monomial(e, ring.field.of(Fraction(a, b)))
+        p = sum((Poly.monomial(ring.field, ring.nvars, e, Fraction(a, b))
                  for e, a, b in terms), ring.zero())
         for q in (p, -p):
             got = ring.mult_matrix(q, n)
@@ -293,7 +294,7 @@ def coords_mult_matrix(ring, p, n):
     dst = ring.graded_piece_basis(n + q.total_degree()) if q.terms else []
     rows = [{} for _ in dst]
     for j, m in enumerate(ring.graded_piece_basis(n)):
-        prod = ring.normal_form(p * ring.one().mul_monomial(m))
+        prod = ring.normal_form(p * Poly.monomial(ring.field, ring.nvars, m))
         if q.terms:
             for i, c in ring.coords([prod], [n + q.total_degree()]).items():
                 rows[i][j] = c

@@ -5,10 +5,9 @@ import pytest
 from mfcat.serialize import (SchemaError, canonical_dumps, context_from_json,
                              context_to_json, map_from_json, mf_from_json,
                              mf_hash, mf_to_json, module_from_json,
-                             module_to_json, morphism_from_json,
-                             morphism_to_json, object_hash, ring_from_json,
-                             ring_to_json)
-from mfcat.mf import StrictMorphism, TwistSum
+                             module_to_json, morphism_to_json, object_hash,
+                             ring_from_json, ring_to_json)
+from mfcat.mf import SheafMap, StrictMorphism, TwistSum
 from mfcat.modules import ModulePresentation
 
 
@@ -26,8 +25,16 @@ class TestRoundTrips:
         assert mf_hash(E2) == mf_hash(E_u)
 
     def test_morphism(self, E_u):
+        # a morphism is written as its two matrices, without its objects;
+        # read back over those objects they give the same morphism
         f = StrictMorphism.identity(E_u)
-        f2 = morphism_from_json(morphism_to_json(f))
+        obj = morphism_to_json(f)
+        assert sorted(obj) == ["g0", "g1"]
+        ring = E_u.ctx.ring
+        g1, g0 = (SheafMap(ring, ts, ts, [[ring.poly(s) for s in row]
+                                          for row in obj[key]])
+                  for key, ts in (("g1", E_u.E1), ("g0", E_u.E0)))
+        f2 = StrictMorphism(E_u, E_u, g1, g0)
         assert f2.describe() == f.describe()
 
     def test_module(self, ring_p1):

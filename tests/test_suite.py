@@ -3,8 +3,13 @@
 import pytest
 
 from mfcat.mf import verify_mf
-from mfcat.suite import (MAX_RANK, PROFILES, TWIST_RANGE, generate_suite,
-                         suite_hashes)
+from mfcat.serialize import mf_hash
+from mfcat.suite import MAX_RANK, PROFILES, TWIST_RANGE, generate_suite
+
+
+def suite_hashes(seed, profile):
+    """The hash of each object of the seeded corpus, in order."""
+    return [mf_hash(E) for E in generate_suite(seed, profile)[1]]
 
 
 @pytest.mark.parametrize("profile", PROFILES)
