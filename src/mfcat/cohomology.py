@@ -77,13 +77,15 @@ def _restrictions(ring, B):
             for i in range(ring.nvars)]
 
 
-def truncations():
-    """The truncations B the Cech oracle tries, doubling from
-    DEFAULT_B_START up to DEFAULT_B_MAX (read at each call)."""
-    b = DEFAULT_B_START
-    while b <= DEFAULT_B_MAX:
-        yield b
+def truncations(start=None):
+    """The truncations B the Cech oracle tries, doubling from start
+    (DEFAULT_B_START if not given) up to DEFAULT_B_MAX, both read at each
+    call; a start above the cap is tried alone."""
+    b = DEFAULT_B_START if start is None else start
+    yield b
+    while 2 * b <= DEFAULT_B_MAX:
         b *= 2
+        yield b
 
 
 class CechSpace:
@@ -167,13 +169,13 @@ def cech_cohomology_at(ring, n, p, B):
         - _horizontal_rank(ring, n, p - 1, B)
 
 
-def _stable_value(value_at):
+def _stable_value(value_at, start=None):
     """(dimension, stable flag) for the Cech oracle: the values at
-    consecutive truncations B, B+1 must agree; B doubles until they do or
-    the cap is hit.  Two equal values are evidence, not proof, which is why
-    the stable flag is reported."""
+    consecutive truncations B, B+1 must agree; B doubles from start until
+    they do or the cap is hit.  Two equal values are evidence, not proof,
+    which is why the stable flag is reported."""
     last = None
-    for B in truncations():
+    for B in truncations(start):
         v1 = value_at(B)
         v2 = value_at(B + 1)
         if v1 == v2:
@@ -228,8 +230,21 @@ def cech_hypercohomology_at(C, q, B):
 
 
 def cech_hypercohomology(C, q):
-    """(dimension, stable flag) of H^q(C) by _stable_value."""
-    return _stable_value(lambda B: cech_hypercohomology_at(C, q, B))
+    """(dimension, stable flag) of H^q(C) by _stable_value.
+
+    Off polynomial rings the doubling starts no lower than
+    reg R + 1 - a, a the least twist of C's two terms, from which every
+    truncated piece x_S^-B R_{a + B|S|} of those terms, S nonempty, lies
+    in degrees above reg R, where Gamma(O(n)) = R_n.  Below that start
+    the values can agree on a plateau under the answer: on
+    k[x,y,z]/(xy(x-y)) they read 0, 1, 3, 3, 3, 1, 1, 1 at B = 1, ..., 8
+    for a Hom of dimension 1.  Polynomial rings keep DEFAULT_B_START."""
+    ring = C.ctx.ring
+    start = DEFAULT_B_START
+    twists = [*C.E1, *C.E0]
+    if twists and not ring.is_polynomial_ring():
+        start = max(start, local_duality(ring).regularity + 1 - min(twists))
+    return _stable_value(lambda B: cech_hypercohomology_at(C, q, B), start)
 
 
 # -- local duality ------------------------------------------------------------

@@ -9,8 +9,8 @@ from functools import cached_property
 
 from .cohomology import GlobalSections
 from .hypersurface import coker_module
-from .koszul import (koszul_truncated, tot, tot_augmentation, tot_blocks,
-                     tot_morphism)
+from .koszul import (covering_forms, koszul_truncated, tot, tot_augmentation,
+                     tot_blocks, tot_morphism)
 from .linalg import (CosetReducer, echelon_add, homology_dim, kernel_basis,
                      sparse_matmul)
 from .mf import (MatrixFactorization, StrictMorphism, TwistSum,
@@ -146,8 +146,29 @@ def class_coords(cls, gs=None):
 
 
 class StabilizationCertificate:
-    """Records the chosen Koszul level and the twist-inventory inequality
-    that certifies naive = hypercohomology Hom out of the stabilization."""
+    """Records the chosen Koszul level j, the number k of covering forms
+    that P(j) is built on, and the twist-inventory inequality that
+    certifies naive = hypercohomology Hom out of the stabilization.
+
+    Why the rows q >= M - k suffice.  P(j) is the Koszul complex on the
+    j-th powers of k linear forms f_1, ..., f_k with no common zero on X
+    (koszul.covering_forms).
+    (a) On each open D(f_i) the power f_i^j is a unit, so the Koszul
+        complex augmented to O is exact there; the D(f_i) cover X, so it
+        is exact as a complex of sheaves, and E' = Tot(P(j) tensor E) ->
+        E is a weak equivalence.
+    (b) The D(f_i) are k affines covering X, so the Cech complex of that
+        cover computes the cohomology of every quasi-coherent sheaf, and
+        it has no terms above degree k - 1: H^p = 0 for p >= k.  In the
+        spectral sequence of the hypercohomology of the mapping complex
+        Hom(E', F), a term H^p(X, Hom^q) with p >= 1 lies in total degree
+        M or M + 1 only with q >= M - k + 1, so the rows q < M - k never
+        reach H^M.
+    Where every row q >= M - k has all its twists at or above the
+    vanishing threshold, H^p(Hom^q) = 0 for p > 0 on all those rows, and
+    H^M is the homology of the global sections: the naive Hom.  The twists
+    grow with q (Hom^{q+2} = Hom^q(d)), so the rows M - k and M - k + 1
+    decide all of them."""
 
     def __init__(self, j, k, threshold, threshold_tag, rows, min_twist, M):
         self.j = j
@@ -180,16 +201,18 @@ def _koszul(gs, j):
 def _stabilization(E, F, M, gs):
     """(E', certificate) for stabilize, without the augmentation: E' is
     Tot(P(j) tensor E) for the least j <= J_MAX whose mapping-complex twist
-    inventory clears the vanishing threshold in all rows q >= M-m-1, built
-    once per (E, j) in gs; the certificate is re-checked on every call,
-    since its rows depend on F."""
+    inventory clears the vanishing threshold in all rows q >= M - k, k the
+    number of covering forms (see StabilizationCertificate), built once
+    per (E, j) in gs; the certificate is re-checked on every call, since
+    its rows depend on F."""
     ctx = E.ctx
     if ctx.is_affine:
         raise ValueError("stabilization is a projective-mode operation")
     if E.is_zero_object():
         return E, StabilizationCertificate(0, 0, 0, "trivial", {}, 0, M)
     n0, tag = gs.threshold
-    q_min = M - ctx.ring.nvars      # M - m - 1 on P^m
+    k = len(covering_forms(ctx.ring))
+    q_min = M - k                   # M - m - 1 on P^m
 
     def row_twists(E1p, E0p):
         """Sorted twist lists of Hom_MF(E', F)^q, q = q_min, q_min + 1."""
@@ -205,8 +228,7 @@ def _stabilization(E, F, M, gs):
         min_twist = min(min(tw) for tw in rows.values() if tw) \
             if any(rows.values()) else n0
         if min_twist >= n0:
-            cert = StabilizationCertificate(j, P.term(0).rank, n0, tag, rows,
-                                            min_twist, M)
+            cert = StabilizationCertificate(j, k, n0, tag, rows, min_twist, M)
             break
     else:
         raise RuntimeError("no Koszul level up to %d clears the vanishing "
@@ -223,11 +245,11 @@ def _stabilization(E, F, M, gs):
 def stabilize(E, F, M=0, gs=None):
     """Replace E by Tot(P(j) tensor E) with the least j <= J_MAX whose
     mapping-complex twist inventory clears the vanishing threshold
-    gs.threshold in all rows q >= M-m-1.  P(j) is built once per gs, and
-    E' once per (E, j) in gs, shared with hom_H; epsilon is built, and
-    checked to be strict, on its first read here, against that E', and
-    kept beside it.  The certificate is re-checked on every call, since
-    its rows depend on F.
+    gs.threshold in all rows q >= M - k, k the number of covering forms.
+    P(j) is built once per gs, and E' once per (E, j) in gs, shared with
+    hom_H; epsilon is built, and checked to be strict, on its first read
+    here, against that E', and kept beside it.  The certificate is
+    re-checked on every call, since its rows depend on F.
 
     Returns (E', epsilon: E' -> E, certificate)."""
     gs = gs or GlobalSections(E.ctx)

@@ -4,6 +4,12 @@ augmentation to E (tot_augmentation, built apart from Tot, so a caller
 that does not read it does not build it), and the strict morphism
 Tot(P tensor f) induced by a strict morphism f.
 
+P(j) is the Koszul complex on the j-th powers of k linear forms with no
+common zero on X = Proj R (covering_forms), chosen once per ring: k is
+dim R = dim X + 1 where a search over the variables and the sums of two
+of them finds such forms (on P^m, the m + 1 variables), so
+Tot(P(j) tensor E) has rank (2^k - 1) rank E.
+
 Tot(P tensor E) is built straight from the terms and maps of P.  Its term
 in degree n is (+)_p (+)_{a in P^p} E^{n-p}(a), p ascending (`tot_blocks`,
 the one place this layout is written), where E^r is the unrolled periodic
@@ -11,10 +17,13 @@ complex of E.  The differential has (-1)^p times copies of E's
 differential on the diagonal and P's maps tensor id on the subdiagonal.
 """
 
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations
+from operator import mul
 
 from .mf import MatrixFactorization, SheafMap, StrictMorphism, TwistSum
 from .poly import Poly
+from .ring import buchberger
 
 
 class FreeComplex:
@@ -48,23 +57,84 @@ class FreeComplex:
         return SheafMap.zero(self.ring, self.term(p), self.term(p + 1))
 
 
+# -- covering forms -----------------------------------------------------------
+
+
+def krull_dimension(ring):
+    """dim R = dim S/LT(I): the size of the largest set of variables that
+    contains the support of no leading monomial of the ring's Groebner
+    basis (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 9)."""
+    leads = [g.leading_term()[0] for g in ring.groebner]
+    for k in range(ring.nvars, 0, -1):
+        for vs in combinations(range(ring.nvars), k):
+            if not any(all(e == 0 for i, e in enumerate(lm) if i not in vs)
+                       for lm in leads):
+                return k
+    return 0
+
+
+def _covers(ring, forms):
+    """Whether the forms have no common zero on X = Proj R: S/(I + (forms))
+    has finite length, that is, its Groebner basis has a pure power of
+    every variable among its leading monomials (ch. 5, sec. 3)."""
+    leads = [g.leading_term()[0]
+             for g in buchberger(ring.ideal_gens + list(forms))]
+    return all(any(lm[i] == sum(lm) for lm in leads)
+               for i in range(ring.nvars))
+
+
+def _choose_forms(ring):
+    """The first k-subset, k = dim R, dim R + 1, ..., of the variables, and
+    then of the variables and the sums x_a + x_b, that covers X; all the
+    variables if none does.  Fewer than dim R forms never cover X (Krull's
+    principal ideal theorem), so on a polynomial ring, where dim R = nvars,
+    this is the variables with no Groebner run."""
+    n = ring.nvars
+    xs = [Poly.monomial(ring.field, n, tuple(int(a == i) for a in range(n)))
+          for i in range(n)]
+    cands = xs + [xs[a] + xs[b] for a, b in combinations(range(n), 2)]
+    for k in range(krull_dimension(ring), n):
+        for S in chain(combinations(range(n), k),
+                       (S for S in combinations(range(len(cands)), k)
+                        if S[-1] >= n)):
+            forms = [cands[i] for i in S]
+            if _covers(ring, forms):
+                return tuple(forms)
+    return tuple(xs)
+
+
+def covering_forms(ring):
+    """The linear forms f_1, ..., f_k with no common zero on Proj(ring) on
+    which P(j) is built, chosen by _choose_forms on first use and held on
+    the ring."""
+    if ring.covering_forms is None:
+        ring.covering_forms = _choose_forms(ring)
+    return ring.covering_forms
+
+
+# -- truncated Koszul complexes -------------------------------------------------
+
+
 def koszul_truncated(ring, j):
     """The truncated Koszul complex P(j) on Proj(ring) together with its
     augmentation to O.
 
-    Built on the k = m+1 pure powers w_i = x_i^j, which have no common zero
-    on Proj(ring), so the augmented complex is exact as a complex of
-    sheaves: the term in cohomological degree -n+1 is O(-nj)^C(k,n) with
-    basis the n-subsets of the powers, the differentials contract against
-    the row (w_0, ..., w_m), and the augmentation is that row itself.
+    Built on the j-th powers w_i = f_i^j of the k = len(covering_forms)
+    forms, which have no common zero on Proj(ring), so the augmented
+    complex is exact as a complex of sheaves: on each open D(f_i) the form
+    w_i is a unit.  The term in cohomological degree -n+1 is
+    O(-nj)^C(k,n) with basis the n-subsets of the powers, the
+    differentials contract against the row (w_1, ..., w_k), and the
+    augmentation is that row itself.  When X is empty (R Artinian), k = 0
+    and P(j) is the zero complex.
 
     Returns (complex, augmentation map: term(0) -> O).
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    k = ring.nvars
-    powers = [[j if a == i else 0 for a in range(k)] for i in range(k)]
-    w = [ring.normal_form(Poly.monomial(ring.field, k, e)) for e in powers]
+    forms = covering_forms(ring)
+    k = len(forms)
+    w = [ring.normal_form(reduce(mul, [f] * j)) for f in forms]
     subset_bases = {n: list(combinations(range(k), n)) for n in range(1, k + 1)}
     terms = {}
     for n in range(1, k + 1):
@@ -79,12 +149,12 @@ def koszul_truncated(ring, j):
             for t, i in enumerate(S):
                 rest = S[:t] + S[t + 1:]
                 coeff = w[i] if t % 2 == 0 else -w[i]
-                if not coeff.is_zero():     # x_i^j may lie in the ideal
+                if not coeff.is_zero():     # f_i^j may lie in the ideal
                     rows[dst_index[rest]][cidx] = coeff
         maps[-n + 1] = SheafMap.from_rows(ring, terms[-n + 1],
                                           terms[-n + 2], rows)
     complex_ = FreeComplex(ring, terms, maps)
-    aug = SheafMap(ring, terms[0], TwistSum([0]), [list(w)])
+    aug = SheafMap(ring, complex_.term(0), TwistSum([0]), [list(w)])
     if k >= 2 and not aug.compose(complex_.map_at(-1)).is_zero():
         raise AssertionError("augmentation does not annihilate the image")
     return complex_, aug

@@ -174,6 +174,10 @@ class GradedRing:
         # polynomial ring and the local cohomology read off it, built on
         # first use by cohomology.local_duality
         self.duality = None
+        # the linear forms with no common zero on Proj R that the truncated
+        # Koszul complexes are built on, chosen on first use by
+        # koszul.covering_forms
+        self.covering_forms = None
 
     # -- basic element helpers ------------------------------------------
 

@@ -74,11 +74,12 @@ def koszul_exactness_report(ring, j, t_range=None):
     """Graded-piece exactness of the augmented truncated Koszul complex.
 
     Sheaf-level exactness only forces graded-piece exactness in high
-    internal degrees.  On a polynomial ring the pure powers are a regular
-    sequence, so the only homology is R/(x_0^j, ..., x_m^j) at O, which
-    vanishes for t > (m+1)(j-1); the default window starts at t = k*j - 1,
-    inside that range.  The window is proven only for polynomial rings (on
-    k[x,y,z]/(xy) its first degree has homology for j = 1, 2, 3).  Returns
+    internal degrees.  On a polynomial ring the covering forms are the
+    variables, whose powers are a regular sequence, so the only homology
+    is R/(x_0^j, ..., x_m^j) at O, which vanishes for t > (m+1)(j-1); the
+    default window starts at t = k*j - 1, inside that range.  The window
+    is proven only for polynomial rings (on k[x,y,z]/(xy), with the forms
+    z and x + y, its first degree has homology for j = 1, 2).  Returns
     {t: {spot: homology dim}}; all-zero means the check passed."""
     P, aug = koszul_truncated(ring, j)
     k = P.term(0).rank

@@ -223,9 +223,11 @@ def workdir(tmp_path_factory):
 # and quadric reports from commit ce91ad4, before a module presentation
 # kept its relations as a SheafMap; the double-line cech reports from the
 # code that first skipped the vanishing Cech restriction blocks of a
-# nilpotent variable (before it, they failed); the skew-line reports from
-# commit ba9e84e, before the Cech truncation of an unsaturated degree was
-# taken from reg R
+# nilpotent variable (before it, they failed); the skew-line naive hom
+# reports from commit ba9e84e, before the Cech truncation of an
+# unsaturated degree was taken from reg R; the skew-line hom and stabilize
+# reports from the code that first built P(j) on the covering forms
+# x + z, y + w (k = 2) instead of all four variables
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json")
                     .read_text(encoding="utf-8"))
 

@@ -18,7 +18,7 @@ from mfcat.mf import (MFContext, SheafMap, TwistSum, direct_sum_mf,
                       mapping_complex, shift_mf, twist_mf)
 from mfcat.poly import Poly
 from mfcat.ring import GradedRing, binom
-from mfcat.suite import generate_suite, unit_e0_factorization
+from mfcat.suite import generate_suite, rank_one_mf, unit_e0_factorization
 
 
 class TestClosedForm:
@@ -201,6 +201,38 @@ class TestTruncation:
         # H^1(P^1, O(-3)): truncations B=1 and B=2 disagree (0 vs 2)
         _dim, stable = cech_cohomology(ring_p1, -3, 1)
         assert not stable
+
+    def test_start_from_reg_r_on_three_lines(self, monkeypatch):
+        # k[x,y,z]/(xy(x-y)), W = 0, twist step 3: the values at B = 4, 5
+        # agree on a plateau at 3, but the Hom shift(A) -> B(-1) is
+        # 1-dimensional; off polynomial rings the doubling starts at
+        # reg R + 1 - (least twist of C) = 2 + 1 + 4 = 7
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                          ideal_strings=["x*y*(x - y)"])
+        ctx = MFContext(ring, ring.zero(), twist_step=3)
+        A = rank_one_mf(ctx, "x", "y*(x - y)", 0)
+        B = rank_one_mf(ctx, "y", "x*(x - y)", 0)
+        S, T = shift_mf(A), twist_mf(B, -1)
+        C = mapping_complex(S, T)
+        assert [cohomology.cech_hypercohomology_at(C, 0, b)
+                for b in range(1, 9)] == [0, 1, 3, 3, 3, 1, 1, 1]
+        tried = []
+        real = cohomology.cech_hypercohomology_at
+        monkeypatch.setattr(cohomology, "cech_hypercohomology_at",
+                            lambda C, q, B: tried.append(B) or real(C, q, B))
+        assert cech_hypercohomology(C, 0) == (1, True)
+        assert tried == [7, 8]
+        assert hom_H(S, T).dimension == 1
+
+    def test_polynomial_rings_keep_the_default_start(self, monkeypatch):
+        ctx, objs = generate_suite(0, "p2-small")
+        tried = []
+        real = cohomology.cech_hypercohomology_at
+        monkeypatch.setattr(cohomology, "cech_hypercohomology_at",
+                            lambda C, q, B: tried.append(B) or real(C, q, B))
+        cech_hypercohomology(mapping_complex(objs[0], twist_mf(objs[0], -3)),
+                             0)
+        assert tried[0] == cohomology.DEFAULT_B_START
 
     def test_vanishing_threshold(self, ctx_p2):
         n0, tag = vanishing_threshold(ctx_p2)

@@ -1,6 +1,7 @@
 """Hom-sets in the naive and stabilized homotopy categories, contractibility
 predicates, and the local-triviality report."""
 
+import random
 import time
 
 import pytest
@@ -16,7 +17,8 @@ from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       StrictMorphism, cone, cycle_from_strict, direct_sum_mf,
                       mapping_complex, shift_mf, twist_mf)
 from mfcat.ring import GradedRing
-from mfcat.suite import generate_suite, rank_one_mf, unit_e0_factorization
+from mfcat.suite import (_grow, generate_suite, rank_one_mf,
+                         unit_e0_factorization)
 
 from reference import zero_mf
 
@@ -170,15 +172,15 @@ class TestStabilizationOnRead:
 
     def test_koszul_built_once_per_level(self, monkeypatch):
         # the light pairs in four rounds on one GlobalSections (level 1),
-        # then an endomorphism that needs level 2
+        # then the pair U(1) -> U, which needs level 2
         ctx, pairs = nodal_light_pairs()
         gs = GlobalSections(ctx)
         calls = []
         real = homcat.koszul_truncated
         monkeypatch.setattr(homcat, "koszul_truncated",
                             lambda ring, j: calls.append(j) or real(ring, j))
-        base = pairs[0][0]
-        towers = [hom_H(E, F, gs).tower for E, F in pairs * 4 + [(base, base)]]
+        base, up = pairs[0]
+        towers = [hom_H(E, F, gs).tower for E, F in pairs * 4 + [(up, base)]]
         assert {j for (j,) in towers} == {1, 2}
         assert calls == [1, 2]
 
@@ -307,8 +309,10 @@ class TestStabilization:
 
 
 class TestNodalStabilization:
-    """Koszul stabilization on the pure powers over Proj k[x,y,z]/(xy),
-    W = z, where the vanishing threshold comes from local duality."""
+    """Koszul stabilization over Proj k[x,y,z]/(xy), W = z, on the powers
+    of the k = 2 covering forms z and x + y, where the vanishing threshold
+    comes from local duality.  The test names give the levels that the
+    pure powers of all three variables needed."""
 
     @pytest.mark.parametrize("shift", [False, True])
     def test_heavy_endomorphisms_at_level_2(self, shift):
@@ -316,8 +320,8 @@ class TestNodalStabilization:
         U = unit_e0_factorization(ctx)
         E = shift_mf(U) if shift else U
         hs = hom_H(E, E)
-        assert hs.certificate.j == 2 and hs.certificate.k == 3
-        assert hs.stabilized_src.E0.rank == 7
+        assert hs.certificate.j == 1 and hs.certificate.k == 2
+        assert hs.stabilized_src.E0.rank == 3
         dim, stable = cech_hypercohomology(mapping_complex(E, E), 0)
         assert stable and hs.dimension == dim == 0
 
@@ -329,8 +333,8 @@ class TestNodalStabilization:
         hs = hom_H(E, U)
         elapsed = time.process_time() - start
         cert = hs.certificate
-        assert (cert.j, cert.k) == (3, 3)
-        assert hs.stabilized_src.E0.rank == hs.stabilized_src.E1.rank == 7
+        assert (cert.j, cert.k) == (2, 2)
+        assert hs.stabilized_src.E0.rank == hs.stabilized_src.E1.rank == 3
         dim, stable = cech_hypercohomology(mapping_complex(E, U), 0)
         assert stable and hs.dimension == dim
         assert elapsed < 1.0
@@ -353,6 +357,70 @@ class TestNodalStabilization:
             shared = stabilize(E, F, gs=gs)[2].describe()
             assert shared == stabilize(E, F)[2].describe()
             assert shared["threshold_tag"] == "duality"
+
+
+# name -> (variables, ideal, twist step, rank-one base (e1, e0) with
+# e0 e1 = 0): twisted periodic complexes (W = 0), whose Homs are nonzero
+TWISTED = {
+    "nodal": (["x", "y", "z"], ["x*y"], 2, ("x", "y")),
+    "skew-lines": (["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"], 2,
+                   ("x + y", "z + w")),
+    "double-line": (["x", "y", "z"], ["x^2"], 2, ("x", "x")),
+    "three-lines": (["x", "y", "z"], ["x*y*(x - y)"], 3, ("x", "y*(x - y)")),
+}
+
+
+def twisted_corpus(name, field, count):
+    """The W = 0 context of TWISTED[name] and `count` objects grown (seed
+    0) from its base by twists, shifts, sums and cones."""
+    variables, ideal, step, (a, b) = TWISTED[name]
+    ring = GradedRing(field, variables, ideal_strings=ideal)
+    ctx = MFContext(ring, ring.zero(), twist_step=step)
+    return ctx, _grow(random.Random(0), ctx, [rank_one_mf(ctx, a, b, 0)],
+                      count)
+
+
+class TestTwistedPeriodicCorpora:
+    """hom_H on two covering forms equals Cech hypercohomology of the
+    mapping complex out of E itself, on corpora with nonzero Homs."""
+
+    @pytest.mark.parametrize("field", [PrimeField(DEFAULT_PRIME),
+                                       RationalField()], ids=["Fp", "Q"])
+    @pytest.mark.parametrize("name", TWISTED)
+    def test_hom_h_equals_cech(self, name, field):
+        ctx, objs = twisted_corpus(name, field, 3)
+        gs = GlobalSections(ctx)
+        dims = []
+        for E in objs:
+            for F in objs:
+                hs = hom_H(E, F, gs)
+                assert hs.certificate.k == 2
+                dim, stable = cech_hypercohomology(mapping_complex(E, F), 0)
+                assert stable and hs.dimension == dim
+                dims.append(dim)
+        assert min(dims) > 0
+
+    def test_compose_h_laws_on_nonzero_classes(self):
+        ctx, objs = twisted_corpus("nodal", PrimeField(DEFAULT_PRIME), 4)
+        gs = GlobalSections(ctx)
+        homs = {(i, k): hom_H(E, F, gs) for i, E in enumerate(objs)
+                for k, F in enumerate(objs)}
+        units = 0
+        for (i, k), hs in homs.items():
+            for a in hs.basis:
+                coords = class_coords(a, gs)
+                assert any(coords)
+                for out in (compose_h(StabilizedClass.identity(objs[k]), a),
+                            compose_h(a, StabilizedClass.identity(objs[i]))):
+                    assert class_coords(out, gs) == coords
+                    units += 1
+        assert units >= 100
+        for i, k, n in ((0, 1, 2), (1, 0, 1), (2, 3, 0)):
+            a, b, c = (homs[pair].basis[0] for pair in ((i, k), (k, n), (n, i)))
+            lhs = compose_h(compose_h(c, b), a)
+            rhs = compose_h(c, compose_h(b, a))
+            assert lhs.tower == rhs.tower
+            assert class_coords(lhs, gs) == class_coords(rhs, gs)
 
 
 class TestComposition:

@@ -3,11 +3,17 @@ Tot(P tensor f) of a strict morphism f."""
 
 import pytest
 
-from mfcat.koszul import (FreeComplex, koszul_truncated, stabilized_mf, tot,
+from mfcat import koszul
+from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
+from mfcat.homcat import hom_H, stabilize
+from mfcat.koszul import (FreeComplex, covering_forms, koszul_truncated,
+                          krull_dimension, stabilized_mf, tot,
                           tot_augmentation, tot_blocks, tot_morphism)
-from mfcat.mf import (SheafMap, StrictMorphism, TwistSum,
-                      strictness_violation, twist_mf, verify_mf)
-from mfcat.ring import binom
+from mfcat.mf import (MFContext, SheafMap, StrictMorphism, TwistSum,
+                      direct_sum_mf, shift_mf, strictness_violation, twist_mf,
+                      verify_mf)
+from mfcat.ring import GradedRing, binom
+from mfcat.suite import unit_e0_factorization
 
 from reference import free_complex_homology_dims, koszul_exactness_report
 from mfcat.suite import generate_suite
@@ -182,3 +188,107 @@ class TestTotMorphism:
             for p, ts in blocks:
                 assert ts.rank == P.term(p).rank * \
                     E_unit_p2.component_at(level - p).rank
+
+
+# name -> (variables, ideal, dim X, covering forms)
+SINGULAR = {
+    "nodal": (["x", "y", "z"], ["x*y"], 1, ["z", "x + y"]),
+    "skew-lines": (["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"], 1,
+                   ["x + z", "y + w"]),
+    "twisted-cubic": (["x", "y", "z", "w"],
+                      ["x*z - y^2", "y*w - z^2", "x*w - y*z"], 1, ["x", "w"]),
+    "double-line": (["x", "y", "z"], ["x^2"], 1, ["y", "z"]),
+    "three-lines": (["x", "y", "z"], ["x*y*(x - y)"], 1, ["z", "x + y"]),
+}
+FIELDS = {"F_32003": PrimeField(DEFAULT_PRIME), "F_7": PrimeField(7),
+          "Q": RationalField()}
+
+
+def _forms(ring):
+    return [ring.to_str(f) for f in covering_forms(ring)]
+
+
+class TestCoveringForms:
+    """P(j) is built on k = dim X + 1 linear forms with no common zero on
+    X: the variables on P^m, fewer on a singular curve."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_projective_space_uses_the_variables(self, m, monkeypatch):
+        ring = GradedRing(PrimeField(DEFAULT_PRIME),
+                          ["x%d" % i for i in range(m + 1)])
+        monkeypatch.setattr(koszul, "buchberger", None)   # no Groebner run
+        assert krull_dimension(ring) == m + 1
+        assert _forms(ring) == ring.variables
+        P, aug = koszul_truncated(ring, 2)
+        assert P.term(0).rank == m + 1
+        assert [str(p) for p in aug.entries[0]] == \
+            [str(ring.poly("x%d^2" % i)) for i in range(m + 1)]
+
+    @pytest.mark.parametrize("field", FIELDS.values(), ids=list(FIELDS))
+    @pytest.mark.parametrize("name", SINGULAR)
+    def test_dim_x_plus_one_forms(self, name, field):
+        variables, ideal, dim_x, forms = SINGULAR[name]
+        ring = GradedRing(field, variables, ideal_strings=ideal)
+        assert krull_dimension(ring) == dim_x + 1
+        assert _forms(ring) == forms
+        assert covering_forms(ring) is ring.covering_forms    # held on the ring
+        P, _aug = koszul_truncated(ring, 1)
+        assert P.degrees() == list(range(-dim_x, 1))
+        assert P.term(0).rank == dim_x + 1
+
+    @pytest.mark.parametrize("name", SINGULAR)
+    def test_variables_alone_do_not_cover(self, name):
+        # the chosen forms and all the variables cover X; on the nodal
+        # curve, skew lines and three lines no two variables do
+        variables, ideal, _dim_x, forms = SINGULAR[name]
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), variables,
+                          ideal_strings=ideal)
+        xs = [ring.poly(v) for v in variables]
+        assert koszul._covers(ring, [ring.poly(f) for f in forms])
+        assert koszul._covers(ring, xs)
+        if name in ("nodal", "skew-lines", "three-lines"):
+            assert not any(koszul._covers(ring, [xs[a], xs[b]])
+                           for a in range(len(xs)) for b in range(a))
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("name", SINGULAR)
+    def test_augmented_complex_exact_in_high_degrees(self, name, j):
+        # exact as sheaves: its homology modules have finite length, so
+        # they vanish in high degrees
+        variables, ideal, _dim_x, _forms = SINGULAR[name]
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), variables,
+                          ideal_strings=ideal)
+        report = koszul_exactness_report(ring, j, range(0, 2 * j + 4))
+        assert any(report[0].values())
+        for t in range(2 * j + 1, 2 * j + 4):
+            assert not any(report[t].values()), (t, report[t])
+
+    @pytest.mark.parametrize("name", [*SINGULAR, "P2", "P3"])
+    def test_stabilized_rank(self, name):
+        # E' = Tot(P(j) tensor E) has rank (2^k - 1) rank E
+        if name in SINGULAR:
+            variables, ideal = SINGULAR[name][:2]
+        else:
+            variables, ideal = ["x%d" % i for i in range(int(name[1]) + 1)], []
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), variables,
+                          ideal_strings=ideal)
+        U = unit_e0_factorization(MFContext(ring, ring.poly(variables[-1])))
+        k = len(covering_forms(ring))
+        for E in (U, direct_sum_mf(U, shift_mf(twist_mf(U, 1)))):
+            Ep, _eps, cert = stabilize(E, E)
+            assert cert.k == k
+            assert Ep.E0.rank == Ep.E1.rank == (2 ** k - 1) * E.E0.rank
+
+    def test_artinian_ring_has_no_forms(self):
+        # X is empty: no forms, P(j) is zero, and every Hom vanishes
+        ring = GradedRing(PrimeField(7), ["x", "y"],
+                          ideal_strings=["x^2", "x*y", "y^2"])
+        assert krull_dimension(ring) == 0
+        assert covering_forms(ring) == ()
+        P, aug = koszul_truncated(ring, 1)
+        assert P.degrees() == [] and aug.src.rank == 0
+        U = unit_e0_factorization(MFContext(ring, ring.poly("x")))
+        hs = hom_H(U, U)
+        assert hs.stabilized_src.is_zero_object()
+        assert hs.certificate.k == 0 and hs.certificate.check()
+        assert hs.dimension == 0

@@ -164,8 +164,10 @@ class TestMappingComplexGuard:
                           ideal_strings=["x*y"])
         U = unit_e0_factorization(MFContext(ring, ring.poly("z")))
         E = shift_mf(U) if shift else U
+        # level 1 on the two covering forms z and x + y (level 2, rank 7,
+        # on the pure powers of all three variables)
         Ep, _eps, cert = stabilize(E, E)
-        assert cert.j == 2 and Ep.E0.rank == 7
+        assert cert.j == 1 and Ep.E0.rank == 3
         for src in (E, Ep):
             assert_complex(mapping_complex(src, E))
 
