@@ -26,6 +26,38 @@ the whole truncated Cech bicomplex is assembled from normal-form
 multiplication matrices.  d^2 = 0 holds exactly because normal forms are
 multiplicative.
 
+One truncation is exact on P^m, R = k[x_0, ..., x_m].  The truncated
+Cech complex of O(a) is a subcomplex of the full one, and both split by
+Laurent monomial x^alpha, sum alpha = a, because restriction by x_i^B
+keeps alpha fixed.  The alpha-part of C^p is spanned by the subsets S,
+|S| = p + 1, containing N = {i : alpha_i < 0}; in the truncated complex
+the alpha-part is this full part when min alpha >= -B and 0 otherwise.
+The full alpha-part is the cochain complex of the faces of a simplex
+that contain N: acyclic when N is nonempty and proper, k in Cech degree
+0 when N is empty (then min alpha >= 0 >= -B, so it is always kept),
+and k in degree m when N is everything.  In that last case every
+alpha_i <= -1, so alpha_i = a - (the other m entries) >= a + m.  So the
+truncation at B computes H^*(P^m, O(a)) exactly once B >= -a - m, and
+cech_cohomology evaluates once, at B* = max(1, -n - m).  For a twisted
+periodic complex C, the quotient Q = (full Cech bicomplex) / (truncated
+one) has, in the row of each term C^k, cohomology only in Cech degree m,
+and only from twists a of C^k with -a - m > B: by the splitting, the
+row is the sum, over the twists a, of the full alpha-parts of O(a) with
+min alpha < -B, and such a part has cohomology only when every
+alpha_i < 0, in degree m, and then -B > min alpha >= a + m.  Filtering
+Q by k, the spectral sequence makes H^j(Tot Q) a subquotient of that
+cohomology of the row C^{j-m}.  When it vanishes for j = q - 1 and
+j = q, the long exact sequence of 0 -> truncated -> full -> Q -> 0 makes
+H^q of the truncated total complex the hypercohomology.  So H^q(C) is
+exact at B* = max(1, -m - a), a the least twist of C^{q-m-1} and
+C^{q-m}, and cech_hypercohomology evaluates once there.
+
+A quotient ring has no such splitting in general.  There the oracle
+compares the values at B and B + 1 and doubles B until they agree
+(_stable_value), starting no lower than a bound read off reg R;
+agreement is evidence, not proof, and the stable flag says whether it
+was found.
+
 The differentials are very sparse (restriction is a monomial shift), so
 they are assembled as sparse rows, one {column: value} dict per target
 row, and only their ranks are computed, by sparse elimination.  Each
@@ -49,7 +81,8 @@ from .poly import Poly
 from .ring import GradedRing, binom
 
 
-# truncations the Cech oracle tries: B = DEFAULT_B_START, doubling up to
+# truncations the Cech oracle tries on quotient rings (P^m takes one
+# proven truncation): from no lower than DEFAULT_B_START, doubling up to
 # DEFAULT_B_MAX
 DEFAULT_B_START = 4
 DEFAULT_B_MAX = 64
@@ -77,15 +110,14 @@ def _restrictions(ring, B):
             for i in range(ring.nvars)]
 
 
-def truncations(start=None):
-    """The truncations B the Cech oracle tries, doubling from start
-    (DEFAULT_B_START if not given) up to DEFAULT_B_MAX, both read at each
-    call; a start above the cap is tried alone."""
-    b = DEFAULT_B_START if start is None else start
-    yield b
-    while 2 * b <= DEFAULT_B_MAX:
-        b *= 2
-        yield b
+def truncations(start):
+    """The truncations B the Cech oracle tries on a quotient ring,
+    doubling from start up to DEFAULT_B_MAX, read at each call; a start
+    above the cap is tried alone."""
+    yield start
+    while 2 * start <= DEFAULT_B_MAX:
+        start *= 2
+        yield start
 
 
 class CechSpace:
@@ -169,11 +201,12 @@ def cech_cohomology_at(ring, n, p, B):
         - _horizontal_rank(ring, n, p - 1, B)
 
 
-def _stable_value(value_at, start=None):
-    """(dimension, stable flag) for the Cech oracle: the values at
-    consecutive truncations B, B+1 must agree; B doubles from start until
-    they do or the cap is hit.  Two equal values are evidence, not proof,
-    which is why the stable flag is reported."""
+def _stable_value(value_at, start):
+    """(dimension, stable flag) for the Cech oracle on a quotient ring,
+    where no truncation is proven exact: the values at consecutive
+    truncations B, B+1 must agree; B doubles from start until they do or
+    the cap is hit.  Two equal values are evidence, not proof, which is
+    why the stable flag is reported."""
     last = None
     for B in truncations(start):
         v1 = value_at(B)
@@ -185,8 +218,19 @@ def _stable_value(value_at, start=None):
 
 
 def cech_cohomology(ring, n, p):
-    """(dimension, stable flag) of H^p(O(n)) by _stable_value."""
-    return _stable_value(lambda B: cech_cohomology_at(ring, n, p, B))
+    """(dimension, stable flag) of H^p(O(n)).
+
+    On P^m one evaluation at B* = max(1, -n - m), exact by the proof in
+    the module docstring, so the flag is True.  On a quotient ring by
+    _stable_value, starting no lower than reg R + 1 - n, from which every
+    truncated piece x_S^-B R_{n + B|S|}, S nonempty, lies in degrees
+    above reg R, where Gamma(O(t)) = R_t; below it the values can agree
+    on 0 while h^1 is not 0."""
+    if ring.is_polynomial_ring():
+        B = max(1, -n - (ring.nvars - 1))
+        return cech_cohomology_at(ring, n, p, B), True
+    start = max(DEFAULT_B_START, local_duality(ring).regularity + 1 - n)
+    return _stable_value(lambda B: cech_cohomology_at(ring, n, p, B), start)
 
 
 def _total_space(C, n, B):
@@ -230,20 +274,28 @@ def cech_hypercohomology_at(C, q, B):
 
 
 def cech_hypercohomology(C, q):
-    """(dimension, stable flag) of H^q(C) by _stable_value.
+    """(dimension, stable flag) of H^q(C).
 
-    Off polynomial rings the doubling starts no lower than
-    reg R + 1 - a, a the least twist of C's two terms, from which every
+    On P^m one evaluation at B* = max(1, -m - a), a the least twist of
+    C^{q-m-1} and C^{q-m}, exact by the proof in the module docstring
+    (B* = 1 when both are empty: C is then 0), so the flag is True.
+
+    On a quotient ring by _stable_value, starting no lower than
+    reg R + 1 - a, a the least twist of C^{q-1} and C^q, from which every
     truncated piece x_S^-B R_{a + B|S|} of those terms, S nonempty, lies
     in degrees above reg R, where Gamma(O(n)) = R_n.  Below that start
     the values can agree on a plateau under the answer: on
     k[x,y,z]/(xy(x-y)) they read 0, 1, 3, 3, 3, 1, 1, 1 at B = 1, ..., 8
-    for a Hom of dimension 1.  Polynomial rings keep DEFAULT_B_START."""
+    for a Hom of dimension 1."""
     ring = C.ctx.ring
-    start = DEFAULT_B_START
-    twists = [*C.E1, *C.E0]
-    if twists and not ring.is_polynomial_ring():
-        start = max(start, local_duality(ring).regularity + 1 - min(twists))
+    if ring.is_polynomial_ring():
+        m = ring.nvars - 1
+        twists = [*C.component_at(q - m - 1), *C.component_at(q - m)]
+        B = max(1, -m - min(twists, default=0))
+        return cech_hypercohomology_at(C, q, B), True
+    twists = [*C.component_at(q - 1), *C.component_at(q)]
+    start = max(DEFAULT_B_START,
+                local_duality(ring).regularity + 1 - min(twists, default=0))
     return _stable_value(lambda B: cech_hypercohomology_at(C, q, B), start)
 
 

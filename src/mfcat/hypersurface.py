@@ -79,7 +79,10 @@ def stable_hom_dim(E, N):
     Returns (dim, stable, q_used)."""
     ctx = E.ctx
     d = ctx.d
-    q0 = ctx.dim_x() + 2
+    # dim X is at most nvars - 1 (nvars in affine-graded mode); an
+    # overestimate of dim X only starts q later
+    dim_x = ctx.ring.nvars if ctx.is_affine else ctx.ring.nvars - 1
+    q0 = dim_x + 2
     prev = None
     for q in range(q0, q0 + STABLE_HOM_STEPS + 1):
         val = ext_gamma_dims(E, N.twist(-q * d), [2 * q])[2 * q]

@@ -314,11 +314,6 @@ class MFContext:
             self._y_ring = self.ring.quotient_by(self.W)
         return self._y_ring
 
-    def dim_x(self):
-        """Ambient-count dimension bound for X (used for stabilization
-        starting points; an overestimate is safe)."""
-        return self.ring.nvars - 1 if self.mode == "projective" else self.ring.nvars
-
     def describe(self):
         out = self.ring.describe()
         return {"ring": out, "W": self.ring.to_str(self.W), "mode": self.mode,

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from mfcat import cohomology
 from mfcat.cohomology import (cech_cohomology, cech_hypercohomology,
                               GlobalSections, h_projective_space)
 from mfcat.fields import PrimeField
@@ -29,11 +28,11 @@ from mfcat.suite import (a1_u_factorization, a1_v_factorization,
                          projective_context, unit_e0_factorization)
 
 
-def test_a1_line_bundle_cohomology_matches_closed_form(monkeypatch):
+def test_a1_line_bundle_cohomology_matches_closed_form():
     """A1: truncated Cech values on P^1 and P^2 equal the closed form for
-    twists in [-6, 6], stabilizing within truncation 8, in under 10s."""
+    twists in [-6, 6], each at its one proven truncation
+    B* = max(1, -n - m) <= 5, in under 10s."""
     t0 = time.process_time()
-    monkeypatch.setattr(cohomology, "DEFAULT_B_MAX", 8)
     field = PrimeField(32003)
     for m in (1, 2):
         ring = GradedRing(field, ["x%d" % i for i in range(m + 1)])

@@ -147,6 +147,9 @@ def _cech_commands():
     grid = [("P1", n, p) for n in range(-4, 4) for p in (0, 1)]
     grid += [("P2", n, p) for n in range(-5, 3) for p in (0, 1, 2)]
     grid += [("P3", n, p) for n in (-5, -4, -1, 0, 1) for p in (0, 1, 2, 3)]
+    # h^1(P^1, O(-11)) = 10 and h^2(P^2, O(-16)) = 105, where the
+    # truncations B = 4 and 5 both read 0
+    grid += [("P1", -11, 1), ("P2", -16, 2)]
     cmds = [["cech", "--space", m, "--twist", str(n), "--p", str(p)]
             for m, n, p in grid]
     cmds += [["cech", "--ring", "nodal_ring.json", "--twist", str(n),
@@ -227,7 +230,9 @@ def workdir(tmp_path_factory):
 # reports from commit ba9e84e, before the Cech truncation of an
 # unsaturated degree was taken from reg R; the skew-line hom and stabilize
 # reports from the code that first built P(j) on the covering forms
-# x + z, y + w (k = 2) instead of all four variables
+# x + z, y + w (k = 2) instead of all four variables; the cech reports of
+# P^1 at twist -11 and P^2 at twist -16 from the code that first took one
+# proven truncation on P^m (before it, both read dim 0, stable true)
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json")
                     .read_text(encoding="utf-8"))
 

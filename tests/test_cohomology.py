@@ -1,6 +1,8 @@
 """Truncated Cech cohomology of line bundles and hypercohomology of
 twisted periodic complexes."""
 
+import random
+
 import pytest
 
 from mfcat import cohomology
@@ -18,7 +20,8 @@ from mfcat.mf import (MFContext, SheafMap, TwistSum, direct_sum_mf,
                       mapping_complex, shift_mf, twist_mf)
 from mfcat.poly import Poly
 from mfcat.ring import GradedRing, binom
-from mfcat.suite import generate_suite, rank_one_mf, unit_e0_factorization
+from mfcat.suite import (_grow, generate_suite, rank_one_mf,
+                         unit_e0_factorization)
 
 
 class TestClosedForm:
@@ -193,13 +196,42 @@ class TestGlobalSections:
         assert sparse_matmul(F, B, A) == C
 
 
+def three_lines_complex():
+    """k[x,y,z]/(xy(x-y)), W = 0, twist step 3: the mapping complex of
+    shift(A) -> B(-1), A = (x, y(x - y)), B = (y, x(x - y)), whose H^0 is
+    1-dimensional."""
+    ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                      ideal_strings=["x*y*(x - y)"])
+    ctx = MFContext(ring, ring.zero(), twist_step=3)
+    A = rank_one_mf(ctx, "x", "y*(x - y)", 0)
+    B = rank_one_mf(ctx, "y", "x*(x - y)", 0)
+    return mapping_complex(shift_mf(A), twist_mf(B, -1))
+
+
+def record_hyper_at(monkeypatch):
+    """The truncations B at which cech_hypercohomology_at is called."""
+    tried = []
+    real = cohomology.cech_hypercohomology_at
+    monkeypatch.setattr(cohomology, "cech_hypercohomology_at",
+                        lambda C, q, B: tried.append(B) or real(C, q, B))
+    return tried
+
+
 class TestTruncation:
-    def test_unstable_reported(self, ring_p1, monkeypatch):
-        # a schedule capped below stabilization must report stable=False
+    def test_unstable_reported(self, monkeypatch):
+        # a schedule capped below stabilization must report stable=False;
+        # only quotient rings run a schedule, and on the conic the start
+        # from reg R is put below the truncations that stabilize
+        conic = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                           ideal_strings=["x*z - y^2"])
+        monkeypatch.setattr(cohomology.local_duality(conic), "regularity",
+                            -10)
         monkeypatch.setattr(cohomology, "DEFAULT_B_START", 1)
         monkeypatch.setattr(cohomology, "DEFAULT_B_MAX", 1)
-        # H^1(P^1, O(-3)): truncations B=1 and B=2 disagree (0 vs 2)
-        _dim, stable = cech_cohomology(ring_p1, -3, 1)
+        # H^1(O(-3)) = h^1(P^1, O(-6)) = 5: truncations B=1 and B=2 disagree
+        assert cech_cohomology_at(conic, -3, 1, 1) != \
+            cech_cohomology_at(conic, -3, 1, 2)
+        _dim, stable = cech_cohomology(conic, -3, 1)
         assert not stable
 
     def test_start_from_reg_r_on_three_lines(self, monkeypatch):
@@ -224,15 +256,24 @@ class TestTruncation:
         assert tried == [7, 8]
         assert hom_H(S, T).dimension == 1
 
-    def test_polynomial_rings_keep_the_default_start(self, monkeypatch):
+    def test_start_reads_the_terms_of_degree_q(self, monkeypatch):
+        # H^-2(C(3)) = H^0(C), twist step 3: the start is taken from
+        # C(3)^-3 = C^-1 and C(3)^-2 = C^0, not from E1 and E0 of C(3),
+        # whose twists are 3 higher and start the doubling at 4, where
+        # the values agree on a wrong 3
+        C = three_lines_complex()
+        tried = record_hyper_at(monkeypatch)
+        assert cech_hypercohomology(twist_mf(C, 3), -2) == (1, True)
+        assert tried == [7, 8]
+
+    def test_polynomial_rings_take_one_proven_truncation(self, monkeypatch):
+        # C^-3 and C^-2 have twists (-5, -4) and (-4, -4) on P^2, so
+        # B* = max(1, -2 + 5) = 3
         ctx, objs = generate_suite(0, "p2-small")
-        tried = []
-        real = cohomology.cech_hypercohomology_at
-        monkeypatch.setattr(cohomology, "cech_hypercohomology_at",
-                            lambda C, q, B: tried.append(B) or real(C, q, B))
-        cech_hypercohomology(mapping_complex(objs[0], twist_mf(objs[0], -3)),
-                             0)
-        assert tried[0] == cohomology.DEFAULT_B_START
+        tried = record_hyper_at(monkeypatch)
+        assert cech_hypercohomology(
+            mapping_complex(objs[0], twist_mf(objs[0], -3)), 0) == (0, True)
+        assert tried == [3]
 
     def test_vanishing_threshold(self, ctx_p2):
         n0, tag = vanishing_threshold(ctx_p2)
@@ -242,6 +283,75 @@ class TestTruncation:
             for p in (1, 2):
                 dim, stable = cech_cohomology(ring, n, p)
                 assert stable and dim == 0
+
+
+# -- one proven truncation on P^m ----------------------------------------
+
+
+FIELDS = [PrimeField(DEFAULT_PRIME), PrimeField(7), RationalField()]
+
+# (m, rank-one base (e1, e0), twist step): W = 0 on P^m, twisted periodic
+# complexes whose Homs are all nonzero
+TWISTED_PM = [(m, base, step) for m in (1, 2)
+              for base, step in ((("x0", "0"), 1), (("x0", "0"), 2),
+                                 (("x0*x1", "0"), 1))]
+
+
+def projective_space(field, m):
+    return GradedRing(field, ["x%d" % i for i in range(m + 1)])
+
+
+class TestOneTruncation:
+    """On P^m one truncation is exact: B* = max(1, -n - m) for O(n), and
+    B* = max(1, -m - a) for H^q of C, a the least twist of C^{q-m-1} and
+    C^{q-m} (the proof is in the cohomology module docstring)."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("m, lo, hi", [(1, -14, 6), (2, -14, 6),
+                                           (3, -8, 4)])
+    def test_line_bundles_match_closed_form(self, m, lo, hi, field,
+                                            monkeypatch):
+        ring = projective_space(field, m)
+        tried = []
+        real = cohomology.cech_cohomology_at
+        monkeypatch.setattr(cohomology, "cech_cohomology_at",
+                            lambda r, n, p, B: tried.append(B)
+                            or real(r, n, p, B))
+        for n in range(lo, hi + 1):
+            B = max(1, -n - m)
+            for p in range(m + 1):
+                want = h_projective_space(m, n, p)
+                tried.clear()
+                assert cech_cohomology(ring, n, p) == (want, True), (n, p)
+                assert tried == [B]
+                assert real(ring, n, p, B + 1) == want, (n, p)
+
+    @pytest.mark.parametrize("m, n, p, dim", [(1, -11, 1, 10),
+                                              (1, -80, 1, 79),
+                                              (2, -16, 2, 105)])
+    def test_below_a_fixed_start(self, m, n, p, dim):
+        # 5(m + 1) < -n: the truncations B = 4 and 5 both read 0 here
+        ring = projective_space(PrimeField(DEFAULT_PRIME), m)
+        assert [cech_cohomology_at(ring, n, p, B) for B in (4, 5)] == [0, 0]
+        assert cech_cohomology(ring, n, p) == (dim, True)
+        assert dim == h_projective_space(m, n, p)
+
+    @pytest.mark.parametrize("m, base, step", TWISTED_PM,
+                             ids=["P%d-%s-d%d" % (m, base[0], step)
+                                  for m, base, step in TWISTED_PM])
+    def test_w_zero_corpora(self, m, base, step):
+        # hom_H, the one-truncation value and the value at B = 12 agree
+        ring = projective_space(PrimeField(DEFAULT_PRIME), m)
+        ctx = MFContext(ring, ring.zero(), twist_step=step)
+        objs = _grow(random.Random(0), ctx, [rank_one_mf(ctx, *base, 0)], 4)
+        gs = GlobalSections(ctx)
+        for E in objs:
+            for F in objs:
+                C = mapping_complex(E, F)
+                dim = hom_H(E, F, gs).dimension
+                assert dim > 0
+                assert cech_hypercohomology(C, 0) == (dim, True)
+                assert cohomology.cech_hypercohomology_at(C, 0, 12) == dim
 
 
 # -- one-pass assembly ----------------------------------------------------
@@ -383,8 +493,8 @@ class TestRankMemo:
         ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x0", "x1", "x2"])
         dims = [cech_cohomology(ring, -4, p) for p in range(3)]
         assert dims == [(0, True), (0, True), (3, True)]
-        # two differentials (out of C^0 and C^1) at B = 4 and 5
-        assert len(calls) == 4
+        # two differentials (out of C^0 and C^1) at B* = 4 - 2 = 2
+        assert len(calls) == 2
 
     def test_memo_is_per_ring_instance(self, monkeypatch):
         calls = []

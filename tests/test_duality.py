@@ -85,6 +85,20 @@ class TestDualityEqualsCech:
                 nonzero += p > 0 and dim > 0
         assert nonzero >= 2
 
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("name", ["nodal", "conic", "double-line",
+                                      "skew-lines"])
+    def test_far_negative_twists(self, name, field):
+        """h^1(O(n)) for n = -9, -12, -20, where a schedule started at
+        B = 4 read 0: started from reg R + 1 - n, Cech meets duality."""
+        if name == "conic":
+            ring = GradedRing(field, list("xyz"), ideal_strings=["x*z - y^2"])
+        else:
+            ring = make_ring(name, field)
+        for n in (-9, -12, -20):
+            want = h_duality(ring, n, 1)
+            assert want > 0 and cech_cohomology(ring, n, 1) == (want, True)
+
     def test_local_cohomology_vanishes_above_regularity(self):
         for name in RINGS:
             ring = make_ring(name)
