@@ -15,10 +15,14 @@ in degree n is (+)_p (+)_{a in P^p} E^{n-p}(a), p ascending (`tot_blocks`,
 the one place this layout is written), where E^r is the unrolled periodic
 complex of E.  The differential has (-1)^p times copies of E's
 differential on the diagonal and P's maps tensor id on the subdiagonal.
+Tot, its augmentation and Tot(P tensor f) are written by one row writer
+(`_tot_map`), which puts each entry at its final position from the
+offsets of that layout: copies of a map on the diagonal blocks, entries of
+P's maps times an identity on the blocks below them.
 """
 
 from functools import reduce
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from operator import mul
 
 from .mf import MatrixFactorization, SheafMap, StrictMorphism, TwistSum
@@ -171,23 +175,44 @@ def tot_blocks(P, E, level):
             for p in P.degrees()]
 
 
-def _twisted_copies(ts, g):
-    """id tensor g on (+)_{a in ts} O(a): the block diagonal of the g(a)."""
-    return SheafMap.block_diagonal(g.ring, [g.twist(a) for a in ts])
+def _tot_map(P, src, dst, copies, tensors):
+    """The map between the Tot layouts src and dst (lists of (p, summands),
+    as tot_blocks gives them) whose nonzero blocks are
+      * (p, p): id tensor copies[p], one copy of that map per summand of
+        P^p, on the diagonal;
+      * (p + 1, p): f tensor id_n for tensors[p] = (f, n), f a map out of
+        P^p and id_n the identity of rank n.
+    Every entry is written once, at its final position."""
+    col_off, row_off = _offsets(src), _offsets(dst)
+    rows = [{} for _ in range(sum(len(ts) for _, ts in dst))]
+    # the (p + 1, p) blocks first: in each row their columns come first
+    for p, (f, n) in tensors.items():
+        ro, co = row_off[p + 1], col_off[p]
+        for r, frow in enumerate(f.rows):
+            for t in range(n):
+                row = rows[ro + r * n + t]
+                for c, x in frow.items():
+                    row[co + c * n + t] = x
+    for p, g in copies.items():
+        ro, co = row_off[p], col_off[p]
+        ns, nd = g.src.rank, g.dst.rank
+        for a in range(P.term(p).rank):
+            for r, grow in enumerate(g.rows, ro + a * nd):
+                row = rows[r]
+                for c, x in grow.items():
+                    row[co + a * ns + c] = x
+    return SheafMap.from_rows(P.ring, _flat(src), _flat(dst), rows)
 
 
-def _tensor_id(f, ts):
-    """f tensor id on (+)_{a in f.src} ts(a) -> (+)_{b in f.dst} ts(b), for a
-    map f of twist sums: the block matrix of f's entries times identity
-    blocks."""
-    ring = f.ring
-    srcs = [ts.twist(a) for a in f.src]
-    dsts = [ts.twist(b) for b in f.dst]
-    blocks = [[None] * len(srcs) for _ in dsts]
-    for r, row in enumerate(f.rows):
-        for c, p in row.items():
-            blocks[r][c] = SheafMap.scalar(ring, p, srcs[c], dsts[r])
-    return SheafMap.from_blocks(ring, srcs, dsts, blocks)
+def _offsets(blocks):
+    """{p: index of the first summand of block p} in a Tot layout."""
+    return dict(zip((p for p, _ in blocks),
+                    accumulate((len(ts) for _, ts in blocks), initial=0)))
+
+
+def _flat(blocks):
+    """The twist sum of a Tot layout."""
+    return TwistSum(t for _, ts in blocks for t in ts)
 
 
 def tot(P, E):
@@ -195,21 +220,18 @@ def tot(P, E):
 
     The map from degree `level` to `level + 1` has the blocks
     (-1)^p id tensor (E's differential at level - p) on the diagonal and
-    P^p -> P^{p+1} tensor id on the subdiagonal."""
-    ring = E.ctx.ring
-    degs = P.degrees()
+    P^p -> P^{p+1} tensor id on the subdiagonal.  E's maps are negated
+    once, for all the odd p."""
+    signed = ((E.e0, E.e1), (-E.e0, -E.e1))
 
+    # E's differential at r is e0 (r even) or e1 (r odd), twisted, and a
+    # twist leaves the rows as they are
     def build(level):
-        blocks = [[None] * len(degs) for _ in degs]
-        for i, p in enumerate(degs):
-            vert = _twisted_copies(P.term(p), E.diff_at(level - p))
-            blocks[i][i] = vert if p % 2 == 0 else -vert
-        for p, f in P.maps.items():
-            blocks[degs.index(p + 1)][degs.index(p)] = \
-                _tensor_id(f, E.component_at(level - p))
-        return SheafMap.from_blocks(
-            ring, [ts for _, ts in tot_blocks(P, E, level)],
-            [ts for _, ts in tot_blocks(P, E, level + 1)], blocks)
+        return _tot_map(
+            P, tot_blocks(P, E, level), tot_blocks(P, E, level + 1),
+            {p: signed[p % 2][(level - p) % 2] for p in P.degrees()},
+            {p: (f, E.component_at(level - p).rank)
+             for p, f in P.maps.items()})
 
     return MatrixFactorization(E.ctx, build(-1), build(0))
 
@@ -218,28 +240,25 @@ def tot_morphism(P, f):
     """The strict morphism Tot(P tensor f): Tot(P tensor E) -> Tot(P tensor
     F) induced by a strict morphism f: E -> F, the block diagonal of f's
     components; checked."""
-    ring = f.ctx.ring
 
     def build(level):
-        return SheafMap.block_diagonal(
-            ring, [_twisted_copies(P.term(p), f.component_at(level - p))
-                   for p in P.degrees()])
+        return _tot_map(
+            P, tot_blocks(P, f.src, level), tot_blocks(P, f.dst, level),
+            {p: (f.g0, f.g1)[(level - p) % 2] for p in P.degrees()}, {})
 
     return StrictMorphism(tot(P, f.src), tot(P, f.dst), build(-1), build(0))
 
 
 def tot_augmentation(P, aug, E, Ep):
     """The augmentation weak equivalence Ep = Tot(P tensor E) -> E, aug
-    tensor id on the P^0 summand and zero on the others; checked."""
-    ring = E.ctx.ring
+    tensor id on the P^0 summand and zero on the others; checked.  E is
+    the layout's one block, in degree 1, the target of aug."""
 
     def build(level):
-        summands = tot_blocks(P, E, level)
         comp = E.component_at(level)
-        return SheafMap.from_blocks(
-            ring, [ts for _, ts in summands], [comp],
-            [[_tensor_id(aug, comp) if p == 0 else None
-              for p, _ in summands]])
+        # P has no term 0 (P = 0) when R is Artinian
+        return _tot_map(P, tot_blocks(P, E, level), [(1, comp)], {},
+                        {0: (aug, comp.rank)} if 0 in P.terms else {})
 
     return StrictMorphism(Ep, E, build(-1), build(0))
 

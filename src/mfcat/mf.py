@@ -15,8 +15,10 @@ Conventions (fixed throughout the engine):
     block for block and with the same source and target twist lists:
     C^{-1}(E, F[1]) is C^0(E, F) and C^0(E, F[1]) is C^{-1}(E, F)(d).
     Since -d^{-1}(E, F[1]) = d^{-1}(-E, -F[1]) with -E = (-e1, -e0) and
-    -F[1] = (f0, f1(d)), d^0 is built by the same function as d^{-1},
-    the signs going on the small maps.
+    -F[1] = (f0, f1(d)), both are written by one function
+    (`_mapping_differential`), which puts each entry of four maps at its
+    place in the hom_layout: d^{-1} from -e1, -e0 (E's maps negated once),
+    f1 and f0, and d^0 from e1, e0, f0 and f1, with no negation.
 """
 
 from .linalg import solve, sparse_blocks, sparse_rank
@@ -534,40 +536,79 @@ def hom_layout(E1, E0, F):
             [(E0, F.E0), (E1, F.E1)])
 
 
+def _write_post(rows, ro, co, phi, nA):
+    """Write the matrix of psi |-> phi o psi, Hom(A, B) -> Hom(A, C) for
+    phi: B -> C and A of rank nA, into the sparse rows `rows` with its
+    first entry at (ro, co).  Each row gets its keys in increasing order."""
+    i = ro
+    for prow in phi.rows:
+        for c in range(nA):
+            row = rows[i]
+            for s, p in prow.items():
+                row[co + s * nA + c] = p
+            i += 1
+
+
+def _write_pre(rows, ro, co, phi, nC):
+    """Write the matrix of psi |-> psi o phi, Hom(B, C) -> Hom(A, C) for
+    phi: A -> B and C of rank nC, into the sparse rows `rows` with its
+    first entry at (ro, co).  Each row gets its keys in increasing order."""
+    nB = phi.dst.rank
+    cols = [[] for _ in phi.src]
+    for s, prow in enumerate(phi.rows):
+        for c, p in prow.items():
+            cols[c].append((co + s, p))
+    i = ro
+    for r in range(nC):
+        base = r * nB
+        for col in cols:
+            row = rows[i]
+            for k, p in col:
+                row[base + k] = p
+            i += 1
+
+
 def _post_compose_matrix(phi, A):
     """Matrix of Hom(A, B) -> Hom(A, C), psi |-> phi o psi, for phi: B -> C."""
-    nA = A.rank
-    rows = [{s * nA + c: p for s, p in prow.items()}
-            for prow in phi.rows for c in range(nA)]
+    rows = [{} for _ in range(phi.dst.rank * A.rank)]
+    _write_post(rows, 0, 0, phi, A.rank)
     return SheafMap.from_rows(phi.ring, hom_twists((A, phi.src)),
                               hom_twists((A, phi.dst)), rows)
 
 
 def _pre_compose_matrix(phi, C):
     """Matrix of Hom(B, C) -> Hom(A, C), psi |-> psi o phi, for phi: A -> B."""
-    nB = phi.dst.rank
-    cols = [{} for _ in phi.src]
-    for s, prow in enumerate(phi.rows):
-        for c, p in prow.items():
-            cols[c][s] = p
-    rows = [{r * nB + s: p for s, p in col.items()}
-            for r in range(C.rank) for col in cols]
+    rows = [{} for _ in range(C.rank * phi.src.rank)]
+    _write_pre(rows, 0, 0, phi, C.rank)
     return SheafMap.from_rows(phi.ring, hom_twists((phi.dst, C)),
                               hom_twists((phi.src, C)), rows)
+
+
+def _mapping_differential(a1, a0, b1, b0, src, dst):
+    """The map src -> dst of block matrix [[(b1)_*, a0^*], [a1^*, (b0)_*]]
+    on the mapping complex layout (hom_layout) of a1: E1 -> E0,
+    a0: E0 -> E1(d), b1: F1 -> F0 and b0: F0 -> F1(d): the blocks map
+    Hom(E0, F1) (+) Hom(E1, F0(-d)) to Hom(E0, F0) (+) Hom(E1, F1).  Every
+    entry is written once, at its final position."""
+    nE0, nE1 = a1.dst.rank, a1.src.rank
+    ro, co = b1.dst.rank * nE0, b1.src.rank * nE0
+    rows = [{} for _ in range(dst.rank)]
+    # block row by block row, left block first, so keys come in increasing
+    # order
+    _write_post(rows, 0, 0, b1, nE0)
+    _write_pre(rows, 0, co, a0, b1.dst.rank)
+    _write_pre(rows, ro, 0, a1, b1.src.rank)
+    _write_post(rows, ro, co, b0, nE1)
+    return SheafMap.from_rows(a1.ring, src, dst, rows)
 
 
 def _mapping_dm1(E, F):
     """d^{-1}: C^{-1} -> C^0 of the mapping complex Hom_MF(E, F).  A psi in
     Hom(E1, F0(-d)) acts as psi(d): E1(d) -> F0, so -e0^* precomposes
     e0: E0 -> E1(d)."""
-    b11 = _post_compose_matrix(F.e1, E.E0)                   # (f1)_*
-    b12 = _pre_compose_matrix(-E.e0, F.E0)                   # -e0^*
-    b21 = _pre_compose_matrix(-E.e1, F.E1)                   # -e1^*
-    b22 = _post_compose_matrix(F.e0.twist(-E.ctx.d), E.E1)   # (f0)_*
     cm1, c0 = hom_layout(E.E1, E.E0, F)
-    return SheafMap.from_blocks(E.ctx.ring, [hom_twists(p) for p in cm1],
-                                [hom_twists(p) for p in c0],
-                                [[b11, b12], [b21, b22]])
+    return _mapping_differential(-E.e1, -E.e0, F.e1, F.e0,
+                                 hom_twists(*cm1), hom_twists(*c0))
 
 
 def mapping_complex(E, F):
@@ -584,12 +625,14 @@ def mapping_complex(E, F):
     require_mf(E)
     require_mf(F)
     ctx = E.ctx
-    neg_e = MatrixFactorization(ctx, -E.e1, -E.e0, check=False)
-    neg_shift_f = MatrixFactorization(ctx, F.e0, F.e1.twist(ctx.d),
-                                      check=False)
+    dm1 = _mapping_dm1(E, F)
+    # d^0 = d^-1(-E, -F[1]): -E = (-e1, -e0) takes the signs off E's maps,
+    # and -F[1] = (f0, f1(d)), whose twist leaves f1's rows as they are
+    d0 = _mapping_differential(E.e1, E.e0, F.e0, F.e1, dm1.dst,
+                               dm1.src.twist(ctx.d))
     return MatrixFactorization(
         MFContext(ctx.ring, ctx.ring.zero(), ctx.mode, twist_step=ctx.d),
-        _mapping_dm1(E, F), _mapping_dm1(neg_e, neg_shift_f), check=False)
+        dm1, d0, check=False)
 
 
 def unpack_maps(ring, polys, *shapes):

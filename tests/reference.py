@@ -1,11 +1,17 @@
 """Reference computations and fixtures that only the tests use: ideal
 equality by mutual membership, the dimension of a graded piece of a
 presented module, the zero object, graded-piece exactness of an unrolled
-periodic resolution and of the augmented truncated Koszul complex."""
+periodic resolution and of the augmented truncated Koszul complex, and
+block-composition builders of the mapping complex and of Tot(P tensor E),
+its augmentation and Tot(P tensor f), which glue small SheafMaps with
+SheafMap.from_blocks, against which the engine's entry writers are
+checked."""
 
-from mfcat.koszul import FreeComplex, koszul_truncated
-from mfcat.linalg import homology_dim, sparse_rank
-from mfcat.mf import MatrixFactorization, SheafMap, TwistSum
+from mfcat.koszul import FreeComplex, koszul_truncated, tot_blocks
+from mfcat.linalg import homology_dim, solve, sparse_rank
+from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
+                      StrictMorphism, TwistSum, cycle_from_strict, hom_layout,
+                      hom_twists, unpack_maps)
 from mfcat.ring import buchberger, reduce_poly
 
 
@@ -90,3 +96,136 @@ def koszul_exactness_report(ring, j, t_range=None):
     spots = range(min(P.degrees()), 2)
     return {t: free_complex_homology_dims(augmented, t, spots)
             for t in t_range}
+
+
+# -- block-composition builders ------------------------------------------
+
+
+def post_compose_matrix(phi, A):
+    """Matrix of Hom(A, B) -> Hom(A, C), psi |-> phi o psi, for phi: B -> C."""
+    nA = A.rank
+    rows = [{s * nA + c: p for s, p in prow.items()}
+            for prow in phi.rows for c in range(nA)]
+    return SheafMap.from_rows(phi.ring, hom_twists((A, phi.src)),
+                              hom_twists((A, phi.dst)), rows)
+
+
+def pre_compose_matrix(phi, C):
+    """Matrix of Hom(B, C) -> Hom(A, C), psi |-> psi o phi, for phi: A -> B."""
+    nB = phi.dst.rank
+    cols = [{} for _ in phi.src]
+    for s, prow in enumerate(phi.rows):
+        for c, p in prow.items():
+            cols[c][s] = p
+    rows = [{r * nB + s: p for s, p in col.items()}
+            for r in range(C.rank) for col in cols]
+    return SheafMap.from_rows(phi.ring, hom_twists((phi.dst, C)),
+                              hom_twists((phi.src, C)), rows)
+
+
+def mapping_dm1(E, F):
+    """d^{-1} of Hom_MF(E, F) as the block matrix
+    [[(f1)_*, -e0^*], [-e1^*, (f0)_*]] of four SheafMaps."""
+    b11 = post_compose_matrix(F.e1, E.E0)
+    b12 = pre_compose_matrix(-E.e0, F.E0)
+    b21 = pre_compose_matrix(-E.e1, F.E1)
+    b22 = post_compose_matrix(F.e0.twist(-E.ctx.d), E.E1)
+    cm1, c0 = hom_layout(E.E1, E.E0, F)
+    return SheafMap.from_blocks(E.ctx.ring, [hom_twists(p) for p in cm1],
+                                [hom_twists(p) for p in c0],
+                                [[b11, b12], [b21, b22]])
+
+
+def mapping_complex(E, F):
+    """Hom_MF(E, F) with d^0 = d^{-1}(-E, -F[1]), the signs on the small
+    maps."""
+    ctx = E.ctx
+    neg_e = MatrixFactorization(ctx, -E.e1, -E.e0, check=False)
+    neg_shift_f = MatrixFactorization(ctx, F.e0, F.e1.twist(ctx.d),
+                                      check=False)
+    return MatrixFactorization(
+        MFContext(ctx.ring, ctx.ring.zero(), ctx.mode, twist_step=ctx.d),
+        mapping_dm1(E, F), mapping_dm1(neg_e, neg_shift_f), check=False)
+
+
+def solve_homotopy(f):
+    """mf.solve_homotopy against the degree-0 piece matrix of mapping_dm1:
+    (s, t) or None."""
+    E, F = f.src, f.dst
+    ring = E.ctx.ring
+    dm1 = mapping_dm1(E, F)
+    x = solve(ring.field, *ring.piece_matrix(dm1, 0), cycle_from_strict(f))
+    if x is None:
+        return None
+    s, t_m = unpack_maps(ring, ring.polys_from_coords(x, dm1.src),
+                         *hom_layout(E.E1, E.E0, F)[0])
+    return s, (-t_m).twist(E.ctx.d)
+
+
+def twisted_copies(ts, g):
+    """id tensor g on (+)_{a in ts} O(a): the block diagonal of the g(a)."""
+    return SheafMap.block_diagonal(g.ring, [g.twist(a) for a in ts])
+
+
+def tensor_id(f, ts):
+    """f tensor id on (+)_{a in f.src} ts(a) -> (+)_{b in f.dst} ts(b): the
+    block matrix of f's entries times identity blocks."""
+    ring = f.ring
+    srcs = [ts.twist(a) for a in f.src]
+    dsts = [ts.twist(b) for b in f.dst]
+    blocks = [[None] * len(srcs) for _ in dsts]
+    for r, row in enumerate(f.rows):
+        for c, p in row.items():
+            blocks[r][c] = SheafMap.scalar(ring, p, srcs[c], dsts[r])
+    return SheafMap.from_blocks(ring, srcs, dsts, blocks)
+
+
+def tot(P, E):
+    """Tot(P tensor E) with (-1)^p twisted copies of E's differential on
+    the diagonal and P's maps tensor id on the subdiagonal, unchecked."""
+    ring = E.ctx.ring
+    degs = P.degrees()
+
+    def build(level):
+        blocks = [[None] * len(degs) for _ in degs]
+        for i, p in enumerate(degs):
+            vert = twisted_copies(P.term(p), E.diff_at(level - p))
+            blocks[i][i] = vert if p % 2 == 0 else -vert
+        for p, f in P.maps.items():
+            blocks[degs.index(p + 1)][degs.index(p)] = \
+                tensor_id(f, E.component_at(level - p))
+        return SheafMap.from_blocks(
+            ring, [ts for _, ts in tot_blocks(P, E, level)],
+            [ts for _, ts in tot_blocks(P, E, level + 1)], blocks)
+
+    return MatrixFactorization(E.ctx, build(-1), build(0), check=False)
+
+
+def tot_morphism(P, f):
+    """Tot(P tensor f) as the block diagonal of twisted copies of f's
+    components, unchecked."""
+    ring = f.ctx.ring
+
+    def build(level):
+        return SheafMap.block_diagonal(
+            ring, [twisted_copies(P.term(p), f.component_at(level - p))
+                   for p in P.degrees()])
+
+    return StrictMorphism(tot(P, f.src), tot(P, f.dst), build(-1), build(0),
+                          check=False)
+
+
+def tot_augmentation(P, aug, E, Ep):
+    """aug tensor id on the P^0 summand of Ep = Tot(P tensor E), zero on
+    the others, unchecked."""
+    ring = E.ctx.ring
+
+    def build(level):
+        summands = tot_blocks(P, E, level)
+        comp = E.component_at(level)
+        return SheafMap.from_blocks(
+            ring, [ts for _, ts in summands], [comp],
+            [[tensor_id(aug, comp) if p == 0 else None
+              for p, _ in summands]])
+
+    return StrictMorphism(Ep, E, build(-1), build(0), check=False)
