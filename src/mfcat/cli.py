@@ -153,8 +153,7 @@ def cmd_cech(args, inputs):
     if not (0 <= args.p <= ring.nvars - 1):
         raise CliError("--p must be in [0, %d]" % (ring.nvars - 1))
     dim, stable = cech_cohomology(ring, args.twist, args.p)
-    result = {"twist": args.twist, "p": args.p, "dim": dim, "stable": stable}
-    return result, 0 if stable else 2
+    return {"twist": args.twist, "p": args.p, "dim": dim, "stable": stable}, 0
 
 
 def cmd_cech_hh(args, inputs):
@@ -163,7 +162,7 @@ def cmd_cech_hh(args, inputs):
         raise CliError("cech-hh requires a projective context")
     C = mapping_complex(E, F)
     dim, stable = cech_hypercohomology(C, args.q)
-    return {"q": args.q, "dim": dim, "stable": stable}, 0 if stable else 2
+    return {"q": args.q, "dim": dim, "stable": stable}, 0
 
 
 def cmd_stabilize(args, inputs):

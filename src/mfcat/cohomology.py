@@ -14,10 +14,7 @@ regularity reg R = max_i (b_i - i), b_i the largest degree of an i-th
 syzygy, bounds where all of it vanishes: H^i_m(R)_n = 0 for
 n > reg R - i (Eisenbud, The Geometry of Syzygies, ch. 4 and app. 1).
 Vanishing thresholds and the saturation check Gamma(O(n)) = R_n are
-read off this, with no Cech complex, and so is the Cech truncation
-B = max(1, reg R + 1 - n) at which the kernel out of C^0 is exactly
-Gamma(O(n)) on a degree where Gamma(O(n)) != R_n (the proof is in
-GlobalSections).
+read off this, with no Cech complex.
 
 Cech truncation trick: the piece of the localized module O(a)(U_S) with
 exponents >= -B on the inverted variables is x_S^{-B} * R_{a + B*|S|}
@@ -26,37 +23,53 @@ the whole truncated Cech bicomplex is assembled from normal-form
 multiplication matrices.  d^2 = 0 holds exactly because normal forms are
 multiplicative.
 
-One truncation is exact on P^m, R = k[x_0, ..., x_m].  The truncated
-Cech complex of O(a) is a subcomplex of the full one, and both split by
-Laurent monomial x^alpha, sum alpha = a, because restriction by x_i^B
-keeps alpha fixed.  The alpha-part of C^p is spanned by the subsets S,
-|S| = p + 1, containing N = {i : alpha_i < 0}; in the truncated complex
-the alpha-part is this full part when min alpha >= -B and 0 otherwise.
-The full alpha-part is the cochain complex of the faces of a simplex
-that contain N: acyclic when N is nonempty and proper, k in Cech degree
-0 when N is empty (then min alpha >= 0 >= -B, so it is always kept),
-and k in degree m when N is everything.  In that last case every
-alpha_i <= -1, so alpha_i = a - (the other m entries) >= a + m.  So the
-truncation at B computes H^*(P^m, O(a)) exactly once B >= -a - m, and
-cech_cohomology evaluates once, at B* = max(1, -n - m).  For a twisted
-periodic complex C, the quotient Q = (full Cech bicomplex) / (truncated
-one) has, in the row of each term C^k, cohomology only in Cech degree m,
-and only from twists a of C^k with -a - m > B: by the splitting, the
-row is the sum, over the twists a, of the full alpha-parts of O(a) with
-min alpha < -B, and such a part has cohomology only when every
-alpha_i < 0, in degree m, and then -B > min alpha >= a + m.  Filtering
-Q by k, the spectral sequence makes H^j(Tot Q) a subquotient of that
-cohomology of the row C^{j-m}.  When it vanishes for j = q - 1 and
-j = q, the long exact sequence of 0 -> truncated -> full -> Q -> 0 makes
-H^q of the truncated total complex the hypercohomology.  So H^q(C) is
-exact at B* = max(1, -m - a), a the least twist of C^{q-m-1} and
-C^{q-m}, and cech_hypercohomology evaluates once there.
-
-A quotient ring has no such splitting in general.  There the oracle
-compares the values at B and B + 1 and doubles B until they agree
-(_stable_value), starting no lower than a bound read off reg R;
-agreement is evidence, not proof, and the stable flag says whether it
-was found.
+One truncation is exact on every ring (cech_truncation):
+B*(R, a) = max(1, 1 - a - N + b), b the largest degree of a generator of
+any F_j above (b = 0 on P^m, where B* = max(1, -a - m)).  Proof:
+- The truncated Cech complex of O(a) at B is K^{>=1}(x_0^B, ..., x_m^B;
+  R)_a shifted by one: C^p is the Koszul term K^{p+1}, the sum over
+  |S| = p + 1 of R(B|S|).  r/x_S^B |-> r/x_S^B maps K(x^B; R) into the
+  full Cech complex C(R) (with C^0 = R), which is the direct limit of
+  the K(x^B; R) over B and has cohomology H^*_m(R) (Brodmann-Sharp,
+  Local Cohomology, ch. 5).  To show: this natural map is an
+  isomorphism on H^i in degree a for every i once B >= B*(R, a).
+- K(x^B; -) and C(-) are exact functors, so applied to the resolution
+  F -> R they give double complexes whose total complexes compute
+  K(x^B; R) and C(R), with the map between them.  On a free module
+  S(-c) each has cohomology only in degree N, S/(x^B)(NB - c) and
+  H^N_m(S)(-c), and the map is r |-> r/(x_0 ... x_m)^B.  The spectral
+  sequences of the filtration by j then have one nonzero row, so the
+  map on H^i in degree a is the map on H_{N-i} of the complexes
+  (F (x) S/(x^B))(NB)_a -> H^N_m(F)_a.
+- On a summand S(-c) of F_j, c <= b, that map sends x^beta,
+  0 <= beta_i < B, to x^(beta - B): one-to-one, and onto unless some
+  x^-alpha, every alpha_i >= 1, sum alpha = c - a, has an alpha_i > B,
+  that is unless c - a - N >= B.  So once B > b - a - N it is an
+  isomorphism of complexes in degree a, term by term, and so on
+  homology.  (In dimensions alone: the left side is
+  Tor^S_{N-i}(S/(x^B), R)_{a+NB}, which Matlis duality over the
+  Gorenstein ring S/(x^B), of socle degree N(B - 1), turns into the
+  homology of Hom(F, S) (x) S/(x^B) in degree -a - N; that equals the
+  homology of Hom(F, S) which LocalDuality reads once b - a - N < B.)
+- So H^p of the truncated complex is H^{p+1}_m(R)_a = H^p(X, O(a)) for
+  p >= 1, and its H^0, the kernel out of C^0, is Gamma(O(a)): apply the
+  five lemma to 0 -> H^0 -> R_a -> Z^1 -> H^1 -> 0 for K(x^B; R) and
+  for C(R), whose middle map is the identity.  B* falls as a rises, so
+  a truncation that serves a serves every twist above a.
+For a twisted periodic complex C, the truncated bicomplex maps into the
+full one by the same r/x_S^B |-> r/x_S^B, and the cone of the map of
+total complexes is the total complex of the cones of the rows.  The row
+of C^k is the Cech complex of a sum of line bundles O(a), so its cone,
+in Cech degrees -1..m, is exact once B >= B*(R, a) for a the least
+twist of C^k.  A cocycle of the cone in total degree t is made a
+coboundary component by component, from the highest Cech degree down,
+using the rows C^{t-m}, ..., C^{t+1} alone.  When H^{q-1} and H^q of
+the cone vanish, its long exact sequence makes H^q of the truncated
+total complex the hypercohomology.  So H^q(C) is exact at B*(R, a), a
+the least twist of C^{q-m-1}, ..., C^{q+1}, and cech_cohomology and
+cech_hypercohomology each evaluate once.  Since C^{k+2} = C^k(d), for a
+twist step d >= 0 a is the least twist of C^{q-m-1} and C^{q-m}; for
+d < 0 the whole window is needed.
 
 The differentials are very sparse (restriction is a monomial shift), so
 they are assembled as sparse rows, one {column: value} dict per target
@@ -81,13 +94,6 @@ from .poly import Poly
 from .ring import GradedRing, binom
 
 
-# truncations the Cech oracle tries on quotient rings (P^m takes one
-# proven truncation): from no lower than DEFAULT_B_START, doubling up to
-# DEFAULT_B_MAX
-DEFAULT_B_START = 4
-DEFAULT_B_MAX = 64
-
-
 def h_projective_space(m, n, p):
     """dim H^p(P^m, O(n)) in closed form."""
     if p == 0 and n >= 0:
@@ -110,14 +116,11 @@ def _restrictions(ring, B):
             for i in range(ring.nvars)]
 
 
-def truncations(start):
-    """The truncations B the Cech oracle tries on a quotient ring,
-    doubling from start up to DEFAULT_B_MAX, read at each call; a start
-    above the cap is tried alone."""
-    yield start
-    while 2 * start <= DEFAULT_B_MAX:
-        start *= 2
-        yield start
+def cech_truncation(ring, a):
+    """B*(R, a) = max(1, 1 - a - N + b), from which the truncated Cech
+    complex of O(a) computes H^*(X, O(a)) (the proof is in the module
+    docstring), as does that of every twist above a."""
+    return max(1, 1 - a - ring.nvars + local_duality(ring).top_degree)
 
 
 class CechSpace:
@@ -201,36 +204,10 @@ def cech_cohomology_at(ring, n, p, B):
         - _horizontal_rank(ring, n, p - 1, B)
 
 
-def _stable_value(value_at, start):
-    """(dimension, stable flag) for the Cech oracle on a quotient ring,
-    where no truncation is proven exact: the values at consecutive
-    truncations B, B+1 must agree; B doubles from start until they do or
-    the cap is hit.  Two equal values are evidence, not proof, which is
-    why the stable flag is reported."""
-    last = None
-    for B in truncations(start):
-        v1 = value_at(B)
-        v2 = value_at(B + 1)
-        if v1 == v2:
-            return v1, True
-        last = v2
-    return last, False
-
-
 def cech_cohomology(ring, n, p):
-    """(dimension, stable flag) of H^p(O(n)).
-
-    On P^m one evaluation at B* = max(1, -n - m), exact by the proof in
-    the module docstring, so the flag is True.  On a quotient ring by
-    _stable_value, starting no lower than reg R + 1 - n, from which every
-    truncated piece x_S^-B R_{n + B|S|}, S nonempty, lies in degrees
-    above reg R, where Gamma(O(t)) = R_t; below it the values can agree
-    on 0 while h^1 is not 0."""
-    if ring.is_polynomial_ring():
-        B = max(1, -n - (ring.nvars - 1))
-        return cech_cohomology_at(ring, n, p, B), True
-    start = max(DEFAULT_B_START, local_duality(ring).regularity + 1 - n)
-    return _stable_value(lambda B: cech_cohomology_at(ring, n, p, B), start)
+    """(dimension, True): H^p(O(n)), evaluated once, at
+    cech_truncation(ring, n)."""
+    return cech_cohomology_at(ring, n, p, cech_truncation(ring, n)), True
 
 
 def _total_space(C, n, B):
@@ -274,29 +251,16 @@ def cech_hypercohomology_at(C, q, B):
 
 
 def cech_hypercohomology(C, q):
-    """(dimension, stable flag) of H^q(C).
-
-    On P^m one evaluation at B* = max(1, -m - a), a the least twist of
-    C^{q-m-1} and C^{q-m}, exact by the proof in the module docstring
-    (B* = 1 when both are empty: C is then 0), so the flag is True.
-
-    On a quotient ring by _stable_value, starting no lower than
-    reg R + 1 - a, a the least twist of C^{q-1} and C^q, from which every
-    truncated piece x_S^-B R_{a + B|S|} of those terms, S nonempty, lies
-    in degrees above reg R, where Gamma(O(n)) = R_n.  Below that start
-    the values can agree on a plateau under the answer: on
-    k[x,y,z]/(xy(x-y)) they read 0, 1, 3, 3, 3, 1, 1, 1 at B = 1, ..., 8
-    for a Hom of dimension 1."""
+    """(dimension, True): H^q(C), evaluated once, at
+    cech_truncation(ring, a), a the least twist of the rows
+    C^{q-m-1}, ..., C^{q+1} (when all are empty C is 0, and so is H^q).  On
+    k[x,y,z]/(xy(x-y)) the truncations B = 1, ..., 8 read 0, 1, 3, 3, 3,
+    1, 1, 1 for a Hom of dimension 1, and B* = 8."""
     ring = C.ctx.ring
-    if ring.is_polynomial_ring():
-        m = ring.nvars - 1
-        twists = [*C.component_at(q - m - 1), *C.component_at(q - m)]
-        B = max(1, -m - min(twists, default=0))
-        return cech_hypercohomology_at(C, q, B), True
-    twists = [*C.component_at(q - 1), *C.component_at(q)]
-    start = max(DEFAULT_B_START,
-                local_duality(ring).regularity + 1 - min(twists, default=0))
-    return _stable_value(lambda B: cech_hypercohomology_at(C, q, B), start)
+    m = ring.nvars - 1
+    twists = [a for k in range(q - m - 1, q + 2) for a in C.component_at(k)]
+    return cech_hypercohomology_at(
+        C, q, cech_truncation(ring, min(twists, default=0))), True
 
 
 # -- local duality ------------------------------------------------------------
@@ -331,6 +295,8 @@ class LocalDuality:
         # an i-th syzygy of degree b spans a summand S(-b) of F_i
         self.regularity = max(-a - i for i, F in enumerate(self.free)
                               for a in F)
+        # b, the largest degree of a generator of any F_i (cech_truncation)
+        self.top_degree = max(-a for F in self.free for a in F)
         self._local = {}
 
     def local_dim(self, i, n):
@@ -380,19 +346,10 @@ class GlobalSections:
     enables the same fast path.
 
     A degree n that fails it is represented by the kernel of the Cech
-    differential out of C^0 at the truncation B = max(1, reg R + 1 - n):
-    exact dimensions, but sections are not polynomials and no
-    strict-morphism basis is extracted there.  That kernel is Gamma(O(n)),
-    because every degree t >= reg R + 1 is saturated (H^i_m(R)_t = 0 for
-    t > reg R - i) and n + B >= reg R + 1:
-    - onto: a section s gives the vector (x_i^B s), with entries in
-      Gamma(O(n + B)) = R_{n+B}; it meets the kernel equations
-      x_j^B a_i = x_i^B a_j, since both sides are x_i^B x_j^B s in
-      Gamma(O(n + 2B)) = R_{n+2B};
-    - one-to-one: if a kernel vector (a_i) gives the zero section, each
-      a_i is killed by a power of x_i, and then, by the kernel equations,
-      by a power of every variable; so a_i lies in H^0_m(R)_{n+B} = 0.
-    A truncation that serves n serves every degree above n too.
+    differential out of C^0 at B = cech_truncation(ring, n): exact
+    dimensions, since that kernel is Gamma(O(n)) through the natural map
+    (the proof is in the module docstring), but sections are not
+    polynomials and no strict-morphism basis is extracted there.
     """
 
     def __init__(self, ctx):
@@ -419,11 +376,6 @@ class GlobalSections:
         local = local_duality(self.ring).local_dim
         return not (local(0, n) or local(1, n))
 
-    def _truncation(self, n):
-        """B = max(1, reg R + 1 - n), at which the Cech C^0 kernel of O(n)
-        is Gamma(O(n)) (see the class docstring)."""
-        return max(1, local_duality(self.ring).regularity + 1 - n)
-
     def _kernel(self, n, B):
         """(C^0 space, kernel basis in C^0 coordinates) of O(n) at
         truncation B, cached per (n, B)."""
@@ -435,7 +387,7 @@ class GlobalSections:
     def dim(self, n):
         if self.saturated(n):
             return self.ring.hilbert(n)
-        return len(self._kernel(n, self._truncation(n))[1])
+        return len(self._kernel(n, cech_truncation(self.ring, n))[1])
 
     @cached_property
     def threshold(self):
@@ -464,7 +416,7 @@ class GlobalSections:
         d = max(p.total_degree(), 0)
         if self.saturated(n) and self.saturated(n + d):
             return ring.mult_matrix(p, n)
-        B = self._truncation(n)
+        B = cech_truncation(ring, n)
         sp0, K = self._kernel(n, B)
         tp0, L = self._kernel(n + d, B)
         amb, _ = sparse_blocks(tp0.block_dims, sp0.block_dims, cech_vertical(

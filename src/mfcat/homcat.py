@@ -38,8 +38,8 @@ class HomSpace:
     Gamma is a matrix of multiplication by normal forms on graded pieces,
     which is multiplicative, so m_out m_in = Gamma(d^0 d^-1) = 0; a
     nonzero product there is a fault of assembly or of normal forms.  Off
-    that path Gamma is read off Cech kernels at the truncation that
-    GlobalSections proves from reg R, and the product is the one check of
+    that path Gamma is read off Cech kernels at the one proven truncation
+    (cohomology.cech_truncation), and the product is the one check of
     that assembly that the boundaries lie in the cycles.
 
     hom_naive builds it with model 'naive'; hom_H relabels it as the

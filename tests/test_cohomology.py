@@ -9,8 +9,8 @@ from mfcat import cohomology
 from mfcat.cohomology import (CechSpace, GlobalSections, cech_cohomology,
                               cech_cohomology_at, cech_horizontal,
                               cech_hypercohomology, cech_total_diff,
-                              cech_vertical, h_duality, h_projective_space,
-                              vanishing_threshold)
+                              cech_truncation, cech_vertical, h_duality,
+                              h_projective_space, vanishing_threshold)
 from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
 from mfcat.homcat import hom_H
 from mfcat.linalg import (ExactMatrix, kernel_basis, rref, solve,
@@ -196,16 +196,18 @@ class TestGlobalSections:
         assert sparse_matmul(F, B, A) == C
 
 
-def three_lines_complex():
-    """k[x,y,z]/(xy(x-y)), W = 0, twist step 3: the mapping complex of
-    shift(A) -> B(-1), A = (x, y(x - y)), B = (y, x(x - y)), whose H^0 is
-    1-dimensional."""
-    ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
-                      ideal_strings=["x*y*(x - y)"])
+THREE_LINES = ("xyz", ["x*y*(x - y)"])
+
+
+def three_lines_pair():
+    """k[x,y,z]/(xy(x-y)), W = 0, twist step 3: shift(A) and B(-1),
+    A = (x, y(x - y)), B = (y, x(x - y)), with a 1-dimensional Hom."""
+    ring = GradedRing(PrimeField(DEFAULT_PRIME), list(THREE_LINES[0]),
+                      ideal_strings=THREE_LINES[1])
     ctx = MFContext(ring, ring.zero(), twist_step=3)
     A = rank_one_mf(ctx, "x", "y*(x - y)", 0)
     B = rank_one_mf(ctx, "y", "x*(x - y)", 0)
-    return mapping_complex(shift_mf(A), twist_mf(B, -1))
+    return shift_mf(A), twist_mf(B, -1)
 
 
 def record_hyper_at(monkeypatch):
@@ -218,53 +220,46 @@ def record_hyper_at(monkeypatch):
 
 
 class TestTruncation:
-    def test_unstable_reported(self, monkeypatch):
-        # a schedule capped below stabilization must report stable=False;
-        # only quotient rings run a schedule, and on the conic the start
-        # from reg R is put below the truncations that stabilize
-        conic = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
-                           ideal_strings=["x*z - y^2"])
-        monkeypatch.setattr(cohomology.local_duality(conic), "regularity",
-                            -10)
-        monkeypatch.setattr(cohomology, "DEFAULT_B_START", 1)
-        monkeypatch.setattr(cohomology, "DEFAULT_B_MAX", 1)
-        # H^1(O(-3)) = h^1(P^1, O(-6)) = 5: truncations B=1 and B=2 disagree
-        assert cech_cohomology_at(conic, -3, 1, 1) != \
-            cech_cohomology_at(conic, -3, 1, 2)
-        _dim, stable = cech_cohomology(conic, -3, 1)
-        assert not stable
-
-    def test_start_from_reg_r_on_three_lines(self, monkeypatch):
-        # k[x,y,z]/(xy(x-y)), W = 0, twist step 3: the values at B = 4, 5
-        # agree on a plateau at 3, but the Hom shift(A) -> B(-1) is
-        # 1-dimensional; off polynomial rings the doubling starts at
-        # reg R + 1 - (least twist of C) = 2 + 1 + 4 = 7
-        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
-                          ideal_strings=["x*y*(x - y)"])
-        ctx = MFContext(ring, ring.zero(), twist_step=3)
-        A = rank_one_mf(ctx, "x", "y*(x - y)", 0)
-        B = rank_one_mf(ctx, "y", "x*(x - y)", 0)
-        S, T = shift_mf(A), twist_mf(B, -1)
+    def test_three_lines_one_evaluation(self, monkeypatch):
+        # the truncations B = 1, ..., 8 agree on a plateau at 3 before
+        # they settle on the dimension of the Hom; one evaluation at
+        # B* = 1 - a - N + b = 1 + 7 - 3 + 3 = 8, with a = -7 the least
+        # twist of C^-3, ..., C^1 and b = 3 the degree of xy(x - y)
+        S, T = three_lines_pair()
         C = mapping_complex(S, T)
         assert [cohomology.cech_hypercohomology_at(C, 0, b)
                 for b in range(1, 9)] == [0, 1, 3, 3, 3, 1, 1, 1]
-        tried = []
-        real = cohomology.cech_hypercohomology_at
-        monkeypatch.setattr(cohomology, "cech_hypercohomology_at",
-                            lambda C, q, B: tried.append(B) or real(C, q, B))
+        tried = record_hyper_at(monkeypatch)
         assert cech_hypercohomology(C, 0) == (1, True)
-        assert tried == [7, 8]
+        assert tried == [8]
         assert hom_H(S, T).dimension == 1
 
-    def test_start_reads_the_terms_of_degree_q(self, monkeypatch):
-        # H^-2(C(3)) = H^0(C), twist step 3: the start is taken from
-        # C(3)^-3 = C^-1 and C(3)^-2 = C^0, not from E1 and E0 of C(3),
-        # whose twists are 3 higher and start the doubling at 4, where
-        # the values agree on a wrong 3
-        C = three_lines_complex()
+    def test_window_reads_the_rows_around_q(self, monkeypatch):
+        # H^-2(C(3)) = H^0(C), twist step 3: the rows C(3)^-5, ..., C(3)^-1
+        # are C^-3, ..., C^1, so the one evaluation is again at B* = 8
+        C = mapping_complex(*three_lines_pair())
         tried = record_hyper_at(monkeypatch)
         assert cech_hypercohomology(twist_mf(C, 3), -2) == (1, True)
-        assert tried == [7, 8]
+        assert tried == [8]
+
+    @pytest.mark.parametrize("step", [-1, -2])
+    def test_negative_step_reads_the_whole_window(self, step, monkeypatch):
+        # with twists falling as k rises, the least twist of
+        # C^{q-m-1}, ..., C^{q+1} lies past C^{q-m}: read off C^{q-m-1}
+        # and C^{q-m} alone, B* is too small and Homs of dimension 6 and
+        # 13 read 3 and 10
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), list(THREE_LINES[0]),
+                          ideal_strings=THREE_LINES[1])
+        ctx = MFContext(ring, ring.zero(), twist_step=step)
+        objs = _grow(random.Random(0), ctx,
+                     [rank_one_mf(ctx, "x*y", "0", 0)], 3)
+        gs = GlobalSections(ctx)
+        tried = record_hyper_at(monkeypatch)
+        for E in objs:
+            for F in objs:
+                assert cech_hypercohomology(mapping_complex(E, F), 0) == \
+                    (hom_H(E, F, gs).dimension, True)
+        assert len(tried) == len(objs) ** 2
 
     def test_polynomial_rings_take_one_proven_truncation(self, monkeypatch):
         # C^-3 and C^-2 have twists (-5, -4) and (-4, -4) on P^2, so
@@ -302,9 +297,16 @@ def projective_space(field, m):
 
 
 class TestOneTruncation:
-    """On P^m one truncation is exact: B* = max(1, -n - m) for O(n), and
-    B* = max(1, -m - a) for H^q of C, a the least twist of C^{q-m-1} and
-    C^{q-m} (the proof is in the cohomology module docstring)."""
+    """On P^m (b = 0) cech_truncation is B* = max(1, -n - m) for O(n),
+    and for H^q of C with a twist step d > 0 it is B* = max(1, -m - a), a
+    the least twist of C^{q-m-1} and C^{q-m}, since the rows rise by d
+    every two steps (the proof is in the cohomology module docstring)."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_closed_form_on_projective_space(self, m):
+        ring = projective_space(PrimeField(DEFAULT_PRIME), m)
+        assert [cech_truncation(ring, n) for n in range(-14, 7)] == \
+            [max(1, -n - m) for n in range(-14, 7)]
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("m, lo, hi", [(1, -14, 6), (2, -14, 6),
@@ -339,19 +341,25 @@ class TestOneTruncation:
     @pytest.mark.parametrize("m, base, step", TWISTED_PM,
                              ids=["P%d-%s-d%d" % (m, base[0], step)
                                   for m, base, step in TWISTED_PM])
-    def test_w_zero_corpora(self, m, base, step):
-        # hom_H, the one-truncation value and the value at B = 12 agree
+    def test_w_zero_corpora(self, m, base, step, monkeypatch):
+        # hom_H, the one-truncation value and the value at B = 12 agree,
+        # and the one truncation is read off C^{-m-1} and C^{-m} alone
         ring = projective_space(PrimeField(DEFAULT_PRIME), m)
         ctx = MFContext(ring, ring.zero(), twist_step=step)
         objs = _grow(random.Random(0), ctx, [rank_one_mf(ctx, *base, 0)], 4)
         gs = GlobalSections(ctx)
+        real = cohomology.cech_hypercohomology_at
+        tried = record_hyper_at(monkeypatch)
         for E in objs:
             for F in objs:
                 C = mapping_complex(E, F)
                 dim = hom_H(E, F, gs).dimension
                 assert dim > 0
+                tried.clear()
                 assert cech_hypercohomology(C, 0) == (dim, True)
-                assert cohomology.cech_hypercohomology_at(C, 0, 12) == dim
+                low = min([*C.component_at(-m - 1), *C.component_at(-m)])
+                assert tried == [max(1, -m - low)]
+                assert real(C, 0, 12) == dim
 
 
 # -- one-pass assembly ----------------------------------------------------
@@ -600,8 +608,8 @@ UNSATURATED = {
 
 class TestProvenTruncation:
     """Off the saturated path, Gamma(O(n)) is the Cech C^0 kernel at
-    B = max(1, reg R + 1 - n), and mult takes both kernels at the source
-    degree's B: the dimension is h^0 by local duality, and mult equals
+    B* = max(1, 1 - n - N + b), and mult takes both kernels at the source
+    degree's B*: the dimension is h^0 by local duality, and mult equals
     the per-section solve at larger truncations."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -613,9 +621,10 @@ class TestProvenTruncation:
         unsaturated, _ = UNSATURATED[space]
         assert [n for n in range(-4, 6) if not gs.saturated(n)] == \
             unsaturated
-        reg = cohomology.local_duality(ctx.ring).regularity
+        b = cohomology.local_duality(ctx.ring).top_degree
         for n in unsaturated:
-            assert gs._truncation(n) == max(1, reg + 1 - n)
+            assert cech_truncation(ctx.ring, n) == \
+                max(1, 1 - n - ctx.ring.nvars + b)
             assert gs.dim(n) == h_duality(ctx.ring, n, 0) != \
                 ctx.ring.hilbert(n)
 
@@ -633,7 +642,7 @@ class TestProvenTruncation:
             # every source or target degree off the saturated path
             for n in sorted({k - e for k in unsaturated for e in (0, d)}):
                 got = gs.mult(p, n)
-                B = gs._truncation(n)
+                B = cech_truncation(ring, n)
                 for larger in (B + 1, B + 2):
                     assert [list(r.items()) for r in got] == \
                         [list(r.items())
@@ -659,17 +668,18 @@ class TestSectionMultiplication:
                 assert len(got) == gs.dim(n + p.total_degree())
                 assert [list(r.items()) for r in got] == \
                     [list(r.items())
-                     for r in solve_mult(ring, p, n, gs._truncation(n))]
+                     for r in solve_mult(ring, p, n, cech_truncation(ring, n))]
 
     def test_unequal_bounds_reuse_one_kernel_per_bound(self, monkeypatch):
-        """Two points on P^1, reg R = 1: O(-2) takes B = 4 and O(-1)
-        B = 3.  mult out of O(-2) takes both kernels at B = 4, each
-        eliminated once; dim(-1) eliminates once more, at B = 3, and no
+        """Two points on P^1, b = 2: O(-2) takes B* = 3 and O(-1)
+        B* = 2.  mult out of O(-2) takes both kernels at B = 3, each
+        eliminated once; dim(-1) eliminates once more, at B = 2, and no
         truncation is found by a rank scan."""
         ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y"],
                           ideal_strings=["x*y"])
         gs = GlobalSections(MFContext(ring, ring.poly("x + y")))
-        assert (gs._truncation(-2), gs._truncation(-1)) == (4, 3)
+        assert (cech_truncation(ring, -2), cech_truncation(ring, -1)) == \
+            (3, 2)
         calls, ranks = [], []
         real, real_rank = cohomology.kernel_basis, cohomology.sparse_rank
         monkeypatch.setattr(cohomology, "kernel_basis",
@@ -679,11 +689,11 @@ class TestSectionMultiplication:
         p = ring.poly("x - 3*y")
         got = gs.mult(p, -2)
         assert [c[1:] for c in calls] == \
-            [_horizontal_rows(ring, n, 4) for n in (-2, -1)]
+            [_horizontal_rows(ring, n, 3) for n in (-2, -1)]
         assert gs.mult(p, -2) == got and len(calls) == 2
-        assert got == solve_mult(ring, p, -2, 5)
+        assert got == solve_mult(ring, p, -2, 4)
         assert len(got) == gs.dim(-1) == 2 and gs.dim(-2) == 2
-        assert calls[2][1:] == _horizontal_rows(ring, -1, 3)
+        assert calls[2][1:] == _horizontal_rows(ring, -1, 2)
         assert len(calls) == 3 and ranks == []
 
     def test_image_outside_sections_raises(self):
@@ -701,11 +711,11 @@ class TestSectionMultiplication:
             gs.mult(ctx.ring.poly("x + y + z + w"), 0)
 
     def test_kernel_eliminates_once_at_the_chosen_bound(self, monkeypatch):
-        """Two skew lines, reg R = 1: degree 0 takes B = 2, one kernel
+        """Two skew lines, b = 4: degree 0 takes B* = 1, one kernel
         elimination, and no rank scan."""
         ctx = skew_lines(PrimeField(DEFAULT_PRIME))
         gs = GlobalSections(ctx)
-        assert not gs.saturated(0) and gs._truncation(0) == 2
+        assert not gs.saturated(0) and cech_truncation(ctx.ring, 0) == 1
         ranks, kernels = [], []
         real_rank, real_kernel = cohomology.sparse_rank, \
             cohomology.kernel_basis
@@ -715,7 +725,7 @@ class TestSectionMultiplication:
                             lambda *a: kernels.append(a) or real_kernel(*a))
         assert gs.dim(0) == 2 and gs.dim(0) == 2
         assert ranks == [] and len(kernels) == 1
-        assert kernels[0][1:] == _horizontal_rows(ctx.ring, 0, 2)
+        assert kernels[0][1:] == _horizontal_rows(ctx.ring, 0, 1)
 
 
 def per_entry_rows(gs, f):

@@ -5,10 +5,16 @@ them, against the Cech oracle."""
 
 import pytest
 
-from mfcat.cohomology import (GlobalSections, cech_cohomology, h_duality,
-                              local_duality, vanishing_threshold)
+from mfcat import cohomology
+from mfcat.cohomology import (CechSpace, GlobalSections, cech_cohomology,
+                              cech_cohomology_at, cech_horizontal,
+                              cech_truncation, h_duality, local_duality,
+                              vanishing_threshold)
 from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
+from mfcat.linalg import (kernel_basis, sparse_blocks, sparse_matmul,
+                          sparse_rank, sparse_transpose)
 from mfcat.mf import MFContext
+from mfcat.poly import Poly
 from mfcat.ring import GradedRing
 
 FIELDS = [PrimeField(DEFAULT_PRIME), PrimeField(7), RationalField()]
@@ -29,9 +35,21 @@ RINGS = {
                     [[-3] * 3, [-4] * 3, [-5]]),
 }
 
+# name -> (variables, ideal): more rings the Cech oracle is checked on
+MORE_RINGS = {
+    "conic": ("xyz", ["x*z - y^2"]),
+    "three-lines": ("xyz", ["x*y*(x - y)"]),
+    "three-points": ("xy", ["x*y*(x - y)"]),
+    # the line x = 0 with an embedded point at x = y = 0
+    "embedded-point": ("xyz", ["x^2", "x*y"]),
+    "P0": ("x", []),
+    "P1": ("xy", []),
+    "P2": ("xyz", []),
+}
+
 
 def make_ring(name, field=PrimeField(DEFAULT_PRIME)):
-    variables, ideal = RINGS[name][:2]
+    variables, ideal = (RINGS.get(name) or MORE_RINGS[name])[:2]
     return GradedRing(field, list(variables), ideal_strings=ideal)
 
 
@@ -72,29 +90,38 @@ class TestResolution:
 
 class TestDualityEqualsCech:
     @pytest.mark.parametrize("field", FIELDS, ids=str)
-    @pytest.mark.parametrize("name", sorted(RINGS))
-    def test_grid(self, name, field):
-        """h^p(O(n)) for n in [-3, 2] and every p < N: duality equals the
-        stable Cech value, and at least two higher cells are nonzero."""
+    @pytest.mark.parametrize("name", sorted(RINGS) + sorted(MORE_RINGS))
+    def test_grid(self, name, field, monkeypatch):
+        """h^p(O(n)) for n in [-8, 5] and every p < N: duality equals the
+        Cech value, read by one evaluation at B* = cech_truncation(R, n)
+        and again at B* + 1; on each ring of RINGS at least two higher
+        cells are nonzero, and on every ring some cell is."""
         ring = make_ring(name, field)
-        nonzero = 0
-        for n in range(-3, 3):
+        tried = []
+        real = cohomology.cech_cohomology_at
+        monkeypatch.setattr(cohomology, "cech_cohomology_at",
+                            lambda r, n, p, B: tried.append(B)
+                            or real(r, n, p, B))
+        higher = nonzero = 0
+        for n in range(-8, 6):
+            B = cech_truncation(ring, n)
             for p in range(ring.nvars):
+                tried.clear()
                 dim, stable = cech_cohomology(ring, n, p)
+                assert tried == [B], (n, p)
                 assert stable and h_duality(ring, n, p) == dim, (n, p)
-                nonzero += p > 0 and dim > 0
-        assert nonzero >= 2
+                assert real(ring, n, p, B + 1) == dim, (n, p)
+                higher += p > 0 and dim > 0
+                nonzero += dim > 0
+        assert nonzero and (higher >= 2 or name in MORE_RINGS)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("name", ["nodal", "conic", "double-line",
                                       "skew-lines"])
     def test_far_negative_twists(self, name, field):
         """h^1(O(n)) for n = -9, -12, -20, where a schedule started at
-        B = 4 read 0: started from reg R + 1 - n, Cech meets duality."""
-        if name == "conic":
-            ring = GradedRing(field, list("xyz"), ideal_strings=["x*z - y^2"])
-        else:
-            ring = make_ring(name, field)
+        B = 4 read 0: at the one truncation B*, Cech meets duality."""
+        ring = make_ring(name, field)
         for n in (-9, -12, -20):
             want = h_duality(ring, n, 1)
             assert want > 0 and cech_cohomology(ring, n, 1) == (want, True)
@@ -106,6 +133,61 @@ class TestDualityEqualsCech:
             assert all(ld.local_dim(i, n) == 0 for i in range(ring.nvars + 1)
                        for n in range(ld.regularity - i + 1,
                                       ld.regularity + 3))
+
+
+def cech_diff(ring, n, p, B):
+    """The Cech differential of O(n) out of C^p at truncation B."""
+    src, dst = CechSpace(ring, [n], p, B), CechSpace(ring, [n], p + 1, B)
+    return sparse_blocks(dst.block_dims, src.block_dims,
+                         cech_horizontal(src, dst))
+
+
+def transition_rank(ring, n, p, B):
+    """The rank of the map from H^p at B to H^p at B + 1 of the truncated
+    Cech complexes of O(n), r/x_S^B |-> x_S r/x_S^(B+1): the map of the
+    direct system whose limit is the full Cech complex."""
+    F, N = ring.field, ring.nvars
+    src, dst = CechSpace(ring, [n], p, B), CechSpace(ring, [n], p, B + 1)
+    cycles = kernel_basis(F, *cech_diff(ring, n, p, B))
+    x_S = [Poly.monomial(F, N, tuple(int(i in S) for i in range(N)))
+           for S in src.subsets]
+    shift, _ = sparse_blocks(dst.block_dims, src.block_dims, [
+        (s, s, blk) for s, S in enumerate(src.subsets)
+        if (blk := ring.mult_matrix(x_S[s], n + B * len(S)))])
+    images = sparse_transpose(sparse_matmul(
+        F, shift, sparse_transpose(cycles, src.dim)), len(cycles))
+    bounds = sparse_transpose(*cech_diff(ring, n, p - 1, B + 1)) if p \
+        else []
+    return sparse_rank(F, bounds + images, dst.dim) - \
+        sparse_rank(F, bounds, dst.dim)
+
+
+class TestNaturalMap:
+    """From B* on, the truncated Cech cohomology maps isomorphically into
+    the next truncation, so into the direct limit: the oracle's value is
+    carried by the natural map, not only matched in dimension."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("name", ["nodal", "double-line", "skew-lines",
+                                      "unsaturated", "three-lines",
+                                      "three-points", "embedded-point",
+                                      "P1"])
+    def test_isomorphism_from_the_one_truncation(self, name, field):
+        ring = make_ring(name, field)
+        for n in range(-6, 3):
+            B = cech_truncation(ring, n)
+            for p in range(ring.nvars):
+                dim = cech_cohomology_at(ring, n, p, B)
+                assert transition_rank(ring, n, p, B) == dim == \
+                    cech_cohomology_at(ring, n, p, B + 1), (n, p)
+
+    def test_equal_dimensions_below_it_are_not_enough(self):
+        # three points on P^1, O(-6), B* = 8: at B = 4 and 5, h^1 reads
+        # 3 both times, but the map between them has rank 1
+        ring = make_ring("three-points")
+        assert cech_truncation(ring, -6) == 8
+        assert [cech_cohomology_at(ring, -6, 1, B) for B in (4, 5)] == [3, 3]
+        assert transition_rank(ring, -6, 1, 4) == 1
 
 
 class TestThreshold:
