@@ -86,8 +86,9 @@ share one elimination.
 from functools import cached_property
 from itertools import accumulate, combinations
 
-from .linalg import (ExactMatrix, homology_dim, kernel_basis, sparse_blocks,
-                     sparse_matmul, sparse_rank, sparse_transpose)
+from .linalg import (Block, ExactMatrix, homology_dim, kernel_basis,
+                     sparse_blocks, sparse_matmul, sparse_rank,
+                     sparse_transpose)
 from .mf import SheafMap, TwistSum
 from .modules import minimal_columns, syzygies
 from .poly import Poly
@@ -119,8 +120,10 @@ def _restrictions(ring, B):
 def cech_truncation(ring, a):
     """B*(R, a) = max(1, 1 - a - N + b), from which the truncated Cech
     complex of O(a) computes H^*(X, O(a)) (the proof is in the module
-    docstring), as does that of every twist above a."""
-    return max(1, 1 - a - ring.nvars + local_duality(ring).top_degree)
+    docstring), as does that of every twist above a.  On a polynomial
+    ring b = 0, read without building its LocalDuality."""
+    b = 0 if ring.is_polynomial_ring() else local_duality(ring).top_degree
+    return max(1, 1 - a - ring.nvars + b)
 
 
 class CechSpace:
@@ -140,7 +143,7 @@ class CechSpace:
 
 def cech_horizontal(src_space, dst_space):
     """The nonzero blocks of the Cech differential C^p -> C^{p+1} (same
-    twist list), as a list of (r, c, rows) in the CechSpace block layout:
+    twist list), as a list of (r, c, Block) in the CechSpace block layout:
     on each twist summand, the face S of T = S + {i} maps by x_i^B,
     signed (-1)^(position of i in T).  A block with no rows is skipped:
     x_i^B = 0 in R (x_i nilpotent), or a target piece of dimension 0."""
@@ -156,13 +159,13 @@ def cech_horizontal(src_space, dst_space):
         for t, a in enumerate(src_space.twists):
             blocks += [(tk * nt + t, sk * nt + t, blk) for sk, pos, i in faces
                        if (blk := ring.mult_matrix(restrict[i][pos % 2],
-                                                   a + shift))]
+                                                   a + shift)).nrows]
     return blocks
 
 
 def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
     """The nonzero blocks of a map of twist sums times sign (+1 or -1),
-    applied on each localized piece (same p), as a list of (r, c, rows)
+    applied on each localized piece (same p), as a list of (r, c, Block)
     in the CechSpace block layout."""
     ring = src_space.ring
     shift = src_space.B * (src_space.p + 1)
@@ -171,9 +174,9 @@ def cech_vertical(src_space, dst_space, sheaf_map, sign=1):
                                          src_space.twists[tc] + shift))
                for tr, row in enumerate(sheaf_map.rows)
                for tc, p in row.items()]
-    return [(s * nd + tr, s * ns + tc, rows)
+    return [(s * nd + tr, s * ns + tc, blk)
             for s in range(len(src_space.subsets))
-            for tr, tc, rows in entries]
+            for tr, tc, blk in entries]
 
 
 def _horizontal_diff(ring, n, p, B):
@@ -233,10 +236,10 @@ def cech_total_diff(C, q, B):
     blocks = []
     for t, sp in enumerate(dst):
         if t and src[t - 1].dim and sp.dim:
-            blocks += [(r0[t] + r, c0[t - 1] + c, rows) for r, c, rows
+            blocks += [(r0[t] + r, c0[t - 1] + c, blk) for r, c, blk
                        in cech_horizontal(src[t - 1], sp)]
         if src[t].dim and sp.dim:
-            blocks += [(r0[t] + r, c0[t] + c, rows) for r, c, rows
+            blocks += [(r0[t] + r, c0[t] + c, blk) for r, c, blk
                        in cech_vertical(src[t], sp, C.diff_at(q - t),
                                         sign=1 if t % 2 == 0 else -1)]
     return sparse_blocks([b for sp in dst for b in sp.block_dims],
@@ -403,11 +406,12 @@ class GlobalSections:
     # matrices
 
     def mult(self, p, n):
-        """Gamma(O(n)) -> Gamma(O(n + deg p)), multiplication by p, as
-        sparse rows (columns in range(self.dim(n))); on saturated degrees
-        it is the cached GradedRing.mult_matrix, not to be modified, and
-        otherwise it is read off the Cech kernels of both degrees at the
-        source degree's truncation, which serves the target degree too.
+        """Gamma(O(n)) -> Gamma(O(n + deg p)), multiplication by p, as a
+        linalg.Block of shape self.dim(n + deg p) x self.dim(n); on
+        saturated degrees it is the cached GradedRing.mult_matrix, not to
+        be modified, and otherwise it is read off the Cech kernels of both
+        degrees at the source degree's truncation, which serves the target
+        degree too.
         An image that leaves the target kernel is a fault of assembly,
         checked as HomSpace checks its m_out m_in product."""
         ring = self.ring
@@ -432,7 +436,7 @@ class GlobalSections:
                   for img in imgs]
         if sparse_matmul(F, coords, L) != imgs:
             raise RuntimeError("section image left the section space")
-        return sparse_transpose(coords, len(L))
+        return Block.from_rows(sparse_transpose(coords, len(L)), len(K))
 
     def sheafmap_rows(self, f):
         """Gamma of a map of twist sums as (sparse rows, ncols): block

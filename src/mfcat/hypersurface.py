@@ -9,7 +9,8 @@ post-composition builders of the mapping complex, and their degree-0
 piece matrices are joined and eliminated; no quotient basis of N is
 formed."""
 
-from .linalg import solve, sparse_blocks, sparse_rank, sparse_transpose
+from .linalg import (Block, solve, sparse_blocks, sparse_rank,
+                     sparse_transpose)
 from .mf import (MatrixFactorization, SheafMap, _post_compose_matrix,
                  _pre_compose_matrix, unpack_maps)
 from .modules import ModulePresentation, minimal_columns, syzygy_presentation
@@ -61,7 +62,9 @@ def ext_gamma_dims(E, N, q_range):
         d = E.diff_at(-q - 1)            # i^*E^{-q-1} -> i^*E^{-q}
         dm, n = ry.piece_matrix(_pre_compose_matrix(d, rel.dst), 0)
         um, k = ry.piece_matrix(_post_compose_matrix(rel, d.src), 0)
-        joined = sparse_blocks([len(dm)], [n, k], [(0, 0, dm), (0, 1, um)])
+        joined = sparse_blocks([len(dm)], [n, k],
+                               [(0, 0, Block.from_rows(dm, n)),
+                                (0, 1, Block.from_rows(um, k))])
         return n, sparse_rank(ry.field, *joined), (um, k)
 
     steps = {q: step(q) for q in range(qs[0] - 1, qs[-1] + 1)}

@@ -2,13 +2,18 @@
 
 A matrix is sparse rows, one {column: value} dict per row, and travels
 with its number of columns as (rows, ncols); a vector is one such dict.
-sparse_blocks assembles a matrix from its nonzero blocks only.  Everything
-is exact in Python scalars over F_p and over Q and never densifies, and
-has one elimination: each row is reduced by the echelon form built so far
-and pivoted on its leftmost column.  One reduction loop, shared by F_p
-and Q, does every reduction in place on a vector its caller owns: the
-public echelon_reduce copies its argument once, and the elimination hands
-over each row as a fresh dict, reduced mod p and free of zeros.  Counts
+A block to be placed in a matrix is a Block: its shape and a row-major
+list of its nonzero (row, column, value) entries, the one form in which
+GradedRing.mult_matrix caches it.  sparse_blocks assembles a matrix from
+its nonzero blocks only, checking each block's shape in O(1) and writing
+each entry at its offsets, so assembly costs one step per nonzero.
+Everything is exact in Python scalars over F_p and over Q and never
+densifies, and has one elimination: each row is reduced by the echelon
+form built so far and pivoted on its leftmost column.  One reduction
+loop, shared by F_p and Q, does every reduction in place on a vector its
+caller owns: the public echelon_reduce copies its argument once, and the
+elimination takes each row as a fresh dict, reduced mod p and free of
+zeros, and stores a row that meets no pivot without entering it.  Counts
 (sparse_rank, homology_dim) are the number of its pivots, and bases
 (kernel_basis, solve, CosetReducer) are read off the reduced row echelon
 form sparse_rref that back-substitution makes of it.  Apart from the
@@ -60,42 +65,52 @@ class ExactMatrix:
 # -- sparse assembly ---------------------------------------------------
 
 
-class ShapedRows(list):
-    """Sparse rows that carry their number of columns, ncols: a block whose
-    builder knows its width, so sparse_blocks checks it in O(1) each time
-    the block is placed instead of scanning its rows."""
+class Block:
+    """A sparse block that is its nonzeros: nrows x ncols, with entries a
+    row-major list of (row, column, value) triples; the entries of a row
+    come in the key order its row dict gets when the block is placed.
+    This is the one form in which a cached block is stored; rows() is a
+    view of it as sparse rows, built on request."""
 
-    __slots__ = ("ncols",)
+    __slots__ = ("nrows", "ncols", "entries")
 
-    def __init__(self, rows, ncols):
-        super().__init__(rows)
+    def __init__(self, nrows, ncols, entries):
+        self.nrows = nrows
         self.ncols = ncols
+        self.entries = entries
+
+    @staticmethod
+    def from_rows(rows, ncols):
+        """The block of sparse rows with columns in range(ncols)."""
+        entries = [(i, k, v) for i, row in enumerate(rows)
+                   for k, v in row.items()]
+        return Block(len(rows), ncols, entries)
+
+    def rows(self):
+        """The block as sparse rows, one new {column: value} dict per row."""
+        out = [{} for _ in range(self.nrows)]
+        for i, k, v in self.entries:
+            out[i][k] = v
+        return out
 
 
 def sparse_blocks(row_dims, col_dims, blocks):
     """Assemble a block matrix as (sparse rows, ncols) from an iterable of
-    (r, c, rows) triples, one per nonzero block: rows are the sparse rows
-    of block (r, c), row_dims[r] of them with columns in
-    range(col_dims[c]).  Omitted blocks are zero.  Each row dict gets its
-    keys in the order the blocks come, so callers yield the blocks of a
-    block row in increasing c.  The blocks are read, never modified, so
-    they may be cached.  Every block's shape is checked: a ShapedRows
-    block by its recorded width, which must equal col_dims[c], any other
-    block row by row."""
+    (r, c, Block) triples, one per nonzero block: block (r, c) has
+    row_dims[r] rows and col_dims[c] columns, checked in O(1) against the
+    shape it carries.  Omitted blocks are zero.  Each entry is written at
+    its offsets, so a row dict gets its keys in the order the blocks come,
+    and callers yield the blocks of a block row in increasing c.  The
+    blocks are read, never modified, so they may be cached."""
     col_offs = [0, *accumulate(col_dims)]
     row_offs = [0, *accumulate(row_dims)]
     out = [{} for _ in range(row_offs[-1])]
     for r, c, blk in blocks:
-        nc = col_dims[c]
-        if len(blk) != row_dims[r] or (
-                blk.ncols != nc if isinstance(blk, ShapedRows)
-                else any(row and max(row) >= nc for row in blk)):
+        if blk.nrows != row_dims[r] or blk.ncols != col_dims[c]:
             raise ValueError("block (%d, %d) has wrong shape" % (r, c))
-        co = col_offs[c]
-        for i, row in enumerate(blk, row_offs[r]):
-            if row:
-                out[i].update({co + k: v for k, v in row.items()}
-                              if co else row)
+        ro, co = row_offs[r], col_offs[c]
+        for i, k, v in blk.entries:
+            out[ro + i][co + k] = v
     return out, col_offs[-1]
 
 
@@ -171,9 +186,8 @@ def sparse_matmul(field, A, B):
         for k, a in row.items():
             for c, b in B[k].items():
                 acc[c] = acc.get(c, 0) + a * b
-        if p:
-            acc = {c: v % p for c, v in acc.items()}
-        out.append({c: v for c, v in acc.items() if v})
+        out.append({c: y for c, v in acc.items() if (y := v % p)} if p
+                   else {c: v for c, v in acc.items() if v})
     return out
 
 
@@ -227,8 +241,12 @@ def echelon_add(field, echelon, v):
     become the new row, so a caller that keeps v passes a copy."""
     p = _modulus(field)
     v = _reduce(p, echelon, v)
-    if not v:
-        return None
+    return _store(field, p, echelon, v) if v else None
+
+
+def _store(field, p, echelon, v):
+    """Add the nonzero reduced vector v to `echelon`, scaled to 1 at its
+    leftmost column, and return that column."""
     c = min(v)
     if v[c] != 1:
         inv = field.inv(v[c])
@@ -240,8 +258,10 @@ def echelon_add(field, echelon, v):
 def _echelon(field, rows):
     """The echelon form of the row space of `rows`, as echelon_add keeps
     it: each row, reduced mod p and without zeros in one fresh dict, is
-    handed over to be reduced by the rows before it and pivoted on its
-    leftmost column.  The rows are not modified."""
+    reduced by the rows before it and pivoted on its leftmost column; a
+    row that meets no pivot is stored as it is, scaled, with no call to
+    the reduction loop, which would return it untouched.  The rows are
+    not modified."""
     p = _modulus(field)
     echelon = {}
     for row in rows:
@@ -249,7 +269,10 @@ def _echelon(field, rows):
             v = {c: y for c, x in row.items() if (y := x % p)}
         else:
             v = {c: x for c, x in row.items() if x}
-        echelon_add(field, echelon, v)
+        if not echelon.keys().isdisjoint(v):
+            v = _reduce(p, echelon, v)
+        if v:
+            _store(field, p, echelon, v)
     return echelon
 
 

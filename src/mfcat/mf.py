@@ -21,7 +21,7 @@ Conventions (fixed throughout the engine):
     f1 and f0, and d^0 from e1, e0, f0 and f1, with no negation.
 """
 
-from .linalg import solve, sparse_blocks, sparse_rank
+from .linalg import Block, solve, sparse_blocks, sparse_rank
 
 
 class TwistSum:
@@ -158,10 +158,11 @@ class SheafMap:
                 blk = blocks[i][j]
                 if blk is not None and (blk.src != sts or blk.dst != dts):
                     raise ValueError("block (%d, %d) has wrong shape" % (i, j))
-        rows, _ = sparse_blocks([d.rank for d in dsts], [s.rank for s in srcs],
-                                ((i, j, blk.rows)
-                                 for i, brow in enumerate(blocks)
-                                 for j, blk in enumerate(brow) if blk is not None))
+        rows, _ = sparse_blocks(
+            [d.rank for d in dsts], [s.rank for s in srcs],
+            ((i, j, Block.from_rows(blk.rows, blk.src.rank))
+             for i, brow in enumerate(blocks)
+             for j, blk in enumerate(brow) if blk is not None))
         return SheafMap.from_rows(ring, TwistSum(t for s in srcs for t in s),
                                   TwistSum(t for d in dsts for t in d), rows)
 
@@ -301,7 +302,7 @@ class MFContext:
             src = ring.graded_piece_basis(n)
             if not src:
                 continue
-            if sparse_rank(ring.field, ring.mult_matrix(self.W, n),
+            if sparse_rank(ring.field, ring.mult_matrix(self.W, n).rows(),
                            len(src)) < len(src):
                 return False
         return True

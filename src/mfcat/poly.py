@@ -162,8 +162,11 @@ class Poly:
         return tuple(sorted(self.terms.items(), key=lambda t: grevlex_key(t[0])))
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.field == other.field
-                and self.nvars == other.nvars and self.terms == other.terms)
+        # terms first, the usual difference; the field by identity before
+        # its own __eq__
+        return (isinstance(other, Poly) and self.terms == other.terms
+                and self.nvars == other.nvars
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
         if self._hash is None:

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 
-from .linalg import ShapedRows, sparse_blocks
+from .linalg import Block, sparse_blocks
 from .poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
                    mono_mul, parse_poly)
 
@@ -263,7 +263,7 @@ class GradedRing:
         quotient of), or a target piece of dimension 0."""
         blocks = ((r, c, blk) for r, row in enumerate(f.rows)
                   for c, p in row.items()
-                  if (blk := self.mult_matrix(p, t + f.src[c])))
+                  if (blk := self.mult_matrix(p, t + f.src[c])).nrows)
         return sparse_blocks([self.hilbert(t + b) for b in f.dst],
                              [self.hilbert(t + a) for a in f.src], blocks)
 
@@ -271,26 +271,25 @@ class GradedRing:
         """Matrix of multiplication by homogeneous p: R_n -> R_{n+deg p}.
 
         Columns are indexed by the degree-n standard basis, rows by the
-        target basis.  Returns sparse rows, one {column: value} dict per
-        target basis element, with increasing columns, as ShapedRows that
-        record their width len(R_n).  The result is cached under (p, n)
-        as given and under (normal form of p, n), so a repeated call is a
-        lookup and p is taken to normal form only on a miss; callers must
-        not modify it.
+        target basis.  Returns a linalg.Block of shape len(R_{n+deg p}) x
+        len(R_n): its nonzero entries, row by row, with increasing columns
+        in each row.  The result is cached under (p, n) as given and under
+        (normal form of p, n), so a repeated call is a lookup and p is
+        taken to normal form only on a miss; callers must not modify it.
         """
         key = (p, n)
-        rows = self._mult_cache.get(key)
-        if rows is None:
+        blk = self._mult_cache.get(key)
+        if blk is None:
             q = self.normal_form(p)
-            rows = self._mult_cache.get((q, n))
-            if rows is None:
-                rows = self._mult_cache[q, n] = self._mult_rows(q, n)
-            self._mult_cache[key] = rows
-        return rows
+            blk = self._mult_cache.get((q, n))
+            if blk is None:
+                blk = self._mult_cache[q, n] = self._mult_block(q, n)
+            self._mult_cache[key] = blk
+        return blk
 
-    def _mult_rows(self, p, n):
-        """The rows of mult_matrix for p in normal form.  The terms of p*m
-        that are standard monomials go straight into the rows; only the
+    def _mult_block(self, p, n):
+        """The Block of mult_matrix for p in normal form.  The terms of p*m
+        that are standard monomials go straight into the entries; only the
         rest is reduced, which is exact since normal forms are linear and
         a standard monomial is its own normal form."""
         F = self.field
@@ -302,7 +301,7 @@ class GradedRing:
                 raise ValueError("multiplication by a non-homogeneous element")
             dst = self.graded_piece_basis(n + p.total_degree())
         index = {m: i for i, m in enumerate(dst)}
-        rows = ShapedRows([{} for _ in dst], len(src))
+        entries = []
         for j, m in enumerate(src):
             # distinct terms of p give distinct products
             col, rest = {}, {}
@@ -316,10 +315,12 @@ class GradedRing:
                 rest = reduce_poly(Poly(F, self.nvars, rest), self.groebner)
                 for e, c in rest.terms.items():
                     col[e] = F.add(col[e], c) if e in col else c
-            for e, c in col.items():
-                if not F.is_zero(c):
-                    rows[index[e]][j] = c
-        return rows
+            entries += [(index[e], j, c) for e, c in col.items()
+                        if not F.is_zero(c)]
+        # column-major as built; (row, column) pairs are distinct, so the
+        # sort never compares values
+        entries.sort()
+        return Block(len(dst), len(src), entries)
 
     # -- derived rings -----------------------------------------------------
 

@@ -1,11 +1,14 @@
 """Reference computations and fixtures that only the tests use: ideal
 equality by mutual membership, the dimension of a graded piece of a
 presented module, the zero object, graded-piece exactness of an unrolled
-periodic resolution and of the augmented truncated Koszul complex, and
+periodic resolution and of the augmented truncated Koszul complex,
 block-composition builders of the mapping complex and of Tot(P tensor E),
 its augmentation and Tot(P tensor f), which glue small SheafMaps with
 SheafMap.from_blocks, against which the engine's entry writers are
-checked."""
+checked, and block assembly row by row, against which the entry-wise
+linalg.sparse_blocks is checked."""
+
+from itertools import accumulate
 
 from mfcat.koszul import FreeComplex, koszul_truncated, tot_blocks
 from mfcat.linalg import homology_dim, solve, sparse_rank
@@ -229,3 +232,24 @@ def tot_augmentation(P, aug, E, Ep):
               for p, _ in summands]])
 
     return StrictMorphism(Ep, E, build(-1), build(0), check=False)
+
+
+def sparse_blocks_by_rows(row_dims, col_dims, blocks):
+    """linalg.sparse_blocks as it was when blocks were stored as sparse
+    rows: (r, c, rows) triples, each block's shape checked by scanning its
+    rows, each row copied into the output at its column offset.  The
+    reference for rows, values and the key order of each row."""
+    col_offs = [0, *accumulate(col_dims)]
+    row_offs = [0, *accumulate(row_dims)]
+    out = [{} for _ in range(row_offs[-1])]
+    for r, c, blk in blocks:
+        nc = col_dims[c]
+        if len(blk) != row_dims[r] or any(row and max(row) >= nc
+                                           for row in blk):
+            raise ValueError("block (%d, %d) has wrong shape" % (r, c))
+        co = col_offs[c]
+        for i, row in enumerate(blk, row_offs[r]):
+            if row:
+                out[i].update({co + k: v for k, v in row.items()}
+                              if co else row)
+    return out, col_offs[-1]

@@ -23,6 +23,8 @@ from mfcat.ring import GradedRing, binom
 from mfcat.suite import (_grow, generate_suite, rank_one_mf,
                          unit_e0_factorization)
 
+from reference import sparse_blocks_by_rows
+
 
 class TestClosedForm:
     def test_h0(self):
@@ -189,9 +191,9 @@ class TestGlobalSections:
         gs = GlobalSections(ctx_p1)
         ring = ctx_p1.ring
         F = ring.field
-        A = gs.mult(ring.poly("x0"), 1)
-        B = gs.mult(ring.poly("x1"), 2)
-        C = gs.mult(ring.poly("x0*x1"), 1)
+        A = gs.mult(ring.poly("x0"), 1).rows()
+        B = gs.mult(ring.poly("x1"), 2).rows()
+        C = gs.mult(ring.poly("x0*x1"), 1).rows()
         assert len(C) == gs.dim(3) and any(C)
         assert sparse_matmul(F, B, A) == C
 
@@ -368,12 +370,13 @@ class TestOneTruncation:
 def nested_total_diff(C, q, B):
     """cech_total_diff as it was assembled before the one-pass layout: each
     Cech block matrix assembled on its own from unsigned blocks, negated
-    blocks copied, then those matrices assembled again.  The reference for
-    rows, values and the key order of each row."""
+    blocks copied, then those matrices assembled again, all row by row.
+    The reference for rows, values and the key order of each row."""
     ring = C.ctx.ring
     F = ring.field
 
-    def signed(rows, sign):
+    def signed(blk, sign):
+        rows = blk.rows()
         if sign > 0:
             return rows
         return [{c: F.neg(v) for c, v in row.items()} for row in rows]
@@ -393,7 +396,8 @@ def nested_total_diff(C, q, B):
                     blocks.append((tk * nt + t, sk * nt + t, signed(
                         ring.mult_matrix(x, a + shift),
                         -1 if pos % 2 else 1)))
-        return sparse_blocks(dst.block_dims, src.block_dims, blocks)[0]
+        return sparse_blocks_by_rows(dst.block_dims, src.block_dims,
+                                     blocks)[0]
 
     def vertical(src, dst, f, sign):
         shift = B * (src.p + 1)
@@ -402,7 +406,8 @@ def nested_total_diff(C, q, B):
             ring.mult_matrix(p, src.twists[tc] + shift), sign))
             for s in range(len(src.subsets))
             for tr, row in enumerate(f.rows) for tc, p in row.items()]
-        return sparse_blocks(dst.block_dims, src.block_dims, blocks)[0]
+        return sparse_blocks_by_rows(dst.block_dims, src.block_dims,
+                                     blocks)[0]
 
     def total(n):
         return [CechSpace(ring, list(C.component_at(n - p).twists), p, B)
@@ -416,8 +421,8 @@ def nested_total_diff(C, q, B):
         if src[t].dim and sp.dim:
             blocks.append((t, t, vertical(src[t], sp, C.diff_at(q - t),
                                           1 if t % 2 == 0 else -1)))
-    return sparse_blocks([sp.dim for sp in dst], [sp.dim for sp in src],
-                         blocks)
+    return sparse_blocks_by_rows([sp.dim for sp in dst],
+                                 [sp.dim for sp in src], blocks)
 
 
 def nodal_context():
@@ -469,7 +474,7 @@ class TestOnePassAssembly:
         assert isinstance(plus, list) and len(plus) == len(minus) == 3
         assert minus[0][2] is ring.mult_matrix(-ring.poly("x0"), 5)
         assert [{c: -v % DEFAULT_PRIME for c, v in row.items()}
-                for row in plus[0][2]] == minus[0][2]
+                for row in plus[0][2].rows()] == minus[0][2].rows()
 
 
 class TestRankMemo:
@@ -641,7 +646,7 @@ class TestProvenTruncation:
             d = p.total_degree()
             # every source or target degree off the saturated path
             for n in sorted({k - e for k in unsaturated for e in (0, d)}):
-                got = gs.mult(p, n)
+                got = gs.mult(p, n).rows()
                 B = cech_truncation(ring, n)
                 for larger in (B + 1, B + 2):
                     assert [list(r.items()) for r in got] == \
@@ -664,7 +669,7 @@ class TestSectionMultiplication:
         for s in entries:
             p = ring.poly(s)
             for n in range(3):
-                got = gs.mult(p, n)
+                got = gs.mult(p, n).rows()
                 assert len(got) == gs.dim(n + p.total_degree())
                 assert [list(r.items()) for r in got] == \
                     [list(r.items())
@@ -687,10 +692,10 @@ class TestSectionMultiplication:
         monkeypatch.setattr(cohomology, "sparse_rank",
                             lambda *a: ranks.append(a) or real_rank(*a))
         p = ring.poly("x - 3*y")
-        got = gs.mult(p, -2)
+        got = gs.mult(p, -2).rows()
         assert [c[1:] for c in calls] == \
             [_horizontal_rows(ring, n, 3) for n in (-2, -1)]
-        assert gs.mult(p, -2) == got and len(calls) == 2
+        assert gs.mult(p, -2).rows() == got and len(calls) == 2
         assert got == solve_mult(ring, p, -2, 4)
         assert len(got) == gs.dim(-1) == 2 and gs.dim(-2) == 2
         assert calls[2][1:] == _horizontal_rows(ring, -1, 2)

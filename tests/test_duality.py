@@ -3,9 +3,12 @@ resolution of R = S/I over S, its regularity, H^i_m(R)_n off the dual
 complex, and the vanishing thresholds and saturation checks read off
 them, against the Cech oracle."""
 
+import json
+
 import pytest
 
 from mfcat import cohomology
+from mfcat.cli import main
 from mfcat.cohomology import (CechSpace, GlobalSections, cech_cohomology,
                               cech_cohomology_at, cech_horizontal,
                               cech_truncation, h_duality, local_duality,
@@ -126,6 +129,34 @@ class TestDualityEqualsCech:
             want = h_duality(ring, n, 1)
             assert want > 0 and cech_cohomology(ring, n, 1) == (want, True)
 
+    def test_cech_on_a_fresh_p2_builds_no_resolution(self, monkeypatch,
+                                                     capsys):
+        """On a polynomial ring b = 0 is read without a LocalDuality."""
+        built = []
+        real = cohomology.LocalDuality
+        monkeypatch.setattr(cohomology, "LocalDuality",
+                            lambda ring: built.append(ring) or real(ring))
+        assert main(["cech", "--space", "P2", "--twist", "-3", "--p", "2"]) \
+            == 0
+        assert json.loads(capsys.readouterr().out)["result"]["dim"] == 1
+        assert built == []
+
+    @pytest.mark.parametrize("name", sorted(RINGS) + sorted(MORE_RINGS)
+                             + ["P3"])
+    def test_truncation_is_read_off_the_resolution(self, name):
+        """B* = max(1, 1 - a - N + b) with b the top degree of the
+        resolution, also on P^0-P^3, where it is read as 0 without
+        building one."""
+        if name == "P3":
+            ring = GradedRing(PrimeField(DEFAULT_PRIME), list("xyzw"))
+        else:
+            ring = make_ring(name)
+        b = cohomology.LocalDuality(ring).top_degree
+        assert (b == 0) == ring.is_polynomial_ring()
+        assert [cech_truncation(ring, a) for a in range(-12, 4)] == \
+            [max(1, 1 - a - ring.nvars + b) for a in range(-12, 4)]
+        assert (ring.duality is None) == ring.is_polynomial_ring()
+
     def test_local_cohomology_vanishes_above_regularity(self):
         for name in RINGS:
             ring = make_ring(name)
@@ -153,7 +184,7 @@ def transition_rank(ring, n, p, B):
            for S in src.subsets]
     shift, _ = sparse_blocks(dst.block_dims, src.block_dims, [
         (s, s, blk) for s, S in enumerate(src.subsets)
-        if (blk := ring.mult_matrix(x_S[s], n + B * len(S)))])
+        if (blk := ring.mult_matrix(x_S[s], n + B * len(S))).nrows])
     images = sparse_transpose(sparse_matmul(
         F, shift, sparse_transpose(cycles, src.dim)), len(cycles))
     bounds = sparse_transpose(*cech_diff(ring, n, p - 1, B + 1)) if p \

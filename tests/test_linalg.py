@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfcat.fields import PrimeField, RationalField
-from mfcat.linalg import (CosetReducer, ExactMatrix, ShapedRows,
+from mfcat import linalg
+from mfcat.linalg import (Block, CosetReducer, ExactMatrix, echelon_add,
                           echelon_reduce, homology_dim, kernel_basis, rref,
                           solve, sparse_blocks, sparse_matmul, sparse_rank,
                           sparse_rref, sparse_transpose)
@@ -136,15 +137,16 @@ class TestSparseBlocks:
     def test_none_block_is_zero(self):
         # blocks (0, 0) and (1, 1) are omitted, hence zero
         rows, ncols = sparse_blocks([2, 1], [1, 2],
-                                    [(0, 1, [{0: 5}, {1: 3}]),
-                                     (1, 0, [{0: 7}])])
+                                    [(0, 1, Block.from_rows([{0: 5}, {1: 3}],
+                                                            2)),
+                                     (1, 0, Block.from_rows([{0: 7}], 1))])
         assert (rows, ncols) == ([{1: 5}, {2: 3}, {0: 7}], 3)
         assert sparse_blocks([2, 0], [3], []) == ([{}, {}], 3)
 
     @pytest.mark.parametrize("blk", [
-        [{0: 1}, {}, {}],       # one row too many
-        [{0: 1}],               # one row too few
-        [{0: 1}, {2: 1}],       # a column past the block's width
+        Block.from_rows([{0: 1}, {}, {}], 2),   # one row too many
+        Block.from_rows([{0: 1}], 2),           # one row too few
+        Block.from_rows([{0: 1}, {2: 1}], 3),   # one column too many
     ])
     def test_wrong_shape_raises(self, blk):
         with pytest.raises(ValueError, match="block \\(1, 0\\)"):
@@ -152,31 +154,32 @@ class TestSparseBlocks:
 
     def test_cached_block_width_checked(self):
         """A cached mult_matrix block records its width: under a column of
-        any other dimension it raises, even where its keys would fit; a
-        plain copy of it is scanned and raises only on a column >= nc."""
+        any other dimension it raises, even where its entries would fit;
+        under its own width it is placed at its column offset."""
         ring = GradedRing(F, ["x", "y", "z"], ideal_strings=["x*y"])
         blk = ring.mult_matrix(ring.poly("x + 2*z"), 1)     # R_1 -> R_2
-        assert blk.ncols == 3 and len(blk) == 5
-        plain = [dict(row) for row in blk]
+        assert (blk.nrows, blk.ncols) == (5, 3)
         for nc in (2, 4):
             with pytest.raises(ValueError, match="block \\(0, 1\\) has wrong "
                                "shape"):
                 sparse_blocks([5], [1, nc], [(0, 1, blk)])
-        with pytest.raises(ValueError, match="block \\(0, 1\\) has wrong "
-                           "shape"):
-            sparse_blocks([5], [1, 2], [(0, 1, plain)])
-        rows, ncols = sparse_blocks([5], [1, 4], [(0, 1, plain)])
-        assert ncols == 5 and rows == sparse_blocks([5], [1, 3],
-                                                    [(0, 1, blk)])[0]
+        rows, ncols = sparse_blocks([5], [1, 3], [(0, 1, blk)])
+        assert ncols == 4 and rows == [{1 + k: v for k, v in row.items()}
+                                       for row in blk.rows()]
 
     def test_offset_zero_rows_are_copies(self):
         """A block at column offset 0 is placed without re-keying; the
-        assembled rows are new dicts, so a cached block is never shared."""
-        blk = ShapedRows([{0: 1, 1: 2}, {}], 2)
-        rows, ncols = sparse_blocks([2], [2, 1], [(0, 0, blk),
-                                                  (0, 1, [{0: 3}, {0: 4}])])
+        assembled rows are new dicts, and a block is never modified."""
+        blk = Block.from_rows([{0: 1, 1: 2}, {}], 2)
+        rows, ncols = sparse_blocks([2], [2, 1], [
+            (0, 0, blk), (0, 1, Block.from_rows([{0: 3}, {0: 4}], 1))])
         assert (rows, ncols) == ([{0: 1, 1: 2, 2: 3}, {2: 4}], 3)
-        assert blk == [{0: 1, 1: 2}, {}]
+        assert [list(row.items()) for row in rows] == \
+            [[(0, 1), (1, 2), (2, 3)], [(2, 4)]]
+        assert (blk.nrows, blk.ncols, blk.entries) == \
+            (2, 2, [(0, 0, 1), (0, 1, 2)])
+        assert blk.rows() == [{0: 1, 1: 2}, {}]
+        assert blk.rows() is not blk.rows()
 
 
 def _field(name):
@@ -290,14 +293,14 @@ def _eliminations(field, rows, ncols):
 def test_eliminations_leave_inputs_alone(field_name):
     """The one reduction loop works in place on vectors it owns: no
     elimination modifies its rows, right-hand side, vector or echelon
-    form, and rows from the shared GradedRing.mult_matrix cache stay as
-    they were for later calls."""
+    form, and a block from the shared GradedRing.mult_matrix cache stays
+    as it was for later calls."""
     field = _field(field_name)
     rng = random.Random(7)
     ring = GradedRing(field, ["x", "y", "z"], ideal_strings=["x*y"])
     cached = ring.mult_matrix(ring.poly("2*x + 3*y - z"), 2)
-    assert isinstance(cached, ShapedRows)
-    for rows, ncols in ((cached, cached.ncols),
+    entries_before = list(cached.entries)
+    for rows, ncols in ((cached.rows(), cached.ncols),
                         (random_rows(field, 12, 9, rng, density=0.4), 9),
                         (random_rows(field, 9, 12, rng, density=1.0), 12)):
         rows_before = copy.deepcopy(list(rows))
@@ -308,6 +311,29 @@ def test_eliminations_leave_inputs_alone(field_name):
             call()
             assert (list(rows), given) == (rows_before, given_before)
     assert ring.mult_matrix(ring.poly("2*x + 3*y - z"), 2) is cached
+    assert cached.entries == entries_before
+
+
+@pytest.mark.parametrize("field_name", ["32003", "Q"])
+def test_rows_that_meet_no_pivot_skip_the_reduction_loop(field_name,
+                                                          monkeypatch):
+    """The elimination stores a row that meets no pivot, scaled, without a
+    call to the reduction loop; its echelon form, keys in order, is the
+    one echelon_add builds row by row."""
+    field = _field(field_name)
+    rows = [{0: 2, 3: 1}, {1: 5}, {}, {0: 1, 2: 1}, {2: 4, 3: 3}]
+    want = {}
+    for row in rows:
+        echelon_add(field, want, {c: field.of(x) for c, x in row.items()})
+    calls = []
+    real = linalg._reduce
+    monkeypatch.setattr(linalg, "_reduce",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    got = linalg._echelon(field, rows)
+    assert [(c, list(v.items())) for c, v in got.items()] == \
+        [(c, list(v.items())) for c, v in want.items()]
+    # rows 0 and 1 meet no pivot; rows 3 and 4 meet pivots 0 and 2
+    assert len(calls) == 2 and sparse_rank(field, rows, 4) == 4
 
 
 @settings(max_examples=60, deadline=None)

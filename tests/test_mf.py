@@ -391,7 +391,7 @@ def dense_assembly(f, mult, dim, nonzero):
         for c, p in enumerate(row):
             if not nonzero(p):
                 continue
-            for i, mrow in enumerate(mult(p, f.src[c])):
+            for i, mrow in enumerate(mult(p, f.src[c]).rows()):
                 for k, v in mrow.items():
                     rows[row_offs[r] + i][col_offs[c] + k] = v
     return rows, sum(dim(a) for a in f.src)

@@ -24,6 +24,31 @@ def poly_strategy(ring, max_terms=4, max_deg=3):
             ring.zero()))
 
 
+class TestPolyEquality:
+    @pytest.mark.parametrize("make_field", [lambda: PrimeField(32003),
+                                            RationalField], ids=["Fp", "Q"])
+    def test_equal_from_different_objects(self, make_field):
+        """Equal polynomials built separately, over equal fields that are
+        different objects, compare and hash equal; a different field,
+        number of variables or term does not."""
+        s, names = "x^2 - 3*x*y + 1/2*y^2 + 7", ["x", "y"]
+        f = parse_poly(s, names, make_field())
+        g = parse_poly(s, names, make_field())
+        assert f is not g and f.field is not g.field
+        assert f.terms is not g.terms
+        assert f == g and g == f and hash(f) == hash(g)
+        assert {f: 1}[g] == 1
+        other = PrimeField(7) if isinstance(f.field, RationalField) \
+            else RationalField()
+        assert f != parse_poly("x^2 - 3*x*y + 2*y^2 + 7", names, f.field)
+        assert Poly(f.field, 2, {}) != Poly(g.field, 3, {})
+        assert Poly(f.field, 1, {(1,): 1}) != Poly(other, 1, {(1,): 1})
+        assert PrimeField(7) == PrimeField(7) != PrimeField(11)
+        assert Poly(PrimeField(7), 1, {(1,): 1}) != \
+            Poly(PrimeField(11), 1, {(1,): 1})
+        assert f != s and f != 7
+
+
 class TestNormalForm:
     def test_parse_and_reduce(self, ring_p2):
         f = ring_p2.poly("x0^2 + 2*x0*x1 - x2^2")
@@ -232,7 +257,7 @@ class TestGradedPieces:
     def test_mult_matrix_matches_multiplication(self, Fp):
         ring = GradedRing(Fp, ["x", "y"], ideal_strings=["x^3"])
         p = ring.poly("x + y")
-        rows = ring.mult_matrix(p, 2)
+        rows = ring.mult_matrix(p, 2).rows()
         src = ring.graded_piece_basis(2)
         assert len(rows) == ring.hilbert(3)
         assert all(0 <= c < len(src) and v for row in rows for c, v in
@@ -268,9 +293,11 @@ class TestMultMatrix:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_generic_construction(self, data):
-        """Rows, values and the key order of each row agree with the
-        generic construction, on polynomial and quotient rings over F_p
-        and Q, for either sign of p."""
+        """The rows view of the cached block (its rows, values and the key
+        order of each row) agrees with the generic construction, on
+        polynomial and quotient rings over F_p and Q, for either sign of
+        p; the block records its shape and holds only nonzeros, row-major
+        with increasing columns."""
         ring = data.draw(st.sampled_from(MULT_RINGS))
         d = data.draw(st.integers(0, 3))
         n = data.draw(st.integers(-1, 4))
@@ -281,9 +308,14 @@ class TestMultMatrix:
         p = sum((Poly.monomial(ring.field, ring.nvars, e, Fraction(a, b))
                  for e, a, b in terms), ring.zero())
         for q in (p, -p):
-            got = ring.mult_matrix(q, n)
+            blk = ring.mult_matrix(q, n)
+            assert ring.mult_matrix(q, n) is blk
             want = generic_mult_matrix(ring, q, n)
-            assert [list(r.items()) for r in got] == \
+            assert (blk.nrows, blk.ncols) == (len(want), ring.hilbert(n))
+            assert all(v for _i, _k, v in blk.entries)
+            assert [e[:2] for e in blk.entries] == \
+                sorted(e[:2] for e in blk.entries)
+            assert [list(r.items()) for r in blk.rows()] == \
                 [list(r.items()) for r in want]
 
 
@@ -342,7 +374,7 @@ class TestMultMatrixByCoords:
                 first, second = (ring.mult_matrix(k, n) for k in keys)
                 assert second is first
                 assert first.ncols == ring.hilbert(n)
-                assert [list(r.items()) for r in first] == \
+                assert [list(r.items()) for r in first.rows()] == \
                     [list(r.items()) for r in coords_mult_matrix(ring, p, n)]
                 assert ring.mult_matrix(p, n) is first
 
