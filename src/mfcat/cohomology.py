@@ -90,8 +90,7 @@ from .linalg import (Block, ExactMatrix, homology_dim, kernel_basis,
                      sparse_blocks, sparse_matmul, sparse_rank,
                      sparse_transpose)
 from .mf import SheafMap, TwistSum
-from .modules import minimal_columns, syzygies
-from .poly import Poly
+from .modules import minimal_columns, syzygies, variable_powers
 from .ring import GradedRing, binom
 
 
@@ -111,10 +110,7 @@ def _subsets(nvars, p):
 
 def _restrictions(ring, B):
     """(x_i^B, -x_i^B) for each variable x_i."""
-    return [[Poly.monomial(ring.field, ring.nvars,
-                           tuple(B if k == i else 0 for k in range(ring.nvars)),
-                           c) for c in (1, -1)]
-            for i in range(ring.nvars)]
+    return [[x, -x] for x in variable_powers(ring, B)]
 
 
 def cech_truncation(ring, a):

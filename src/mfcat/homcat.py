@@ -7,7 +7,7 @@ classes, and the contractibility predicates.
 
 from functools import cached_property
 
-from .cohomology import GlobalSections
+from .cohomology import GlobalSections, local_duality
 from .hypersurface import coker_module
 from .koszul import (covering_forms, koszul_truncated, tot, tot_augmentation,
                      tot_blocks, tot_morphism)
@@ -16,8 +16,7 @@ from .linalg import (CosetReducer, echelon_add, homology_dim, kernel_basis,
 from .mf import (MatrixFactorization, StrictMorphism, TwistSum,
                  cycle_from_strict, hom_layout, hom_twists,
                  mapping_complex, solve_homotopy, strict_from_cycle, unrolled)
-from .modules import (contains_irrelevant_power, default_saturation_bound,
-                      fitting_ideal, variable_powers)
+from .modules import covers, fitting_ideal, is_nonzerodivisor, variable_powers
 
 J_MAX = 12          # highest Koszul level stabilize tries
 FITTING_CAP = 9     # locally_contractible scans Fitting ideals up to this
@@ -356,34 +355,45 @@ def _sub_mf(E, idx1, idx0):
                                E.e0.submatrix(idx1, idx0), check=False)
 
 
-def _sheaf_zero(gens, ring, B):
-    """Positive certificate that each generator restricts to zero on Proj:
-    annihilated by the N-th power of every variable for some N <= B; at
-    N = 0 (x^0 = 1) that is normal form zero, so bound 0 is the affine
-    test."""
-    return any(all(ring.is_zero(x * p) for x in variable_powers(ring, N)
-                   for p in gens)
-               for N in range(B + 1))
+def _sheaf_zero(gens, ring, affine):
+    """Whether each generator restricts to zero.  In affine mode: it is
+    zero.  On Proj R: it lies in H^0_m(R), which vanishes in degrees above
+    reg R (Eisenbud, The Geometry of Syzygies, ch. 4).  So p of degree e
+    does exactly when x_i^N p = 0 for every variable at the single power
+    N = max(0, reg R + 1 - e): such an N puts x_i^N p above reg R, and
+    x_i^N p = 0 for all i puts a power of m into the annihilator of p."""
+    if affine or not gens:
+        return all(map(ring.is_zero, gens))
+    reg = local_duality(ring).regularity
+    return all(ring.is_zero(x * p) for p in gens for x in variable_powers(
+        ring, max(0, reg + 1 - p.total_degree())))
 
 
 def locally_contractible(E):
     """Three-valued local contractibility via local freeness of the
-    restricted cokernel (Fitting-ideal scan over R/(W)).
+    restricted cokernel (Fitting-ideal test over R/(W)): it is locally free
+    of rank r when Fitt_{r-1} restricts to zero (_sheaf_zero) and Fitt_r
+    has no zero on Y (modules.covers), both decided exactly.  W must be a
+    nonzerodivisor (modules.is_nonzerodivisor).
 
     Affine-graded mode is a complete decision (graded modules over a
     graded-connected ring are projective iff free).  Projective mode
-    returns true on a positive certificate and inconclusive otherwise
-    (rank-jumping sheaves on disconnected hypersurfaces prevent a bounded
-    false certificate)."""
-    ctx = E.ctx
-    if not ctx.w_regular:
+    returns true when some rank r passes and inconclusive otherwise: on a
+    disconnected Y a sheaf can be locally free of different ranks on the
+    components, which no single r certifies."""
+    if not is_nonzerodivisor(E.ctx.ring, E.ctx.W):
         raise ValueError("locally_contractible requires a regular W")
+    return _locally_free(E)
+
+
+def _locally_free(E):
+    """locally_contractible of E, whose W is a nonzerodivisor, by
+    connected components."""
     if E.is_zero_object():
         return "true"
     comps = _connected_components(E)
     if comps is not None:
-        results = [locally_contractible(_sub_mf(E, i1, i0))
-                   for (i1, i0) in comps]
+        results = [_locally_free(_sub_mf(E, i1, i0)) for (i1, i0) in comps]
         if all(r == "true" for r in results):
             return "true"
         if any(r == "false" for r in results):
@@ -397,16 +407,13 @@ def locally_contractible(E):
         return "true"
     if g > FITTING_CAP:
         return "inconclusive"
-    ry = M.ring
-    # bound 0 is the affine test: Fitt_{r-1} = 0 and 1 in Fitt_r + I
-    bound = 0 if ctx.is_affine else default_saturation_bound(
-        ry, [p for row in M.rel.rows for p in row.values()])
+    ry, affine = M.ring, E.ctx.is_affine
     fitt = {r: fitting_ideal(M, r) for r in range(-1, g + 1)}
     for r in range(0, g + 1):
-        if (_sheaf_zero(fitt[r - 1], ry, bound)
-                and contains_irrelevant_power(fitt[r], ry, bound)):
+        if (_sheaf_zero(fitt[r - 1], ry, affine)
+                and covers(ry, fitt[r], affine)):
             return "true"
-    return "false" if ctx.is_affine else "inconclusive"
+    return "false" if affine else "inconclusive"
 
 
 def prop28_report(E):

@@ -13,7 +13,8 @@ from .linalg import (Block, solve, sparse_blocks, sparse_rank,
                      sparse_transpose)
 from .mf import (MatrixFactorization, SheafMap, _post_compose_matrix,
                  _pre_compose_matrix, unpack_maps)
-from .modules import ModulePresentation, minimal_columns, syzygy_presentation
+from .modules import (ModulePresentation, minimal_columns, syzygies,
+                      syzygy_presentation)
 
 STABLE_HOM_STEPS = 8    # stable_hom_dim tries q0, ..., q0 + STABLE_HOM_STEPS
 
@@ -103,19 +104,17 @@ def mf_from_module(ctx, alpha):
     matrix factorization of W: solves alpha(d) o beta = W*id for beta and
     returns MF(e1=alpha, e0=beta).
 
-    Raises if alpha is not injective in the tested degree window (up to
-    the largest |twist| plus max ideal degree + deg W + 3) or if W*id does
-    not factor through alpha."""
+    Raises if alpha is not injective, that is, if it has a syzygy (the
+    error names the least internal degree of a kernel generator, -max of
+    the syzygy twists), or if W*id does not factor through alpha."""
     ring = ctx.ring
     d = ctx.d
     E1, E0 = alpha.src, alpha.dst
-    spread = max((abs(a) for a in tuple(E1) + tuple(E0)), default=0)
-    for t in range(0, spread + ring.max_ideal_degree() + d + 4):
-        rows, ncols = ring.piece_matrix(alpha, t)
-        if sparse_rank(ring.field, rows, ncols) < ncols:
-            raise ValueError(
-                "alpha has a kernel in internal degree %d: it does not "
-                "present a module of projective dimension one" % t)
+    kernel = syzygies(alpha).src
+    if kernel.rank:
+        raise ValueError(
+            "alpha has a kernel in internal degree %d: it does not "
+            "present a module of projective dimension one" % -max(kernel))
     # beta in Hom(E0, E1(d)) with alpha(d) o beta = W*id in Hom(E0, E0(d))
     post = _post_compose_matrix(alpha.twist(d), E0)
     w_id = [ctx.W if r == c else ring.zero()

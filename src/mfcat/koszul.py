@@ -26,8 +26,7 @@ from itertools import accumulate, chain, combinations
 from operator import mul
 
 from .mf import MatrixFactorization, SheafMap, StrictMorphism, TwistSum
-from .poly import Poly
-from .ring import buchberger
+from .modules import covers, variable_powers
 
 
 class FreeComplex:
@@ -77,32 +76,22 @@ def krull_dimension(ring):
     return 0
 
 
-def _covers(ring, forms):
-    """Whether the forms have no common zero on X = Proj R: S/(I + (forms))
-    has finite length, that is, its Groebner basis has a pure power of
-    every variable among its leading monomials (ch. 5, sec. 3)."""
-    leads = [g.leading_term()[0]
-             for g in buchberger(ring.ideal_gens + list(forms))]
-    return all(any(lm[i] == sum(lm) for lm in leads)
-               for i in range(ring.nvars))
-
-
 def _choose_forms(ring):
     """The first k-subset, k = dim R, dim R + 1, ..., of the variables, and
-    then of the variables and the sums x_a + x_b, that covers X; all the
-    variables if none does.  Fewer than dim R forms never cover X (Krull's
-    principal ideal theorem), so on a polynomial ring, where dim R = nvars,
-    this is the variables with no Groebner run."""
+    then of the variables and the sums x_a + x_b, that covers X
+    (modules.covers); all the variables if none does.  Fewer than dim R
+    forms never cover X (Krull's principal ideal theorem), so on a
+    polynomial ring, where dim R = nvars, this is the variables with no
+    Groebner run."""
     n = ring.nvars
-    xs = [Poly.monomial(ring.field, n, tuple(int(a == i) for a in range(n)))
-          for i in range(n)]
+    xs = variable_powers(ring, 1)
     cands = xs + [xs[a] + xs[b] for a, b in combinations(range(n), 2)]
     for k in range(krull_dimension(ring), n):
         for S in chain(combinations(range(n), k),
                        (S for S in combinations(range(len(cands)), k)
                         if S[-1] >= n)):
             forms = [cands[i] for i in S]
-            if _covers(ring, forms):
+            if covers(ring, forms):
                 return tuple(forms)
     return tuple(xs)
 

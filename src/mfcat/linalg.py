@@ -69,8 +69,8 @@ class Block:
     """A sparse block that is its nonzeros: nrows x ncols, with entries a
     row-major list of (row, column, value) triples; the entries of a row
     come in the key order its row dict gets when the block is placed.
-    This is the one form in which a cached block is stored; rows() is a
-    view of it as sparse rows, built on request."""
+    This is the one form in which a cached block is stored; it is read
+    only by placing it (sparse_blocks)."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -85,13 +85,6 @@ class Block:
         entries = [(i, k, v) for i, row in enumerate(rows)
                    for k, v in row.items()]
         return Block(len(rows), ncols, entries)
-
-    def rows(self):
-        """The block as sparse rows, one new {column: value} dict per row."""
-        out = [{} for _ in range(self.nrows)]
-        for i, k, v in self.entries:
-            out[i][k] = v
-        return out
 
 
 def sparse_blocks(row_dims, col_dims, blocks):

@@ -21,7 +21,7 @@ Conventions (fixed throughout the engine):
     f1 and f0, and d^0 from e1, e0, f0 and f1, with no negation.
 """
 
-from .linalg import Block, solve, sparse_blocks, sparse_rank
+from .linalg import Block, solve, sparse_blocks
 
 
 class TwistSum:
@@ -266,9 +266,10 @@ class MFContext:
     """The triple (X, O(1), W): a graded ring, a mode, and the section W.
 
     mode 'projective' means X = Proj R with deg W = 1; mode 'affine-graded'
-    means the graded-module model of Spec R with any homogeneous W.  The
-    regularity of W (nonzerodivisor) is verified on graded pieces up to a
-    bound and recorded as a flag.
+    means the graded-module model of Spec R with any homogeneous W.  W need
+    not be regular (a nonzerodivisor): the one reader that needs it,
+    homcat.locally_contractible, decides it exactly
+    (modules.is_nonzerodivisor).
     """
 
     def __init__(self, ring, W, mode="projective", twist_step=None):
@@ -280,7 +281,6 @@ class MFContext:
         if self.W.is_zero():
             # a twisted periodic complex (W = 0): the twist step is supplied
             self.d = int(twist_step) if twist_step is not None else 1
-            self.w_regular = False
         else:
             if not self.W.is_homogeneous():
                 raise ValueError("W must be homogeneous")
@@ -289,23 +289,7 @@ class MFContext:
                 raise ValueError("projective mode requires deg W = 1")
             if twist_step is not None and int(twist_step) != self.d:
                 raise ValueError("twist step must equal deg W")
-            self.w_regular = self._check_regular()
         self._y_ring = None
-
-    def _check_regular(self):
-        """W is regular iff multiplication by W is injective on R_n for all
-        n; checked for n up to a bound (degrees where new relations between
-        the generators of I and W could first appear, plus slack)."""
-        ring = self.ring
-        maxdeg = max([g.total_degree() for g in ring.ideal_gens] + [1])
-        for n in range(0, ring.nvars + maxdeg + self.d + 3):
-            src = ring.graded_piece_basis(n)
-            if not src:
-                continue
-            if sparse_rank(ring.field, ring.mult_matrix(self.W, n).rows(),
-                           len(src)) < len(src):
-                return False
-        return True
 
     @property
     def is_affine(self):

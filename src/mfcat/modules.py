@@ -1,5 +1,6 @@
-"""Graded module presentations, syzygies, Fitting ideals, and bounded
-saturation queries.
+"""Graded module presentations, syzygies, Fitting ideals, and two exact
+yes/no tests: whether an element is a nonzerodivisor (it has no syzygy)
+and whether an ideal has no common zero with X (covers).
 
 A presentation is the cokernel of its relation matrix rel, a SheafMap
 (the sparse-row matrix of ring elements that the MF side uses): the
@@ -20,7 +21,7 @@ from itertools import combinations
 from .linalg import solve, sparse_transpose
 from .mf import SheafMap, TwistSum
 from .poly import Poly, grevlex_key
-from .ring import buchberger, groebner_terms, reduce_poly
+from .ring import buchberger, groebner_terms
 
 
 # -- free-module vectors -------------------------------------------------
@@ -300,20 +301,29 @@ def variable_powers(ring, N):
             for i in range(ring.nvars)]
 
 
-def contains_irrelevant_power(J_gens, ring, B):
-    """Whether x_i^N lies in J + I for every variable and some N <= B.
-
-    Yes certifies that V(J) misses Proj(R); no is "not within bound B",
-    never a certified no.  At N = 0 (x^0 = 1) the test is 1 in J + I, so
-    bound 0 decides whether J + I is the unit ideal.
-    """
-    basis = buchberger(list(J_gens) + ring.ideal_gens)
-    return any(all(reduce_poly(x, basis).is_zero()
-                   for x in variable_powers(ring, N))
-               for N in range(B + 1))
+# -- exact yes/no tests ------------------------------------------------------
 
 
-def default_saturation_bound(ring, J_gens):
-    """2 * (number of variables) * (max generator degree + 1)."""
-    maxdeg = max([p.total_degree() for p in J_gens if not p.is_zero()] + [0])
-    return 2 * ring.nvars * (maxdeg + 1)
+def is_nonzerodivisor(ring, w):
+    """Whether the homogeneous w is a nonzerodivisor on R: the 1 x 1 map
+    (w): R(-deg w) -> R is injective exactly when it has no syzygy."""
+    w = ring.normal_form(w)
+    if w.is_zero():
+        return False
+    return not syzygies(SheafMap.from_rows(
+        ring, TwistSum([-w.total_degree()]), TwistSum([0]), [{0: w}])).src
+
+
+def covers(ring, gens, affine=False):
+    """Whether J = (gens) has no common zero with X.  On X = Proj R that
+    is: S/(I + J) has finite length, that is, its Groebner basis has a pure
+    power of every variable among its leading monomials (Cox-Little-O'Shea,
+    Ideals, Varieties, and Algorithms, ch. 5, sec. 3).  In affine mode,
+    on Spec R: I + J is the unit ideal, its Groebner basis has a
+    constant."""
+    leads = [g.leading_term()[0]
+             for g in buchberger(ring.ideal_gens + list(gens))]
+    if affine:
+        return any(not any(lm) for lm in leads)
+    return all(any(lm[i] == sum(lm) for lm in leads)
+               for i in range(ring.nvars))

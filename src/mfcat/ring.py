@@ -332,9 +332,6 @@ class GradedRing:
     def is_polynomial_ring(self):
         return not self.groebner
 
-    def max_ideal_degree(self):
-        return max([g.total_degree() for g in self.ideal_gens] + [0])
-
     # -- identity ----------------------------------------------------------
 
     def describe(self):

@@ -5,8 +5,11 @@ periodic resolution and of the augmented truncated Koszul complex,
 block-composition builders of the mapping complex and of Tot(P tensor E),
 its augmentation and Tot(P tensor f), which glue small SheafMaps with
 SheafMap.from_blocks, against which the engine's entry writers are
-checked, and block assembly row by row, against which the entry-wise
-linalg.sparse_blocks is checked."""
+checked, block assembly row by row, against which the entry-wise
+linalg.sparse_blocks is checked, and a block read back as sparse rows.
+Also the degree-window scans that the exact predicates replaced: the
+rank window for a nonzerodivisor, and the bounded searches for a power
+of every variable in an ideal and in an annihilator."""
 
 from itertools import accumulate
 
@@ -15,6 +18,7 @@ from mfcat.linalg import homology_dim, solve, sparse_rank
 from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       StrictMorphism, TwistSum, cycle_from_strict, hom_layout,
                       hom_twists, unpack_maps)
+from mfcat.modules import variable_powers
 from mfcat.ring import buchberger, reduce_poly
 
 
@@ -39,6 +43,11 @@ def piece_dim(M, t):
         - sparse_rank(ring.field, *ring.piece_matrix(rel, t))
 
 
+def max_ideal_degree(ring):
+    """The largest degree of a generator of the ring's ideal, 0 if none."""
+    return max([g.total_degree() for g in ring.ideal_gens] + [0])
+
+
 def zero_mf(ctx):
     """The zero object of ctx."""
     z = TwistSum()
@@ -56,7 +65,7 @@ def periodic_resolution(E, lo=-6, hi=0, t_range=None):
     terms = {q: list(E.component_at(q).twists) for q in range(lo, hi + 1)}
     if t_range is None:
         spread = max((abs(a) for tw in terms.values() for a in tw), default=0)
-        t_range = range(0, spread + ctx.ring.max_ideal_degree() + 3)
+        t_range = range(0, spread + max_ideal_degree(ctx.ring) + 3)
     failures = []
     for q in range(lo + 1, min(hi, -1) + 1):
         f_in = E.diff_at(q - 1)
@@ -253,3 +262,56 @@ def sparse_blocks_by_rows(row_dims, col_dims, blocks):
                 out[i].update({co + k: v for k, v in row.items()}
                               if co else row)
     return out, col_offs[-1]
+
+
+def block_rows(blk):
+    """A linalg.Block as sparse rows, one new {column: value} dict per
+    row."""
+    out = [{} for _ in range(blk.nrows)]
+    for i, k, v in blk.entries:
+        out[i][k] = v
+    return out
+
+
+# -- the degree-window scans -------------------------------------------------
+
+
+def regular_in_window(ring, w):
+    """The rank-window test of regularity: multiplication by w is
+    injective on R_n for every n below nvars + max(max ideal degree, 1) +
+    deg w + 3.  No is certain; yes holds only within the window."""
+    if ring.is_zero(w):
+        return False
+    maxdeg = max(max_ideal_degree(ring), 1)
+    for n in range(0, ring.nvars + maxdeg + w.total_degree() + 3):
+        size = len(ring.graded_piece_basis(n))
+        if size and sparse_rank(ring.field,
+                                block_rows(ring.mult_matrix(w, n)),
+                                size) < size:
+            return False
+    return True
+
+
+def saturation_bound(ring, gens):
+    """2 * (number of variables) * (max degree of gens + 1)."""
+    maxdeg = max([p.total_degree() for p in gens if not p.is_zero()] + [0])
+    return 2 * ring.nvars * (maxdeg + 1)
+
+
+def contains_irrelevant_power(gens, ring, B):
+    """Whether x_i^N lies in (gens) + I for every variable and some
+    N <= B; bound 0 (x^0 = 1) asks whether (gens) + I is the unit ideal.
+    Yes is certain; no holds only within the bound."""
+    basis = buchberger(list(gens) + ring.ideal_gens)
+    return any(all(reduce_poly(x, basis).is_zero()
+                   for x in variable_powers(ring, N))
+               for N in range(B + 1))
+
+
+def sheaf_zero_within(gens, ring, B):
+    """Whether some N <= B has x_i^N p = 0 for every variable and every
+    generator p; bound 0 asks whether every generator is zero.  Yes is
+    certain; no holds only within the bound."""
+    return any(all(ring.is_zero(x * p) for x in variable_powers(ring, N)
+                   for p in gens)
+               for N in range(B + 1))

@@ -18,7 +18,7 @@ from mfcat.hypersurface import coker_module, ext_gamma_dims
 from mfcat.mf import SheafMap, TwistSum, mapping_complex
 
 import reference
-from reference import sparse_blocks_by_rows
+from reference import block_rows, sparse_blocks_by_rows
 from test_cohomology import skew_lines, three_points
 from test_entry_writers import CORPORA, FIELDS
 
@@ -35,7 +35,7 @@ def checked(monkeypatch):
             blocks = list(blocks)
             got = linalg.sparse_blocks(row_dims, col_dims, blocks)
             want = sparse_blocks_by_rows(
-                row_dims, col_dims, [(r, c, blk.rows())
+                row_dims, col_dims, [(r, c, block_rows(blk))
                                      for r, c, blk in blocks])
             assert got[1] == want[1]
             assert [list(row.items()) for row in got[0]] == \

@@ -371,6 +371,23 @@ class TestFromModule:
         assert code == 0
         assert out["result"]["mf"]["e1"] == [["x2"]]
 
+    @pytest.mark.parametrize("entry, code, e0",
+                             [("z", 0, "1"), ("x", 1, None)])
+    def test_nodal_curve(self, run, tmp_path, entry, code, e0):
+        # on xy = 0 with W = z, x: O(-1) -> O kills y in internal degree 2
+        ring = {"field": {"type": "prime", "p": 32003},
+                "variables": ["x", "y", "z"], "ideal": ["x*y"]}
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({
+            "context": {"ring": ring, "W": "z", "mode": "projective"},
+            "E1": [-1], "E0": [0], "matrix": [[entry]]}))
+        got, out, err = run("from-module", "--alpha", str(path))
+        assert got == code
+        if e0:
+            assert out["result"]["mf"]["e0"] == [[e0]]
+        else:
+            assert "alpha has a kernel in internal degree 2:" in err["error"]
+
     @pytest.mark.parametrize("entry, message", [
         ("x2+", "unexpected"),                      # does not parse
         ("x2^2", "homogeneous of degree 1, got"),   # wrong degree

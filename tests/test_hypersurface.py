@@ -234,6 +234,29 @@ class TestFromModule:
         with pytest.raises(ValueError):
             mf_from_module(ctx_a1, alpha)
 
+    def test_kernel_named_by_least_degree(self, ctx_a1):
+        # 0: O(1) -> O has all of O(1) as kernel, generated by 1 in
+        # internal degree -1
+        ring = ctx_a1.ring
+        alpha = SheafMap(ring, TwistSum([1]), TwistSum([0]), [[ring.zero()]])
+        with pytest.raises(ValueError, match="internal degree -1:"):
+            mf_from_module(ctx_a1, alpha)
+
+    def test_nodal_curve(self):
+        # on xy = 0 with W = z, z is injective and x kills y, which sits in
+        # internal degree 2 of O(-1)
+        ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
+                          ideal_strings=["x*y"])
+        ctx = MFContext(ring, ring.poly("z"))
+        alpha = SheafMap(ring, TwistSum([-1]), TwistSum([0]),
+                         [[ring.poly("z")]])
+        E = mf_from_module(ctx, alpha)
+        assert verify_mf(E)["ok"] and E.e0.to_strs() == [["1"]]
+        alpha = SheafMap(ring, TwistSum([-1]), TwistSum([0]),
+                         [[ring.poly("x")]])
+        with pytest.raises(ValueError, match="internal degree 2:"):
+            mf_from_module(ctx, alpha)
+
     def test_non_annihilated_rejected(self, ctx_a1):
         # coker(u^2) is not killed by W = uv, so no factorization exists
         ring = ctx_a1.ring

@@ -12,6 +12,7 @@ from mfcat.koszul import (FreeComplex, covering_forms, koszul_truncated,
 from mfcat.mf import (MFContext, SheafMap, StrictMorphism, TwistSum,
                       direct_sum_mf, shift_mf, strictness_violation, twist_mf,
                       verify_mf)
+from mfcat.modules import covers
 from mfcat.ring import GradedRing, binom
 from mfcat.suite import unit_e0_factorization
 
@@ -216,7 +217,7 @@ class TestCoveringForms:
     def test_projective_space_uses_the_variables(self, m, monkeypatch):
         ring = GradedRing(PrimeField(DEFAULT_PRIME),
                           ["x%d" % i for i in range(m + 1)])
-        monkeypatch.setattr(koszul, "buchberger", None)   # no Groebner run
+        monkeypatch.setattr(koszul, "covers", None)   # no Groebner run
         assert krull_dimension(ring) == m + 1
         assert _forms(ring) == ring.variables
         P, aug = koszul_truncated(ring, 2)
@@ -244,10 +245,10 @@ class TestCoveringForms:
         ring = GradedRing(PrimeField(DEFAULT_PRIME), variables,
                           ideal_strings=ideal)
         xs = [ring.poly(v) for v in variables]
-        assert koszul._covers(ring, [ring.poly(f) for f in forms])
-        assert koszul._covers(ring, xs)
+        assert covers(ring, [ring.poly(f) for f in forms])
+        assert covers(ring, xs)
         if name in ("nodal", "skew-lines", "three-lines"):
-            assert not any(koszul._covers(ring, [xs[a], xs[b]])
+            assert not any(covers(ring, [xs[a], xs[b]])
                            for a in range(len(xs)) for b in range(a))
 
     @pytest.mark.parametrize("j", [1, 2])

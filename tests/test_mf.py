@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mfcat.cohomology import GlobalSections
 from mfcat.fields import DEFAULT_PRIME, PrimeField
-from mfcat.homcat import stabilize
+from mfcat.homcat import locally_contractible, stabilize
 from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       StrictMorphism, TwistSum, cone, cycle_from_strict,
                       direct_sum_mf, mapping_complex, shift_mf,
@@ -17,12 +17,13 @@ from mfcat.mf import (MatrixFactorization, MFContext, SheafMap,
                       strictness_violation, twist_mf, verify_mf)
 from mfcat.koszul import koszul_truncated, stabilized_mf
 from mfcat.linalg import sparse_matmul
+from mfcat.modules import is_nonzerodivisor
 from mfcat.poly import Poly
 from mfcat.ring import GradedRing, monomials_of_degree
 from mfcat.suite import (_grow, generate_suite, rank_one_mf,
                          unit_e0_factorization)
 
-from reference import zero_mf
+from reference import block_rows, zero_mf
 
 
 class TestVerify:
@@ -391,7 +392,7 @@ def dense_assembly(f, mult, dim, nonzero):
         for c, p in enumerate(row):
             if not nonzero(p):
                 continue
-            for i, mrow in enumerate(mult(p, f.src[c]).rows()):
+            for i, mrow in enumerate(block_rows(mult(p, f.src[c]))):
                 for k, v in mrow.items():
                     rows[row_offs[r] + i][col_offs[c] + k] = v
     return rows, sum(dim(a) for a in f.src)
@@ -492,9 +493,13 @@ class TestContext:
     def test_nonregular_w_flagged(self):
         F = PrimeField(32003)
         ring = GradedRing(F, ["x", "y", "z"], ideal_strings=["x*y"])
-        # x is a zero divisor on R/(xy); regular sections keep the flag set
-        assert not MFContext(ring, ring.poly("x")).w_regular
-        assert MFContext(ring, ring.poly("x + y")).w_regular
+        # x is a zero divisor on R/(xy): a context takes it, and the one
+        # reader that needs a regular W refuses it
+        ctx = MFContext(ring, ring.poly("x"))
+        assert not is_nonzerodivisor(ring, ctx.W)
+        assert is_nonzerodivisor(ring, ring.poly("x + y"))
+        with pytest.raises(ValueError, match="regular W"):
+            locally_contractible(rank_one_mf(ctx, "x", "1", 0))
 
     def test_rank_one_builder(self, ctx_p2):
         E = rank_one_mf(ctx_p2, "x2", "1", 0)

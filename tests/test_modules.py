@@ -1,16 +1,21 @@
 """Graded module presentations: pieces, syzygies, minimalization, Fitting
-ideals."""
+ideals, and the exact nonzerodivisor, covering and sheaf-zero tests
+against the degree-window scans they replaced."""
+
+from itertools import combinations
 
 import pytest
 
-from mfcat.fields import DEFAULT_PRIME, PrimeField
+from mfcat.fields import DEFAULT_PRIME, PrimeField, RationalField
+from mfcat.homcat import _sheaf_zero
 from mfcat.mf import TwistSum
-from mfcat.modules import (ModulePresentation, contains_irrelevant_power,
-                           default_saturation_bound, fitting_ideal,
-                           syzygies, syzygy_presentation)
+from mfcat.modules import (ModulePresentation, covers, fitting_ideal,
+                           is_nonzerodivisor, syzygies, syzygy_presentation)
 from mfcat.ring import GradedRing, binom
 
-from reference import ideals_equal, piece_dim
+from reference import (contains_irrelevant_power, ideals_equal, piece_dim,
+                       regular_in_window, saturation_bound,
+                       sheaf_zero_within)
 
 
 NODAL = GradedRing(PrimeField(DEFAULT_PRIME), ["x", "y", "z"],
@@ -100,11 +105,14 @@ class TestFitting:
                             ring_p1)
 
     def test_contains_irrelevant_power(self, ring_p2):
+        # (x0, x1, x2) has no zero on P^2 and (x0) has a line of them;
+        # covers decides it, the bounded search agrees
         gens = [ring_p2.poly(s) for s in ("x0", "x1", "x2")]
-        B = default_saturation_bound(ring_p2, gens)
+        B = saturation_bound(ring_p2, gens)
+        assert covers(ring_p2, gens)
         assert contains_irrelevant_power(gens, ring_p2, B)
-        assert not contains_irrelevant_power([ring_p2.poly("x0")],
-                                             ring_p2, B)
+        assert not covers(ring_p2, gens[:1])
+        assert not contains_irrelevant_power(gens[:1], ring_p2, B)
 
 
 class TestFromColumns:
@@ -143,6 +151,79 @@ class TestMinimalize:
     def test_twist_shifts_both_sides(self, ring_p1):
         M = mk_pres(ring_p1, [0], [["x0"]]).twist(3)
         assert (M.rel.dst, M.rel.src) == (TwistSum([3]), TwistSum([2]))
+
+
+# name -> (variables, ideal)
+EXACT_RINGS = {
+    "P1": ("xy", []),
+    "P2": ("xyz", []),
+    "P3": ("xyzw", []),
+    "nodal": ("xyz", ["x*y"]),
+    "double-line": ("xyz", ["x^2"]),
+    "skew-lines": ("xyzw", ["x*z", "x*w", "y*z", "y*w"]),
+    # (xy) with an embedded point: xy is nonzero but killed by (x, y, z)
+    "embedded-point": ("xyz", ["x^2*y", "x*y^2", "x*y*z"]),
+    "twisted-cubic": ("xyzw", ["x*z - y^2", "x*w - y*z", "y*w - z^2"]),
+    "fermat": ("xyz", ["x^3 + y^3 + z^3"]),
+}
+EXACT_FIELDS = {"F_p": PrimeField(DEFAULT_PRIME), "Q": RationalField()}
+
+
+@pytest.mark.parametrize("field", EXACT_FIELDS.values(),
+                         ids=list(EXACT_FIELDS))
+@pytest.mark.parametrize("name", EXACT_RINGS)
+class TestExactAgainstWindows:
+    """The exact predicates give the answers of the window scans they
+    replaced, on rings with and without zero divisors among the
+    variables, and on each ring's quotient by its last variable."""
+
+    @staticmethod
+    def rings(name, field):
+        variables, ideal = EXACT_RINGS[name]
+        ring = GradedRing(field, list(variables), ideal_strings=ideal)
+        return ring, ring.quotient_by(variables[-1])
+
+    def test_nonzerodivisor(self, name, field):
+        ring, _ = self.rings(name, field)
+        xs = [ring.poly(v) for v in ring.variables]
+        for w in xs + [sum(xs[1:], xs[0]), xs[0] + xs[1], xs[0] * xs[1]]:
+            assert is_nonzerodivisor(ring, w) == regular_in_window(ring, w)
+        # x is a zero divisor on xy and on x^2, and so on the embedded point
+        assert is_nonzerodivisor(ring, xs[0]) == (
+            name not in ("nodal", "double-line", "embedded-point",
+                         "skew-lines"))
+
+    def test_covers(self, name, field):
+        for ring in self.rings(name, field):
+            xs = [ring.poly(v) for v in ring.variables]
+            subsets = [list(S) for k in range(ring.nvars + 1)
+                       for S in combinations(xs, k)]
+            for gens in subsets + [[x * x for x in S] for S in subsets] + [
+                    [sum(xs[1:], xs[0])], [ring.one()]]:
+                B = saturation_bound(ring, gens)
+                assert covers(ring, gens) == \
+                    contains_irrelevant_power(gens, ring, B)
+                assert covers(ring, gens, affine=True) == \
+                    contains_irrelevant_power(gens, ring, 0)
+
+    def test_sheaf_zero(self, name, field):
+        ring, ry = self.rings(name, field)
+        for r in (ring, ry):
+            xs = [r.poly(v) for v in r.variables]
+            for gens in ([[x] for x in xs]
+                         + [[a * b] for a, b in combinations(xs, 2)]
+                         + [[r.one()], xs]):
+                B = saturation_bound(r, gens)
+                assert _sheaf_zero(gens, r, False) == \
+                    sheaf_zero_within(gens, r, B)
+                assert _sheaf_zero(gens, r, True) == \
+                    sheaf_zero_within(gens, r, 0)
+        if name == "embedded-point":
+            # xy is nonzero but zero on Proj, in R and in R/(z)
+            for r in (ring, ry):
+                xy = [r.poly("x*y")]
+                assert _sheaf_zero(xy, r, False)
+                assert not _sheaf_zero(xy, r, True)
 
 
 def test_invalid_column_degree(ring_p1):
