@@ -244,91 +244,107 @@ def cmd_suite(args, inputs):
 # -- argument parsing and report emission ------------------------------------------
 
 
-def _build_parser():
+# name -> (handler, help, arguments), each argument a (flag, keywords) pair;
+# the order is that of the usage line and of `mfcat -h`
+COMMANDS = {
+    "verify": (cmd_verify, "check the factorization identities",
+               [("--source", {"required": True})]),
+    "hom": (cmd_hom, "Hom-set dimension and basis",
+            [("--model", {"choices": ("naive", "hyper"), "default": "hyper"}),
+             ("--source", {"required": True}),
+             ("--target", {"required": True}),
+             ("--shift", {"type": int, "default": 0}),
+             ("--twist", {"type": int, "default": 0})]),
+    "compose": (cmd_compose, "compose two Hom-set basis classes",
+                [("--source", {"required": True}),
+                 ("--middle", {"required": True}),
+                 ("--target", {"required": True}),
+                 ("--alpha", {"type": int, "default": 0,
+                              "help": "basis index in Hom(source, middle)"}),
+                 ("--beta", {"type": int, "default": 0,
+                             "help": "basis index in Hom(middle, target)"})]),
+    "cech": (cmd_cech, "sheaf cohomology of O(n)",
+             [("--space", {"help": "projective space shorthand, e.g. P2"}),
+              ("--ring", {"help": "ring JSON file"}),
+              ("--twist", {"type": int, "required": True}),
+              ("--p", {"type": int, "required": True})]),
+    "cech-hh": (cmd_cech_hh, "hypercohomology of the mapping complex",
+                [("--source", {"required": True}),
+                 ("--target", {"required": True}),
+                 ("--q", {"type": int, "default": 0})]),
+    "stabilize": (cmd_stabilize, "Koszul stabilization",
+                  [("--source", {"required": True}),
+                   ("--target", {"required": True}),
+                   ("--min-degree", {"type": int, "default": 0})]),
+    "contractible": (cmd_contractible, "global and local contractibility",
+                     [("--source", {"required": True})]),
+    "prop28": (cmd_prop28, "contractibility condition report",
+               [("--source", {"required": True})]),
+    "coker": (cmd_coker, "cokernel module of e1 over R/(W)",
+              [("--source", {"required": True}),
+               ("--raw", {"action": "store_true",
+                          "help": "skip generator minimalization"})]),
+    "from-module": (cmd_from_module,
+                    "complete an injective map to a factorization",
+                    [("--alpha", {"required": True})]),
+    "ext-table": (cmd_ext_table, "graded Ext dimension table",
+                  [("--source", {"required": True}),
+                   ("--module", {"required": True}),
+                   ("--q-lo", {"type": int, "default": 0}),
+                   ("--q-hi", {"type": int, "default": 6})]),
+    "stable-hom": (cmd_stable_hom, "stable Hom dimension",
+                   [("--source", {"required": True}),
+                    ("--module", {"required": True})]),
+    "rel-perfect": (cmd_rel_perfect,
+                    "finite projective dimension over the ambient ring",
+                    [("--context", {"required": True}),
+                     ("--module", {"required": True}),
+                     ("--max-steps", {"type": int, "default": 12})]),
+    "suite": (cmd_suite, "deterministic regression objects",
+              [("--seed", {"type": int, "default": 0}),
+               ("--profile", {"required": True})]),
+}
+
+
+def _named_command(argv):
+    """The first bare token of argv, past any `--format X` or
+    `--format=X`; None when another option (help, an abbreviation) or
+    the end of argv comes first."""
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--format":
+            next(tokens, None)
+        elif not tok.startswith("-"):
+            return tok
+        elif not tok.startswith("--format="):
+            return None
+    return None
+
+
+def _build_parser(argv):
+    """The parser of argv: the top-level one with only the subparser of the
+    command argv names, or with every subparser when argv names no command
+    of COMMANDS, so that help and a wrong command list them all.  A subset
+    names every command in its metavar, which keeps the usage line; the
+    full parser leaves the metavar unset, because the errors that name the
+    `command` argument would print it in place of `command`."""
+    chosen = _named_command(argv)
+    subset = chosen in COMMANDS
     p = argparse.ArgumentParser(
         prog="mfcat",
         description="Exact-arithmetic engine for matrix factorizations of a "
                     "section on a projective or affine-graded scheme.")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kw):
-        sp = sub.add_parser(name, **kw)
+    sub = p.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if subset else None)
+    for name, (handler, help_text, arguments) in COMMANDS.items():
+        if subset and name != chosen:
+            continue
+        sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
-        return sp
-
-    sp = add("verify", cmd_verify, help="check the factorization identities")
-    sp.add_argument("--source", required=True)
-
-    sp = add("hom", cmd_hom, help="Hom-set dimension and basis")
-    sp.add_argument("--model", choices=("naive", "hyper"), default="hyper")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--shift", type=int, default=0)
-    sp.add_argument("--twist", type=int, default=0)
-
-    sp = add("compose", cmd_compose, help="compose two Hom-set basis classes")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--middle", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--alpha", type=int, default=0,
-                    help="basis index in Hom(source, middle)")
-    sp.add_argument("--beta", type=int, default=0,
-                    help="basis index in Hom(middle, target)")
-
-    sp = add("cech", cmd_cech, help="sheaf cohomology of O(n)")
-    sp.add_argument("--space", help="projective space shorthand, e.g. P2")
-    sp.add_argument("--ring", help="ring JSON file")
-    sp.add_argument("--twist", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = add("cech-hh", cmd_cech_hh,
-             help="hypercohomology of the mapping complex")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--q", type=int, default=0)
-
-    sp = add("stabilize", cmd_stabilize, help="Koszul stabilization")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--min-degree", type=int, default=0)
-
-    sp = add("contractible", cmd_contractible,
-             help="global and local contractibility")
-    sp.add_argument("--source", required=True)
-
-    sp = add("prop28", cmd_prop28, help="contractibility condition report")
-    sp.add_argument("--source", required=True)
-
-    sp = add("coker", cmd_coker, help="cokernel module of e1 over R/(W)")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--raw", action="store_true",
-                    help="skip generator minimalization")
-
-    sp = add("from-module", cmd_from_module,
-             help="complete an injective map to a factorization")
-    sp.add_argument("--alpha", required=True)
-
-    sp = add("ext-table", cmd_ext_table, help="graded Ext dimension table")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--module", required=True)
-    sp.add_argument("--q-lo", type=int, default=0)
-    sp.add_argument("--q-hi", type=int, default=6)
-
-    sp = add("stable-hom", cmd_stable_hom, help="stable Hom dimension")
-    sp.add_argument("--source", required=True)
-    sp.add_argument("--module", required=True)
-
-    sp = add("rel-perfect", cmd_rel_perfect,
-             help="finite projective dimension over the ambient ring")
-    sp.add_argument("--context", required=True)
-    sp.add_argument("--module", required=True)
-    sp.add_argument("--max-steps", type=int, default=12)
-
-    sp = add("suite", cmd_suite, help="deterministic regression objects")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--profile", required=True)
-
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
     return p
 
 
@@ -367,8 +383,7 @@ def _emit(report, fmt, stream):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     inputs = []
     t0 = time.perf_counter()
     try:

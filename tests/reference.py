@@ -9,9 +9,17 @@ checked, block assembly row by row, against which the entry-wise
 linalg.sparse_blocks is checked, and a block read back as sparse rows.
 Also the degree-window scans that the exact predicates replaced: the
 rank window for a nonzerodivisor, and the bounded searches for a power
-of every variable in an ideal and in an annihilator."""
+of every variable in an ideal and in an annihilator.  And the CLI parser
+with every subcommand built, against which the per-command parser of
+`mfcat.cli` is checked."""
 
+import argparse
 from itertools import accumulate
+
+from mfcat.cli import (cmd_cech, cmd_cech_hh, cmd_coker, cmd_compose,
+                       cmd_contractible, cmd_ext_table, cmd_from_module,
+                       cmd_hom, cmd_prop28, cmd_rel_perfect, cmd_stabilize,
+                       cmd_stable_hom, cmd_suite, cmd_verify)
 
 from mfcat.koszul import FreeComplex, koszul_truncated, tot_blocks
 from mfcat.linalg import homology_dim, solve, sparse_rank
@@ -315,3 +323,95 @@ def sheaf_zero_within(gens, ring, B):
     return any(all(ring.is_zero(x * p) for x in variable_powers(ring, N)
                    for p in gens)
                for N in range(B + 1))
+
+
+# -- the full CLI parser -------------------------------------------------------
+
+
+def build_parser():
+    """The `mfcat` parser with all 14 subparsers, whatever the command."""
+    p = argparse.ArgumentParser(
+        prog="mfcat",
+        description="Exact-arithmetic engine for matrix factorizations of a "
+                    "section on a projective or affine-graded scheme.")
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def add(name, handler, **kw):
+        sp = sub.add_parser(name, **kw)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = add("verify", cmd_verify, help="check the factorization identities")
+    sp.add_argument("--source", required=True)
+
+    sp = add("hom", cmd_hom, help="Hom-set dimension and basis")
+    sp.add_argument("--model", choices=("naive", "hyper"), default="hyper")
+    sp.add_argument("--source", required=True)
+    sp.add_argument("--target", required=True)
+    sp.add_argument("--shift", type=int, default=0)
+    sp.add_argument("--twist", type=int, default=0)
+
+    sp = add("compose", cmd_compose, help="compose two Hom-set basis classes")
+    sp.add_argument("--source", required=True)
+    sp.add_argument("--middle", required=True)
+    sp.add_argument("--target", required=True)
+    sp.add_argument("--alpha", type=int, default=0,
+                    help="basis index in Hom(source, middle)")
+    sp.add_argument("--beta", type=int, default=0,
+                    help="basis index in Hom(middle, target)")
+
+    sp = add("cech", cmd_cech, help="sheaf cohomology of O(n)")
+    sp.add_argument("--space", help="projective space shorthand, e.g. P2")
+    sp.add_argument("--ring", help="ring JSON file")
+    sp.add_argument("--twist", type=int, required=True)
+    sp.add_argument("--p", type=int, required=True)
+
+    sp = add("cech-hh", cmd_cech_hh,
+             help="hypercohomology of the mapping complex")
+    sp.add_argument("--source", required=True)
+    sp.add_argument("--target", required=True)
+    sp.add_argument("--q", type=int, default=0)
+
+    sp = add("stabilize", cmd_stabilize, help="Koszul stabilization")
+    sp.add_argument("--source", required=True)
+    sp.add_argument("--target", required=True)
+    sp.add_argument("--min-degree", type=int, default=0)
+
+    sp = add("contractible", cmd_contractible,
+             help="global and local contractibility")
+    sp.add_argument("--source", required=True)
+
+    sp = add("prop28", cmd_prop28, help="contractibility condition report")
+    sp.add_argument("--source", required=True)
+
+    sp = add("coker", cmd_coker, help="cokernel module of e1 over R/(W)")
+    sp.add_argument("--source", required=True)
+    sp.add_argument("--raw", action="store_true",
+                    help="skip generator minimalization")
+
+    sp = add("from-module", cmd_from_module,
+             help="complete an injective map to a factorization")
+    sp.add_argument("--alpha", required=True)
+
+    sp = add("ext-table", cmd_ext_table, help="graded Ext dimension table")
+    sp.add_argument("--source", required=True)
+    sp.add_argument("--module", required=True)
+    sp.add_argument("--q-lo", type=int, default=0)
+    sp.add_argument("--q-hi", type=int, default=6)
+
+    sp = add("stable-hom", cmd_stable_hom, help="stable Hom dimension")
+    sp.add_argument("--source", required=True)
+    sp.add_argument("--module", required=True)
+
+    sp = add("rel-perfect", cmd_rel_perfect,
+             help="finite projective dimension over the ambient ring")
+    sp.add_argument("--context", required=True)
+    sp.add_argument("--module", required=True)
+    sp.add_argument("--max-steps", type=int, default=12)
+
+    sp = add("suite", cmd_suite, help="deterministic regression objects")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--profile", required=True)
+
+    return p

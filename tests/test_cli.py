@@ -1,18 +1,22 @@
 """Command-line interface: reports, exit codes, determinism, error paths."""
 
+import argparse
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import mfcat
-from mfcat.cli import main
+from mfcat import cli
+from mfcat.cli import COMMANDS, main
 from mfcat.hypersurface import coker_module
 from mfcat.mf import mapping_complex
 from mfcat.serialize import context_to_json, mf_to_json, module_to_json
 from mfcat.suite import generate_suite, projective_context
+from reference import build_parser
 
 
 @pytest.fixture()
@@ -419,9 +423,18 @@ class TestFormats:
         assert code == 0
         assert "ok" in out
 
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+    def test_unknown_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "xml", "verify"])
+        assert exc.value.code == 2
+        assert "argument --format: invalid choice: 'xml'" \
+            in capsys.readouterr().err
 
     def test_closed_stdout_exits_one_without_traceback(self):
         """A reader that is gone before the report is written: stdout is
@@ -439,3 +452,76 @@ class TestFormats:
             os.close(w)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+
+
+CECH = ["cech", "--space", "P2", "--twist", "-3", "--p", "2"]
+# help, usage errors and --format spellings, each argv on one side of the
+# choice between one command's parser and all of them
+PARITY_ARGV = [
+    ["-h"], ["--help"], [], ["frobnicate"], ["--format", "xml", "verify"],
+    ["--format=xml", "verify", "--source", "e.json"], ["-h", "hom"],
+    ["--format"], ["--format", "text"], ["--format", "-h", "verify"],
+    ["--format=text", "verify", "-h"], ["--form", "text"] + CECH,
+    ["--", "verify", "--source", "e.json"],
+    ["verify"], ["verify", "--source"], ["hom", "--source", "e.json"],
+    ["hom", "--model", "exact", "--source", "e.json", "--target", "f.json"],
+    ["cech", "--space", "P2", "--twist", "x", "--p", "2"],
+    ["verify", "--source", "e.json", "--bogus"],
+    ["--format", "text"] + CECH, ["--format=json"] + CECH,
+] + [[name, "-h"] for name in COMMANDS]
+
+
+class TestParser:
+    """The parser main builds for one command against the full parser of
+    tests/reference.py."""
+
+    @staticmethod
+    def _outcome(argv, capsys):
+        """Exit code, stdout and stderr of main(argv), timing lines out."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, [[line for line in text.splitlines()
+                       if "timing_ms" not in line]
+                      for text in (captured.out, captured.err)]
+
+    @pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+    def test_output_matches_full_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        ours = self._outcome(argv, capsys)
+        monkeypatch.setattr(cli, "_build_parser", lambda _argv: build_parser())
+        assert ours == self._outcome(argv, capsys)
+
+    def test_golden_commands_parse_alike(self):
+        golden = pathlib.Path(__file__).with_name("cli_golden.json")
+        full = build_parser()
+        argvs = [cmd.split() for cmd in json.loads(golden.read_text())]
+        assert [argv for argv in argvs
+                if cli._build_parser(argv).parse_args(argv)
+                != full.parse_args(argv)] == []
+
+    @pytest.fixture()
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        return built
+
+    def test_known_command_builds_two_parsers(self, parsers_built, capsys):
+        assert main(["--format", "text"] + CECH) == 0
+        assert parsers_built == ["mfcat", "mfcat cech"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["frobnicate"]])
+    def test_help_and_unknown_command_build_all(self, argv, parsers_built,
+                                                 capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(parsers_built) == 1 + len(COMMANDS) == 15
