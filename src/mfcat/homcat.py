@@ -307,10 +307,12 @@ def compose_h(beta, alpha):
 
 
 def is_contractible(E):
-    """Global contractibility: the identity is nullhomotopic."""
-    if E.is_zero_object():
-        return True
-    return solve_homotopy(StrictMorphism.identity(E)) is not None
+    """Global contractibility: the identity is nullhomotopic.  Decided once
+    per object and kept in E.contractible."""
+    if E.contractible is None:
+        E.contractible = (E.is_zero_object() or solve_homotopy(
+            StrictMorphism.identity(E)) is not None)
+    return E.contractible
 
 
 def _connected_components(E):
@@ -388,8 +390,9 @@ def locally_contractible(E):
 
 def _locally_free(E):
     """locally_contractible of E, whose W is a nonzerodivisor, by
-    connected components."""
-    if E.is_zero_object():
+    connected components.  An E already decided contractible is "true"
+    without a split: each direct summand of it is contractible too."""
+    if E.is_zero_object() or E.contractible:
         return "true"
     comps = _connected_components(E)
     if comps is not None:

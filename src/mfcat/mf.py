@@ -318,10 +318,11 @@ class MFContext:
 class MatrixFactorization:
     """e1: E1 -> E0 and e0: E0 -> E1(d) with both composites W * id.
 
-    `verified` is set once require_mf has checked the laws; e1 and e0 are
-    never reassigned, so the check stays true."""
+    `verified` is set once require_mf has checked the laws, and
+    `contractible` (None until decided) by homcat.is_contractible; e1 and
+    e0 are never reassigned, so both stay valid."""
 
-    __slots__ = ("ctx", "E1", "E0", "e1", "e0", "verified")
+    __slots__ = ("ctx", "E1", "E0", "e1", "e0", "verified", "contractible")
 
     def __init__(self, ctx, e1, e0, check=True):
         self.ctx = ctx
@@ -330,6 +331,7 @@ class MatrixFactorization:
         self.E1 = e1.src
         self.E0 = e1.dst
         self.verified = False
+        self.contractible = None
         if e0.src != self.E0 or e0.dst != self.E1.twist(ctx.d):
             raise ValueError("e0 must map E0 -> E1(d)")
         if check:

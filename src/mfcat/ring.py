@@ -8,8 +8,15 @@ a free-module term is its exponent tuple followed by a one-hot component
 block, under the module order of modules.py.  In rings the monomial order
 is grevlex throughout; all variables have degree 1, so graded pieces are
 spanned by standard monomials of the right degree.
+
+The graded-piece bases and multiplication blocks of a ring depend only on
+its value (field, variables, reduced Groebner basis), so they are kept per
+value and shared by all equal rings alive at the same time; they go when
+the last of those rings does.  The other memos (Cech ranks, local duality,
+covering forms) stay on each ring object.
 """
 
+import weakref
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
@@ -144,6 +151,22 @@ def monomials_of_degree(nvars, n):
     return out
 
 
+class _Tables:
+    """The graded-piece bases {n: standard monomials} and multiplication
+    blocks {(p, n): Block} of one ring value."""
+
+    __slots__ = ("pieces", "mult", "__weakref__")
+
+    def __init__(self):
+        self.pieces = {}
+        self.mult = {}
+
+
+# ring value key -> its _Tables, while some ring of that value is alive.
+# Keyed on the value, not on a ring: the dictionary holds its keys strongly.
+_TABLES = weakref.WeakValueDictionary()
+
+
 class GradedRing:
     """R = k[variables]/I with a cached reduced Groebner basis of I."""
 
@@ -165,8 +188,10 @@ class GradedRing:
                 raise ValueError("ideal generator in the wrong polynomial ring")
         self.ideal_gens = [g for g in gens if not g.is_zero()]
         self.groebner = buchberger(self.ideal_gens)
-        self._piece_cache = {}
-        self._mult_cache = {}
+        # the ring's value, read by __eq__, __hash__ and the shared tables
+        self._key = (field, tuple(self.variables),
+                     tuple(g.key() for g in self.groebner))
+        self._tables = _TABLES.setdefault(self._key, _Tables())
         # (n, p, B) -> rank of the Cech differential of O(n) out of C^p at
         # truncation B, filled by cohomology.cech_cohomology_at
         self.cech_ranks = {}
@@ -213,15 +238,16 @@ class GradedRing:
 
     def graded_piece_basis(self, n):
         """Standard monomials of degree n (a basis of R_n); [] for n < 0."""
-        if n in self._piece_cache:
-            return self._piece_cache[n]
+        pieces = self._tables.pieces
+        if n in pieces:
+            return pieces[n]
         if n < 0:
             basis = []
         else:
             leads = [g.leading_term()[0] for g in self.groebner]
             basis = [m for m in monomials_of_degree(self.nvars, n)
                      if not any(mono_divides(lm, m) for lm in leads)]
-        self._piece_cache[n] = basis
+        pieces[n] = basis
         return basis
 
     def hilbert(self, n):
@@ -275,16 +301,19 @@ class GradedRing:
         len(R_n): its nonzero entries, row by row, with increasing columns
         in each row.  The result is cached under (p, n) as given and under
         (normal form of p, n), so a repeated call is a lookup and p is
-        taken to normal form only on a miss; callers must not modify it.
+        taken to normal form only on a miss.  The cache is per ring value:
+        every equal ring alive at the same time returns the same Block
+        object, so callers must not modify it.
         """
+        cache = self._tables.mult
         key = (p, n)
-        blk = self._mult_cache.get(key)
+        blk = cache.get(key)
         if blk is None:
             q = self.normal_form(p)
-            blk = self._mult_cache.get((q, n))
+            blk = cache.get((q, n))
             if blk is None:
-                blk = self._mult_cache[q, n] = self._mult_block(q, n)
-            self._mult_cache[key] = blk
+                blk = cache[q, n] = self._mult_block(q, n)
+            cache[key] = blk
         return blk
 
     def _mult_block(self, p, n):
@@ -342,14 +371,10 @@ class GradedRing:
         }
 
     def __eq__(self, other):
-        return (isinstance(other, GradedRing)
-                and self.field == other.field
-                and self.variables == other.variables
-                and [g.key() for g in self.groebner] == [g.key() for g in other.groebner])
+        return isinstance(other, GradedRing) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.field, tuple(self.variables),
-                     tuple(g.key() for g in self.groebner)))
+        return hash(self._key)
 
     def __repr__(self):
         if self.ideal_gens:

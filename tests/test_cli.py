@@ -290,6 +290,24 @@ class TestContractible:
         assert code == 0
         assert out["result"]["condition1_contractible"] is False
 
+    def test_contractible_solves_once(self, run, tmp_path, monkeypatch):
+        """The global answer is decided once; the local answer of a
+        connected object reads it."""
+        from mfcat import homcat
+        _ctx, objs = generate_suite(0, "p1-small")
+        E = next(E for E in objs if homcat._connected_components(E) is None)
+        path = tmp_path / "p1.json"
+        path.write_text(json.dumps(mf_to_json(E)))
+        calls = []
+        real = homcat.solve_homotopy
+        monkeypatch.setattr(homcat, "solve_homotopy",
+                            lambda f: calls.append(f) or real(f))
+        code, out, _ = run("contractible", "--source", str(path))
+        assert code == 0
+        assert out["result"] == {"contractible": True,
+                                 "locally_contractible": "true"}
+        assert len(calls) == 1
+
     def test_failed_self_check_exits_one(self, run, mf_file, monkeypatch):
         import mfcat.homcat as homcat
         monkeypatch.setattr(homcat, "is_contractible", lambda E: True)

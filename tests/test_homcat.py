@@ -510,6 +510,72 @@ class TestProp28Report:
                 assert rep["condition4_locally_free_coker"] == "true"
 
 
+def undecided_copy(E):
+    """E as a new object, whose contractibility is not yet decided."""
+    return MatrixFactorization(E.ctx, E.e1, E.e0, check=False)
+
+
+def p1_small_object(connected):
+    """The first p1-small object of seed 0 that is (or is not) one block."""
+    _ctx, objs = generate_suite(0, "p1-small")
+    return next(E for E in objs
+                if (homcat._connected_components(E) is None) == connected)
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """The arguments of every solve_homotopy call made through homcat."""
+    calls = []
+    real = homcat.solve_homotopy
+    monkeypatch.setattr(homcat, "solve_homotopy",
+                        lambda f: calls.append(f) or real(f))
+    return calls
+
+
+class TestContractibleMemo:
+    """Contractibility is decided once per object and kept on it."""
+
+    @pytest.mark.parametrize("connected", [True, False],
+                             ids=["connected", "split"])
+    def test_prop28_solves_once(self, solves, connected):
+        E = p1_small_object(connected)
+        assert E.contractible is None
+        want = {"condition1_contractible": True,
+                "condition4_locally_free_coker": "true", "consistent": True}
+        assert prop28_report(E) == want
+        assert len(solves) == 1 and E.contractible is True
+        assert prop28_report(E) == want and is_contractible(E)
+        assert len(solves) == 1
+
+    def test_copies_start_undecided(self, solves, E_u):
+        for E in (p1_small_object(True), undecided_copy(E_u)):
+            answer = is_contractible(E)
+            for C in (twist_mf(E, 1), twist_mf(E, -2), shift_mf(E),
+                      undecided_copy(E)):
+                assert C.contractible is None
+                n = len(solves)
+                assert is_contractible(C) is answer
+                assert len(solves) == n + 1
+
+    @pytest.mark.parametrize("profile", ["a1-affine", "p1-small", "p2-small"])
+    def test_answers_unchanged(self, profile):
+        """On every suite corpus, the kept answer is the identity's homotopy
+        solved afresh, and prop28's local answer is that of an undecided
+        copy, which splits into components and decides each."""
+        for seed in range(5):
+            _ctx, objs = generate_suite(seed, profile)
+            for E in objs:
+                want1 = (E.is_zero_object() or mf.solve_homotopy(
+                    StrictMorphism.identity(E)) is not None)
+                want4 = locally_contractible(undecided_copy(E))
+                assert prop28_report(E) == {
+                    "condition1_contractible": want1,
+                    "condition4_locally_free_coker": want4,
+                    "consistent": True}
+                assert E.contractible is want1
+                assert locally_contractible(E) == want4
+
+
 class TestOracleAgreement:
     def test_hom_h_matches_hypercohomology_p1(self):
         from mfcat.cohomology import cech_hypercohomology

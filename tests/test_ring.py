@@ -1,12 +1,16 @@
 """Groebner bases, normal forms and graded pieces of quotient rings."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfcat import ring as ring_module
+from mfcat.cohomology import cech_cohomology, local_duality
 from mfcat.fields import PrimeField, RationalField
+from mfcat.koszul import covering_forms
 from mfcat.modules import (ModulePresentation, _module_key, minimal_columns,
                            module_buchberger)
 from mfcat.poly import (Poly, grevlex_key, mono_div, mono_divides, mono_lcm,
@@ -379,6 +383,117 @@ class TestMultMatrixByCoords:
                 assert [list(r.items()) for r in block_rows(first)] == \
                     [list(r.items()) for r in coords_mult_matrix(ring, p, n)]
                 assert ring.mult_matrix(p, n) is first
+
+
+class TestSharedTables:
+    """Graded-piece bases and multiplication blocks are kept per ring value
+    and shared by the equal rings alive at the same time; the other memos
+    stay on each ring object."""
+
+    NODAL = (["x", "y", "z"], ["x*y"])
+
+    @pytest.mark.parametrize("make_field", [lambda: PrimeField(32003),
+                                            RationalField], ids=["Fp", "Q"])
+    def test_equal_rings_share(self, make_field):
+        """Equal rings built separately, over equal fields that are
+        different objects, return the same Block and piece list; the
+        shared block equals one built afresh."""
+        variables, ideal = self.NODAL
+        r1 = GradedRing(make_field(), variables, ideal_strings=ideal)
+        r2 = GradedRing(make_field(), variables, ideal_strings=ideal)
+        assert r1 == r2 and r1.field is not r2.field
+        for s in ("x + 3*z", "x*y + y^2 - 1/2*z^2"):
+            for n in range(4):
+                blk = r1.mult_matrix(r1.poly(s), n)
+                assert r2.mult_matrix(r2.poly(s), n) is blk
+                fresh = r2._mult_block(r2.poly(s), n)
+                assert (fresh.nrows, fresh.ncols, fresh.entries) == \
+                    (blk.nrows, blk.ncols, blk.entries)
+        assert r2.graded_piece_basis(3) is r1.graded_piece_basis(3)
+
+    def test_one_build_per_value(self, monkeypatch):
+        """A second equal ring makes no miss; rings no other live ring
+        equals, so every miss counted is this test's own."""
+        calls = []
+        real = GradedRing._mult_block
+        monkeypatch.setattr(GradedRing, "_mult_block",
+                            lambda *a: calls.append(a) or real(*a))
+        variables, ideal = ["s0", "s1", "s2"], ["s0*s1 - s2^2", "s0^3"]
+        r1 = GradedRing(PrimeField(10007), variables, ideal_strings=ideal)
+        assert not r1._tables.mult
+        polys = ["s0 + s1", "s2^2 - 2*s0*s1", "s1^3"]
+        for s in polys:
+            for n in range(4):
+                r1.mult_matrix(r1.poly(s), n)
+        n1 = len(calls)
+        assert n1 == 3 * 4
+        r2 = GradedRing(PrimeField(10007), variables, ideal_strings=ideal)
+        for s in polys:
+            for n in range(4):
+                r2.mult_matrix(r2.poly(s), n)
+        assert len(calls) == n1
+
+    @pytest.mark.parametrize("field, variables, ideal", [
+        (PrimeField(7), ["x", "y", "z"], ["x*y"]),
+        (RationalField(), ["x", "y", "z"], ["x*y"]),
+        (PrimeField(32003), ["a", "b", "c"], ["a*b"]),
+        (PrimeField(32003), ["x", "y", "z"], ["x^2"]),
+        (PrimeField(32003), ["x", "y", "z"], []),
+    ], ids=["prime", "Q", "names", "ideal", "no-ideal"])
+    def test_unequal_rings_do_not_share(self, field, variables, ideal):
+        """Rings that differ from the nodal curve over F_32003 in the
+        prime, F_p against Q, the variable names or the ideal keep their
+        own tables."""
+        r1 = GradedRing(PrimeField(32003), ["x", "y", "z"],
+                        ideal_strings=["x*y"])
+        r2 = GradedRing(field, variables, ideal_strings=ideal)
+        assert r1 != r2 and r1._tables is not r2._tables
+        assert r1.graded_piece_basis(2) is not r2.graded_piece_basis(2)
+        p1 = r1.poly("x + z")
+        p2 = r2.poly("%s + %s" % (variables[0], variables[2]))
+        assert r2.mult_matrix(p2, 1) is not r1.mult_matrix(p1, 1)
+
+    def test_equal_groebner_bases_share(self, Fp):
+        """Different generators of one ideal give one reduced Groebner basis,
+        so the rings are equal and share; their ideal_gens stay apart."""
+        r1 = GradedRing(Fp, ["x", "y", "z"], ideal_strings=["x*y", "x^2"])
+        r2 = GradedRing(Fp, ["x", "y", "z"],
+                        ideal_strings=["x^2 + x*y", "3*x*y"])
+        assert r1.ideal_gens != r2.ideal_gens
+        assert r1 == r2 and hash(r1) == hash(r2)
+        assert r1._tables is r2._tables
+        p = r1.poly("x + z")
+        assert r2.mult_matrix(p, 2) is r1.mult_matrix(p, 2)
+
+    def test_entry_freed_with_last_ring(self):
+        """The registry keeps the tables while some equal ring lives, and
+        drops them with the last one."""
+        variables, ideal = ["t0", "t1"], ["t0^2*t1"]
+        r1 = GradedRing(PrimeField(10009), variables, ideal_strings=ideal)
+        r2 = GradedRing(PrimeField(10009), variables, ideal_strings=ideal)
+        key = r1._key
+        r1.mult_matrix(r1.poly("t0 + t1"), 2)
+        del r1
+        gc.collect()
+        assert ring_module._TABLES[key] is r2._tables
+        assert r2._tables.mult
+        del r2
+        gc.collect()
+        assert key not in ring_module._TABLES
+
+    def test_other_memos_per_instance(self, Fp):
+        """Cech ranks, local duality and covering forms are not shared."""
+        variables, ideal = self.NODAL
+        r1 = GradedRing(Fp, variables, ideal_strings=ideal)
+        r2 = GradedRing(Fp, variables, ideal_strings=ideal)
+        assert r1._tables is r2._tables
+        assert r1.cech_ranks is not r2.cech_ranks
+        cech_cohomology(r1, -2, 1)
+        assert r1.cech_ranks and not r2.cech_ranks
+        local_duality(r1)
+        covering_forms(r1)
+        assert r1.duality is not None and r2.duality is None
+        assert r1.covering_forms is not None and r2.covering_forms is None
 
 
 class TestHypothesisNF:
