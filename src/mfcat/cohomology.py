@@ -1,7 +1,49 @@
 """Line-bundle cohomology on X = Proj R, R = S/I: exact, by local
-duality, and by bounded Cech complexes, the independent oracle; Cech
+duality, and by Cech complexes, the independent oracle; Cech
 hypercohomology of twisted periodic complexes (MFs of W = 0, such as the
 mapping complex); exact global-section spaces and vanishing thresholds.
+On projective space the Cech oracle reads the minimal model, with no
+truncation; on any other ring, one proven truncation of the Cech
+complex, which stays on P^m as the reference.
+
+Minimal model on P^m, R = S = k[x_0, ..., x_m]: the full Cech complex of
+O(a), the localizations S_{x_T} over the faces T (nonempty subsets of the
+vertices 0..m) in degree a, is Z^{m+1}-graded (the proof of Hartshorne,
+Algebraic Geometry, III.5.1).  In a multidegree alpha with negative
+support J = {i : alpha_i < 0} it is k x^alpha e_T over the faces T
+containing J, with d e_T = sum over i not in T of (-1)^(position of i in
+T + i) e_{T+i}.  For J = all vertices it is the top face alone: H^m, the
+inverse monomials x^-gamma (gamma >= 1), written as x^(gamma - 1) in
+S_{-a-m-1}, where i = p = 1 and h = 0.  Otherwise let v be the least vertex with alpha_v >= 0 and
+h e_T = (-1)^(position of v in T) e_{T-v} for v in T and T - v nonempty,
+else 0.  For J = {} (v = 0) let i send x^alpha to x^alpha on every face
+{j} and p read the face {0}; for other J, i = p = 0.  Then
+dh + hd = 1 - ip, pi = 1 and hi = ph = hh = 0, a check face by face: the
+signs of d h e_T and h d e_T cancel on every face other than T.  So the
+Cech complex of each term of C retracts onto H^0 + H^m.  The total
+differential of the Cech bicomplex of C adds the perturbation d_v,
+(-1)^p times C's map in Cech degree p.  h lowers p by one and d_v keeps
+it, so (d_v h)^(m+1) = 0, and the homological perturbation lemma
+(Crainic, "On the perturbation lemma, and deformations",
+arXiv:math/0403266, with his homotopy -h) makes the model
+Tot^n = H^0(C^n) + H^m(C^{n-m}), with differential
+sum_k (-1)^k p (d_v h)^k d_v i, homotopy equivalent to the total
+complex.  p is 0 outside Cech degrees 0 and m, so for m >= 1 only k = 0
+and k = m are left:
+- H^0(C^n) -> H^0(C^{n+1}): C's map on polynomials, the cached
+  mult_matrix blocks;
+- H^m(C^{n-m}) -> H^m(C^{n-m+1}): (-1)^m C's map on inverse
+  polynomials; the coefficient of x^-gamma' in f x^-gamma is that of
+  x^(gamma-1) in f x^(gamma'-1), so the block of an entry f into O(b) is
+  the transpose of mult_matrix(f, -b - m - 1);
+- H^m(C^{n-m}) -> H^0(C^{n+1}), the connecting map p (d_v h)^m d_v i,
+  computed on Laurent monomials (_connecting).  Its sign (-1)^m is
+  dropped: negating every H^m summand is an isomorphism of the model that
+  negates these blocks alone.
+On P^0 (m = 0) k = 0 alone, and p sends its terms to both summands.
+Every entry is exact, no truncation is read, and a term O(a) takes
+dim S_a + dim S_{-a-m-1}, binomials, so a line bundle, the one-term
+complex O(a), is answered by its binomial dimension.
 
 Local duality: a minimal graded free resolution F of R over the
 polynomial ring S on the same N variables, built once per ring, gives the
@@ -16,7 +58,8 @@ n > reg R - i (Eisenbud, The Geometry of Syzygies, ch. 4 and app. 1).
 Vanishing thresholds and the saturation check Gamma(O(n)) = R_n are
 read off this, with no Cech complex.
 
-Cech truncation trick: the piece of the localized module O(a)(U_S) with
+Cech truncation trick (quotient rings, and the reference on P^m): the
+piece of the localized module O(a)(U_S) with
 exponents >= -B on the inverted variables is x_S^{-B} * R_{a + B*|S|}
 (standard monomials), so restriction maps are multiplication by x_i^B and
 the whole truncated Cech bicomplex is assembled from normal-form
@@ -66,8 +109,8 @@ coboundary component by component, from the highest Cech degree down,
 using the rows C^{t-m}, ..., C^{t+1} alone.  When H^{q-1} and H^q of
 the cone vanish, its long exact sequence makes H^q of the truncated
 total complex the hypercohomology.  So H^q(C) is exact at B*(R, a), a
-the least twist of C^{q-m-1}, ..., C^{q+1}, and cech_cohomology and
-cech_hypercohomology each evaluate once.  Since C^{k+2} = C^k(d), for a
+the least twist of C^{q-m-1}, ..., C^{q+1}, and on a quotient ring
+cech_cohomology and cech_hypercohomology each evaluate once.  Since C^{k+2} = C^k(d), for a
 twist step d >= 0 a is the least twist of C^{q-m-1} and C^{q-m}; for
 d < 0 the whole window is needed.
 
@@ -91,6 +134,7 @@ from .linalg import (Block, ExactMatrix, homology_dim, kernel_basis,
                      sparse_transpose)
 from .mf import SheafMap, TwistSum
 from .modules import minimal_columns, syzygies, variable_powers
+from .poly import mono_mul
 from .ring import GradedRing, binom
 
 
@@ -116,8 +160,10 @@ def _restrictions(ring, B):
 def cech_truncation(ring, a):
     """B*(R, a) = max(1, 1 - a - N + b), from which the truncated Cech
     complex of O(a) computes H^*(X, O(a)) (the proof is in the module
-    docstring), as does that of every twist above a.  On a polynomial
-    ring b = 0, read without building its LocalDuality."""
+    docstring), as does that of every twist above a.  It serves quotient
+    rings, the Gamma kernels off the saturated path, and the truncated
+    reference on P^m, whose Cech oracle reads the minimal model.  On a
+    polynomial ring b = 0, read without building its LocalDuality."""
     b = 0 if ring.is_polynomial_ring() else local_duality(ring).top_degree
     return max(1, 1 - a - ring.nvars + b)
 
@@ -204,8 +250,15 @@ def cech_cohomology_at(ring, n, p, B):
 
 
 def cech_cohomology(ring, n, p):
-    """(dimension, True): H^p(O(n)), evaluated once, at
-    cech_truncation(ring, n)."""
+    """(dimension, True): H^p(O(n)).  On a polynomial ring, the homology
+    of the minimal model of O(n) as a complex in degree 0, whose terms
+    are binomial in size and whose differentials are 0; on any other
+    ring, evaluated once, at cech_truncation(ring, n)."""
+    if ring.is_polynomial_ring():
+        def term(k):
+            return TwistSum([n] if k == 0 else [])
+        return _model_homology(ring, term, lambda k: SheafMap.zero(
+            ring, term(k), term(k + 1)), p), True
     return cech_cohomology_at(ring, n, p, cech_truncation(ring, n)), True
 
 
@@ -250,16 +303,130 @@ def cech_hypercohomology_at(C, q, B):
 
 
 def cech_hypercohomology(C, q):
-    """(dimension, True): H^q(C), evaluated once, at
+    """(dimension, True): H^q(C).  On a polynomial ring, the homology of
+    the minimal model at degree q.  On any other ring, evaluated once, at
     cech_truncation(ring, a), a the least twist of the rows
     C^{q-m-1}, ..., C^{q+1} (when all are empty C is 0, and so is H^q).  On
     k[x,y,z]/(xy(x-y)) the truncations B = 1, ..., 8 read 0, 1, 3, 3, 3,
-    1, 1, 1 for a Hom of dimension 1, and B* = 8."""
+    1, 1, 1 for a Hom of dimension 1, and B* = 8.  ValueError if W != 0."""
     ring = C.ctx.ring
+    if not C.ctx.W.is_zero():
+        raise ValueError("the Cech total complex needs an MF of W = 0")
+    if ring.is_polynomial_ring():
+        return _model_homology(ring, C.component_at, C.diff_at, q), True
     m = ring.nvars - 1
     twists = [a for k in range(q - m - 1, q + 2) for a in C.component_at(k)]
     return cech_hypercohomology_at(
         C, q, cech_truncation(ring, min(twists, default=0))), True
+
+
+# -- the minimal model on P^m -------------------------------------------------
+
+
+def _model_homology(ring, term, diff, q):
+    """dim H^q of the minimal model of a complex on P^m = Proj ring, a
+    polynomial ring: term(k) is the TwistSum C^k and diff(k) the map
+    C^k -> C^{k+1} (the module docstring has the model and its proof)."""
+    return homology_dim(ring.field, _model_diff(ring, term, diff, q),
+                        _model_diff(ring, term, diff, q - 1))
+
+
+def _model_diff(ring, term, diff, n):
+    """The model's differential Tot^n -> Tot^{n+1}, as (sparse rows,
+    ncols).  Tot^n lists the H^0 summands of C^n, then the H^m summands
+    of C^{n-m}; a summand O(a) has dimension dim S_a and dim S_{-a-m-1}
+    (binomials).  ([], 0) when Tot^n is 0."""
+    m = ring.nvars - 1
+    src0, srcm = term(n), term(n - m)
+    dst0, dstm = term(n + 1), term(n + 1 - m)
+    col_dims = [ring.hilbert(a) for a in src0] + \
+        [ring.hilbert(-a - m - 1) for a in srcm]
+    if not any(col_dims):
+        return [], 0
+    row_dims = [ring.hilbert(a) for a in dst0] + \
+        [ring.hilbert(-a - m - 1) for a in dstm]
+    # H^0: C's map on polynomials
+    blocks = [(r, c, blk) for r, row in enumerate(diff(n).rows)
+              for c, f in row.items()
+              if (blk := ring.mult_matrix(f, src0[c])).nrows]
+    # H^m: C's map on inverse polynomials, signed (-1)^m; on the dual
+    # basis x^(-gamma) <-> x^(gamma - 1) it is a transposed product
+    neg = ring.field.neg if m % 2 else None
+    nd, ns = len(dst0), len(src0)
+    for r, row in enumerate(diff(n - m).rows):
+        for c, f in row.items():
+            blk = ring.mult_matrix(f, -dstm[r] - m - 1)
+            if blk.entries:
+                dual = sorted((j, i, neg(v) if neg else v)
+                              for i, j, v in blk.entries)
+                blocks.append((nd + r, ns + c,
+                               Block(blk.ncols, blk.nrows, dual)))
+    if any(row_dims[:nd]) and any(col_dims[ns:]):
+        blocks += [(r, ns + c, blk) for (r, c), blk in _connecting(
+            ring, [diff(k) for k in range(n - m, n + 1)], srcm, dst0).items()]
+    return sparse_blocks(row_dims, col_dims, blocks)
+
+
+def _connecting(ring, diffs, src, dst):
+    """The connecting blocks p (d_v h)^m d_v i: H^m(C^{n-m}) ->
+    H^0(C^{n+1}), as {(r, c): Block}, computed on Laurent monomials.
+
+    diffs are C's maps out of C^{n-m}, ..., C^n, and src and dst the
+    twists of C^{n-m} and C^{n+1}.  A state is {(summand, exponent,
+    face): coefficient}, the face a tuple of vertices.  i sends the basis
+    element x^(gamma - 1) of S_{-a-m-1} to x^(-gamma) on the face of all
+    vertices; d_v multiplies by C's entries, signed (-1)^(Cech degree);
+    h takes face T to T minus v, signed (-1)^(position of v in T), for v
+    the least vertex where the exponent is >= 0, and is 0 when there is
+    no such vertex or it is not in T; p reads the face (0,) at exponents
+    >= 0."""
+    F = ring.field
+    m = ring.nvars - 1
+    full = tuple(range(m + 1))
+    # the entries of each map by source column: c -> [(r, terms of f)]
+    by_col = []
+    for d in diffs:
+        cols = [[] for _ in d.src]
+        for r, row in enumerate(d.rows):
+            for c, f in row.items():
+                cols[c].append((r, list(f.terms.items())))
+        by_col.append(cols)
+    index = [{mono: i for i, mono in enumerate(ring.graded_piece_basis(a))}
+             for a in dst]
+    entries = {}
+    for c, a in enumerate(src):
+        for j, beta in enumerate(ring.graded_piece_basis(-a - m - 1)):
+            state = {(c, tuple(-b - 1 for b in beta), full): F.one()}
+            for k, cols in enumerate(by_col):
+                negate = (m - k) % 2
+                step = {}
+                for (s, alpha, face), v in state.items():
+                    if negate:
+                        v = F.neg(v)
+                    for r, terms in cols[s]:
+                        for e, x in terms:
+                            key = (r, mono_mul(alpha, e), face)
+                            step[key] = F.add(step.get(key, F.zero()),
+                                              F.mul(v, x))
+                state = {}
+                for (r, alpha, face), v in step.items():
+                    if F.is_zero(v):
+                        continue
+                    if k == m:
+                        if face == (0,) and min(alpha) >= 0:
+                            entries.setdefault((r, c), []).append(
+                                (index[r][alpha], j, v))
+                        continue
+                    vertex = next((i for i, x in enumerate(alpha) if x >= 0),
+                                  None)
+                    if vertex is None or vertex not in face:
+                        continue
+                    pos = face.index(vertex)
+                    key = (r, alpha, face[:pos] + face[pos + 1:])
+                    state[key] = F.add(state.get(key, F.zero()),
+                                       F.neg(v) if pos % 2 else v)
+    return {rc: Block(len(index[rc[0]]), ring.hilbert(-src[rc[1]] - m - 1),
+                      sorted(ents)) for rc, ents in entries.items()}
 
 
 # -- local duality ------------------------------------------------------------

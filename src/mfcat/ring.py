@@ -251,6 +251,11 @@ class GradedRing:
         return basis
 
     def hilbert(self, n):
+        """dim R_n: binom(n + N - 1, N - 1) on a polynomial ring in N
+        variables, read without building the piece basis; otherwise the
+        number of standard monomials of degree n."""
+        if not self.groebner:
+            return binom(n + self.nvars - 1, self.nvars - 1)
         return len(self.graded_piece_basis(n))
 
     def coords(self, polys, twists):

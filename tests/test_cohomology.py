@@ -16,8 +16,8 @@ from mfcat.homcat import hom_H
 from mfcat.linalg import (ExactMatrix, kernel_basis, rref, solve,
                           sparse_blocks, sparse_matmul, sparse_rank,
                           sparse_transpose)
-from mfcat.mf import (MFContext, SheafMap, TwistSum, direct_sum_mf,
-                      mapping_complex, shift_mf, twist_mf)
+from mfcat.mf import (MFContext, MatrixFactorization, SheafMap, TwistSum,
+                      direct_sum_mf, mapping_complex, shift_mf, twist_mf)
 from mfcat.modules import is_nonzerodivisor
 from mfcat.poly import Poly
 from mfcat.ring import GradedRing, binom
@@ -265,13 +265,18 @@ class TestTruncation:
         assert len(tried) == len(objs) ** 2
 
     def test_polynomial_rings_take_one_proven_truncation(self, monkeypatch):
-        # C^-3 and C^-2 have twists (-5, -4) and (-4, -4) on P^2, so
+        # on P^2 the minimal model answers, with no truncated evaluation;
+        # the truncated reference agrees at its one proven truncation and
+        # one above: C^-3 and C^-2 have twists (-5, -4) and (-4, -4), so
         # B* = max(1, -2 + 5) = 3
         ctx, objs = generate_suite(0, "p2-small")
+        C = mapping_complex(objs[0], twist_mf(objs[0], -3))
+        real = cohomology.cech_hypercohomology_at
         tried = record_hyper_at(monkeypatch)
-        assert cech_hypercohomology(
-            mapping_complex(objs[0], twist_mf(objs[0], -3)), 0) == (0, True)
-        assert tried == [3]
+        assert cech_hypercohomology(C, 0) == (0, True)
+        assert tried == []
+        assert cech_truncation(ctx.ring, -5) == 3
+        assert [real(C, 0, B) for B in (3, 4)] == [0, 0]
 
     def test_vanishing_threshold(self, ctx_p2):
         n0, tag = vanishing_threshold(ctx_p2)
@@ -316,6 +321,8 @@ class TestOneTruncation:
                                            (3, -8, 4)])
     def test_line_bundles_match_closed_form(self, m, lo, hi, field,
                                             monkeypatch):
+        # the minimal model answers with no truncated evaluation, and the
+        # truncated reference agrees at B* and at B* + 1
         ring = projective_space(field, m)
         tried = []
         real = cohomology.cech_cohomology_at
@@ -326,10 +333,10 @@ class TestOneTruncation:
             B = max(1, -n - m)
             for p in range(m + 1):
                 want = h_projective_space(m, n, p)
-                tried.clear()
                 assert cech_cohomology(ring, n, p) == (want, True), (n, p)
-                assert tried == [B]
-                assert real(ring, n, p, B + 1) == want, (n, p)
+                assert tried == []
+                assert [real(ring, n, p, b) for b in (B, B + 1)] == \
+                    [want, want], (n, p)
 
     @pytest.mark.parametrize("m, n, p, dim", [(1, -11, 1, 10),
                                               (1, -80, 1, 79),
@@ -345,8 +352,9 @@ class TestOneTruncation:
                              ids=["P%d-%s-d%d" % (m, base[0], step)
                                   for m, base, step in TWISTED_PM])
     def test_w_zero_corpora(self, m, base, step, monkeypatch):
-        # hom_H, the one-truncation value and the value at B = 12 agree,
-        # and the one truncation is read off C^{-m-1} and C^{-m} alone
+        # hom_H and the minimal model agree, with no truncated evaluation;
+        # the truncated reference agrees at its one truncation, read off
+        # C^{-m-1} and C^{-m} alone, at one above, and at B = 12
         ring = projective_space(PrimeField(DEFAULT_PRIME), m)
         ctx = MFContext(ring, ring.zero(), twist_step=step)
         objs = _grow(random.Random(0), ctx, [rank_one_mf(ctx, *base, 0)], 4)
@@ -358,11 +366,164 @@ class TestOneTruncation:
                 C = mapping_complex(E, F)
                 dim = hom_H(E, F, gs).dimension
                 assert dim > 0
-                tried.clear()
                 assert cech_hypercohomology(C, 0) == (dim, True)
+                assert tried == []
                 low = min([*C.component_at(-m - 1), *C.component_at(-m)])
-                assert tried == [max(1, -m - low)]
-                assert real(C, 0, 12) == dim
+                B = max(1, -m - low)
+                assert [real(C, 0, b) for b in (B, B + 1, 12)] == [dim] * 3
+
+
+# -- the minimal model on P^m ----------------------------------------------
+
+
+# (m, rank-one base (e1, e0), twist step, fields): the TWISTED_PM corpora
+# and more, over P^0-P^3 and twist steps 1, 2 and -1; on P^0 every
+# nonzero entry is a unit on the one open, so the base there has zero maps
+MODEL_PM = [(m, base, step, FIELDS) for m, base, step in TWISTED_PM] + \
+    [(m, ("x0", "0"), -1, FIELDS) for m in (1, 2)] + \
+    [(0, ("0", "0"), step, FIELDS) for step in (1, 2, -1)] + \
+    [(3, ("x0", "0"), step, FIELDS[::2]) for step in (1, -1)]
+MODEL_CASES = [(m, base, step, field) for m, base, step, fields in MODEL_PM
+               for field in fields]
+
+
+def truncated_reference(C, q):
+    """H^q of C off the truncated Cech complex, at B* (read off the rows
+    C^{q-m-1}, ..., C^{q+1}) and at B* + 1."""
+    ring = C.ctx.ring
+    m = ring.nvars - 1
+    B = cech_truncation(ring, min(
+        [a for k in range(q - m - 1, q + 2) for a in C.component_at(k)],
+        default=0))
+    return [cohomology.cech_hypercohomology_at(C, q, b) for b in (B, B + 1)]
+
+
+def folded_koszul(m, d, forms=None):
+    """The Koszul complex of forms f_0, ..., f_m (by default the
+    variables) on P^m (m = 1, 2), exact as a complex of sheaves when the
+    forms have no common zero, folded into a W = 0 MF of twist step d:
+    copy k of it sits in degrees 2k - m - 1, ..., 2k, twisted by kd.  Its
+    hypercohomology is 0, but H^0(O) in C^0 is a cocycle of the model that
+    only the connecting map from H^m of the Koszul term in C^{-m-1}
+    bounds."""
+    ring = projective_space(PrimeField(DEFAULT_PRIME), m)
+    ctx = MFContext(ring, ring.zero(), twist_step=d)
+    f = [ring.poly(g) for g in forms or ring.variables]
+    a = [g.total_degree() for g in f]
+    z = ring.zero()
+    if m == 1:
+        E1, E0 = TwistSum([-a[1], -a[0]]), TwistSum([0, d - a[0] - a[1]])
+        e1 = [[f[1], -f[0]], [z, z]]
+        e0 = [[z, f[0]], [z, f[1]]]
+    else:
+        E1 = TwistSum([-a[0], -a[1], -a[2], d - sum(a)])
+        E0 = TwistSum([0, d - a[1] - a[2], d - a[0] - a[2], d - a[0] - a[1]])
+        cross = [[z, f[2], -f[1]], [-f[2], z, f[0]], [f[1], -f[0], z]]
+        e1 = [f + [z]] + [[z, z, z, g] for g in f]
+        e0 = [[z] + row for row in cross] + [[z] * 4]
+    return MatrixFactorization(ctx, SheafMap(ring, E1, E0, e1),
+                               SheafMap(ring, E0, E1.twist(d), e0))
+
+
+class TestMinimalModel:
+    """On P^m the Cech (hyper)cohomology is the homology of the minimal
+    model, the sum of H^0 and H^m of the terms of C, with no truncation
+    (the proof is in the cohomology module docstring); the truncated
+    Cech complex stays as the reference."""
+
+    @pytest.mark.parametrize("m, base, step, field", MODEL_CASES,
+                             ids=["P%d-%s-d%d-%s" % (m, base[0], step, f)
+                                  for m, base, step, f in MODEL_CASES])
+    def test_equals_truncated_reference(self, m, base, step, field,
+                                        monkeypatch):
+        # each pair also against the target twisted by -m-2, which puts
+        # H^m terms in the window; on P^3 at q = 0 alone, to keep it quick
+        ring = projective_space(field, m)
+        ctx = MFContext(ring, ring.zero(), twist_step=step)
+        objs = _grow(random.Random(0), ctx, [rank_one_mf(ctx, *base, 0)], 3)
+        pairs = [(E, G) for E in objs
+                 for G in (objs[0], twist_mf(objs[-1], -m - 2))]
+        qs = (0,) if m == 3 else (-1, 0, 1)
+        cases = [(mapping_complex(E, G), q) for E, G in pairs for q in qs]
+        tried = record_hyper_at(monkeypatch)
+        got = [cech_hypercohomology(C, q) for C, q in cases]
+        assert tried == []
+        monkeypatch.undo()
+        assert [truncated_reference(C, q) for C, q in cases] == \
+            [[dim, dim] for dim, _ in got]
+        assert all(stable for _, stable in got)
+        assert any(dim for dim, _ in got)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_model_is_a_complex(self, m):
+        # d^2 = 0 on the model, connecting blocks included; on P^1 the
+        # Homs between Koszul complexes of different forms compose the
+        # connecting blocks with the others, so dropping the sign (-1)^m
+        # of the H^m blocks shows here (a sign the ranks cannot see)
+        ring = projective_space(PrimeField(DEFAULT_PRIME), m)
+        ctx = MFContext(ring, ring.zero(), twist_step=1)
+        base = ("0", "0") if m == 0 else ("x0", "0")
+        objs = _grow(random.Random(0), ctx, [rank_one_mf(ctx, *base, 0)], 3)
+        complexes = [mapping_complex(objs[1], twist_mf(objs[2], -m - 2))]
+        if m in (1, 2):
+            K = folded_koszul(m, 1)
+            L = folded_koszul(m, 1, ["x0^2"] + ring.variables[1:])
+            complexes += [mapping_complex(K, K), mapping_complex(K, L),
+                          mapping_complex(L, K)]
+        for C in complexes:
+            ring = C.ctx.ring
+            diffs = [cohomology._model_diff(ring, C.component_at, C.diff_at,
+                                            q) for q in range(-4, 3)]
+            assert any(rows for rows, _ in diffs)
+            for (d_in, n_in), (d_out, _) in zip(diffs, diffs[1:]):
+                if n_in and d_out:
+                    assert not any(sparse_matmul(ring.field, d_out, d_in))
+
+    @pytest.mark.parametrize("m, d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_connecting_map_is_needed(self, m, d, monkeypatch):
+        # the folded Koszul complex and its endomorphism complex are exact,
+        # so every H^q is 0; without the connecting blocks the model reads
+        # H^0(O) = 1 at q = 0
+        K = folded_koszul(m, d)
+        for C in (twist_mf(K, 0), mapping_complex(K, K)):
+            for q in (-1, 0, 1):
+                assert cech_hypercohomology(C, q) == (0, True)
+                assert truncated_reference(C, q) == [0, 0]
+        monkeypatch.setattr(cohomology, "_connecting", lambda *a: {})
+        assert cech_hypercohomology(K, 0) == (1, True)
+
+    @pytest.mark.parametrize("forms", [("x0^2", "x1^2"), ("x0^3", "x1"),
+                                       ("x0^2 + x1^2", "x0*x1"),
+                                       ("x0^2", "x1", "x2"),
+                                       ("x0*x1 + x2^2", "x0^2", "x1^2")],
+                             ids=",".join)
+    def test_connecting_map_on_higher_degree_forms(self, forms):
+        # higher-degree entries send Laurent monomials of the contraction
+        # to every kind of face: with no common zero the Koszul complex is
+        # exact, and so are its twists and its endomorphism complex
+        K = folded_koszul(len(forms) - 1, 2, forms)
+        for C in (twist_mf(K, -1), mapping_complex(K, twist_mf(K, 1))):
+            for q in (-1, 0, 1):
+                assert cech_hypercohomology(C, q) == (0, True)
+                assert truncated_reference(C, q) == [0, 0]
+
+    def test_line_bundle_dims_are_binomials(self, monkeypatch):
+        # h^3(O(-200)) and h^0(O(200)) on P^3, with no truncated
+        # evaluation and no piece basis enumerated
+        ring = projective_space(PrimeField(DEFAULT_PRIME), 3)
+
+        def refuse(*args):
+            raise AssertionError("enumerated or truncated: %r" % (args,))
+
+        for name in ("cech_cohomology_at", "cech_hypercohomology_at"):
+            monkeypatch.setattr(cohomology, name, refuse)
+        monkeypatch.setattr(GradedRing, "graded_piece_basis", refuse)
+        assert cech_cohomology(ring, -200, 3) == (binom(199, 3), True)
+        assert cech_cohomology(ring, 200, 0) == (binom(203, 3), True)
+        assert [cech_cohomology(ring, n, p)[0] for n in (-200, 200)
+                for p in (1, 2)] == [0] * 4
+        assert cech_cohomology(ring, -200, 0) == (0, True)
+        assert cech_cohomology(ring, 200, 3) == (0, True)
 
 
 # -- one-pass assembly ----------------------------------------------------
@@ -505,8 +666,8 @@ class TestRankMemo:
         monkeypatch.setattr(cohomology, "sparse_rank",
                             lambda *a: calls.append(a) or real(*a))
         ring = GradedRing(PrimeField(DEFAULT_PRIME), ["x0", "x1", "x2"])
-        dims = [cech_cohomology(ring, -4, p) for p in range(3)]
-        assert dims == [(0, True), (0, True), (3, True)]
+        dims = [cech_cohomology_at(ring, -4, p, 2) for p in range(3)]
+        assert dims == [0, 0, 3]
         # two differentials (out of C^0 and C^1) at B* = 4 - 2 = 2
         assert len(calls) == 2
 
@@ -518,12 +679,13 @@ class TestRankMemo:
         F = PrimeField(DEFAULT_PRIME)
         r1, r2 = GradedRing(F, ["x0", "x1"]), GradedRing(F, ["x0", "x1"])
         assert r1 == r2 and hash(r1) == hash(r2)
-        assert cech_cohomology(r1, -3, 1) == (2, True)
+        # at B* = cech_truncation(r, -3) = 2
+        assert cech_cohomology_at(r1, -3, 1, 2) == 2
         n1 = len(calls)
         assert n1 and r1.cech_ranks and not r2.cech_ranks
-        assert cech_cohomology(r1, -3, 1) == (2, True)
+        assert cech_cohomology_at(r1, -3, 1, 2) == 2
         assert len(calls) == n1
-        assert cech_cohomology(r2, -3, 1) == (2, True)
+        assert cech_cohomology_at(r2, -3, 1, 2) == 2
         assert len(calls) == 2 * n1 and r2.cech_ranks == r1.cech_ranks
 
 
